@@ -52,7 +52,9 @@ class OptimizationConfig:
     round_time_cap_s: float = 60.0
     bcd_tol: float = 1e-6
     bcd_max_outer: int = 50
-    block_iters: int = 120  # scalar line-search iterations per block solve
+    block_iters: int = field(default=120, metadata={
+        "help": "cap on line-search iterations per block solve; the search stops "
+                "earlier once convexity certifies its best value"})
     d_total_mode: str = "feasible"  # feasible | coverage
 
 
@@ -273,11 +275,13 @@ def config_hash(cfg: SimConfig):
 
 
 def iter_keys():
-    """All (dotted_key, default, type) triples, for CLI help and docs."""
+    """All (dotted_key, default, type, help) tuples, for CLI help and docs; help is
+    "" for keys without a note."""
     out = []
     defaults = SimConfig()
     for section, cls in _SECTIONS.items():
         sub = getattr(defaults, section)
         for f in fields(cls):
-            out.append((f"{section}.{f.name}", getattr(sub, f.name), _FIELD_TYPES[(section, f.name)]))
+            out.append((f"{section}.{f.name}", getattr(sub, f.name),
+                        _FIELD_TYPES[(section, f.name)], f.metadata.get("help", "")))
     return out

@@ -14,8 +14,9 @@ a one-dimensional convex problem in the epigraph ceiling of the max term: for
 a fixed ceiling the optimal R is the smallest rate meeting it (the inclusion
 cost grows with rate) and the optimal u is a box-capped water-filling of the
 inverse-probability cost.  A scalar golden-section search over the ceiling
-therefore yields the exact block optimum, including the nonsmooth points where
-several vehicles tie at the max.
+therefore yields the block optimum, including the nonsmooth points where
+several vehicles tie at the max; it stops once convexity certifies that its
+best value is within a few ulps of the block minimum.
 
 All block solvers are pure functions of their inputs; iteration order is
 vehicle-id ascending for reproducibility.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,9 @@ from .mobility import nearest_rsu_distance, remaining_sojourn
 _LN2 = math.log(2.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _RESTART_SCALES = (0.7, 0.85, 1.2, 1.4)
+# a line search stops once its best value is this close to the convexity bound:
+# a few ulps, the resolution at which the sampled values stop changing
+_CERT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,21 @@ def compute_feasible_set(vehicles, geometry, cfg):
     return feasible
 
 
+def _drop_for_budget(rows, u_min, n_blocks):
+    """Shrink the feasible rows until every one can get its u_min share of the budget.
+
+    Rows are (id, ..., r_max) tuples in id order; the weakest links go first,
+    by (r_max, id).  Returns the kept rows in their order and the dropped ids
+    in the order they were dropped.
+    """
+    n_keep = len(rows)
+    while n_keep and n_keep * u_min > n_blocks:
+        n_keep -= 1
+    weakest = sorted(range(len(rows)), key=lambda i: (rows[i][7], rows[i][0]))[: len(rows) - n_keep]
+    gone = set(weakest)
+    return [r for i, r in enumerate(rows) if i not in gone], [rows[i][0] for i in weakest]
+
+
 def build_context(vehicles, geometry, cfg):
     """Feasible-set context from live vehicle states; handles the u_min budget shrink."""
     rows = []
@@ -130,12 +150,7 @@ def build_context(vehicles, geometry, cfg):
         rows.append((v.id, d_size, ch.epsilon, ch.h_est_power, ch.large_scale_gain,
                      soj, r_lo, r_hi))
     opt = cfg.optimization
-    dropped = []
-    # shrink until every feasible vehicle can get its u_min share of the budget
-    while rows and len(rows) * opt.u_min > cfg.physical.n_blocks:
-        worst = min(range(len(rows)), key=lambda i: (rows[i][7], rows[i][0]))
-        dropped.append(rows[worst][0])
-        rows.pop(worst)
+    rows, dropped = _drop_for_budget(rows, opt.u_min, cfg.physical.n_blocks)
     cols = list(zip(*rows)) if rows else [[]] * 8
     data = np.array(cols[1], dtype=float)
     d_total = float(data.sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
@@ -183,8 +198,38 @@ def objective(u, rates, ctx: SchedulingContext, alpha=None):
     return term1 + term2
 
 
+def _convex_lower_bound(a, c, d, b, fa, fc, fd, fb):
+    """Lower bound on the minimum over [a, b] of a convex function sampled at a < c < d < b.
+
+    On [a, c] and [d, b] the function lies above the secant through (c, d)
+    extended outward; on [c, d] above the higher of the secants through (a, c)
+    and (d, b) extended inward.  -inf when a sample is not finite.
+    """
+    if not math.isfinite(fa + fc + fd + fb):
+        return -math.inf
+    s_ac = (fc - fa) / (c - a)
+    s_cd = (fd - fc) / (d - c)
+    s_db = (fb - fd) / (b - d)
+    outer = min(fc, fd, fc - s_cd * (c - a), fd + s_cd * (b - d))
+    # the higher of two lines is lowest at an end of [c, d] or where they cross
+    inner = min(max(fc, fd - s_db * (d - c)), max(fc + s_ac * (d - c), fd))
+    if s_ac != s_db:
+        cross = (fd - fc + s_ac * c - s_db * d) / (s_ac - s_db)
+        if c < cross < d:
+            inner = min(inner, fc + s_ac * (cross - c))
+    return min(outer, inner)
+
+
 def _golden_min(fn, lo, hi, iters):
-    """Scalar minimization on [lo, hi]; returns the best evaluated point."""
+    """Scalar minimization of a convex function on [lo, hi]; returns the best
+    evaluated point, its value and the final bracket width.
+
+    Golden-section search that stops as soon as the best sampled value is
+    within _CERT_RTOL of the convexity lower bound over the bracket, which at a
+    smooth minimum happens near a bracket width of 1e-8.  At a kink the bound
+    stays loose, so the bracket shrinks to 1e-14 relative as before; `iters`
+    caps the iterations either way.
+    """
     best = [math.inf, lo]
 
     def ev(x):
@@ -193,22 +238,24 @@ def _golden_min(fn, lo, hi, iters):
             best[0], best[1] = f, x
         return f
 
-    ev(lo)
-    ev(hi)
     a, b = lo, hi
+    fa, fb = ev(a), ev(b)
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = ev(c), ev(d)
     for _ in range(iters):
         if fc <= fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - _PHI * (b - a)
             fc = ev(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + _PHI * (b - a)
             fd = ev(d)
         if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+            break
+        lower = _convex_lower_bound(a, c, d, b, fa, fc, fd, fb)
+        if math.isfinite(best[0]) and best[0] - lower <= _CERT_RTOL * abs(best[0]):
             break
     return best[1], best[0], b - a
 
@@ -242,12 +289,15 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None):
         r_req = np.where(f1_req > 0.0, w * np.log1p(np.maximum(f1_req, 0.0)) / _LN2, 0.0)
         return np.minimum(np.maximum(r_req, ctx.r_min), ctx.r_max)
 
+    weighted_data = alpha * ctx.data_sizes
+    scaled_u = ctx.d_total * u
+
     def phi(ell):
         r = rates_at(ell)
         p = ctx.success_prob(r)
         if np.any(p <= 0.0):
             return math.inf
-        cost = float(np.sum(alpha * ctx.data_sizes / (ctx.d_total * u * p)))
+        cost = float(np.sum(weighted_data / (scaled_u * p)))
         return cost + (1.0 - alpha) * math.exp(ell)
 
     if not ell_hi > ell_lo:
@@ -262,50 +312,65 @@ def _waterfill(cost, lo, caps, budget):
     Exact KKT solve: u_v(mu) = clip(sqrt(cost_v/mu), lo, caps_v) with the
     multiplier found by a vectorized scan over its breakpoints.
     """
-    caps = np.maximum(caps, lo)
+    return _waterfill_solver(cost, lo, budget)(caps)
+
+
+def _waterfill_solver(cost, lo, budget):
+    """The water-fill of `_waterfill` as a function of the caps alone.
+
+    Everything that does not depend on the caps (finite costs, the active set,
+    sqrt(cost), the floor breakpoints cost/lo^2 and the constant event columns)
+    is computed once here, so a line search over the caps pays only for the
+    cap breakpoints and their sort.
+    """
     cost = np.where(np.isfinite(cost), cost, 1e300)
-    u_free = np.where(cost > 0.0, caps, lo)
-    total = float(u_free.sum())
-    if total <= budget * (1.0 + 1e-12):
-        return u_free
     act = cost > 0.0
     ca = cost[act]
-    ha = caps[act]
     n_lo_fixed = int((~act).sum())
+    cost_or_one = np.where(act, cost, 1.0)
     sq = np.sqrt(ca)
-    mu_hi = ca / ha**2  # below: pinned at cap
     mu_lo = ca / lo**2  # above: pinned at floor
-    ev_mu = np.concatenate([mu_hi, mu_lo])
-    ev_dhi = np.concatenate([-ha, np.zeros_like(ca)])
+    zeros = np.zeros_like(ca)
     ev_dsq = np.concatenate([sq, -sq])
-    ev_dnlo = np.concatenate([np.zeros_like(ca), np.ones_like(ca)])
-    order = np.argsort(ev_mu, kind="stable")
-    ev_mu = ev_mu[order]
-    sum_hi = float(ha.sum()) + np.cumsum(ev_dhi[order])
-    sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
-    n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
-    lowers = ev_mu
-    uppers = np.append(ev_mu[1:], np.inf)
-    rhs = budget - sum_hi - lo * n_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_cand = (sum_sq / rhs) ** 2
-    ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= lowers * (1 - 1e-12)) & (mu_cand <= uppers * (1 + 1e-12))
-    idx = np.flatnonzero(ok)
-    if len(idx) > 0:
-        mu = float(mu_cand[idx[0]])
-    else:
-        # degenerate ties: fall back to bisection on the monotone budget curve
-        mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
-        for _ in range(200):
-            mu = math.sqrt(mu_a * mu_b)
-            if np.minimum(np.maximum(np.sqrt(ca / mu), lo), ha).sum() + n_lo_fixed * lo > budget:
-                mu_a = mu
-            else:
-                mu_b = mu
-        mu = mu_b
-    u = np.where(act, np.minimum(np.maximum(np.sqrt(np.where(act, cost, 1.0) / mu), lo),
-                                 caps), lo)
-    return u
+    ev_dnlo = np.concatenate([zeros, np.ones_like(ca)])
+
+    def solve(caps):
+        caps = np.maximum(caps, lo)
+        u_free = np.where(act, caps, lo)
+        total = float(u_free.sum())
+        if total <= budget * (1.0 + 1e-12):
+            return u_free
+        ha = caps[act]
+        mu_hi = ca / ha**2  # below: pinned at cap
+        ev_mu = np.concatenate([mu_hi, mu_lo])
+        ev_dhi = np.concatenate([-ha, zeros])
+        order = np.argsort(ev_mu, kind="stable")
+        ev_mu = ev_mu[order]
+        sum_hi = float(ha.sum()) + np.cumsum(ev_dhi[order])
+        sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
+        n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
+        lowers = ev_mu
+        uppers = np.append(ev_mu[1:], np.inf)
+        rhs = budget - sum_hi - lo * n_lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_cand = (sum_sq / rhs) ** 2
+        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= lowers * (1 - 1e-12)) & (mu_cand <= uppers * (1 + 1e-12))
+        idx = np.flatnonzero(ok)
+        if len(idx) > 0:
+            mu = float(mu_cand[idx[0]])
+        else:
+            # degenerate ties: fall back to bisection on the monotone budget curve
+            mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
+            for _ in range(200):
+                mu = math.sqrt(mu_a * mu_b)
+                if np.minimum(np.maximum(np.sqrt(ca / mu), lo), ha).sum() + n_lo_fixed * lo > budget:
+                    mu_a = mu
+                else:
+                    mu_b = mu
+            mu = mu_b
+        return np.where(act, np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps), lo)
+
+    return solve
 
 
 def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None):
@@ -331,10 +396,10 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None)
     top = float(np.max(ln_e))
     ell_lo = math.log(ctx.u_min) + top
     ell_hi = top
+    fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
 
     def u_at(ell):
-        caps = np.exp(np.minimum(0.0, ell - ln_e))
-        return _waterfill(cost, ctx.u_min, caps, ctx.n_blocks)
+        return fill(np.exp(np.minimum(0.0, ell - ln_e)))
 
     def psi(ell):
         u = u_at(ell)
@@ -727,7 +792,9 @@ def dump_instance(ctx: SchedulingContext, path):
     buf.write("# vflsim instance 1\n")
     buf.write(f"# alpha {ctx.alpha!r} u_min {ctx.u_min!r} n_blocks {ctx.n_blocks!r} "
               f"bandwidth {ctx.bandwidth!r} noise_density {ctx.noise_density!r} "
-              f"tx_power {ctx.tx_power!r} model_bits {ctx.model_bits!r} d_total {ctx.d_total!r}\n")
+              f"tx_power {ctx.tx_power!r} model_bits {ctx.model_bits!r} d_total {ctx.d_total!r} "
+              f"block_iters {ctx.block_iters!r} "
+              f"budget_dropped ({','.join(str(int(i)) for i in ctx.budget_dropped)})\n")
     buf.write("# columns: id data_size epsilon h_est_sq large_scale_gain sojourn_s r_min r_max\n")
     for k in range(ctx.size):
         buf.write(" ".join([
@@ -753,7 +820,11 @@ def load_instance(path_or_text):
     if not lines or not lines[0].startswith("# vflsim instance 1"):
         raise ValueError("not a vflsim instance dump")
     meta_parts = lines[1][1:].split()
-    meta = {meta_parts[i]: float(meta_parts[i + 1]) for i in range(0, len(meta_parts), 2)}
+    meta = {meta_parts[i]: meta_parts[i + 1] for i in range(0, len(meta_parts), 2)}
+    # dumps written before block_iters and budget_dropped were recorded lack both
+    dropped = meta.pop("budget_dropped", "()").strip("()")
+    block_iters = int(meta.pop("block_iters", 120))
+    meta = {key: float(value) for key, value in meta.items()}
     rows = [ln.split() for ln in lines[3:] if ln.strip()]
     cols = list(zip(*rows)) if rows else [[]] * 8
     return SchedulingContext(
@@ -773,4 +844,6 @@ def load_instance(path_or_text):
         tx_power=meta["tx_power"],
         model_bits=meta["model_bits"],
         d_total=meta["d_total"],
+        block_iters=block_iters,
+        budget_dropped=tuple(int(x) for x in dropped.split(",") if x),
     )

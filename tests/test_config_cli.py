@@ -148,6 +148,7 @@ class TestCli:
         assert "5900000000" in out
         assert "optimization.alpha" in out
         assert "run.scheduler" in out
+        assert "optimization.block_iters (default: 120): cap on line-search iterations" in out
 
 
 def test_validate_passes_on_fresh_checkout(tmp_path):

@@ -9,8 +9,10 @@ from vflsim import scheduler
 from vflsim.channel import ChannelState
 from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState
-from vflsim.scheduler import (RoundPlan, _waterfill, bcd_solve, build_context,
-                              compute_feasible_set, curvature_certificate,
+from vflsim.sim import Experiment
+from vflsim.scheduler import (RoundPlan, _drop_for_budget, _golden_min, _waterfill,
+                              bcd_solve, build_context, compute_feasible_set,
+                              curvature_certificate,
                               dump_instance, inclusion_cost_summand, load_instance,
                               objective, power_ratios, rate_bounds, realize_selection,
                               round_time, scheme1_baseline, scheme2_baseline,
@@ -129,6 +131,54 @@ class TestRateBlock:
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
             rates = solve_rate_block(u, ctx)
             assert float(np.min(ctx.success_prob(rates))) > 0.0
+
+
+class TestGoldenMin:
+    @staticmethod
+    def _counted(fn):
+        calls = []
+
+        def wrapped(x):
+            calls.append((x, fn(x)))
+            return calls[-1][1]
+        return wrapped, calls
+
+    def test_smooth_minimum_stops_early_within_ulps(self):
+        fn, calls = self._counted(lambda x: (x - 0.3) ** 2 + math.exp(0.1 * x))
+        x, f, _ = _golden_min(fn, -2.0, 3.0, 120)
+        # minimizer of (x - 0.3)^2 + exp(0.1 x) to full precision by Newton steps
+        x_star = 0.3
+        for _ in range(50):
+            x_star -= ((2 * (x_star - 0.3) + 0.1 * math.exp(0.1 * x_star))
+                       / (2 + 0.01 * math.exp(0.1 * x_star)))
+        f_star = (x_star - 0.3) ** 2 + math.exp(0.1 * x_star)
+        assert f - f_star <= 4 * np.spacing(f_star)
+        assert len(calls) < 120 // 2
+
+    def test_kink_still_bracketed_tightly(self):
+        x0 = 0.123456789
+        fn, _ = self._counted(lambda x: abs(x - x0) + 2.0)
+        x, _, width = _golden_min(fn, -3.0, 5.0, 120)
+        assert width <= 1e-12 * max(1.0, abs(x0))
+        assert abs(x - x0) <= 1e-12 * max(1.0, abs(x0))
+
+    def test_infinite_left_end_gives_finite_minimizer(self):
+        # like phi at ell_lo, where a vehicle at R_max has zero success probability
+        fn, _ = self._counted(lambda x: math.inf if x <= 0.0 else 1.0 / x + x)
+        x, f, _ = _golden_min(fn, 0.0, 4.0, 120)
+        assert math.isfinite(f) and 0.0 < x
+        assert f - 2.0 <= 4 * np.spacing(2.0)
+        assert abs(x - 1.0) <= 1e-6
+
+    def test_returns_best_point_evaluated(self):
+        for fn in (lambda x: (x - 0.3) ** 2 + 1.0, lambda x: abs(x + 1.7) + 0.5,
+                   lambda x: math.inf if x <= -1.0 else math.exp(-x) + 0.2 * x,
+                   lambda x: math.exp(x)):
+            counted, calls = self._counted(fn)
+            x, f, _ = _golden_min(counted, -1.0, 2.0, 120)
+            f_best = min(v for _, v in calls)
+            assert f == f_best
+            assert (x, f) == next(c for c in calls if c[1] == f_best)
 
 
 class TestWaterfill:
@@ -367,6 +417,29 @@ def test_budget_shrink_drops_weakest_links():
     assert set(ctx.budget_dropped) == {0, 2}
 
 
+def _naive_budget_drop(rows, u_min, n_blocks):
+    """Reference: drop the weakest remaining link, one full scan per vehicle."""
+    rows = list(rows)
+    dropped = []
+    while rows and len(rows) * u_min > n_blocks:
+        worst = min(range(len(rows)), key=lambda i: (rows[i][7], rows[i][0]))
+        dropped.append(rows[worst][0])
+        rows.pop(worst)
+    return rows, dropped
+
+
+def test_budget_drop_matches_naive_loop_with_ties():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(0, 60))
+        ids = np.sort(rng.choice(1000, size=n, replace=False))
+        r_max = rng.choice([1e6, 2e6, 3e6], size=n)  # many ties: the id decides
+        rows = [(int(i), 100, 0.7, 1.0, 1e-8, 30.0, 5e5, float(r)) for i, r in zip(ids, r_max)]
+        u_min = float(rng.choice([0.05, 0.1, 0.3, 0.9]))
+        n_blocks = float(rng.integers(1, 25))
+        assert _drop_for_budget(rows, u_min, n_blocks) == _naive_budget_drop(rows, u_min, n_blocks)
+
+
 class TestCurvatureDiagnostics:
     def test_inclusion_cost_convex_on_grid(self):
         rng = np.random.default_rng(17)
@@ -413,3 +486,24 @@ def test_instance_dump_round_trip(tmp_path):
     assert (back.alpha, back.u_min, back.n_blocks) == (ctx.alpha, ctx.u_min, ctx.n_blocks)
     u = np.full(ctx.size, 0.5)
     assert objective(u, ctx.r_min, back) == pytest.approx(objective(u, ctx.r_min, ctx), rel=1e-12)
+
+
+def _round0_context(overrides, seed):
+    cfg = parse_config(overrides=overrides)
+    exp = Experiment(cfg, seed)
+    exp._refresh_channels()
+    return build_context(exp.vehicles.values(), exp.geometry, cfg)
+
+
+def test_instance_dump_keeps_block_iters():
+    ctx = _round0_context({"optimization.block_iters": "12"}, 2)
+    back = load_instance(dump_instance(ctx, None))
+    assert back.block_iters == 12
+    assert bcd_solve(back)[0].objective_value == bcd_solve(ctx)[0].objective_value
+
+
+def test_instance_dump_keeps_budget_dropped():
+    ctx = _round0_context({"traffic.arrival_rate_per_lane": "2.0"}, 1)
+    assert len(ctx.budget_dropped) == 600
+    back = load_instance(dump_instance(ctx, None))
+    assert back.budget_dropped == ctx.budget_dropped
