@@ -138,11 +138,6 @@ def sample_fading_pair(rng):
     return h_est, h_err
 
 
-def compose_fading(epsilon, h_est, h_err):
-    """Realized fading given estimate, error and their correlation."""
-    return epsilon * h_est + math.sqrt(max(0.0, 1.0 - epsilon * epsilon)) * h_err
-
-
 @dataclass
 class ChannelState:
     """Per-vehicle channel snapshot: fading estimate/error pair, correlation, large-scale gain."""
@@ -161,31 +156,6 @@ class ChannelState:
     @property
     def h_est_power(self):
         return abs(self.h_est) ** 2
-
-    @property
-    def h_err_power(self):
-        return abs(self.h_err) ** 2
-
-
-def sinr(tx_power, state: ChannelState, noise_density, bandwidth):
-    """SINR with the estimation error acting as interference.
-
-    gamma = P*L*eps^2*|h_est|^2 / (W*N0 + P*L*(1-eps^2)*|h_err|^2)
-    """
-    eps2 = state.epsilon**2
-    signal = tx_power * state.large_scale_gain * eps2 * state.h_est_power
-    denom = bandwidth * noise_density + tx_power * state.large_scale_gain * (1.0 - eps2) * state.h_err_power
-    if denom == 0.0:
-        raise ZeroDivisionError("SINR denominator is zero (no noise and no estimation error power)")
-    return signal / denom
-
-
-def capacity(bandwidth, sinr_value):
-    """Shannon capacity W*log2(1+gamma) in bit/s."""
-    if np.any(np.asarray(sinr_value) < 0):
-        raise ValueError(f"sinr must be >= 0, got {sinr_value}")
-    c = bandwidth * np.log1p(sinr_value) / _LN2
-    return float(c) if np.ndim(sinr_value) == 0 and np.ndim(bandwidth) == 0 else c
 
 
 @dataclass

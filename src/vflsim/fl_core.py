@@ -43,10 +43,6 @@ def init_weights(num_classes, feature_dim):
     return np.zeros(num_classes * feature_dim + num_classes)
 
 
-def weights_dim(num_classes, feature_dim):
-    return num_classes * feature_dim + num_classes
-
-
 def _unpack(w, num_classes, feature_dim):
     mat = w[: num_classes * feature_dim].reshape(num_classes, feature_dim)
     bias = w[num_classes * feature_dim:]
@@ -84,20 +80,10 @@ def make_partition(rng, cfg):
     return Partition(features=feats, labels=labels.astype(np.int64))
 
 
-def make_partitions(rng, num_vehicles, cfg):
-    return [make_partition(rng, cfg) for _ in range(num_vehicles)]
-
-
 def make_test_set(rng, cfg):
     labels = np.repeat(np.arange(cfg.num_classes), cfg.test_samples_per_class).astype(np.int64)
     feats = sample_blob(rng, labels, cfg.num_classes, cfg.feature_dim, cfg.class_separation)
     return feats, labels
-
-
-def bayes_weights(cfg):
-    """The optimal linear classifier for the blob mixture: W_c = mu_c, b_c = -|mu_c|^2/2."""
-    means = class_means(cfg.num_classes, cfg.feature_dim, cfg.class_separation)
-    return np.concatenate([means.ravel(), -0.5 * (means**2).sum(axis=1)])
 
 
 def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0):
@@ -209,44 +195,3 @@ def convergence_proxy(stats):
         acc += (d / total) * (1.0 / (u * p) - 1.0)
     return float(acc)
 
-
-# -- flat text checkpoint formats (documented in README) ---------------------
-
-def save_weights(path, weights):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"vflsim-weights 1 {len(weights)}\n")
-        for v in np.asarray(weights, dtype=float):
-            f.write(repr(float(v)) + "\n")
-
-
-def load_weights(path):
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if header[:2] != ["vflsim-weights", "1"]:
-            raise ValueError(f"not a vflsim weights file: {path}")
-        n = int(header[2])
-        vals = [float(f.readline()) for _ in range(n)]
-    return np.array(vals)
-
-
-def save_partition(path, part: Partition):
-    n, d = part.features.shape
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"vflsim-partition 1 {n} {d}\n")
-        for row, lab in zip(part.features, part.labels):
-            f.write(str(int(lab)) + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_partition(path):
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if header[:2] != ["vflsim-partition", "1"]:
-            raise ValueError(f"not a vflsim partition file: {path}")
-        n, d = int(header[2]), int(header[3])
-        feats = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            parts = f.readline().split()
-            labels[i] = int(parts[0])
-            feats[i] = [float(x) for x in parts[1:]]
-    return Partition(features=feats, labels=labels)

@@ -51,48 +51,6 @@ class VehicleState:
     channel: object = None  # ChannelState, refreshed every round
 
 
-def spawn_arrivals(rng, rate_per_lane, dt, geometry: RoadGeometry, speed_range, start_id=0):
-    """New vehicles for a time slice: per-lane Poisson counts, uniform speeds, position 0."""
-    if rate_per_lane < 0:
-        raise ConfigError(f"arrival rate must be >= 0, got {rate_per_lane}")
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    v_lo, v_hi = speed_range
-    if not (0 < v_lo <= v_hi):
-        raise ConfigError(f"invalid speed range {speed_range}")
-    out = []
-    next_id = start_id
-    for lane in range(geometry.lane_count):
-        count = rng.poisson(rate_per_lane * dt)
-        for _ in range(count):
-            out.append(
-                VehicleState(
-                    id=next_id,
-                    lane=lane,
-                    position=0.0,
-                    velocity=float(rng.uniform(v_lo, v_hi)),
-                    spawn_time=0.0,
-                )
-            )
-            next_id += 1
-    return out
-
-
-def advance(vehicles, dt, geometry: RoadGeometry):
-    """Move everyone by velocity*dt; vehicles past the road end are removed and reported."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    surviving = []
-    departed = []
-    for v in vehicles:
-        v.position += v.velocity * dt
-        if v.position > geometry.road_length:
-            departed.append(v.id)
-        else:
-            surviving.append(v)
-    return surviving, departed
-
-
 def remaining_sojourn(vehicle: VehicleState, geometry: RoadGeometry):
     """Seconds until the vehicle leaves coverage: remaining distance over speed."""
     if vehicle.position > geometry.road_length or vehicle.position < 0:

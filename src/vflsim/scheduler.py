@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mobility import nearest_rsu_distance, remaining_sojourn
+from .mobility import remaining_sojourn
 
 _LN2 = math.log(2.0)
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_RESTART_SCALES = (0.7, 0.85, 1.2, 1.4)
 # a line search stops once its best value is this close to the convexity bound:
 # a few ulps, the resolution at which the sampled values stop changing
 _CERT_RTOL = 4.0 * sys.float_info.epsilon
@@ -69,6 +68,9 @@ class SchedulingContext:
     budget_dropped: tuple = ()  # ids removed so |V| * u_min <= N
 
     def __post_init__(self):
+        # noise-to-error and signal-to-error power ratios: the success probability
+        # at rate R is 1 - exp(xi1 - xi3/(2^(R/W)-1)), and 2^(R/W) = 1 + xi3/xi1
+        # is the perfect-CSI capacity
         eps2 = self.epsilon**2
         self.eps2 = eps2
         self.xi1 = (self.bandwidth * self.noise_density
@@ -104,18 +106,6 @@ def rate_bounds(vehicle, geometry, cfg):
     r_max = w * math.log1p(snr) / _LN2
     r_min = cfg.physical.model_bits / min(cfg.optimization.round_time_cap_s, sojourn)
     return r_min, r_max
-
-
-def compute_feasible_set(vehicles, geometry, cfg):
-    """Ids of vehicles whose rate box is non-empty (strictly R_min < R_max)."""
-    feasible = set()
-    for v in vehicles:
-        if v.position >= geometry.road_length:
-            continue
-        r_lo, r_hi = rate_bounds(v, geometry, cfg)
-        if r_lo < r_hi:
-            feasible.add(v.id)
-    return feasible
 
 
 def _drop_for_budget(rows, u_min, n_blocks):
@@ -565,10 +555,10 @@ def _plan_from(ctx, u, rates, obj):
     )
 
 
-def _start_points(ctx, trimmed=False):
+def _start_points(ctx):
     """Deterministic BCD starting points covering the main partial-optimum basins.
 
-    Besides uniform/floor/data-proportional, "parking" starts pin the weakest
+    Besides uniform and floor, a "parking" start pins the weaker half of the
     links (by signal-to-error ratio) at u_min with the budget shared among the
     rest; basins where poor channels are soft-excluded are unreachable from
     symmetric starts.
@@ -576,23 +566,12 @@ def _start_points(ctx, trimmed=False):
     uniform = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
     uniform = np.clip(uniform, ctx.u_min, 1.0)
     floor = np.full(ctx.size, ctx.u_min)
-    total = ctx.data_sizes.sum()
-    if total > 0:
-        # u_min plus a data-proportional share of the leftover budget: always feasible
-        extra = max(0.0, ctx.n_blocks - ctx.size * ctx.u_min)
-        prop = np.minimum(ctx.u_min + ctx.data_sizes / total * extra, 1.0)
-    else:
-        prop = uniform
-    starts = [uniform, floor] if trimmed else [uniform, floor, prop]
-    quality = ctx.xi3
-    order = np.argsort(quality, kind="stable")
-    for frac in ((0.5,) if trimmed else (0.25, 0.5)):
-        k = int(math.ceil(frac * ctx.size))
-        if not 0 < k < ctx.size:
-            continue
+    starts = [uniform, floor]
+    k = int(math.ceil(0.5 * ctx.size))
+    if 0 < k < ctx.size:
         u = np.full(ctx.size, ctx.u_min)
         share = (ctx.n_blocks - k * ctx.u_min) / (ctx.size - k)
-        u[order[k:]] = np.clip(share, ctx.u_min, 1.0)
+        u[np.argsort(ctx.xi3, kind="stable")[k:]] = np.clip(share, ctx.u_min, 1.0)
         starts.append(u)
     seen = set()
     unique = []
@@ -666,11 +645,11 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
         scanned = _ceiling_scan(ctx, alpha)
     if scanned is not None:
         # the scan already located the global basin; a light polish suffices
-        starts = [scanned, _start_points(ctx, trimmed=True)[0]]
+        starts = [scanned, _start_points(ctx)[0]]
         scales = ()
     elif 0.0 < alpha < 1.0:
         # binding budget: cover the partial-optimum basins the hard way
-        starts = _start_points(ctx, trimmed=True)
+        starts = _start_points(ctx)
         scales = (0.8, 1.25)
     best = None
     for u0 in starts:
@@ -738,48 +717,6 @@ def round_time(plan: RoundPlan, successful_ids, model_bits, round_time_cap):
     if not rates:
         return round_time_cap
     return model_bits / min(rates)
-
-
-# ---------------------------------------------------------------------------
-# convexity diagnostics for the inclusion cost
-# ---------------------------------------------------------------------------
-
-def power_ratios(eps2, h_est_sq, gain, tx_power, bandwidth, noise_density):
-    """Noise-to-error and signal-to-error power ratios of one link.
-
-    xi1 = W*N0 / (P*L*(1-eps^2)),  xi3 = |h_est|^2 * eps^2 / (1-eps^2).
-    The success probability at rate R is 1 - exp(xi1 - xi3/(2^(R/W)-1)) and the
-    perfect-CSI capacity corresponds to 2^(R/W) = 1 + xi3/xi1.
-    """
-    xi1 = bandwidth * noise_density / (tx_power * gain * (1.0 - eps2))
-    xi3 = h_est_sq * eps2 / (1.0 - eps2)
-    return xi1, xi3
-
-
-def inclusion_cost_summand(rates, v, u_v, ctx: SchedulingContext, alpha=None):
-    """The vehicle-v summand of the objective's first term as a function of rate."""
-    alpha = ctx.alpha if alpha is None else alpha
-    f1 = np.expm1(np.asarray(rates, dtype=float) * _LN2 / ctx.bandwidth)
-    xi1, xi3 = power_ratios(ctx.eps2[v], ctx.h_est_sq[v], ctx.gain[v],
-                            ctx.tx_power, ctx.bandwidth, ctx.noise_density)
-    with np.errstate(divide="ignore"):
-        p = -np.expm1(np.minimum(xi1 - xi3 / f1, 0.0))
-    with np.errstate(divide="ignore"):
-        return alpha * ctx.data_sizes[v] / (ctx.d_total * u_v * p)
-
-
-def curvature_certificate(f, xi1, xi3):
-    """Scaled curvature factor of the inclusion cost versus the SNR demand f = 2^(R/W).
-
-    Positive on 1 < f < 1 + xi3/xi1 exactly where the per-vehicle inclusion
-    cost is convex in the rate.  Note it diverges at both ends of that
-    interval: near f = 1 through the 1/(f^2-1) factor and near the capacity
-    endpoint where the success probability vanishes, so it is not monotone.
-    """
-    f = np.asarray(f, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        e = np.exp(xi1 - xi3 / (f - 1.0))
-        return f / (f**2 - 1.0) * (1.0 + e) / (1.0 - e) - 1.0 / xi3
 
 
 # ---------------------------------------------------------------------------

@@ -1,63 +1,17 @@
-"""Seeded random scheduling instances shared by unit and acceptance tests."""
+"""Seeded random scheduling instances shared by unit and acceptance tests.
+
+`random_context` and the physics constants live in `vflsim.checks`, whose
+self-checks draw from them too; they are re-exported here for the tests and
+for benchmarks/make_corpus.py.
+"""
 
 import math
 
 import numpy as np
 
+from vflsim.checks import (MODEL_BITS, NOISE, ROUND_CAP, TX_POWER, W_BLOCK,  # noqa: F401
+                           random_context)
 from vflsim.scheduler import SchedulingContext
-
-W_BLOCK = 5e5
-NOISE = 10 ** (-174.0 / 10.0) * 1e-3
-TX_POWER = 10 ** (23.0 / 10.0) * 1e-3
-MODEL_BITS = 4.38e6
-ROUND_CAP = 60.0
-
-
-def random_context(rng, n_vehicles, alpha=None, n_blocks=20.0, u_min=0.05,
-                   strong=False):
-    """Feasible instance drawn around the default physics constants.
-
-    Redraws vehicles until exactly n_vehicles pass the R_min < R_max filter.
-    `strong` biases toward high temporal correlation (well-estimated channels).
-    """
-    if alpha is None:
-        alpha = float(rng.uniform(0.1, 0.9))
-    rows = []
-    attempts = 0
-    while len(rows) < n_vehicles:
-        attempts += 1
-        if attempts > 10_000:
-            raise RuntimeError("instance generator failed to find feasible vehicles")
-        eps = float(rng.uniform(0.85, 0.99) if strong else rng.uniform(0.35, 0.9))
-        h2 = float(rng.exponential(1.0))
-        gain = float(10.0 ** rng.uniform(-10.0, -7.0))
-        sojourn = float(rng.uniform(5.0, 120.0))
-        snr = TX_POWER * gain * eps**2 * h2 / (W_BLOCK * NOISE)
-        r_max = W_BLOCK * math.log1p(snr) / math.log(2.0)
-        r_min = MODEL_BITS / min(ROUND_CAP, sojourn)
-        if not r_min < r_max:
-            continue
-        data = float(rng.integers(50, 300))
-        rows.append((eps, h2, gain, sojourn, r_min, r_max, data))
-    cols = list(zip(*rows))
-    return SchedulingContext(
-        ids=np.arange(n_vehicles),
-        data_sizes=np.array(cols[6]),
-        epsilon=np.array(cols[0]),
-        h_est_sq=np.array(cols[1]),
-        gain=np.array(cols[2]),
-        sojourn=np.array(cols[3]),
-        r_min=np.array(cols[4]),
-        r_max=np.array(cols[5]),
-        alpha=alpha,
-        u_min=u_min,
-        n_blocks=float(n_blocks),
-        bandwidth=W_BLOCK,
-        noise_density=NOISE,
-        tx_power=TX_POWER,
-        model_bits=MODEL_BITS,
-        d_total=float(np.sum(cols[6])),
-    )
 
 
 def symmetric_context(n_vehicles, alpha=1.0, n_blocks=20.0, u_min=0.05):

@@ -1,15 +1,18 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles and reference formulas used to freeze expected values.
 
 Each oracle deliberately avoids the code path it checks: the Bessel oracle is
-a raw extended-precision power series, the scheduler oracle is a grid sweep
-over the decision box, gradients come from central differences, and outage
-probabilities from direct Monte Carlo of the error power.
+a raw extended-precision power series and the scheduler oracle is a grid sweep
+over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
+classifier are textbook formulas the program itself never needs; tests use
+them as references.
 """
 
 import math
 
 import numpy as np
 from mpmath import mp, mpf
+
+from vflsim.fl_core import class_means
 
 mp.dps = 50
 
@@ -41,23 +44,37 @@ def j0_first_zero(lo=2.0, hi=3.0, iters=200):
     return float((lo + hi) / 2)
 
 
-def mc_success_probability(a, b, h_est_power, rng, n=100_000):
-    """Empirical frequency of the rate-support event over Exp(1) error powers."""
-    draws = rng.exponential(1.0, size=n)
-    if a == 0.0:
-        return float(h_est_power > b)
-    return float(np.mean(draws <= (h_est_power - b) / a))
+def compose_fading(epsilon, h_est, h_err):
+    """Realized fading given estimate, error and their correlation."""
+    return epsilon * h_est + math.sqrt(max(0.0, 1.0 - epsilon * epsilon)) * h_err
 
 
-def central_diff_gradient(fn, w, h=1e-6):
-    g = np.zeros_like(w)
-    for k in range(len(w)):
-        wp = w.copy()
-        wm = w.copy()
-        wp[k] += h
-        wm[k] -= h
-        g[k] = (fn(wp) - fn(wm)) / (2 * h)
-    return g
+def sinr(tx_power, state, noise_density, bandwidth):
+    """SINR with the estimation error acting as interference.
+
+    gamma = P*L*eps^2*|h_est|^2 / (W*N0 + P*L*(1-eps^2)*|h_err|^2)
+    """
+    eps2 = state.epsilon**2
+    signal = tx_power * state.large_scale_gain * eps2 * state.h_est_power
+    denom = (bandwidth * noise_density
+             + tx_power * state.large_scale_gain * (1.0 - eps2) * abs(state.h_err) ** 2)
+    if denom == 0.0:
+        raise ZeroDivisionError("SINR denominator is zero (no noise and no estimation error power)")
+    return signal / denom
+
+
+def capacity(bandwidth, sinr_value):
+    """Shannon capacity W*log2(1+gamma) in bit/s."""
+    if np.any(np.asarray(sinr_value) < 0):
+        raise ValueError(f"sinr must be >= 0, got {sinr_value}")
+    c = bandwidth * np.log1p(sinr_value) / _LN2
+    return float(c) if np.ndim(sinr_value) == 0 and np.ndim(bandwidth) == 0 else c
+
+
+def bayes_weights(cfg):
+    """The optimal linear classifier for the blob mixture: W_c = mu_c, b_c = -|mu_c|^2/2."""
+    means = class_means(cfg.num_classes, cfg.feature_dim, cfg.class_separation)
+    return np.concatenate([means.ravel(), -0.5 * (means**2).sum(axis=1)])
 
 
 # ---------------------------------------------------------------------------

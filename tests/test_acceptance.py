@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from instances import random_context
-from oracles import grid_min_two_vehicle, mc_success_probability
-from vflsim import cli, fl_core, scheduler
-from vflsim.channel import OutageCoefficients, success_probability
+from oracles import grid_min_two_vehicle
+from vflsim import checks, cli, fl_core
+from vflsim.checks import _curvature_instances, curvature_certificate
 from vflsim.config import parse_config
-from vflsim.scheduler import bcd_solve, curvature_certificate, power_ratios
+from vflsim.scheduler import bcd_solve
 from vflsim.sim import Experiment
 
 
@@ -29,72 +29,23 @@ def report(tag, ok, detail):
     print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
+def accept(number, check):
+    """Report a shared self-check as an acceptance line and assert each of its conditions."""
+    report(f"{number} {check.name}", check.ok, check.detail)
+    for condition, held in check.conditions.items():
+        assert held, condition
+
+
 def test_criterion_1_outage_closed_form():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(50):
-        a = float(rng.uniform(0.02, 4.0))
-        b = float(rng.uniform(0.0, 2.5))
-        h2 = float(rng.uniform(0.0, 5.0))
-        closed = success_probability(OutageCoefficients(a, b), h2)
-        mc = mc_success_probability(a, b, h2, rng, n=100_000)
-        worst = max(worst, abs(closed - mc))
-    dt = time.monotonic() - t0
-    ok = worst <= 0.01 and dt < 10.0
-    report("1 outage closed form vs Monte Carlo", ok,
-           f"max |closed - MC| = {worst:.4f} over 50 triples, {dt:.1f}s")
-    assert worst <= 0.01
-    assert dt < 10.0
+    accept("1", checks.outage_closed_form())
 
 
 def test_criterion_2_channel_statistics():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(102)
-    worst_corr = worst_power = 0.0
-    n = 100_000
-    for eps in (0.2, 0.5, 0.9):
-        h_est = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        h_err = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
-        h = eps * h_est + math.sqrt(1 - eps**2) * h_err
-        worst_corr = max(worst_corr, abs(float(np.mean(h * np.conj(h_est)).real) - eps))
-        worst_power = max(worst_power, abs(float(np.mean(np.abs(h) ** 2)) - 1.0))
-    dt = time.monotonic() - t0
-    ok = worst_corr <= 0.02 and worst_power <= 0.02 and dt < 5.0
-    report("2 fading correlation and power", ok,
-           f"max |corr err| = {worst_corr:.4f}, max |power err| = {worst_power:.4f}, {dt:.1f}s")
-    assert worst_corr <= 0.02 and worst_power <= 0.02
-    assert dt < 5.0
-
-
-def _curvature_instances():
-    rng = np.random.default_rng(103)
-    for _ in range(100):
-        ctx = random_context(rng, 2, alpha=float(rng.uniform(0.1, 0.9)))
-        v = int(rng.integers(ctx.size))
-        yield rng, ctx, v
+    accept("2", checks.fading_statistics())
 
 
 def test_criterion_3a_inclusion_cost_convexity_and_certificate_positivity():
-    t0 = time.monotonic()
-    worst_curv = math.inf
-    min_cert = math.inf
-    for rng, ctx, v in _curvature_instances():
-        grid = np.linspace(ctx.r_min[v], ctx.r_max[v], 1002)[1:-1]
-        theta = scheduler.inclusion_cost_summand(grid, v, float(rng.uniform(0.1, 1.0)), ctx)
-        scale = float(np.abs(theta).max())
-        worst_curv = min(worst_curv, float(np.diff(theta, 2).min()) / scale)
-        xi1, xi3 = power_ratios(ctx.eps2[v], ctx.h_est_sq[v], ctx.gain[v],
-                                ctx.tx_power, ctx.bandwidth, ctx.noise_density)
-        f = 1.0 + (xi3 / xi1) * np.linspace(1e-9, 1 - 1e-9, 1001)
-        min_cert = min(min_cert, float(np.min(curvature_certificate(f, xi1, xi3))))
-    dt = time.monotonic() - t0
-    ok = worst_curv >= -1e-6 and min_cert > 0.0 and dt < 30.0
-    report("3a inclusion-cost convexity and certificate positivity", ok,
-           f"min scaled 2nd diff = {worst_curv:.2e}, min certificate = {min_cert:.4g}, {dt:.1f}s")
-    assert worst_curv >= -1e-6
-    assert min_cert > 0.0
-    assert dt < 30.0
+    accept("3a", checks.inclusion_cost_convexity())
 
 
 def _certificate_grid():
@@ -122,8 +73,7 @@ def test_criterion_3b_certificate_monotonicity_as_claimed():
     worst_rise = 0.0
     example = None
     for _, ctx, v in _curvature_instances():
-        xi1, xi3 = power_ratios(ctx.eps2[v], ctx.h_est_sq[v], ctx.gain[v],
-                                ctx.tx_power, ctx.bandwidth, ctx.noise_density)
+        xi1, xi3 = ctx.xi1[v], ctx.xi3[v]
         lam = curvature_certificate(1.0 + (xi3 / xi1) * t, xi1, xi3)
         n_instances += 1
         rise = float(np.max(np.diff(lam)))
@@ -175,24 +125,7 @@ def test_criterion_4_bcd_matches_grid_minimum():
 
 
 def test_criterion_5_analytic_block_limits():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(20):
-        ctx = random_context(rng, int(rng.integers(2, 9)))
-        plan1, _ = bcd_solve(ctx, alpha=1.0)
-        r1 = np.array([plan1.rates[i] for i in plan1.ids])
-        worst = max(worst, float(np.max(np.abs(r1 - ctx.r_min) / ctx.r_min)))
-        plan0, _ = bcd_solve(ctx, alpha=0.0)
-        r0 = np.array([plan0.rates[i] for i in plan0.ids])
-        u0 = np.array([plan0.inclusion_probs[i] for i in plan0.ids])
-        worst = max(worst, float(np.max(np.abs(r0 - ctx.r_max) / ctx.r_max)))
-        worst = max(worst, float(np.max(np.abs(u0 - ctx.u_min) / ctx.u_min)))
-    dt = time.monotonic() - t0
-    ok = worst <= 1e-6
-    report("5 analytic limits at alpha in {0, 1}", ok,
-           f"worst relative deviation = {worst:.2e} over 20 instances, {dt:.1f}s")
-    assert worst <= 1e-6
+    accept("5", checks.analytic_block_limits())
 
 
 def test_criterion_6_anchored_aggregation_unbiased():
@@ -297,26 +230,4 @@ def test_criterion_8_compare_determinism(tmp_path):
 
 
 def test_criterion_9_gradient_correctness():
-    t0 = time.monotonic()
-    from oracles import central_diff_gradient
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(5, 40))
-        d = int(rng.integers(2, 7))
-        c = int(rng.integers(2, 6))
-        x = rng.standard_normal((n, d))
-        y = rng.integers(0, c, size=n)
-        w = rng.standard_normal(c * d + c)
-        ref = rng.standard_normal(c * d + c)
-        mu = float(rng.uniform(0.0, 0.1))
-        _, grad = fl_core.loss_and_grad(w, x, y, c, ref=ref, mu=mu)
-        fd = central_diff_gradient(
-            lambda v: fl_core.loss_and_grad(v, x, y, c, ref=ref, mu=mu)[0], w)
-        worst = max(worst, float(np.linalg.norm(grad - fd)
-                                 / max(np.linalg.norm(grad), 1e-12)))
-    dt = time.monotonic() - t0
-    ok = worst <= 1e-5
-    report("9 training gradient vs central differences", ok,
-           f"worst relative error = {worst:.2e} over 20 instances, {dt:.1f}s")
-    assert ok
+    accept("9", checks.training_gradient())

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vflsim.config import ConfigError
-from vflsim.mobility import (ArrivalProcess, RoadGeometry, VehicleState, advance,
-                             nearest_rsu_distance, remaining_sojourn, spawn_arrivals)
+from vflsim.config import ConfigError, parse_config
+from vflsim.mobility import (ArrivalProcess, RoadGeometry, VehicleState, nearest_rsu_distance,
+                             remaining_sojourn)
+from vflsim.sim import Experiment
 
 
 def make_vehicle(vid=0, lane=0, position=0.0, velocity=25.0, **kw):
     return VehicleState(id=vid, lane=lane, position=position, velocity=velocity,
                         spawn_time=0.0, **kw)
+
+
+def population(vehicles):
+    """An experiment without arrivals holding exactly these vehicles, synced at t = 0."""
+    exp = Experiment(parse_config(overrides={"traffic.arrival_rate_per_lane": "0"}), seed=0)
+    exp.vehicles = {v.id: v for v in vehicles}
+    return exp
 
 
 class TestGeometry:
@@ -27,49 +35,62 @@ class TestGeometry:
 
 
 class TestSpawnArrivals:
-    def test_zero_rate_empty(self):
-        rng = np.random.default_rng(0)
-        assert spawn_arrivals(rng, 0.0, 10.0, RoadGeometry(), (16.0, 28.0)) == []
+    """What ArrivalProcess spawns: counts over all lanes, speeds, and the inputs it rejects."""
 
     def test_mean_count(self):
-        rng = np.random.default_rng(1)
-        g = RoadGeometry()
-        total = sum(len(spawn_arrivals(rng, 0.2, 10.0, g, (16.667, 27.778)))
-                    for _ in range(10_000))
-        assert total / 10_000 == pytest.approx(12.0, rel=0.05)
+        proc = ArrivalProcess(RoadGeometry(), 0.2, (16.667, 27.778),
+                              np.random.default_rng(1), np.random.default_rng(2))
+        assert len(proc.pop_until(100_000.0)) / 10_000 == pytest.approx(12.0, rel=0.05)
 
     def test_speed_range(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            for v in spawn_arrivals(rng, 0.5, 10.0, RoadGeometry(), (16.667, 27.778)):
-                assert 16.667 <= v.velocity <= 27.778
-                assert v.position == 0.0
+        proc = ArrivalProcess(RoadGeometry(), 0.5, (16.667, 27.778),
+                              np.random.default_rng(2), np.random.default_rng(3))
+        arrivals = proc.pop_until(2000.0)
+        assert len(arrivals) > 1000
+        for _, lane, speed in arrivals:
+            assert 16.667 <= speed <= 27.778
+            assert 0 <= lane < 6
 
     def test_bad_speed_range_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigError):
-            spawn_arrivals(rng, 0.2, 10.0, RoadGeometry(), (28.0, 16.0))
+            ArrivalProcess(RoadGeometry(), 0.2, (28.0, 16.0), rng, rng)
         with pytest.raises(ConfigError):
-            spawn_arrivals(rng, 0.2, 10.0, RoadGeometry(), (0.0, 0.0))
+            ArrivalProcess(RoadGeometry(), 0.2, (0.0, 0.0), rng, rng)
+
+    def test_negative_rate_rejected(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ConfigError):
+            ArrivalProcess(RoadGeometry(), -0.1, (16.0, 28.0), rng, rng)
 
 
 class TestAdvance:
+    """Experiment._advance_population: departures leave, everyone else moves by velocity * dt."""
+
     def test_zero_dt_identity(self):
-        vs = [make_vehicle(0, position=123.0), make_vehicle(1, position=99.0)]
-        surv, gone = advance(vs, 0.0, RoadGeometry())
-        assert gone == [] and [v.position for v in surv] == [123.0, 99.0]
+        exp = population([make_vehicle(0, position=123.0), make_vehicle(1, position=99.0)])
+        exp._advance_population(0.0)
+        assert [v.position for v in exp.vehicles.values()] == [123.0, 99.0]
 
     def test_departure(self):
-        vs = [make_vehicle(7, position=1999.0, velocity=25.0)]
-        surv, gone = advance(vs, 1.0, RoadGeometry())
-        assert surv == [] and gone == [7]
+        exp = population([make_vehicle(7, position=1999.0, velocity=25.0)])
+        exp._advance_population(1.0)
+        assert exp.vehicles == {}
 
     def test_count_conservation(self):
         rng = np.random.default_rng(4)
         vs = [make_vehicle(i, position=float(rng.uniform(0, 2000)),
                            velocity=float(rng.uniform(16, 28))) for i in range(300)]
-        surv, gone = advance(vs, 30.0, RoadGeometry())
-        assert len(surv) + len(gone) == 300
+        start = {v.id: (v.position, v.velocity) for v in vs}
+        exp = population(vs)
+        exp._advance_population(30.0)
+        gone = set(start) - set(exp.vehicles)
+        assert gone and len(exp.vehicles) + len(gone) == 300
+        for vid, (x, speed) in start.items():
+            if vid in gone:
+                assert x + speed * 30.0 > 2000.0
+            else:
+                assert exp.vehicles[vid].position == x + speed * 30.0
 
 
 class TestSojourn:
@@ -95,7 +116,7 @@ class TestSojourn:
         v = make_vehicle(position=0.0, velocity=23.4)
         start = remaining_sojourn(v, g)
         assert start == g.road_length / 23.4
-        advance([v], 17.0, g)
+        population([v])._advance_population(17.0)
         assert remaining_sojourn(v, g) == pytest.approx(start - 17.0, rel=1e-12)
 
 

@@ -7,16 +7,15 @@ from instances import MODEL_BITS, random_context, symmetric_context
 from oracles import grid_min_rate_only, grid_min_two_vehicle, grid_min_two_vehicle_naive
 from vflsim import scheduler
 from vflsim.channel import ChannelState
+from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState
 from vflsim.sim import Experiment
 from vflsim.scheduler import (RoundPlan, _drop_for_budget, _golden_min, _waterfill,
-                              bcd_solve, build_context, compute_feasible_set,
-                              curvature_certificate,
-                              dump_instance, inclusion_cost_summand, load_instance,
-                              objective, power_ratios, rate_bounds, realize_selection,
-                              round_time, scheme1_baseline, scheme2_baseline,
-                              solve_inclusion_block, solve_rate_block)
+                              bcd_solve, build_context, dump_instance, load_instance,
+                              objective, rate_bounds, realize_selection, round_time,
+                              scheme1_baseline, scheme2_baseline, solve_inclusion_block,
+                              solve_rate_block)
 
 
 def vehicle_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, vid=0, data=None):
@@ -49,25 +48,33 @@ class TestRateBounds:
         v = vehicle_with(gain=1e-8, h_est_sq=0.0, epsilon=0.7)
         _, r_hi = rate_bounds(v, RoadGeometry(), cfg)
         assert r_hi == 0.0
-        assert compute_feasible_set([v], RoadGeometry(), cfg) == set()
+        assert build_context([v], RoadGeometry(), cfg).size == 0
 
 
 class TestFeasibleSet:
+    """build_context keeps the on-road vehicles whose rate box is non-empty (R_min < R_max)."""
+
     def test_strict_inequality(self):
         cfg = parse_config(overrides={
             "physical.bandwidth_hz": "20", "physical.n_blocks": "20",
             "physical.tx_power_dbm": "30", "physical.noise_density_dbm_hz": "0",
             "physical.model_bits": "60"})
         v = vehicle_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)  # R_min == R_max
-        assert compute_feasible_set([v], RoadGeometry(), cfg) == set()
+        assert build_context([v], RoadGeometry(), cfg).size == 0
 
     def test_easy_instances_all_feasible(self):
         cfg = parse_config(overrides={"physical.model_bits": "1"})
         vs = [vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=i) for i in range(4)]
-        assert compute_feasible_set(vs, RoadGeometry(), cfg) == {0, 1, 2, 3}
+        assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0, 1, 2, 3]
+
+    def test_off_road_vehicle_dropped(self):
+        cfg = parse_config(overrides={"physical.model_bits": "1"})
+        vs = [vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=0),
+              vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=1, position=2000.0)]
+        assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0]
 
     def test_empty_road(self):
-        assert compute_feasible_set([], RoadGeometry(), parse_config()) == set()
+        assert build_context([], RoadGeometry(), parse_config()).size == 0
 
 
 class TestObjective:
@@ -456,8 +463,7 @@ class TestCurvatureDiagnostics:
         for _ in range(20):
             ctx = random_context(rng, 2)
             v = int(rng.integers(ctx.size))
-            xi1, xi3 = power_ratios(ctx.eps2[v], ctx.h_est_sq[v], ctx.gain[v],
-                                    ctx.tx_power, ctx.bandwidth, ctx.noise_density)
+            xi1, xi3 = ctx.xi1[v], ctx.xi3[v]
             f = 1.0 + (xi3 / xi1) * np.linspace(1e-9, 1 - 1e-9, 1001)
             assert float(np.min(curvature_certificate(f, xi1, xi3))) > 0.0
 
@@ -466,8 +472,7 @@ class TestCurvatureDiagnostics:
         rng = np.random.default_rng(19)
         ctx = random_context(rng, 2)
         v = 0
-        xi1, xi3 = power_ratios(ctx.eps2[v], ctx.h_est_sq[v], ctx.gain[v],
-                                ctx.tx_power, ctx.bandwidth, ctx.noise_density)
+        xi1, xi3 = ctx.xi1[v], ctx.xi3[v]
         rate = 0.5 * (ctx.r_min[v] + ctx.r_max[v])
         f1 = math.expm1(rate * math.log(2) / ctx.bandwidth)
         p = float(ctx.success_prob(np.full(ctx.size, rate))[v])
