@@ -110,7 +110,7 @@ def temporal_correlation(velocity, carrier_freq, feedback_delay, speed_of_light=
 
 
 def large_scale_gain(distance, carrier_freq, shadowing_db=0.0, min_distance=1.0):
-    """Linear power gain from LOS pathloss plus a shadowing term in dB.
+    """Linear power gain from LOS pathloss plus a shadowing term in dB, per element.
 
     PL_dB = 22.7*log10(d) + 41.0 + 20*log10(f_GHz/5.0).  Distances below
     min_distance clamp to it (log pathloss singularity at d -> 0).
@@ -125,8 +125,11 @@ def large_scale_gain(distance, carrier_freq, shadowing_db=0.0, min_distance=1.0)
         )
         d = np.maximum(d, min_distance)
     pl_db = 22.7 * np.log10(d) + 41.0 + 20.0 * np.log10(carrier_freq / 5.0e9)
-    gain = 10.0 ** (-(pl_db + shadowing_db) / 10.0)
-    return float(gain) if np.ndim(distance) == 0 else gain
+    exponent = -(pl_db + shadowing_db) / 10.0
+    if np.ndim(exponent) == 0:
+        return 10.0 ** float(exponent)
+    # scalar powers: numpy's array power rounds differently from the scalar one
+    return np.array([10.0 ** e for e in exponent.ravel().tolist()]).reshape(exponent.shape)
 
 
 def sample_fading_pair(rng):

@@ -255,7 +255,12 @@ def training_gradient():
 
 
 def selection_frequency():
-    """Realized inclusion frequencies match the planned probabilities."""
+    """Realized inclusion frequencies match the planned probabilities.
+
+    20,000 draws put one standard error of a frequency at 0.0035 or less, so
+    the 0.01 tolerance sits near three of them.  The budget must not overflow
+    on this instance: trimming would bias the frequencies below u.
+    """
     rng = np.random.default_rng(20240)
     ctx = random_context(rng, 6, alpha=0.5)
     plan, _ = scheduler.bcd_solve(ctx)
@@ -267,7 +272,8 @@ def selection_frequency():
     worst = max(abs(counts[i] / trials - plan.inclusion_probs[i]) for i in plan.ids)
     return Check("selection frequency matches inclusion probabilities",
                  f"max |frequency - u| = {worst:.4f} over {trials} draws",
-                 {"max |frequency - u| <= 0.01": worst <= 0.01})
+                 {"max |frequency - u| <= 0.01": worst <= 0.01,
+                  "no draw overflowed the block budget": plan.trim_events == 0})
 
 
 def seeded_determinism():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
+from .channel import temporal_correlation
+
 
 class ConfigError(Exception):
     """Invalid, unknown or out-of-range configuration input."""
@@ -135,7 +137,9 @@ class SimConfig:
             (p.carrier_freq_hz > 0, "physical.carrier_freq_hz must be > 0"),
             (p.bandwidth_hz > 0, "physical.bandwidth_hz must be > 0"),
             (p.n_blocks >= 1, "physical.n_blocks must be >= 1"),
-            (p.feedback_delay_s >= 0, "physical.feedback_delay_s must be >= 0"),
+            # a zero delay gives epsilon = J0(0) = 1: no estimation error, which
+            # the outage model divides by (see the correlation check below)
+            (p.feedback_delay_s > 0, "physical.feedback_delay_s must be > 0"),
             (p.model_bits > 0, "physical.model_bits must be > 0"),
             (p.min_distance_m > 0, "physical.min_distance_m must be > 0"),
             (p.speed_of_light_mps > 0, "physical.speed_of_light_mps must be > 0"),
@@ -185,6 +189,13 @@ class SimConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        # the slowest vehicle has the best CSI; once its correlation rounds to 1
+        # the estimation error vanishes as above
+        eps = temporal_correlation(self.speed_min_mps, p.carrier_freq_hz, p.feedback_delay_s,
+                                   p.speed_of_light_mps)
+        if not eps * eps < 1.0:
+            raise ConfigError("physical.feedback_delay_s is too short: the CSI correlation "
+                              "of the slowest vehicle rounds to 1")
         return self
 
 

@@ -8,6 +8,7 @@ vector laid out as [W.ravel(), b] for W of shape (num_classes, feature_dim).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,16 +17,31 @@ import numpy as np
 from .config import ConfigError
 
 
-@dataclass
 class Partition:
-    """One vehicle's local dataset."""
+    """One vehicle's local dataset.
 
-    features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) int64 in [0, num_classes)
+    Made from its arrays, or from its labels and a function that draws the
+    features: those are drawn on first read and then kept.
+    """
+
+    def __init__(self, features=None, labels=None, draw_features=None):
+        if (features is None) == (draw_features is None):
+            raise ValueError("a partition takes exactly one of features and draw_features")
+        if features is not None:
+            self.features = features
+        self.labels = labels  # (n,) int64 in [0, num_classes)
+        self._draw_features = draw_features
+
+    @functools.cached_property
+    def features(self):
+        """(n, d) float64."""
+        feats = self._draw_features()
+        self._draw_features = None
+        return feats
 
     @property
     def size(self):
-        return self.features.shape[0]
+        return len(self.labels)
 
 
 @dataclass
@@ -63,11 +79,19 @@ def sample_blob(rng, labels, num_classes, feature_dim, separation):
 
 
 def make_partition(rng, cfg):
-    """One vehicle's partition under the configured iid/non-iid scheme."""
-    c, d = cfg.num_classes, cfg.feature_dim
+    """One vehicle's partition under the configured iid/non-iid scheme.
+
+    `rng` is the vehicle's own generator, or a function of no arguments that
+    makes it.  The labels, and so the size, are drawn here; the features are
+    drawn from the same generator when first read, so a partition that is
+    never trained on draws none.  Iid labels take no draw, so the generator is
+    only made then.
+    """
+    c, d, sep = cfg.num_classes, cfg.feature_dim, cfg.class_separation
     if cfg.partitioning == "iid":
-        labels = np.repeat(np.arange(c), cfg.samples_per_class)
+        labels = _iid_labels(c, cfg.samples_per_class)
     else:
+        rng = _generator(rng)
         k = int(rng.integers(1, cfg.noniid_max_classes + 1))
         classes = rng.choice(c, size=k, replace=False)
         count = int(rng.integers(cfg.noniid_min_samples, cfg.noniid_max_samples + 1))
@@ -76,8 +100,20 @@ def make_partition(rng, cfg):
         # spread samples as evenly as possible so every drawn class appears
         per = [count // k + (1 if i < count % k else 0) for i in range(k)]
         labels = np.concatenate([np.full(n, cls, dtype=np.int64) for cls, n in zip(classes, per)])
-    feats = sample_blob(rng, labels, c, d, cfg.class_separation)
-    return Partition(features=feats, labels=labels.astype(np.int64))
+    return Partition(labels=labels,
+                     draw_features=lambda: sample_blob(_generator(rng), labels, c, d, sep))
+
+
+@functools.lru_cache(maxsize=None)
+def _iid_labels(num_classes, samples_per_class):
+    """The labels all iid partitions share, read-only: samples_per_class of each class in turn."""
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    labels.flags.writeable = False
+    return labels
+
+
+def _generator(rng):
+    return rng if isinstance(rng, np.random.Generator) else rng()
 
 
 def make_test_set(rng, cfg):

@@ -8,6 +8,7 @@ symmetrically about the centerline.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -24,13 +25,16 @@ class RoadGeometry:
     rsu_spacing: float = 100.0  # m
 
     @property
-    def rsu_positions(self):
-        """(x, y) of each RSU: x = spacing/2 + k*spacing on the centerline."""
+    def rsu_count(self):
+        """RSUs that fit on the road: one per full spacing."""
         n = int(self.road_length // self.rsu_spacing)
         if n == 0:
             raise ConfigError("road too short for any RSU at the configured spacing")
-        xs = self.rsu_spacing / 2.0 + self.rsu_spacing * np.arange(n)
-        return [(float(x), 0.0) for x in xs]
+        return n
+
+    def rsu_x(self, k):
+        """Position of RSU k along the centerline: spacing/2 + k*spacing."""
+        return self.rsu_spacing / 2.0 + self.rsu_spacing * k
 
     def lane_center_y(self, lane):
         """Lateral offset of a lane center; lanes split symmetrically about y = 0."""
@@ -48,22 +52,34 @@ class VehicleState:
     spawn_time: float  # s
     shadowing_db: float = 0.0  # drawn once at spawn, held (slow fading)
     dataset: object = None  # Partition handle, carried for the whole lifetime
+    epsilon: float = None  # CSI correlation, fixed by the constant speed; set at spawn
     channel: object = None  # ChannelState, refreshed every round
 
 
-def remaining_sojourn(vehicle: VehicleState, geometry: RoadGeometry):
-    """Seconds until the vehicle leaves coverage: remaining distance over speed."""
-    if vehicle.position > geometry.road_length or vehicle.position < 0:
-        raise ValueError(f"vehicle {vehicle.id} is outside coverage at {vehicle.position} m")
-    return (geometry.road_length - vehicle.position) / vehicle.velocity
+def remaining_sojourn(position, velocity, geometry: RoadGeometry):
+    """Seconds until leaving coverage: remaining distance over speed, per element."""
+    position = np.asarray(position, dtype=float)
+    if np.any(position > geometry.road_length) or np.any(position < 0):
+        raise ValueError(f"a position lies outside coverage [0, {geometry.road_length}] m")
+    soj = (geometry.road_length - position) / velocity
+    return float(soj) if soj.ndim == 0 else soj
 
 
 def nearest_rsu_distance(vehicle: VehicleState, geometry: RoadGeometry):
-    """Euclidean distance from the vehicle to the closest RSU."""
-    rsus = geometry.rsu_positions
+    """Euclidean distance from the vehicle to the closest RSU.
+
+    Only the RSU nearest along the road and its two neighbours are measured:
+    rounding can put the computed nearest index off by one, and every other
+    RSU is at least a spacing farther along the road.
+    """
     y = geometry.lane_center_y(vehicle.lane)
     x = vehicle.position
-    return min(math.hypot(x - rx, y - ry) for rx, ry in rsus)
+    last = geometry.rsu_count - 1
+    k = min(max(round((x - geometry.rsu_spacing / 2.0) / geometry.rsu_spacing), 0), last)
+    # at either end of the road a neighbour index is clipped and measured twice
+    return min(math.hypot(x - geometry.rsu_x(max(k - 1, 0)), y),
+               math.hypot(x - geometry.rsu_x(k), y),
+               math.hypot(x - geometry.rsu_x(min(k + 1, last)), y))
 
 
 class ArrivalProcess:
@@ -86,23 +102,22 @@ class ArrivalProcess:
         self.speed_range = (v_lo, v_hi)
         self._rng_arrivals = rng_arrivals
         self._rng_speeds = rng_speeds
+        # (next arrival time, lane) of every lane; the heap yields the earliest,
+        # the lower lane first on a tie
         if rate_per_lane > 0:
-            self._next_time = [start_time + rng_arrivals.exponential(1.0 / rate_per_lane)
-                               for _ in range(geometry.lane_count)]
+            self._next = [(start_time + rng_arrivals.exponential(1.0 / rate_per_lane), lane)
+                          for lane in range(geometry.lane_count)]
+            heapq.heapify(self._next)
         else:
-            self._next_time = [math.inf] * geometry.lane_count
+            self._next = [(math.inf, 0)]
 
     def pop_until(self, t_end):
         """All (time, lane, speed) arrivals with time <= t_end, chronological order."""
-        out = []
-        if self.rate <= 0:
-            return out
-        while True:
-            lane = min(range(len(self._next_time)), key=lambda i: (self._next_time[i], i))
-            t = self._next_time[lane]
-            if t > t_end:
-                break
-            self._next_time[lane] = t + self._rng_arrivals.exponential(1.0 / self.rate)
-            speed = float(self._rng_speeds.uniform(*self.speed_range))
-            out.append((t, lane, speed))
-        return out
+        events = []
+        while self._next[0][0] <= t_end:
+            t, lane = self._next[0]
+            gap = self._rng_arrivals.exponential(1.0 / self.rate)
+            heapq.heapreplace(self._next, (t + gap, lane))
+            events.append((t, lane))
+        speeds = self._rng_speeds.uniform(*self.speed_range, len(events)).tolist()
+        return [(t, lane, speed) for (t, lane), speed in zip(events, speeds)]

@@ -89,70 +89,71 @@ class SchedulingContext:
         return np.where(arg < 0.0, -np.expm1(np.minimum(arg, 0.0)), 0.0)
 
 
-def rate_bounds(vehicle, geometry, cfg):
-    """(R_min, R_max) for one vehicle.
+def rate_bounds(gain, epsilon, h_est_sq, sojourn, cfg):
+    """(R_min, R_max) arrays over vehicles, from their channel and remaining sojourn.
 
     R_max is the capacity under a perfectly known channel (zero realized
     error); R_min is the slowest rate that still ships the model within the
     round-time cap and the vehicle's remaining time in coverage.
     """
-    ch = vehicle.channel
-    sojourn = remaining_sojourn(vehicle, geometry)
-    if sojourn <= 0:
-        raise ValueError(f"vehicle {vehicle.id} has no remaining time in coverage")
     w = cfg.block_bandwidth_hz
-    snr = (cfg.tx_power_w * ch.large_scale_gain * ch.epsilon**2 * ch.h_est_power
-           / (w * cfg.noise_density_w_hz))
-    r_max = w * math.log1p(snr) / _LN2
-    r_min = cfg.physical.model_bits / min(cfg.optimization.round_time_cap_s, sojourn)
+    # Python's float power and math.log1p per element: numpy's array kernels
+    # round differently and would move the seeded results
+    eps2 = np.array([e**2 for e in np.asarray(epsilon, dtype=float).tolist()])
+    snr = cfg.tx_power_w * gain * eps2 * h_est_sq / (w * cfg.noise_density_w_hz)
+    r_max = w * np.array([math.log1p(x) for x in snr.tolist()]) / _LN2
+    r_min = cfg.physical.model_bits / np.minimum(cfg.optimization.round_time_cap_s, sojourn)
     return r_min, r_max
 
 
-def _drop_for_budget(rows, u_min, n_blocks):
-    """Shrink the feasible rows until every one can get its u_min share of the budget.
+def _drop_for_budget(ids, r_max, u_min, n_blocks):
+    """Shrink the feasible set until every vehicle can get its u_min share of the budget.
 
-    Rows are (id, ..., r_max) tuples in id order; the weakest links go first,
-    by (r_max, id).  Returns the kept rows in their order and the dropped ids
-    in the order they were dropped.
+    The weakest links go first, by (r_max, id).  Returns the positions of the
+    kept vehicles in their order and the dropped ids in the order they were
+    dropped.
     """
-    n_keep = len(rows)
+    n_keep = len(ids)
     while n_keep and n_keep * u_min > n_blocks:
         n_keep -= 1
-    weakest = sorted(range(len(rows)), key=lambda i: (rows[i][7], rows[i][0]))[: len(rows) - n_keep]
-    gone = set(weakest)
-    return [r for i, r in enumerate(rows) if i not in gone], [rows[i][0] for i in weakest]
+    weakest = np.lexsort((ids, r_max))[: len(ids) - n_keep]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[weakest] = False
+    return np.flatnonzero(keep), [int(i) for i in np.asarray(ids)[weakest]]
 
 
 def build_context(vehicles, geometry, cfg):
     """Feasible-set context from live vehicle states; handles the u_min budget shrink."""
-    rows = []
-    coverage_data = 0
-    for v in sorted(vehicles, key=lambda x: x.id):
-        d_size = v.dataset.size if v.dataset is not None else 0
-        coverage_data += d_size
-        if v.position >= geometry.road_length:
-            continue
-        soj = remaining_sojourn(v, geometry)
-        r_lo, r_hi = rate_bounds(v, geometry, cfg)
-        if not r_lo < r_hi:
-            continue
-        ch = v.channel
-        rows.append((v.id, d_size, ch.epsilon, ch.h_est_power, ch.large_scale_gain,
-                     soj, r_lo, r_hi))
+    vehicles = sorted(vehicles, key=lambda x: x.id)
+    coverage_data = sum(v.dataset.size for v in vehicles if v.dataset is not None)
+    road = [v for v in vehicles if v.position < geometry.road_length]
+
+    def column(values):
+        return np.array(list(values), dtype=float)
+
+    ids = np.array([v.id for v in road], dtype=int)
+    data = column(v.dataset.size if v.dataset is not None else 0 for v in road)
+    eps = column(v.channel.epsilon for v in road)
+    h2 = column(v.channel.h_est_power for v in road)
+    gain = column(v.channel.large_scale_gain for v in road)
+    soj = remaining_sojourn(column(v.position for v in road),
+                            column(v.velocity for v in road), geometry)
+    r_lo, r_hi = rate_bounds(gain, eps, h2, soj, cfg)
+    feasible = np.flatnonzero(r_lo < r_hi)
     opt = cfg.optimization
-    rows, dropped = _drop_for_budget(rows, opt.u_min, cfg.physical.n_blocks)
-    cols = list(zip(*rows)) if rows else [[]] * 8
-    data = np.array(cols[1], dtype=float)
-    d_total = float(data.sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
+    kept, dropped = _drop_for_budget(ids[feasible], r_hi[feasible], opt.u_min,
+                                     cfg.physical.n_blocks)
+    rows = feasible[kept]
+    d_total = float(data[rows].sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
     return SchedulingContext(
-        ids=np.array(cols[0], dtype=int),
-        data_sizes=data,
-        epsilon=np.array(cols[2], dtype=float),
-        h_est_sq=np.array(cols[3], dtype=float),
-        gain=np.array(cols[4], dtype=float),
-        sojourn=np.array(cols[5], dtype=float),
-        r_min=np.array(cols[6], dtype=float),
-        r_max=np.array(cols[7], dtype=float),
+        ids=ids[rows],
+        data_sizes=data[rows],
+        epsilon=eps[rows],
+        h_est_sq=h2[rows],
+        gain=gain[rows],
+        sojourn=soj[rows],
+        r_min=r_lo[rows],
+        r_max=r_hi[rows],
         alpha=opt.alpha,
         u_min=opt.u_min,
         n_blocks=float(cfg.physical.n_blocks),

@@ -20,6 +20,7 @@ successful rate.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import time as _time
 from dataclasses import dataclass
@@ -98,36 +99,39 @@ class Experiment:
     def _advance_population(self, t_new):
         dt = t_new - self.pop_synced_at
         road = self.geometry.road_length
+        p = self.cfg.physical
         for vid in [i for i, v in self.vehicles.items()
                     if v.position + v.velocity * dt > road]:
             del self.vehicles[vid]
         for v in self.vehicles.values():
             v.position += v.velocity * dt
-        for t_arr, lane, speed in self.arrivals.pop_until(t_new):
+        arrivals = self.arrivals.pop_until(t_new)
+        shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(arrivals)).tolist()
+        for (t_arr, lane, speed), shadow in zip(arrivals, shadows):
             vid = self.next_id
             self.next_id += 1
-            shadow = float(self.rng_shadowing.normal(0.0, self.cfg.physical.shadowing_sigma_db))
-            part = fl_core.make_partition(_stream(self.seed, _DATA, 1 + vid), self.cfg.learning)
+            part = fl_core.make_partition(functools.partial(_stream, self.seed, _DATA, 1 + vid),
+                                          self.cfg.learning)
             pos = speed * (t_new - t_arr)
             if pos > road:
                 continue  # spawned and departed within the same advance window
+            eps = channel.temporal_correlation(speed, p.carrier_freq_hz, p.feedback_delay_s,
+                                               p.speed_of_light_mps)
             self.vehicles[vid] = VehicleState(
-                id=vid, lane=lane, position=pos, velocity=speed,
-                spawn_time=t_arr, shadowing_db=shadow, dataset=part,
+                id=vid, lane=lane, position=pos, velocity=speed, spawn_time=t_arr,
+                shadowing_db=shadow, dataset=part, epsilon=eps,
             )
         self.pop_synced_at = t_new
 
     def _refresh_channels(self):
         p = self.cfg.physical
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
-            h_est, h_err = channel.sample_fading_pair(self.rng_fading)
-            eps = channel.temporal_correlation(v.velocity, p.carrier_freq_hz,
-                                               p.feedback_delay_s, p.speed_of_light_mps)
-            dist = nearest_rsu_distance(v, self.geometry)
-            gain = channel.large_scale_gain(dist, p.carrier_freq_hz, v.shadowing_db,
-                                            p.min_distance_m)
-            v.channel = channel.ChannelState(h_est=h_est, h_err=h_err, epsilon=eps,
+        vehicles = [self.vehicles[vid] for vid in sorted(self.vehicles)]
+        fading = [channel.sample_fading_pair(self.rng_fading) for _ in vehicles]
+        dist = np.array([nearest_rsu_distance(v, self.geometry) for v in vehicles])
+        shadow = np.array([v.shadowing_db for v in vehicles])
+        gains = channel.large_scale_gain(dist, p.carrier_freq_hz, shadow, p.min_distance_m)
+        for v, (h_est, h_err), gain in zip(vehicles, fading, gains.tolist()):
+            v.channel = channel.ChannelState(h_est=h_est, h_err=h_err, epsilon=v.epsilon,
                                              large_scale_gain=gain)
 
     # -- one round ------------------------------------------------------------

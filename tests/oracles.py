@@ -4,7 +4,9 @@ Each oracle deliberately avoids the code path it checks: the Bessel oracle is
 a raw extended-precision power series and the scheduler oracle is a grid sweep
 over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
-them as references.
+them as references.  The per-vehicle channel refresh and scheduling context
+at the end are the straightforward one-vehicle-at-a-time forms of the
+program's batched ones.
 """
 
 import math
@@ -12,7 +14,8 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from vflsim.fl_core import class_means
+from vflsim import channel, scheduler
+from vflsim.fl_core import class_means, sample_blob
 
 mp.dps = 50
 
@@ -195,3 +198,101 @@ def grid_min_two_vehicle_naive(ctx, alpha, n_u=30, n_r=30):
                 tot = np.where(u_grid[:, None] + u_grid[i] <= ctx.n_blocks, tot, np.inf)
             best = min(best, float(tot.min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# per-vehicle channel refresh and scheduling context
+# ---------------------------------------------------------------------------
+
+def nearest_rsu_brute_force(vehicle, geometry):
+    """Distance to the closest of all RSUs, each measured with math.hypot."""
+    n = int(geometry.road_length // geometry.rsu_spacing)
+    xs = geometry.rsu_spacing / 2.0 + geometry.rsu_spacing * np.arange(n)
+    y = geometry.lane_center_y(vehicle.lane)
+    return min(math.hypot(vehicle.position - float(rx), y - 0.0) for rx in xs)
+
+
+def large_scale_gain_scalar(distance, carrier_freq, shadowing_db, min_distance):
+    """LOS pathloss plus shadowing for one distance, in numpy scalar arithmetic."""
+    d = np.asarray(distance, dtype=float)
+    if d < min_distance:
+        d = np.maximum(d, min_distance)
+    pl_db = 22.7 * np.log10(d) + 41.0 + 20.0 * np.log10(carrier_freq / 5.0e9)
+    return float(10.0 ** (-(pl_db + shadowing_db) / 10.0))
+
+
+def reference_channels(vehicles, geometry, cfg, rng_fading):
+    """{id: ChannelState} of one refresh, drawn vehicle by vehicle in id order from rng_fading."""
+    p = cfg.physical
+    out = {}
+    for vid in sorted(vehicles):
+        v = vehicles[vid]
+        re = rng_fading.standard_normal(4)
+        scale = math.sqrt(0.5)
+        eps = channel.temporal_correlation(v.velocity, p.carrier_freq_hz, p.feedback_delay_s,
+                                           p.speed_of_light_mps)
+        gain = large_scale_gain_scalar(nearest_rsu_brute_force(v, geometry), p.carrier_freq_hz,
+                                       v.shadowing_db, p.min_distance_m)
+        out[vid] = channel.ChannelState(h_est=complex(re[0] * scale, re[1] * scale),
+                                        h_err=complex(re[2] * scale, re[3] * scale),
+                                        epsilon=eps, large_scale_gain=gain)
+    return out
+
+
+def rate_bounds_scalar(vehicle, geometry, cfg):
+    """(R_min, R_max) of one vehicle in Python float arithmetic."""
+    ch = vehicle.channel
+    sojourn = (geometry.road_length - vehicle.position) / vehicle.velocity
+    w = cfg.block_bandwidth_hz
+    snr = (cfg.tx_power_w * ch.large_scale_gain * ch.epsilon**2 * ch.h_est_power
+           / (w * cfg.noise_density_w_hz))
+    r_max = w * math.log1p(snr) / _LN2
+    r_min = cfg.physical.model_bits / min(cfg.optimization.round_time_cap_s, sojourn)
+    return sojourn, r_min, r_max
+
+
+def reference_context(vehicles, geometry, cfg):
+    """The scheduling context built row by row, with the weakest link dropped one at a time."""
+    rows = []
+    coverage_data = 0
+    for v in sorted(vehicles, key=lambda x: x.id):
+        coverage_data += v.dataset.size
+        if v.position >= geometry.road_length:
+            continue
+        soj, r_lo, r_hi = rate_bounds_scalar(v, geometry, cfg)
+        if r_lo < r_hi:
+            ch = v.channel
+            rows.append((v.id, v.dataset.size, ch.epsilon, ch.h_est_power, ch.large_scale_gain,
+                         soj, r_lo, r_hi))
+    opt = cfg.optimization
+    dropped = []
+    while rows and len(rows) * opt.u_min > cfg.physical.n_blocks:
+        worst = min(range(len(rows)), key=lambda i: (rows[i][7], rows[i][0]))
+        dropped.append(rows.pop(worst)[0])
+    cols = list(zip(*rows)) if rows else [[]] * 8
+    data = np.array(cols[1], dtype=float)
+    d_total = float(data.sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
+    return scheduler.SchedulingContext(
+        ids=np.array(cols[0], dtype=int), data_sizes=data,
+        epsilon=np.array(cols[2], dtype=float), h_est_sq=np.array(cols[3], dtype=float),
+        gain=np.array(cols[4], dtype=float), sojourn=np.array(cols[5], dtype=float),
+        r_min=np.array(cols[6], dtype=float), r_max=np.array(cols[7], dtype=float),
+        alpha=opt.alpha, u_min=opt.u_min, n_blocks=float(cfg.physical.n_blocks),
+        bandwidth=cfg.block_bandwidth_hz, noise_density=cfg.noise_density_w_hz,
+        tx_power=cfg.tx_power_w, model_bits=cfg.physical.model_bits, d_total=max(d_total, 1.0),
+        block_iters=opt.block_iters, budget_dropped=tuple(dropped))
+
+
+def eager_partition(rng, cfg):
+    """(features, labels) of one partition, labels then features drawn at once from rng."""
+    c = cfg.num_classes
+    if cfg.partitioning == "iid":
+        labels = np.repeat(np.arange(c), cfg.samples_per_class)
+    else:
+        k = int(rng.integers(1, cfg.noniid_max_classes + 1))
+        classes = rng.choice(c, size=k, replace=False)
+        count = int(rng.integers(cfg.noniid_min_samples, cfg.noniid_max_samples + 1))
+        per = [count // k + (1 if i < count % k else 0) for i in range(k)]
+        labels = np.concatenate([np.full(n, cls, dtype=np.int64) for cls, n in zip(classes, per)])
+    feats = sample_blob(rng, labels, c, cfg.feature_dim, cfg.class_separation)
+    return feats, labels.astype(np.int64)

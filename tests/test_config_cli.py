@@ -5,6 +5,7 @@ from vflsim import cli
 from vflsim.config import (ConfigError, SimConfig, config_hash, parse_config,
                            serialize_config)
 from vflsim.scheduler import load_instance
+from vflsim.sim import run_experiment
 
 
 class TestDefaults:
@@ -71,6 +72,17 @@ class TestValidation:
     def test_scheduler_whitelist(self):
         with pytest.raises(ConfigError, match="scheduler"):
             parse_config(text="run.scheduler = magic")
+
+    def test_zero_feedback_delay_rejected(self):
+        # epsilon = J0(0) = 1 leaves no estimation error, and the success
+        # probabilities of the outage model come out 0 or NaN; so does a delay
+        # short enough that the slowest vehicle's epsilon rounds to 1
+        for delay in ("0", "1e-12"):
+            with pytest.raises(ConfigError, match="physical.feedback_delay_s"):
+                parse_config(text=f"physical.feedback_delay_s = {delay}")
+        cfg = parse_config(overrides={"physical.feedback_delay_s": "1e-11",
+                                      "run.scheduler": "scheme1", "run.rounds": "3"})
+        assert len(run_experiment(cfg, seed=1)) == 3
 
 
 QUICK = ("--set traffic.arrival_rate_per_lane=0.03 "

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import nearest_rsu_brute_force
 from vflsim.config import ConfigError, parse_config
 from vflsim.mobility import (ArrivalProcess, RoadGeometry, VehicleState, nearest_rsu_distance,
                              remaining_sojourn)
@@ -23,10 +24,14 @@ def population(vehicles):
 class TestGeometry:
     def test_rsu_positions_evenly_spaced(self):
         g = RoadGeometry()
-        xs = [x for x, _ in g.rsu_positions]
+        xs = [g.rsu_x(k) for k in range(g.rsu_count)]
+        assert len(xs) == 20
         assert xs[0] == 50.0 and xs[-1] == 1950.0
         assert np.allclose(np.diff(xs), 100.0)
-        assert all(y == 0.0 for _, y in g.rsu_positions)
+
+    def test_road_shorter_than_spacing_rejected(self):
+        with pytest.raises(ConfigError):
+            RoadGeometry(road_length=50.0, rsu_spacing=100.0).rsu_count
 
     def test_lanes_split_about_center(self):
         g = RoadGeometry(lane_count=6, lane_width=4.0)
@@ -96,28 +101,30 @@ class TestAdvance:
 class TestSojourn:
     def test_midway(self):
         v = make_vehicle(position=1000.0, velocity=25.0)
-        assert remaining_sojourn(v, RoadGeometry()) == 40.0
+        assert remaining_sojourn(v.position, v.velocity, RoadGeometry()) == 40.0
 
     def test_boundary(self):
         v = make_vehicle(position=2000.0, velocity=25.0)
-        assert remaining_sojourn(v, RoadGeometry()) == 0.0
+        assert remaining_sojourn(v.position, v.velocity, RoadGeometry()) == 0.0
 
     def test_entry(self):
         v = make_vehicle(position=0.0, velocity=16.6667)
-        assert remaining_sojourn(v, RoadGeometry()) == pytest.approx(120.0, rel=1e-4)
+        soj = remaining_sojourn(v.position, v.velocity, RoadGeometry())
+        assert soj == pytest.approx(120.0, rel=1e-4)
 
     def test_out_of_coverage_rejected(self):
         v = make_vehicle(position=2100.0)
         with pytest.raises(ValueError):
-            remaining_sojourn(v, RoadGeometry())
+            remaining_sojourn(v.position, v.velocity, RoadGeometry())
 
     def test_decreases_exactly_with_motion(self):
         g = RoadGeometry()
         v = make_vehicle(position=0.0, velocity=23.4)
-        start = remaining_sojourn(v, g)
+        start = remaining_sojourn(v.position, v.velocity, g)
         assert start == g.road_length / 23.4
         population([v])._advance_population(17.0)
-        assert remaining_sojourn(v, g) == pytest.approx(start - 17.0, rel=1e-12)
+        soj = remaining_sojourn(v.position, v.velocity, g)
+        assert soj == pytest.approx(start - 17.0, rel=1e-12)
 
 
 class TestNearestRsu:
@@ -146,6 +153,43 @@ class TestNearestRsu:
             v = make_vehicle(position=float(rng.uniform(0, 2000)),
                              lane=int(rng.integers(0, 6)))
             assert nearest_rsu_distance(v, g) <= bound
+
+
+class TestNearestRsuEdgeCases:
+    """The neighbour-only search equals the minimum over every RSU, bit for bit."""
+
+    # the default road, then road lengths that are not a multiple of the spacing,
+    # down to a road with a single RSU; at 29.97 m spacing the index rounded from
+    # x is off by one at some midpoints, so a neighbour is the nearest RSU
+    GEOMETRIES = (RoadGeometry(), RoadGeometry(road_length=2045.0, rsu_spacing=70.0, lane_count=3),
+                  RoadGeometry(road_length=389.0, rsu_spacing=29.97, lane_count=3),
+                  RoadGeometry(road_length=250.0, rsu_spacing=100.0, lane_count=2),
+                  RoadGeometry(road_length=120.0, rsu_spacing=100.0, lane_count=1))
+
+    @staticmethod
+    def positions(g):
+        s, n = g.rsu_spacing, g.rsu_count
+        # before the first RSU, then past the last
+        xs = [0.0, s / 4.0, g.rsu_x(n - 1) + s / 4.0, g.road_length]
+        for k in range(n):
+            xs += [g.rsu_x(k), g.rsu_x(k) + s / 2.0]  # at an RSU, exactly midway to the next
+            xs += [np.nextafter(g.rsu_x(k) + s / 2.0, -np.inf),
+                   np.nextafter(g.rsu_x(k) + s / 2.0, np.inf)]
+        return [float(x) for x in xs]
+
+    def test_matches_brute_force(self):
+        for g in self.GEOMETRIES:
+            for lane in range(g.lane_count):
+                for x in self.positions(g):
+                    v = make_vehicle(position=x, lane=lane)
+                    assert nearest_rsu_distance(v, g) == nearest_rsu_brute_force(v, g), (x, lane)
+
+    def test_matches_brute_force_on_random_positions(self):
+        rng = np.random.default_rng(31)
+        for g in self.GEOMETRIES:
+            for x in rng.uniform(0.0, g.road_length, 2000).tolist():
+                v = make_vehicle(position=x, lane=int(rng.integers(g.lane_count)))
+                assert nearest_rsu_distance(v, g) == nearest_rsu_brute_force(v, g), x
 
 
 class TestArrivalProcess:

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
-from vflsim import scheduler
+import oracles
+from vflsim import channel, fl_core, scheduler
 from vflsim.config import parse_config
-from vflsim.fl_core import make_partition
+from vflsim.fl_core import Partition, make_partition
 from vflsim.mobility import VehicleState
 from vflsim.sim import Experiment, round_csv_text, run_experiment
 
@@ -36,8 +39,10 @@ class TestRoundMechanics:
                         run__scheduler="scheme2", run__rounds=5)
         exp = Experiment(cfg, seed=1)
         part = make_partition(np.random.default_rng(0), cfg.learning)
+        p = cfg.physical
+        eps = channel.temporal_correlation(5.0, p.carrier_freq_hz, p.feedback_delay_s)
         exp.vehicles[0] = VehicleState(id=0, lane=0, position=0.0, velocity=5.0,
-                                       spawn_time=0.0, dataset=part)
+                                       spawn_time=0.0, dataset=part, epsilon=eps)
         exp.next_id = 1
         for _ in range(5):
             rec = exp.run_round()
@@ -129,6 +134,99 @@ class TestSchedulerSwapIsolation:
         for vid in set(a.vehicles) & set(b.vehicles):
             assert np.array_equal(a.vehicles[vid].dataset.features,
                                   b.vehicles[vid].dataset.features)
+
+
+DESK = {"traffic.arrival_rate_per_lane": "0.05", "physical.feedback_delay_s": "1e-4",
+        "learning.feature_dim": "30", "learning.class_separation": "1.2",
+        "learning.partitioning": "noniid", "learning.lr_base": "0.01",
+        "learning.aggregation": "anchored", "learning.test_samples_per_class": "200"}
+DENSE = {"traffic.arrival_rate_per_lane": "2.0", "run.scheduler": "scheme1"}
+
+
+class _ReferenceCheckedExperiment(Experiment):
+    """An experiment whose refresh and context are compared with the per-vehicle references."""
+
+    check_rounds = (0, 3)
+
+    def __init__(self, cfg, seed):
+        self.checked = []  # context sizes of the rounds checked
+        super().__init__(cfg, seed)
+
+    def _refresh_channels(self):
+        rng = copy.deepcopy(self.rng_fading)
+        super()._refresh_channels()
+        if len(self.records) not in self.check_rounds:
+            return
+        expected = oracles.reference_channels(self.vehicles, self.geometry, self.cfg, rng)
+        assert rng.bit_generator.state == self.rng_fading.bit_generator.state
+        assert {vid: v.channel for vid, v in self.vehicles.items()} == expected
+        got = scheduler.build_context(self.vehicles.values(), self.geometry, self.cfg)
+        ref = oracles.reference_context(self.vehicles.values(), self.geometry, self.cfg)
+        for name in ("ids", "data_sizes", "epsilon", "h_est_sq", "gain", "sojourn",
+                     "r_min", "r_max", "xi1", "xi3"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.d_total, got.budget_dropped) == (ref.d_total, ref.budget_dropped)
+        self.checked.append(got.size)
+
+
+class TestBatchedRoundMatchesPerVehicleReference:
+    @pytest.mark.parametrize("overrides,seed", [({}, 1), (DESK, 11), (DENSE, 2)],
+                             ids=["default", "desk", "dense"])
+    def test_channels_and_context_at_rounds_0_and_3(self, overrides, seed):
+        exp = _ReferenceCheckedExperiment(parse_config(overrides=overrides), seed=seed)
+        for _ in range(4):
+            exp.run_round()
+        assert len(exp.checked) == 2 and min(exp.checked) > 0
+
+
+class TestLazyPartitions:
+    @pytest.mark.parametrize("partitioning", ["iid", "noniid"])
+    def test_late_read_equals_eager_draw(self, partitioning):
+        cfg = small_cfg(learning__partitioning=partitioning)
+        exp = Experiment(cfg, seed=13)
+        vids = sorted(exp.vehicles)
+        late = vids[len(vids) // 2]
+        for vid in vids:  # everyone else first, the chosen vehicle last
+            if vid != late:
+                exp.vehicles[vid].dataset.features
+        for vid in vids[-3:] + [late]:
+            part = exp.vehicles[vid].dataset
+            feats, labels = oracles.eager_partition(
+                np.random.default_rng(np.random.SeedSequence(13, spawn_key=(7, 1 + vid))),
+                cfg.learning)
+            assert part.size == len(labels)
+            assert part.features.tobytes() == feats.tobytes()
+            assert part.labels.tobytes() == labels.tobytes()
+
+    def test_only_trained_vehicles_draw_features(self, monkeypatch):
+        cfg = small_cfg(run__rounds=12, run__scheduler="scheme1")
+        exp = Experiment(cfg, seed=14)
+        draws, trained = [], {}  # id -> partition, which keeps the id from being reused
+        sample_blob, local_train = fl_core.sample_blob, fl_core.local_train
+
+        def counting_blob(*args):
+            draws.append(args)
+            return sample_blob(*args)
+
+        def recording_train(w, part, *args):
+            trained[id(part)] = part
+            return local_train(w, part, *args)
+
+        monkeypatch.setattr(fl_core, "sample_blob", counting_blob)
+        monkeypatch.setattr(fl_core, "local_train", recording_train)
+        spawned_before = set(exp.vehicles)
+        exp.run()
+        departed = spawned_before - set(exp.vehicles)
+        assert departed and exp.next_id > len(spawned_before)
+        assert trained and len(draws) == len(trained)  # one draw per trained vehicle, none else
+
+    def test_partition_from_arrays(self):
+        feats, labels = np.zeros((3, 2)), np.array([0, 1, 1])
+        part = Partition(features=feats, labels=labels)
+        assert part.features is feats and part.labels is labels and part.size == 3
+        with pytest.raises(ValueError):
+            Partition(labels=labels)
 
 
 def test_thousand_round_run_completes():
