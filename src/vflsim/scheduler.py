@@ -606,6 +606,16 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
             u0 = ctx.u_min + (u0 - ctx.u_min) * max(0.0, min(1.0, shrink))
         return u0
 
+    # block results of this solve keyed by their input's bytes: a rejected step
+    # leaves the state unchanged, and the next solve of that block would repeat
+    rate_table, inclusion_table = {}, {}
+
+    def solve_block(table, solver, x):
+        key = x.tobytes()
+        if key not in table:
+            table[key] = solver(x, ctx, alpha)
+        return table[key]
+
     def alternate(u0, trace):
         u = feasible(u0)
         rates = ctx.r_min.copy()
@@ -616,7 +626,7 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
         outer = 0
         for outer in range(1, max_outer + 1):
             prev = trace[-1]
-            r_new = solve_rate_block(u, ctx, alpha)
+            r_new = solve_block(rate_table, solve_rate_block, u)
             o_r = objective(u, r_new, ctx, alpha)
             if o_r <= trace[-1]:
                 rates = r_new
@@ -624,7 +634,7 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new = solve_inclusion_block(rates, ctx, alpha)
+            u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
             o_u = objective(u_new, rates, ctx, alpha)
             if o_u <= trace[-1]:
                 u = u_new
