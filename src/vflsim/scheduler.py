@@ -18,8 +18,16 @@ therefore yields the block optimum, including the nonsmooth points where
 several vehicles tie at the max; it stops once convexity certifies that its
 best value is within a few ulps of the block minimum.
 
-All block solvers are pure functions of their inputs; iteration order is
-vehicle-id ascending for reproducibility.
+Between alternations the optimal ceiling moves little, so within one
+alternation run each block's search starts from the ceiling of that block's
+previous solve and brackets the minimum downhill from there.  The first
+search of a run covers the whole ceiling range, which for the rate block is
+first cut from below in closed form to the ceilings that can beat the top
+one.  bcd_solve keeps the block results of one solve keyed by the exact input
+bytes, so no block is solved twice on the same input.
+
+Block solvers are deterministic functions of their inputs and starting
+ceiling; iteration order is vehicle-id ascending for reproducibility.
 """
 
 from __future__ import annotations
@@ -211,7 +219,39 @@ def _convex_lower_bound(a, c, d, b, fa, fc, fd, fb):
     return min(outer, inner)
 
 
-def _golden_min(fn, lo, hi, iters):
+def _downhill_bracket(ev, lo, hi, x0, f0):
+    """A bracket [a, b] within [lo, hi] that holds the minimum of a convex function
+    with f(x0) = f0 finite; returns (a, b, f(a), f(b)).
+
+    Steps of 1e-6 * max(1, |x0|) growing fourfold go downhill from x0 until a
+    sample is no higher than its neighbours on both sides, or the walk reaches
+    lo or hi while still descending.
+    """
+    def ordered(x, y, fx, fy):
+        return (x, y, fx, fy) if x < y else (y, x, fy, fx)
+
+    h = 1e-6 * max(1.0, abs(x0))
+    x1 = min(x0 + h, hi)
+    f1 = ev(x1)
+    if not f1 < f0:
+        xm = max(x0 - h, lo)
+        fm = ev(xm)
+        if not fm < f0:
+            return xm, x1, fm, f1
+        x1, f1 = xm, fm  # downhill is to the left
+    prev, cur, f_prev, f_cur = x0, x1, f0, f1
+    end = hi if cur > prev else lo
+    while cur != end:
+        nxt = min(max(cur + 4.0 * (cur - prev), lo), hi)
+        f_nxt = ev(nxt)
+        if not f_nxt < f_cur:
+            return ordered(prev, nxt, f_prev, f_nxt)
+        prev, cur, f_prev, f_cur = cur, nxt, f_cur, f_nxt
+    # still descending at the end of the range: the minimum is in [prev, end]
+    return ordered(prev, cur, f_prev, f_cur)
+
+
+def _golden_min(fn, lo, hi, iters, start=None):
     """Scalar minimization of a convex function on [lo, hi]; returns the best
     evaluated point, its value and the final bracket width.
 
@@ -219,7 +259,9 @@ def _golden_min(fn, lo, hi, iters):
     within _CERT_RTOL of the convexity lower bound over the bracket, which at a
     smooth minimum happens near a bracket width of 1e-8.  At a kink the bound
     stays loose, so the bracket shrinks to 1e-14 relative as before; `iters`
-    caps the iterations either way.
+    caps the iterations either way.  A `start` inside (lo, hi) where `fn` is
+    finite, such as the previous minimizer of a nearby function, replaces the
+    full range by a downhill bracket around it; any other start searches [lo, hi].
     """
     best = [math.inf, lo]
 
@@ -230,7 +272,11 @@ def _golden_min(fn, lo, hi, iters):
         return f
 
     a, b = lo, hi
-    fa, fb = ev(a), ev(b)
+    f0 = ev(start) if start is not None and lo < start < hi else math.inf
+    if math.isfinite(f0):
+        a, b, fa, fb = _downhill_bracket(ev, lo, hi, start, f0)
+    else:
+        fa, fb = ev(a), ev(b)
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = ev(c), ev(d)
@@ -251,13 +297,29 @@ def _golden_min(fn, lo, hi, iters):
     return best[1], best[0], b - a
 
 
-def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None):
+def _rate_ceiling_floor(ln_u, cost, f1_max, phi_hi, ctx):
+    """Lowest log-ceiling at which the rate block's reduced objective can beat phi_hi.
+
+    A ceiling beats phi_hi only if every cost term cost_v/p_v is below it, so
+    p_v exceeds q_v = cost_v/phi_hi; as p_v = 1 - exp(xi1 - xi3/f1_v), that
+    bounds f1_v = 2^(R_v/W) - 1 by xi3/(xi1 - log1p(-q_v)).  A vehicle meets
+    the ceiling ell only with f1_v >= ln u_v - ell.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1_cap = ctx.xi3 / (ctx.xi1 - np.log1p(-cost / phi_hi))
+    return float(np.max(ln_u - np.minimum(f1_cap, f1_max)))
+
+
+def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None, warm=None):
     """Exact rate-block minimizer for fixed inclusion probabilities.
 
     Parameterized by the ceiling s of the max term: every vehicle whose
     pressure exceeds s raises its rate just enough to meet it, never more,
     because the inclusion cost strictly grows with rate.  The reduced
-    objective is convex in log s.
+    objective is convex in log s.  `warm`, a one-element list, carries log s
+    between calls: an item inside the ceiling range starts the line search
+    there, and the minimizer is written back.  A search without one runs only
+    over the ceilings that can beat the top one (see _rate_ceiling_floor).
     """
     alpha = ctx.alpha if alpha is None else alpha
     iters = ctx.block_iters if iters is None else iters
@@ -293,7 +355,13 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None):
 
     if not ell_hi > ell_lo:
         return rates_at(ell_hi)
-    ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, iters)
+    start = warm[0] if warm else None
+    if start is None or not ell_lo < start < ell_hi:
+        floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
+        ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
+    ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, iters, start)
+    if warm:
+        warm[0] = ell_star
     return rates_at(ell_star)
 
 
@@ -364,12 +432,13 @@ def _waterfill_solver(cost, lo, budget):
     return solve
 
 
-def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None):
+def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None, warm=None):
     """Exact inclusion-block minimizer for fixed rates.
 
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
-    The reduced objective is convex in log s.
+    The reduced objective is convex in log s.  `warm` carries log s between
+    calls as in solve_rate_block.
     """
     alpha = ctx.alpha if alpha is None else alpha
     iters = ctx.block_iters if iters is None else iters
@@ -396,7 +465,9 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None)
         u = u_at(ell)
         return float(np.sum(cost / u)) + (1.0 - alpha) * math.exp(ell)
 
-    ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, iters)
+    ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, iters, warm[0] if warm else None)
+    if warm:
+        warm[0] = ell_star
     return u_at(ell_star)
 
 
@@ -610,14 +681,18 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
     # leaves the state unchanged, and the next solve of that block would repeat
     rate_table, inclusion_table = {}, {}
 
-    def solve_block(table, solver, x):
+    def solve_block(table, solver, x, warm):
         key = x.tobytes()
         if key not in table:
-            table[key] = solver(x, ctx, alpha)
-        return table[key]
+            result = solver(x, ctx, alpha, warm=warm)
+            table[key] = result, warm[0]
+        result, warm[0] = table[key]
+        return result
 
     def alternate(u0, trace):
         u = feasible(u0)
+        # each block's line search starts from the ceiling of its previous solve
+        warm_rate, warm_inclusion = [None], [None]
         rates = ctx.r_min.copy()
         if not trace:
             trace.append(objective(u, rates, ctx, alpha))
@@ -626,7 +701,7 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
         outer = 0
         for outer in range(1, max_outer + 1):
             prev = trace[-1]
-            r_new = solve_block(rate_table, solve_rate_block, u)
+            r_new = solve_block(rate_table, solve_rate_block, u, warm_rate)
             o_r = objective(u, r_new, ctx, alpha)
             if o_r <= trace[-1]:
                 rates = r_new
@@ -634,7 +709,7 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
+            u_new = solve_block(inclusion_table, solve_inclusion_block, rates, warm_inclusion)
             o_u = objective(u_new, rates, ctx, alpha)
             if o_u <= trace[-1]:
                 u = u_new

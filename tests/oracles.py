@@ -149,6 +149,22 @@ def grid_min_rate_only(u_fixed, ctx, alpha, n_r=2000):
     return best
 
 
+def rate_block_phi(ells, u, ctx, alpha):
+    """The rate block's reduced objective at each log-ceiling in `ells`, vectorized.
+
+    Every vehicle takes the smallest rate in its box whose pressure u e^(-f1)
+    meets the ceiling; the max term is charged at the ceiling itself.
+    """
+    ells = np.asarray(ells, dtype=float)[:, None]
+    f1_req = np.log(u) - ells
+    rates = np.clip(ctx.bandwidth * np.log1p(np.maximum(f1_req, 0.0)) / _LN2,
+                    ctx.r_min, ctx.r_max)
+    p = ctx.success_prob(rates)
+    with np.errstate(divide="ignore"):
+        cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * u * p), np.inf)
+    return cost.sum(axis=1) + (1.0 - alpha) * np.exp(ells[:, 0])
+
+
 def grid_min_two_vehicle(ctx, alpha, n_u=200, n_r=200):
     """Exact minimum of the objective over the full 4-D grid (u1, u2, R1, R2).
 

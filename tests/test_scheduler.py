@@ -1,21 +1,25 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from instances import MODEL_BITS, random_context, symmetric_context
-from oracles import grid_min_rate_only, grid_min_two_vehicle, grid_min_two_vehicle_naive
+from oracles import (grid_min_rate_only, grid_min_two_vehicle, grid_min_two_vehicle_naive,
+                     rate_block_phi)
 from vflsim import checks, scheduler
 from vflsim.channel import ChannelState
 from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState, remaining_sojourn
 from vflsim.sim import Experiment
-from vflsim.scheduler import (RoundPlan, _drop_for_budget, _golden_min, _waterfill,
-                              bcd_solve, build_context, dump_instance, load_instance,
+from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _golden_min,
+                              _rate_ceiling_floor, _waterfill, bcd_solve, build_context, dump_instance, load_instance,
                               objective, rate_bounds, realize_selection, round_time,
                               scheme1_baseline, scheme2_baseline, solve_inclusion_block,
                               solve_rate_block)
+
+CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 
 
 def vehicle_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, vid=0, data=None):
@@ -149,6 +153,39 @@ class TestRateBlock:
             assert float(np.min(ctx.success_prob(rates))) > 0.0
 
 
+    def test_ceiling_floor_keeps_every_ceiling_that_beats_the_top(self):
+        """Cut soundness: a grid ceiling below the floor never beats phi(ell_hi), and the
+        block solve is never above the grid minimum over the uncut range."""
+        rng = np.random.default_rng(6)
+        cases = [(load_instance(p), 5) for p in sorted(CORPUS.glob("*.txt"))]
+        cases = [(ctx, k) for ctx, k in cases if ctx.alpha < 1.0]
+        cases += [(random_context(rng, int(rng.integers(2, 12))), 1) for _ in range(200)]
+        checked = 0
+        for ctx, draws in cases:
+            for _ in range(draws):
+                u = rng.uniform(ctx.u_min, 1.0, ctx.size)
+                ln_u = np.log(u)
+                f1_max = np.expm1(ctx.r_max * _LN2 / ctx.bandwidth)
+                ell_lo = float(np.max(ln_u - f1_max))
+                ell_hi = float(np.max(ln_u - np.expm1(ctx.r_min * _LN2 / ctx.bandwidth)))
+                width = ell_hi - ell_lo
+                ells = np.unique(np.concatenate([
+                    np.linspace(ell_lo, ell_hi, 1001),
+                    ell_hi - np.geomspace(1e-9, width, 1500),
+                    ell_lo + np.geomspace(1e-9, width, 500)]))
+                ells = ells[(ells >= ell_lo) & (ells <= ell_hi)]
+                phi = rate_block_phi(ells, u, ctx, ctx.alpha)
+                phi_hi = float(rate_block_phi([ell_hi], u, ctx, ctx.alpha)[0])
+                floor = _rate_ceiling_floor(ln_u, ctx.alpha * ctx.data_sizes / (ctx.d_total * u),
+                                            f1_max, phi_hi, ctx)
+                assert np.all(ells[phi < phi_hi] >= floor)
+                grid_min = float(np.min(phi))
+                solved = objective(u, solve_rate_block(u, ctx), ctx)
+                assert solved <= grid_min + 8 * np.spacing(grid_min)
+                checked += 1
+        assert checked == 5 * 21 + 200  # 21 corpus instances have alpha < 1
+
+
 class TestGoldenMin:
     @staticmethod
     def _counted(fn):
@@ -195,6 +232,51 @@ class TestGoldenMin:
             f_best = min(v for _, v in calls)
             assert f == f_best
             assert (x, f) == next(c for c in calls if c[1] == f_best)
+
+    @staticmethod
+    def _smooth(x):
+        return (x - 0.3) ** 2 + math.exp(0.1 * x)
+
+    def test_start_near_smooth_minimum_saves_half_the_evaluations(self):
+        cold_fn, cold_calls = self._counted(self._smooth)
+        _, f_cold, _ = _golden_min(cold_fn, -2.0, 3.0, 120)
+        x_star = 0.3  # by Newton steps, as above
+        for _ in range(50):
+            x_star -= ((2 * (x_star - 0.3) + 0.1 * math.exp(0.1 * x_star))
+                       / (2 + 0.01 * math.exp(0.1 * x_star)))
+        warm_fn, warm_calls = self._counted(self._smooth)
+        _, f_warm, _ = _golden_min(warm_fn, -2.0, 3.0, 120, start=x_star + 1e-6)
+        assert abs(f_warm - f_cold) <= 4 * np.spacing(f_cold)
+        assert len(warm_calls) < len(cold_calls) / 2
+
+    def test_start_none_or_outside_is_the_cold_search(self):
+        cold_fn, cold_calls = self._counted(self._smooth)
+        cold = _golden_min(cold_fn, -2.0, 3.0, 120)
+        for start in (None, -2.0, 3.0, -7.0, 3.5):
+            fn, calls = self._counted(self._smooth)
+            assert _golden_min(fn, -2.0, 3.0, 120, start=start) == cold
+            assert calls == cold_calls
+
+    def test_start_across_a_kink_still_brackets_it_tightly(self):
+        x0 = 0.123456789
+        for start in (x0 - 2.0, x0 + 1e-7, x0 + 4.0):
+            fn, _ = self._counted(lambda x: abs(x - x0) + 2.0)
+            x, _, width = _golden_min(fn, -3.0, 5.0, 120, start=start)
+            assert width <= 1e-12 * max(1.0, abs(x0))
+            assert abs(x - x0) <= 1e-12 * max(1.0, abs(x0))
+
+    def test_start_where_infinite_gives_finite_minimizer(self):
+        fn, _ = self._counted(lambda x: math.inf if x <= 0.0 else 1.0 / x + x)
+        for start in (-0.5, 1e-3, 3.9):
+            x, f, _ = _golden_min(fn, -1.0, 4.0, 120, start=start)
+            assert math.isfinite(f) and 0.0 < x
+            assert f - 2.0 <= 4 * np.spacing(2.0)
+
+    def test_start_walks_to_a_minimum_at_either_end(self):
+        for fn, end in ((math.exp, -1.0), (lambda x: math.exp(-x), 2.0)):
+            for start in (-0.999, 0.5, 1.999):
+                x, f, _ = _golden_min(fn, -1.0, 2.0, 120, start=start)
+                assert (x, f) == (end, fn(end))
 
 
 class TestWaterfill:
@@ -299,6 +381,20 @@ class TestBcd:
             r_probe = np.clip(rates + 1e-4 * dr * (ctx.r_max - ctx.r_min),
                               ctx.r_min, ctx.r_max)
             assert objective(u, r_probe, ctx) >= base - slack
+
+    @pytest.mark.parametrize("name", ["default_vrvfl_s1_r0.txt", "desk_vrvfl_s12_r4.txt"])
+    def test_no_block_solve_repeats_an_input(self, name, monkeypatch):
+        seen = {"rate": [], "inclusion": []}
+        for block in seen:
+            solver = getattr(scheduler, f"solve_{block}_block")
+
+            def recorded(x, *args, _solver=solver, _seen=seen[block], **kwargs):
+                _seen.append(np.asarray(x).tobytes())
+                return _solver(x, *args, **kwargs)
+            monkeypatch.setattr(scheduler, f"solve_{block}_block", recorded)
+        bcd_solve(load_instance(CORPUS / name))
+        for block, inputs in seen.items():
+            assert inputs and len(set(inputs)) == len(inputs), block
 
 
 class TestPlanInvariants:
