@@ -121,6 +121,8 @@ def cmd_dump_instance(cfg):
     exp = sim.Experiment(cfg, seed)
     exp._refresh_channels()
     ctx = scheduler.build_context(exp.vehicles.values(), exp.geometry, cfg)
+    if cfg.run.scheduler == "scheme2":
+        ctx.alpha = 1.0  # scheme2_baseline solves the round at alpha = 1
     path = out / f"instance_seed{seed}.txt"
     scheduler.dump_instance(ctx, path)
     print(f"instance with {ctx.size} feasible vehicles -> {path}")

@@ -4,7 +4,7 @@ import pytest
 from vflsim import cli
 from vflsim.config import (ConfigError, SimConfig, config_hash, parse_config,
                            serialize_config)
-from vflsim.scheduler import load_instance
+from vflsim.scheduler import bcd_solve, load_instance, scheme2_baseline
 from vflsim.sim import run_experiment
 
 
@@ -145,6 +145,18 @@ class TestCli:
         ctx = load_instance(tmp_path / "instance_seed8.txt")
         assert ctx.size > 0
         assert np.all(ctx.r_min < ctx.r_max)
+
+    def test_dump_instance_states_the_alpha_scheme2_solves_at(self, tmp_path):
+        for sched in ("vrvfl", "scheme2"):
+            rc = cli.main(["dump-instance", "--seed", "8", "--scheduler", sched,
+                           "--out-dir", str(tmp_path / sched)] + QUICK)
+            assert rc == 0
+        vrvfl = load_instance(tmp_path / "vrvfl" / "instance_seed8.txt")
+        scheme2 = load_instance(tmp_path / "scheme2" / "instance_seed8.txt")
+        assert (vrvfl.alpha, scheme2.alpha) == (0.4, 1.0)
+        # solving the scheme2 dump solves the problem a scheme2 round solves
+        assert (bcd_solve(scheme2)[0].objective_value
+                == scheme2_baseline(vrvfl)[0].objective_value)
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OUT_DIR", str(tmp_path / "env_out"))
