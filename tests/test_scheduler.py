@@ -14,10 +14,10 @@ from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState, remaining_sojourn
 from vflsim.sim import Experiment
 from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _golden_min,
-                              _rate_ceiling_floor, _waterfill, bcd_solve, build_context, dump_instance, load_instance,
-                              objective, rate_bounds, realize_selection, round_time,
-                              scheme1_baseline, scheme2_baseline, solve_inclusion_block,
-                              solve_rate_block)
+                              _rate_ceiling_floor, _waterfill, bcd_solve, build_context,
+                              dump_instance, load_instance, objective, rate_bounds,
+                              realize_selection, round_time, scheme1_baseline,
+                              scheme2_baseline, solve_inclusion_block, solve_rate_block)
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 
@@ -151,7 +151,6 @@ class TestRateBlock:
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
             rates = solve_rate_block(u, ctx)
             assert float(np.min(ctx.success_prob(rates))) > 0.0
-
 
     def test_ceiling_floor_keeps_every_ceiling_that_beats_the_top(self):
         """Cut soundness: a grid ceiling below the floor never beats phi(ell_hi), and the
