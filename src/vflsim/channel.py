@@ -39,7 +39,7 @@ def bessel_j0(x):
     in practice).
     """
     if np.ndim(x) != 0:
-        return np.array([bessel_j0(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
+        return _j0_array(np.asarray(x, dtype=float))
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"bessel_j0 requires finite input, got {x!r}")
@@ -62,6 +62,32 @@ def _j0_series(x):
         if k > 400:  # unreachable for x <= 12, guards misuse
             break
     return total
+
+
+def _j0_array(x):
+    """bessel_j0 per element, with the same bits as the scalar path.
+
+    The power series runs on all elements at once; each element takes the
+    scalar series' terms, in its order, and stops at the same term.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError(f"bessel_j0 requires finite input, got {float(x[~np.isfinite(x)][0])!r}")
+    ax = np.abs(x)
+    out = np.empty_like(ax)
+    near = ax <= _SERIES_SWITCH
+    q = 0.25 * ax[near] * ax[near]
+    term = np.ones_like(q)
+    total = np.ones_like(q)
+    live = np.arange(len(q))  # elements whose last term exceeded 1e-14
+    k = 0
+    while len(live) and k <= 400:
+        k += 1
+        term[live] *= -q[live] / (k * k)
+        total[live] += term[live]
+        live = live[np.abs(term[live]) > 1e-14]
+    out[near] = total
+    out[~near] = [_j0_asymptotic(v) for v in ax[~near].tolist()]
+    return out
 
 
 def _j0_asymptotic(x):
@@ -97,9 +123,10 @@ def _j0_asymptotic(x):
 def temporal_correlation(velocity, carrier_freq, feedback_delay, speed_of_light=SPEED_OF_LIGHT):
     """Correlation between the true fading and its delayed estimate.
 
-    epsilon = J0(2*pi * f_d * T) with Doppler f_d = velocity*carrier_freq/c.
+    epsilon = J0(2*pi * f_d * T) with Doppler f_d = velocity*carrier_freq/c,
+    per element for an array of velocities.
     """
-    if velocity < 0:
+    if np.any(np.asarray(velocity) < 0):
         raise ValueError(f"velocity must be >= 0, got {velocity}")
     if carrier_freq <= 0:
         raise ValueError(f"carrier_freq must be > 0, got {carrier_freq}")

@@ -59,10 +59,29 @@ def init_weights(num_classes, feature_dim):
     return np.zeros(num_classes * feature_dim + num_classes)
 
 
-def _unpack(w, num_classes, feature_dim):
-    mat = w[: num_classes * feature_dim].reshape(num_classes, feature_dim)
-    bias = w[num_classes * feature_dim:]
-    return mat, bias
+def _logits(w, features, num_classes):
+    """features @ W^T + b, for any leading dimensions shared by w and features."""
+    cd = num_classes * features.shape[-1]
+    mat = w[..., :cd].reshape(w.shape[:-1] + (num_classes, features.shape[-1]))
+    logits = features @ mat.swapaxes(-1, -2)
+    logits += w[..., None, cd:]
+    return logits
+
+
+def _softmax_loss(logits, labels):
+    """Softmax probabilities, computed in place of the logits, and the mean cross-entropy.
+
+    Also returns the (row, label) index of each sample's own class in the
+    probabilities viewed as rows of num_classes.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    rows = probs.reshape(-1, probs.shape[-1])
+    hit = (np.arange(len(rows)), labels.ravel())
+    # the same bits as np.mean, in a third of the time on a mini-batch
+    loss = -(np.log(rows[hit].reshape(labels.shape) + 1e-300).sum(axis=-1) / labels.shape[-1])
+    return probs, loss, hit
 
 
 def class_means(num_classes, feature_dim, separation):
@@ -123,26 +142,27 @@ def make_test_set(rng, cfg):
 
 
 def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0):
-    """Mean cross-entropy of the softmax model plus (mu/2)|w - ref|^2, with gradient."""
-    n, d = features.shape
-    mat, bias = _unpack(w, num_classes, d)
-    logits = features @ mat.T + bias
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    idx = np.arange(n)
-    # the same bits as np.mean, in a third of the time on a mini-batch
-    loss = -(np.log(probs[idx, labels] + 1e-300).sum() / n)
-    delta = probs
-    delta[idx, labels] -= 1.0
+    """Mean cross-entropy of the softmax model plus (mu/2)|w - ref|^2, with gradient.
+
+    Leading dimensions of w (..., p), features (..., n, d) and labels (..., n)
+    index independent problems, and the loss and gradient keep them.  Each
+    problem gets the same bits as its own call: the matmuls run one gemm per
+    2-D slice, and every other step is elementwise or reduces along the same
+    axis.
+    """
+    n = labels.shape[-1]
+    delta, loss, hit = _softmax_loss(_logits(w, features, num_classes), labels)
+    delta.reshape(-1, num_classes)[hit] -= 1.0
     delta /= n
-    grad = np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
+    grad = np.concatenate([(delta.swapaxes(-1, -2) @ features).reshape(w.shape[:-1] + (-1,)),
+                           delta.sum(axis=-2)], axis=-1)
     if mu != 0.0:
         if ref is None:
             raise ValueError("prox term requires a reference weight vector")
         diff = w - ref
-        loss += 0.5 * mu * float(diff @ diff)
-        grad += mu * diff
+        loss += 0.5 * mu * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        diff *= mu
+        grad += diff
     return loss, grad
 
 
@@ -151,32 +171,62 @@ def lr_schedule(round_idx, base, decay_rounds):
     return base / (1.0 + round_idx // decay_rounds)
 
 
-def local_train(weights_in, partition: Partition, global_ref, cfg, rng, lr,
+def local_train(weights_in, partitions, global_ref, cfg, rngs, lr,
                 epochs=None, batch_size=None, momentum=None, mu=None):
-    """Mini-batch momentum SGD on the local loss plus proximal pull toward global_ref.
+    """Momentum SGD of each partition from weights_in, with a proximal pull toward global_ref.
 
-    Deterministic given the rng stream; batches are reshuffled every epoch from
-    that stream.  Returns the trained flat weights.
+    Vehicle k trains on partitions[k] and reshuffles its batches every epoch
+    from rngs[k]; the trained flat weights come back in the same order.  All
+    vehicles take their SGD steps in lockstep: at each step index, those whose
+    batches have the same length go through one stacked loss_and_grad call.
+    A vehicle's weights have the same bits as when it trains alone, because
+    no operation mixes the rows of different vehicles.
     """
     epochs = cfg.local_epochs if epochs is None else epochs
     batch_size = cfg.batch_size if batch_size is None else batch_size
     momentum = cfg.momentum if momentum is None else momentum
     mu = cfg.prox_mu if mu is None else mu
-    w = np.array(weights_in, dtype=float, copy=True)
+    if not partitions:
+        return []
+    # a partition draws its features when first read: draw them all before the
+    # scratch arrays exist, so the kept features do not pin freed memory
+    features = [part.features for part in partitions] if epochs else []
+    sizes = [part.size for part in partitions]
+    n = np.array(sizes, dtype=np.int64)
+    per_epoch = -(-n // batch_size)  # batches per epoch
+    first = np.cumsum(n) - n  # each vehicle's first entry in the concatenated arrays
+    labels = np.concatenate([part.labels for part in partitions])
+    orders = np.empty(len(labels), dtype=np.int64)  # each vehicle's sample order this epoch
+    w = np.tile(np.asarray(weights_in, dtype=float), (len(partitions), 1))
     vel = np.zeros_like(w)
-    n = partition.size
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
-            loss, grad = loss_and_grad(w, partition.features[sel], partition.labels[sel],
-                                       cfg.num_classes, ref=global_ref, mu=mu)
-            if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite local loss ({loss}) at lr={lr}, batch of {len(sel)} samples")
-            vel = momentum * vel + grad
-            w -= lr * vel
-    return w
+    grad = np.zeros_like(w)
+    for step in range(epochs * int(per_epoch.max(initial=0))):
+        live = step < epochs * per_epoch
+        active = np.flatnonzero(live)
+        start = step % per_epoch[active] * batch_size
+        for k in active[start == 0].tolist():  # vehicles that begin an epoch
+            orders[first[k]:first[k] + sizes[k]] = rngs[k].permutation(sizes[k])
+        length = np.minimum(n[active] - start, batch_size)
+        for size in sorted(set(length.tolist())):
+            same = length == size
+            ks = active[same]
+            sel = orders[(first[ks] + start[same])[:, None] + np.arange(size)]
+            # gathered batch by batch: a shuffled copy of every vehicle's
+            # data per epoch would raise peak memory
+            feats = np.empty((len(ks), size, cfg.feature_dim))
+            for row, k, idx in zip(feats, ks.tolist(), sel):
+                row[...] = features[k][idx]
+            loss, grad[ks] = loss_and_grad(w[ks], feats, labels[first[ks][:, None] + sel],
+                                           cfg.num_classes, ref=global_ref, mu=mu)
+            if not np.isfinite(loss).all():
+                raise RuntimeError(f"non-finite local loss ({loss[~np.isfinite(loss)][0]}) "
+                                   f"at lr={lr}, batch of {size} samples")
+        # vel = momentum * vel + grad; w -= lr * vel, on the rows that took a step
+        live = live[:, None]
+        np.multiply(vel, momentum, out=vel, where=live)
+        np.add(vel, grad, out=vel, where=live)
+        np.subtract(w, lr * vel, out=w, where=live)
+    return list(w)
 
 
 def aggregate(updates, total_data, global_prev, anchored=False):
@@ -210,9 +260,9 @@ def evaluate(weights, features, labels, num_classes):
     """Top-1 accuracy and mean cross-entropy on a held-out set."""
     if len(labels) == 0:
         raise ValueError("empty test set")
-    loss, _ = loss_and_grad(weights, features, labels, num_classes)
-    mat, bias = _unpack(weights, num_classes, features.shape[1])
-    pred = np.argmax(features @ mat.T + bias, axis=1)
+    logits = _logits(weights, features, num_classes)
+    pred = np.argmax(logits, axis=1)
+    _, loss, _ = _softmax_loss(logits, labels)
     return float(np.mean(pred == labels)), float(loss)
 
 

@@ -107,7 +107,10 @@ class Experiment:
             v.position += v.velocity * dt
         arrivals = self.arrivals.pop_until(t_new)
         shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(arrivals)).tolist()
-        for (t_arr, lane, speed), shadow in zip(arrivals, shadows):
+        epsilons = channel.temporal_correlation(
+            np.array([speed for _, _, speed in arrivals]), p.carrier_freq_hz,
+            p.feedback_delay_s, p.speed_of_light_mps).tolist()
+        for (t_arr, lane, speed), shadow, eps in zip(arrivals, shadows, epsilons):
             vid = self.next_id
             self.next_id += 1
             part = fl_core.make_partition(functools.partial(_stream, self.seed, _DATA, 1 + vid),
@@ -115,8 +118,6 @@ class Experiment:
             pos = speed * (t_new - t_arr)
             if pos > road:
                 continue  # spawned and departed within the same advance window
-            eps = channel.temporal_correlation(speed, p.carrier_freq_hz, p.feedback_delay_s,
-                                               p.speed_of_light_mps)
             self.vehicles[vid] = VehicleState(
                 id=vid, lane=lane, position=pos, velocity=speed, spawn_time=t_arr,
                 shadowing_db=shadow, dataset=part, epsilon=eps,
@@ -183,16 +184,15 @@ class Experiment:
             scheduler.realize_selection(plan, self.rng_selection, cfg.physical.n_blocks)
             successful = self.draw_outcomes(plan)
         lr = fl_core.lr_schedule(t_idx, cfg.learning.lr_base, cfg.learning.lr_decay_rounds)
-        updates = []
-        for vid in sorted(successful):
-            rng_t = _stream(self.seed, _TRAINING, vid, t_idx)
-            trained = fl_core.local_train(self.weights, self.vehicles[vid].dataset,
-                                          self.weights, cfg.learning, rng_t, lr)
-            updates.append(fl_core.ClientUpdate(
-                vehicle_id=vid, weights=trained,
-                data_size=self.vehicles[vid].dataset.size,
-                inclusion_prob=plan.inclusion_probs[vid],
-                success_prob=plan.success_probs[vid]))
+        ids = sorted(successful)
+        parts = [self.vehicles[vid].dataset for vid in ids]
+        trained = fl_core.local_train(self.weights, parts, self.weights, cfg.learning,
+                                      [_stream(self.seed, _TRAINING, vid, t_idx) for vid in ids],
+                                      lr)
+        updates = [fl_core.ClientUpdate(vehicle_id=vid, weights=w, data_size=part.size,
+                                        inclusion_prob=plan.inclusion_probs[vid],
+                                        success_prob=plan.success_probs[vid])
+                   for vid, part, w in zip(ids, parts, trained)]
         self.weights = fl_core.aggregate(updates, max(ctx.d_total, 1.0), self.weights,
                                          anchored=cfg.learning.aggregation == "anchored")
         t_round = scheduler.round_time(plan, successful, cfg.physical.model_bits,

@@ -6,7 +6,8 @@ over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
 them as references.  The per-vehicle channel refresh and scheduling context
 at the end are the straightforward one-vehicle-at-a-time forms of the
-program's batched ones.
+program's batched ones, and the one-vehicle SGD loop at the very end is the
+reference for the program's lockstep training.
 """
 
 import math
@@ -312,3 +313,46 @@ def eager_partition(rng, cfg):
         labels = np.concatenate([np.full(n, cls, dtype=np.int64) for cls, n in zip(classes, per)])
     feats = sample_blob(rng, labels, c, cfg.feature_dim, cfg.class_separation)
     return feats, labels.astype(np.int64)
+
+
+def reference_loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0):
+    """Mean cross-entropy plus (mu/2)|w - ref|^2 and its gradient, for one batch of one vehicle."""
+    n, d = features.shape
+    mat = w[: num_classes * d].reshape(num_classes, d)
+    bias = w[num_classes * d:]
+    logits = features @ mat.T + bias
+    logits -= logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    probs = expl / expl.sum(axis=1, keepdims=True)
+    idx = np.arange(n)
+    loss = -(np.log(probs[idx, labels] + 1e-300).sum() / n)
+    delta = probs
+    delta[idx, labels] -= 1.0
+    delta /= n
+    grad = np.concatenate([(delta.T @ features).ravel(), delta.sum(axis=0)])
+    if mu != 0.0:
+        diff = w - ref
+        loss += 0.5 * mu * float(diff @ diff)
+        grad += mu * diff
+    return loss, grad
+
+
+def reference_local_train(weights_in, partition, global_ref, rng, lr, num_classes,
+                          epochs, batch_size, momentum, mu):
+    """Mini-batch momentum SGD of one vehicle, one batch at a time."""
+    w = np.array(weights_in, dtype=float, copy=True)
+    vel = np.zeros_like(w)
+    n = partition.size
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            sel = order[start:start + batch_size]
+            loss, grad = reference_loss_and_grad(w, partition.features[sel],
+                                                 partition.labels[sel], num_classes,
+                                                 ref=global_ref, mu=mu)
+            if not math.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite local loss ({loss}) at lr={lr}, batch of {len(sel)} samples")
+            vel = momentum * vel + grad
+            w -= lr * vel
+    return w

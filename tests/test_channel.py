@@ -40,6 +40,20 @@ class TestBesselJ0:
             bessel_j0(math.nan)
         with pytest.raises(ValueError):
             bessel_j0(math.inf)
+        with pytest.raises(ValueError, match="got nan"):
+            bessel_j0(np.array([1.0, math.nan]))
+
+    def test_array_path_has_the_scalar_bits(self):
+        switch = 12.0
+        edges = [0.0, -0.0, -1.5, -switch, switch, np.nextafter(switch, 0.0),
+                 np.nextafter(switch, 24.0), -np.nextafter(switch, 24.0), 30.0]
+        xs = np.concatenate([edges, np.random.default_rng(17).uniform(-25.0, 25.0, 10_000)])
+        got = bessel_j0(xs)
+        want = np.array([bessel_j0(float(x)) for x in xs])
+        assert got.shape == xs.shape
+        assert np.all(got == want)
+        assert bessel_j0(xs[1:].reshape(-1, 4)).tobytes() == got[1:].tobytes()
+        assert bessel_j0(np.zeros(0)).shape == (0,)
 
 
 class TestTemporalCorrelation:
@@ -64,6 +78,13 @@ class TestTemporalCorrelation:
     def test_negative_velocity_rejected(self):
         with pytest.raises(ValueError):
             temporal_correlation(-1.0, 5.9e9, 5e-4)
+        with pytest.raises(ValueError):
+            temporal_correlation(np.array([3.0, -1.0]), 5.9e9, 5e-4)
+
+    def test_array_of_velocities_per_element(self):
+        speeds = np.random.default_rng(18).uniform(0.0, 60.0, 300)
+        got = temporal_correlation(speeds, 5.9e9, 1e-4).tolist()
+        assert got == [temporal_correlation(v, 5.9e9, 1e-4) for v in speeds.tolist()]
 
 
 class TestLargeScaleGain:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bayes_weights
+from oracles import bayes_weights, reference_local_train, reference_loss_and_grad
 from vflsim.config import parse_config
 from vflsim.fl_core import (ClientUpdate, Partition, aggregate, convergence_proxy, evaluate,
                             init_weights, local_train, loss_and_grad, lr_schedule,
-                            make_partition, make_test_set)
+                            make_partition, make_test_set, sample_blob)
 
 
 def learning_cfg(**overrides):
@@ -50,6 +50,23 @@ class TestPartitions:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("mu", [0.0, 0.01])
+    def test_leading_dimensions_match_reference_per_problem(self, mu):
+        rng = np.random.default_rng(3)
+        c, d, n = 10, 20, 13
+        w = rng.standard_normal((2, 3, c * (d + 1)))
+        x = rng.standard_normal((2, 3, n, d))
+        y = rng.integers(0, c, size=(2, 3, n))
+        ref = rng.standard_normal(c * (d + 1))
+        loss, grad = loss_and_grad(w, x, y, c, ref=ref, mu=mu)
+        assert loss.shape == (2, 3) and grad.shape == w.shape
+        for i in np.ndindex(2, 3):
+            want_loss, want_grad = reference_loss_and_grad(w[i], x[i], y[i], c, ref=ref, mu=mu)
+            assert loss[i] == want_loss
+            assert grad[i].tobytes() == want_grad.tobytes()
+        one_loss, one_grad = loss_and_grad(w[0, 0], x[0, 0], y[0, 0], c, ref=ref, mu=mu)
+        assert one_loss == loss[0, 0] and one_grad.tobytes() == grad[0, 0].tobytes()
+
     def test_prox_requires_reference(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
@@ -58,7 +75,8 @@ class TestGradient:
 
 
 class TestLocalTrain:
-    def _small_instance(self, rng, n=60, d=4, c=3):
+    @staticmethod
+    def _small_instance(rng, n=60, d=4, c=3):
         labels = rng.integers(0, c, size=n)
         feats = rng.standard_normal((n, d)) + 2.0 * np.eye(d)[:c][labels][:, :d]
         return Partition(features=feats, labels=labels)
@@ -68,7 +86,7 @@ class TestLocalTrain:
         part = self._small_instance(rng)
         cfg = learning_cfg(num_classes=3, feature_dim=4)
         w0 = rng.standard_normal(3 * 4 + 3)
-        out = local_train(w0, part, w0, cfg, np.random.default_rng(0), lr=0.1, epochs=0)
+        out, = local_train(w0, [part], w0, cfg, [np.random.default_rng(0)], lr=0.1, epochs=0)
         assert np.array_equal(out, w0)
 
     def test_zero_mu_matches_plain_momentum_sgd(self):
@@ -77,7 +95,7 @@ class TestLocalTrain:
         cfg = learning_cfg(num_classes=3, feature_dim=4, batch_size=16,
                            momentum=0.9, local_epochs=3)
         w0 = rng.standard_normal(15)
-        got = local_train(w0, part, w0, cfg, np.random.default_rng(9), lr=0.05, mu=0.0)
+        got, = local_train(w0, [part], w0, cfg, [np.random.default_rng(9)], lr=0.05, mu=0.0)
         # independent hand-rolled loop over the same shuffles
         w = w0.copy()
         vel = np.zeros_like(w)
@@ -96,8 +114,8 @@ class TestLocalTrain:
         part = self._small_instance(rng)
         cfg = learning_cfg(num_classes=3, feature_dim=4)
         w0 = np.zeros(15)
-        a = local_train(w0, part, w0, cfg, np.random.default_rng(3), lr=0.05)
-        b = local_train(w0, part, w0, cfg, np.random.default_rng(3), lr=0.05)
+        a, = local_train(w0, [part], w0, cfg, [np.random.default_rng(3)], lr=0.05)
+        b, = local_train(w0, [part], w0, cfg, [np.random.default_rng(3)], lr=0.05)
         assert np.array_equal(a, b)
 
     def test_loss_decreases_with_small_steps(self):
@@ -110,8 +128,8 @@ class TestLocalTrain:
         w = np.zeros(15)
         losses = [loss_and_grad(w, feats, labels, 3)[0]]
         for _ in range(25):
-            w = local_train(w, part, w, cfg, np.random.default_rng(0), lr=1e-3,
-                            epochs=1, mu=0.0)
+            w, = local_train(w, [part], w, cfg, [np.random.default_rng(0)], lr=1e-3,
+                             epochs=1, mu=0.0)
             losses.append(loss_and_grad(w, feats, labels, 3)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -121,8 +139,67 @@ class TestLocalTrain:
         part.features[0] = np.nan
         cfg = learning_cfg(num_classes=3, feature_dim=4)
         with pytest.raises(RuntimeError, match="non-finite"):
-            local_train(np.zeros(15), part, np.zeros(15), cfg,
-                        np.random.default_rng(0), lr=0.1)
+            local_train(np.zeros(15), [part], np.zeros(15), cfg,
+                        [np.random.default_rng(0)], lr=0.1)
+
+
+class TestStackedTraining:
+    """Lockstep training gives each vehicle the bits of its own one-batch-at-a-time loop."""
+
+    @staticmethod
+    def _partitions(rng, partitioning, n_vehicles, cfg):
+        if partitioning == "iid":
+            sizes = [150] * n_vehicles
+        elif n_vehicles == 1:
+            sizes = [100]
+        else:  # below one batch, one sample, exact multiples, then ragged
+            sizes = [7, 1, 64, 32] + rng.integers(1, 226, size=n_vehicles - 4).tolist()
+        parts = []
+        for n in sizes:
+            labels = rng.integers(0, cfg.num_classes, size=n)
+            parts.append(Partition(features=sample_blob(rng, labels, cfg.num_classes,
+                                                        cfg.feature_dim, cfg.class_separation),
+                                   labels=labels))
+        return parts
+
+    @pytest.mark.parametrize("feature_dim", [20, 30])
+    @pytest.mark.parametrize("n_vehicles", [1, 20])
+    @pytest.mark.parametrize("partitioning", ["iid", "noniid"])
+    def test_matches_per_vehicle_reference(self, partitioning, n_vehicles, feature_dim):
+        cfg = learning_cfg(feature_dim=feature_dim, batch_size=32)
+        rng = np.random.default_rng(20 + feature_dim + n_vehicles)
+        parts = self._partitions(rng, partitioning, n_vehicles, cfg)
+        w0 = 0.1 * rng.standard_normal(cfg.num_classes * (feature_dim + 1))
+        global_ref = w0 + 0.01 * rng.standard_normal(len(w0))
+        for mu in (0.0, 0.0025):
+            for momentum in (0.0, 0.9):
+                for epochs in (0, 1, 5):
+                    seeds = [(epochs, k) for k in range(n_vehicles)]
+                    rngs = [np.random.default_rng(s) for s in seeds]
+                    got = local_train(w0, parts, global_ref, cfg, rngs, lr=0.05, epochs=epochs,
+                                      momentum=momentum, mu=mu)
+                    assert len(got) == n_vehicles
+                    for k, part in enumerate(parts):
+                        ref_rng = np.random.default_rng(seeds[k])
+                        want = reference_local_train(w0, part, global_ref, ref_rng, 0.05,
+                                                     cfg.num_classes, epochs, 32, momentum, mu)
+                        where = (f"vehicle {k} (n={part.size}), mu={mu}, "
+                                 f"momentum={momentum}, epochs={epochs}")
+                        assert got[k].tobytes() == want.tobytes(), where
+                        assert rngs[k].bit_generator.state == ref_rng.bit_generator.state, where
+
+    def test_no_vehicles(self):
+        cfg = learning_cfg()
+        assert local_train(np.zeros(210), [], np.zeros(210), cfg, [], lr=0.1) == []
+
+    def test_non_finite_loss_of_any_vehicle_aborts(self):
+        cfg = learning_cfg(num_classes=3, feature_dim=4)
+        rng = np.random.default_rng(21)
+        parts = [TestLocalTrain._small_instance(rng, n=n) for n in (60, 45, 60)]
+        parts[1].features[3] = np.nan
+        with pytest.raises(RuntimeError, match=r"non-finite local loss \(nan\) at lr=0.1"):
+            local_train(np.zeros(15), parts, np.zeros(15), cfg,
+                        [np.random.default_rng(k) for k in range(3)], lr=0.1)
 
 
 class TestAggregate:
@@ -196,6 +273,15 @@ class TestEvaluate:
         w = np.random.default_rng(15).standard_normal(len(init_weights(10, 20)))
         assert evaluate(w, x, y, 10) == evaluate(w, x, y, 10)
 
+    def test_same_bits_as_reference_loss_and_argmax(self):
+        cfg = learning_cfg(test_samples_per_class=100)
+        x, y = make_test_set(np.random.default_rng(14), cfg)
+        w = np.random.default_rng(16).standard_normal(len(init_weights(10, 20)))
+        acc, loss = evaluate(w, x, y, 10)
+        pred = np.argmax(x @ w[:200].reshape(10, 20).T + w[200:], axis=1)
+        assert acc == float(np.mean(pred == y))
+        assert loss == float(reference_loss_and_grad(w, x, y, 10)[0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(np.zeros(6), np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
@@ -250,8 +336,8 @@ def test_federated_tracks_centralized_on_iid():
     for t in range(rounds):
         upds = []
         for v, p in enumerate(parts):
-            trained = local_train(w_fed, p, w_fed, cfg,
-                                  np.random.default_rng((t, v)), lr=lr, mu=0.0)
+            trained, = local_train(w_fed, [p], w_fed, cfg,
+                                   [np.random.default_rng((t, v))], lr=lr, mu=0.0)
             upds.append(ClientUpdate(v, trained, p.size, 1.0, 1.0))
         w_fed = aggregate(upds, total, w_fed)
 

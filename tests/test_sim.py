@@ -209,9 +209,9 @@ class TestLazyPartitions:
             draws.append(args)
             return sample_blob(*args)
 
-        def recording_train(w, part, *args):
-            trained[id(part)] = part
-            return local_train(w, part, *args)
+        def recording_train(w, parts, *args):
+            trained.update((id(part), part) for part in parts)
+            return local_train(w, parts, *args)
 
         monkeypatch.setattr(fl_core, "sample_blob", counting_blob)
         monkeypatch.setattr(fl_core, "local_train", recording_train)
