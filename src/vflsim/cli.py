@@ -15,8 +15,7 @@ from .config import ConfigError, iter_keys, parse_config, serialize_config
 
 
 def _build_parser():
-    keys_help = "\n".join(f"  {key} (default: {default!r})" + (f": {note}" if note else "")
-                           for key, default, _, note in iter_keys())
+    keys_help = "\n".join(f"  {key} (default: {default!r})" for key, default, _ in iter_keys())
     parser = argparse.ArgumentParser(
         prog="vflsim",
         description="Federated learning over a vehicular edge network with imperfect CSI.",

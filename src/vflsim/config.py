@@ -9,6 +9,7 @@ the derived properties, so mixed-unit bugs cannot creep into the physics.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .channel import temporal_correlation
@@ -54,9 +55,6 @@ class OptimizationConfig:
     round_time_cap_s: float = 60.0
     bcd_tol: float = 1e-6
     bcd_max_outer: int = 50
-    block_iters: int = field(default=120, metadata={
-        "help": "cap on line-search iterations per block solve; the search stops "
-                "earlier once convexity certifies its best value"})
     d_total_mode: str = "feasible"  # feasible | coverage
 
 
@@ -131,6 +129,12 @@ class SimConfig:
         return self.traffic.speed_max_kmh / 3.6
 
     def validate(self):
+        # an infinite arrival rate would stall the arrival process and an
+        # infinite cap would pass every bound below
+        for section in _SECTIONS:
+            for name, value in vars(getattr(self, section)).items():
+                if _FIELD_TYPES[(section, name)] is float and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{name} must be finite, got {value!r}")
         p, g, t, o, l, r = (self.physical, self.geometry, self.traffic,
                             self.optimization, self.learning, self.run)
         checks = [
@@ -157,7 +161,6 @@ class SimConfig:
             (o.round_time_cap_s > 0, "optimization.round_time_cap_s must be > 0"),
             (o.bcd_tol > 0, "optimization.bcd_tol must be > 0"),
             (o.bcd_max_outer >= 1, "optimization.bcd_max_outer must be >= 1"),
-            (o.block_iters >= 10, "optimization.block_iters must be >= 10"),
             (o.d_total_mode in ("feasible", "coverage"),
              "optimization.d_total_mode must be 'feasible' or 'coverage'"),
             (l.num_classes >= 2, "learning.num_classes must be >= 2"),
@@ -217,7 +220,7 @@ def _coerce(raw, py_type, key):
             return tuple(vals)
         if py_type is str:
             return raw
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # int(inf) overflows
         raise ConfigError(f"cannot parse value for {key}: {e}") from None
     raise ConfigError(f"unsupported type for {key}")
 
@@ -286,13 +289,12 @@ def config_hash(cfg: SimConfig):
 
 
 def iter_keys():
-    """All (dotted_key, default, type, help) tuples, for CLI help and docs; help is
-    "" for keys without a note."""
+    """All (dotted_key, default, type) tuples, for CLI help and docs."""
     out = []
     defaults = SimConfig()
     for section, cls in _SECTIONS.items():
         sub = getattr(defaults, section)
         for f in fields(cls):
             out.append((f"{section}.{f.name}", getattr(sub, f.name),
-                        _FIELD_TYPES[(section, f.name)], f.metadata.get("help", "")))
+                        _FIELD_TYPES[(section, f.name)]))
     return out

@@ -171,8 +171,7 @@ def lr_schedule(round_idx, base, decay_rounds):
     return base / (1.0 + round_idx // decay_rounds)
 
 
-def local_train(weights_in, partitions, global_ref, cfg, rngs, lr,
-                epochs=None, batch_size=None, momentum=None, mu=None):
+def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
     """Momentum SGD of each partition from weights_in, with a proximal pull toward global_ref.
 
     Vehicle k trains on partitions[k] and reshuffles its batches every epoch
@@ -182,12 +181,9 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr,
     A vehicle's weights have the same bits as when it trains alone, because
     no operation mixes the rows of different vehicles.
     """
-    epochs = cfg.local_epochs if epochs is None else epochs
-    batch_size = cfg.batch_size if batch_size is None else batch_size
-    momentum = cfg.momentum if momentum is None else momentum
-    mu = cfg.prox_mu if mu is None else mu
     if not partitions:
         return []
+    epochs, batch_size = cfg.local_epochs, cfg.batch_size
     # a partition draws its features when first read: draw them all before the
     # scratch arrays exist, so the kept features do not pin freed memory
     features = [part.features for part in partitions] if epochs else []
@@ -217,13 +213,13 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr,
             for row, k, idx in zip(feats, ks.tolist(), sel):
                 row[...] = features[k][idx]
             loss, grad[ks] = loss_and_grad(w[ks], feats, labels[first[ks][:, None] + sel],
-                                           cfg.num_classes, ref=global_ref, mu=mu)
+                                           cfg.num_classes, ref=global_ref, mu=cfg.prox_mu)
             if not np.isfinite(loss).all():
                 raise RuntimeError(f"non-finite local loss ({loss[~np.isfinite(loss)][0]}) "
                                    f"at lr={lr}, batch of {size} samples")
         # vel = momentum * vel + grad; w -= lr * vel, on the rows that took a step
         live = live[:, None]
-        np.multiply(vel, momentum, out=vel, where=live)
+        np.multiply(vel, cfg.momentum, out=vel, where=live)
         np.add(vel, grad, out=vel, where=live)
         np.subtract(w, lr * vel, out=w, where=live)
     return list(w)

@@ -46,6 +46,11 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # a line search stops once its best value is this close to the convexity bound:
 # a few ulps, the resolution at which the sampled values stop changing
 _CERT_RTOL = 4.0 * sys.float_info.epsilon
+_GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
+# _ceiling_scan: points of each vehicle's log-spaced f1 grid and of the
+# geometric pass over the ceiling
+_SCAN_GRID = 1500
+_SCAN_CEILINGS = 1400
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +77,6 @@ class SchedulingContext:
     tx_power: float
     model_bits: float
     d_total: float
-    block_iters: int = 120
     budget_dropped: tuple = ()  # ids removed so |V| * u_min <= N
 
     def __post_init__(self):
@@ -170,7 +174,6 @@ def build_context(vehicles, geometry, cfg):
         tx_power=cfg.tx_power_w,
         model_bits=cfg.physical.model_bits,
         d_total=max(d_total, 1.0),
-        block_iters=opt.block_iters,
         budget_dropped=tuple(dropped),
     )
 
@@ -251,17 +254,18 @@ def _downhill_bracket(ev, lo, hi, x0, f0):
     return ordered(prev, cur, f_prev, f_cur)
 
 
-def _golden_min(fn, lo, hi, iters, start=None):
+def _golden_min(fn, lo, hi, start=None):
     """Scalar minimization of a convex function on [lo, hi]; returns the best
     evaluated point, its value and the final bracket width.
 
     Golden-section search that stops as soon as the best sampled value is
     within _CERT_RTOL of the convexity lower bound over the bracket, which at a
     smooth minimum happens near a bracket width of 1e-8.  At a kink the bound
-    stays loose, so the bracket shrinks to 1e-14 relative as before; `iters`
-    caps the iterations either way.  A `start` inside (lo, hi) where `fn` is
-    finite, such as the previous minimizer of a nearby function, replaces the
-    full range by a downhill bracket around it; any other start searches [lo, hi].
+    stays loose, so the bracket shrinks to 1e-14 relative as before;
+    _GOLDEN_ITERS caps the iterations either way.  A `start` inside (lo, hi)
+    where `fn` is finite, such as the previous minimizer of a nearby function,
+    replaces the full range by a downhill bracket around it; any other start
+    searches [lo, hi].
     """
     best = [math.inf, lo]
 
@@ -280,7 +284,7 @@ def _golden_min(fn, lo, hi, iters, start=None):
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = ev(c), ev(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, fb, d, fd = d, fd, c, fc
             c = b - _PHI * (b - a)
@@ -310,7 +314,7 @@ def _rate_ceiling_floor(ln_u, cost, f1_max, phi_hi, ctx):
     return float(np.max(ln_u - np.minimum(f1_cap, f1_max)))
 
 
-def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None, warm=None):
+def solve_rate_block(u, ctx: SchedulingContext, alpha=None, warm=None):
     """Exact rate-block minimizer for fixed inclusion probabilities.
 
     Parameterized by the ceiling s of the max term: every vehicle whose
@@ -322,7 +326,6 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None, warm=Non
     over the ceilings that can beat the top one (see _rate_ceiling_floor).
     """
     alpha = ctx.alpha if alpha is None else alpha
-    iters = ctx.block_iters if iters is None else iters
     if ctx.size == 0:
         return np.array([])
     if alpha >= 1.0:
@@ -359,7 +362,7 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, iters=None, warm=Non
     if start is None or not ell_lo < start < ell_hi:
         floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
         ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
-    ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, iters, start)
+    ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
     if warm:
         warm[0] = ell_star
     return rates_at(ell_star)
@@ -432,7 +435,7 @@ def _waterfill_solver(cost, lo, budget):
     return solve
 
 
-def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None, warm=None):
+def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, warm=None):
     """Exact inclusion-block minimizer for fixed rates.
 
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
@@ -441,7 +444,6 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None,
     calls as in solve_rate_block.
     """
     alpha = ctx.alpha if alpha is None else alpha
-    iters = ctx.block_iters if iters is None else iters
     if ctx.size == 0:
         return np.array([])
     if alpha <= 0.0:
@@ -465,7 +467,7 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, iters=None,
         u = u_at(ell)
         return float(np.sum(cost / u)) + (1.0 - alpha) * math.exp(ell)
 
-    ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, iters, warm[0] if warm else None)
+    ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, warm[0] if warm else None)
     if warm:
         warm[0] = ell_star
     return u_at(ell_star)
@@ -483,7 +485,7 @@ class SolverReport:
     block_residuals: list = field(default_factory=list)
 
 
-def _ceiling_scan(ctx: SchedulingContext, alpha, n_grid=1500, n_scan=1400):
+def _ceiling_scan(ctx: SchedulingContext, alpha):
     """Globally-informed candidate for the joint problem when the budget is slack.
 
     Conditioned on the max-term ceiling s, the problem separates per vehicle:
@@ -502,7 +504,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha, n_grid=1500, n_scan=1400):
     f1_hi = np.expm1(ctx.r_max * _LN2 / w)
     ln_umin = math.log(ctx.u_min)
     # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge
-    grids = [np.exp(np.linspace(math.log(f1_lo[v]), math.log(f1_hi[v] * (1 - 1e-9)), n_grid))
+    grids = [np.exp(np.linspace(math.log(f1_lo[v]), math.log(f1_hi[v] * (1 - 1e-9)), _SCAN_GRID))
              for v in range(ctx.size)]
     ln_q = []
     for v in range(ctx.size):
@@ -515,7 +517,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha, n_grid=1500, n_scan=1400):
     for v in range(ctx.size):
         levels = [ln_q[v]]
         span = 1
-        while 2 * span <= n_grid:
+        while 2 * span <= _SCAN_GRID:
             prev = levels[-1]
             levels.append(np.minimum(prev[:-span], prev[span:]))
             span *= 2
@@ -565,12 +567,12 @@ def _ceiling_scan(ctx: SchedulingContext, alpha, n_grid=1500, n_scan=1400):
         return None
     t_min = max(-ell_hi, 1e-9)
     t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
-    coarse = -np.geomspace(t_min, t_max, n_scan)
+    coarse = -np.geomspace(t_min, t_max, _SCAN_CEILINGS)
     totals = scan_totals(coarse)
     k = int(np.argmin(totals))
     if not math.isfinite(totals[k]):
         return None
-    fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, n_scan - 1)], 400)
+    fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, _SCAN_CEILINGS - 1)], 400)
     totals_fine = scan_totals(fine)
     kf = int(np.argmin(totals_fine))
     ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
@@ -722,29 +724,25 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
                 break
         return trace[-1], u, rates, converged, outer, residuals
 
+    restart = False
     if not 0.0 < alpha < 1.0:
         # both block solves are start-independent at the endpoints
         starts = _start_points(ctx)[:1]
-        scales = ()
-        scanned = None
-    else:
-        scanned = _ceiling_scan(ctx, alpha)
-    if scanned is not None:
+    elif (scanned := _ceiling_scan(ctx, alpha)) is not None:
         # the scan already located the global basin; a light polish suffices
         starts = [scanned, _start_points(ctx)[0]]
-        scales = ()
-    elif 0.0 < alpha < 1.0:
+    else:
         # binding budget: cover the partial-optimum basins the hard way
         starts = _start_points(ctx)
-        scales = (0.8, 1.25)
+        restart = True
     best = None
     for u0 in starts:
         trace = []
         cand = alternate(u0, trace)
         # the max term couples the blocks along a nonsmooth ridge with several
-        # blockwise-optimal points; rescaled warm restarts walk along it
-        for scale in scales:
-            again = alternate(cand[1] * scale, trace)
+        # blockwise-optimal points; a rescaled warm restart walks along it
+        if restart:
+            again = alternate(cand[1] * 1.25, trace)
             if again[0] < cand[0]:
                 cand = again
         if best is None or cand[0] < best[0]:
@@ -816,7 +814,6 @@ def dump_instance(ctx: SchedulingContext, path):
     buf.write(f"# alpha {ctx.alpha!r} u_min {ctx.u_min!r} n_blocks {ctx.n_blocks!r} "
               f"bandwidth {ctx.bandwidth!r} noise_density {ctx.noise_density!r} "
               f"tx_power {ctx.tx_power!r} model_bits {ctx.model_bits!r} d_total {ctx.d_total!r} "
-              f"block_iters {ctx.block_iters!r} "
               f"budget_dropped ({','.join(str(int(i)) for i in ctx.budget_dropped)})\n")
     buf.write("# columns: id data_size epsilon h_est_sq large_scale_gain sojourn_s r_min r_max\n")
     for k in range(ctx.size):
@@ -844,9 +841,9 @@ def load_instance(path_or_text):
         raise ValueError("not a vflsim instance dump")
     meta_parts = lines[1][1:].split()
     meta = {meta_parts[i]: meta_parts[i + 1] for i in range(0, len(meta_parts), 2)}
-    # dumps written before block_iters and budget_dropped were recorded lack both
+    # older dumps lack budget_dropped; a header field this reader does not use,
+    # such as the retired block_iters, is ignored
     dropped = meta.pop("budget_dropped", "()").strip("()")
-    block_iters = int(meta.pop("block_iters", 120))
     meta = {key: float(value) for key, value in meta.items()}
     rows = [ln.split() for ln in lines[3:] if ln.strip()]
     cols = list(zip(*rows)) if rows else [[]] * 8
@@ -867,6 +864,5 @@ def load_instance(path_or_text):
         tx_power=meta["tx_power"],
         model_bits=meta["model_bits"],
         d_total=meta["d_total"],
-        block_iters=block_iters,
         budget_dropped=tuple(int(x) for x in dropped.split(",") if x),
     )

@@ -297,7 +297,7 @@ def reference_context(vehicles, geometry, cfg):
         alpha=opt.alpha, u_min=opt.u_min, n_blocks=float(cfg.physical.n_blocks),
         bandwidth=cfg.block_bandwidth_hz, noise_density=cfg.noise_density_w_hz,
         tx_power=cfg.tx_power_w, model_bits=cfg.physical.model_bits, d_total=max(d_total, 1.0),
-        block_iters=opt.block_iters, budget_dropped=tuple(dropped))
+        budget_dropped=tuple(dropped))
 
 
 def eager_partition(rng, cfg):

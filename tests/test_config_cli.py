@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from vflsim import cli
-from vflsim.config import (ConfigError, SimConfig, config_hash, parse_config,
+from vflsim.config import (ConfigError, SimConfig, config_hash, iter_keys, parse_config,
                            serialize_config)
 from vflsim.scheduler import bcd_solve, load_instance, scheme2_baseline
 from vflsim.sim import run_experiment
@@ -73,6 +75,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="scheduler"):
             parse_config(text="run.scheduler = magic")
 
+    @pytest.mark.parametrize("key", [k for k, _, t in iter_keys() if t is float])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_named(self, key, value):
+        # only parsed and validated: an infinite arrival rate would never end
+        # the arrival process of a run
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key, value", [("run.seeds", "inf"), ("run.seeds", "3,-inf"),
+                                            ("run.compare_alphas", "1,inf")])
+    def test_infinite_list_item_named(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(overrides={key: value})
+
     def test_zero_feedback_delay_rejected(self):
         # epsilon = J0(0) = 1 leaves no estimation error, and the success
         # probabilities of the outage model come out 0 or NaN; so does a delay
@@ -115,6 +131,11 @@ class TestCli:
 
     def test_unknown_key_exit_code(self, tmp_path):
         assert cli.main(["run", "--set", "nope.nope=1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_retired_block_iters_key_rejected(self, tmp_path, capsys):
+        rc = cli.main(["run", "--set", "optimization.block_iters=120", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "config error: unknown key 'optimization.block_iters'" in capsys.readouterr().err
 
     def test_compare_emits_per_run_and_merged(self, tmp_path):
         rc = cli.main(["compare", "--rounds", "2", "--seeds", "1,2",
@@ -172,7 +193,6 @@ class TestCli:
         assert "5900000000" in out
         assert "optimization.alpha" in out
         assert "run.scheduler" in out
-        assert "optimization.block_iters (default: 120): cap on line-search iterations" in out
 
 
 def test_validate_passes_on_fresh_checkout(tmp_path):

@@ -84,18 +84,18 @@ class TestLocalTrain:
     def test_zero_epochs_identity(self):
         rng = np.random.default_rng(5)
         part = self._small_instance(rng)
-        cfg = learning_cfg(num_classes=3, feature_dim=4)
+        cfg = learning_cfg(num_classes=3, feature_dim=4, local_epochs=0)
         w0 = rng.standard_normal(3 * 4 + 3)
-        out, = local_train(w0, [part], w0, cfg, [np.random.default_rng(0)], lr=0.1, epochs=0)
+        out, = local_train(w0, [part], w0, cfg, [np.random.default_rng(0)], lr=0.1)
         assert np.array_equal(out, w0)
 
     def test_zero_mu_matches_plain_momentum_sgd(self):
         rng = np.random.default_rng(6)
         part = self._small_instance(rng)
         cfg = learning_cfg(num_classes=3, feature_dim=4, batch_size=16,
-                           momentum=0.9, local_epochs=3)
+                           momentum=0.9, local_epochs=3, prox_mu=0.0)
         w0 = rng.standard_normal(15)
-        got, = local_train(w0, [part], w0, cfg, [np.random.default_rng(9)], lr=0.05, mu=0.0)
+        got, = local_train(w0, [part], w0, cfg, [np.random.default_rng(9)], lr=0.05)
         # independent hand-rolled loop over the same shuffles
         w = w0.copy()
         vel = np.zeros_like(w)
@@ -124,12 +124,12 @@ class TestLocalTrain:
         feats = rng.standard_normal((100, 4))
         feats[np.arange(100), labels % 4] += 2.0
         part = Partition(features=feats, labels=labels)
-        cfg = learning_cfg(num_classes=3, feature_dim=4, batch_size=100, momentum=0.0)
+        cfg = learning_cfg(num_classes=3, feature_dim=4, batch_size=100, momentum=0.0,
+                           local_epochs=1, prox_mu=0.0)
         w = np.zeros(15)
         losses = [loss_and_grad(w, feats, labels, 3)[0]]
         for _ in range(25):
-            w, = local_train(w, [part], w, cfg, [np.random.default_rng(0)], lr=1e-3,
-                             epochs=1, mu=0.0)
+            w, = local_train(w, [part], w, cfg, [np.random.default_rng(0)], lr=1e-3)
             losses.append(loss_and_grad(w, feats, labels, 3)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -174,10 +174,11 @@ class TestStackedTraining:
         for mu in (0.0, 0.0025):
             for momentum in (0.0, 0.9):
                 for epochs in (0, 1, 5):
+                    run_cfg = learning_cfg(feature_dim=feature_dim, batch_size=32, prox_mu=mu,
+                                           momentum=momentum, local_epochs=epochs)
                     seeds = [(epochs, k) for k in range(n_vehicles)]
                     rngs = [np.random.default_rng(s) for s in seeds]
-                    got = local_train(w0, parts, global_ref, cfg, rngs, lr=0.05, epochs=epochs,
-                                      momentum=momentum, mu=mu)
+                    got = local_train(w0, parts, global_ref, run_cfg, rngs, lr=0.05)
                     assert len(got) == n_vehicles
                     for k, part in enumerate(parts):
                         ref_rng = np.random.default_rng(seeds[k])
@@ -322,7 +323,7 @@ def test_federated_tracks_centralized_on_iid():
     same total number of gradient steps."""
     cfg = learning_cfg(num_classes=4, feature_dim=8, class_separation=2.0,
                        partitioning="iid", samples_per_class=30, batch_size=32,
-                       momentum=0.9, local_epochs=2)
+                       momentum=0.9, local_epochs=2, prox_mu=0.0)
     rng = np.random.default_rng(17)
     n_vehicles = 4
     parts = [make_partition(rng, cfg) for _ in range(n_vehicles)]
@@ -337,7 +338,7 @@ def test_federated_tracks_centralized_on_iid():
         upds = []
         for v, p in enumerate(parts):
             trained, = local_train(w_fed, [p], w_fed, cfg,
-                                   [np.random.default_rng((t, v))], lr=lr, mu=0.0)
+                                   [np.random.default_rng((t, v))], lr=lr)
             upds.append(ClientUpdate(v, trained, p.size, 1.0, 1.0))
         w_fed = aggregate(upds, total, w_fed)
 

@@ -197,7 +197,7 @@ class TestGoldenMin:
 
     def test_smooth_minimum_stops_early_within_ulps(self):
         fn, calls = self._counted(lambda x: (x - 0.3) ** 2 + math.exp(0.1 * x))
-        x, f, _ = _golden_min(fn, -2.0, 3.0, 120)
+        x, f, _ = _golden_min(fn, -2.0, 3.0)
         # minimizer of (x - 0.3)^2 + exp(0.1 x) to full precision by Newton steps
         x_star = 0.3
         for _ in range(50):
@@ -210,14 +210,14 @@ class TestGoldenMin:
     def test_kink_still_bracketed_tightly(self):
         x0 = 0.123456789
         fn, _ = self._counted(lambda x: abs(x - x0) + 2.0)
-        x, _, width = _golden_min(fn, -3.0, 5.0, 120)
+        x, _, width = _golden_min(fn, -3.0, 5.0)
         assert width <= 1e-12 * max(1.0, abs(x0))
         assert abs(x - x0) <= 1e-12 * max(1.0, abs(x0))
 
     def test_infinite_left_end_gives_finite_minimizer(self):
         # like phi at ell_lo, where a vehicle at R_max has zero success probability
         fn, _ = self._counted(lambda x: math.inf if x <= 0.0 else 1.0 / x + x)
-        x, f, _ = _golden_min(fn, 0.0, 4.0, 120)
+        x, f, _ = _golden_min(fn, 0.0, 4.0)
         assert math.isfinite(f) and 0.0 < x
         assert f - 2.0 <= 4 * np.spacing(2.0)
         assert abs(x - 1.0) <= 1e-6
@@ -227,7 +227,7 @@ class TestGoldenMin:
                    lambda x: math.inf if x <= -1.0 else math.exp(-x) + 0.2 * x,
                    lambda x: math.exp(x)):
             counted, calls = self._counted(fn)
-            x, f, _ = _golden_min(counted, -1.0, 2.0, 120)
+            x, f, _ = _golden_min(counted, -1.0, 2.0)
             f_best = min(v for _, v in calls)
             assert f == f_best
             assert (x, f) == next(c for c in calls if c[1] == f_best)
@@ -238,43 +238,43 @@ class TestGoldenMin:
 
     def test_start_near_smooth_minimum_saves_half_the_evaluations(self):
         cold_fn, cold_calls = self._counted(self._smooth)
-        _, f_cold, _ = _golden_min(cold_fn, -2.0, 3.0, 120)
+        _, f_cold, _ = _golden_min(cold_fn, -2.0, 3.0)
         x_star = 0.3  # by Newton steps, as above
         for _ in range(50):
             x_star -= ((2 * (x_star - 0.3) + 0.1 * math.exp(0.1 * x_star))
                        / (2 + 0.01 * math.exp(0.1 * x_star)))
         warm_fn, warm_calls = self._counted(self._smooth)
-        _, f_warm, _ = _golden_min(warm_fn, -2.0, 3.0, 120, start=x_star + 1e-6)
+        _, f_warm, _ = _golden_min(warm_fn, -2.0, 3.0, start=x_star + 1e-6)
         assert abs(f_warm - f_cold) <= 4 * np.spacing(f_cold)
         assert len(warm_calls) < len(cold_calls) / 2
 
     def test_start_none_or_outside_is_the_cold_search(self):
         cold_fn, cold_calls = self._counted(self._smooth)
-        cold = _golden_min(cold_fn, -2.0, 3.0, 120)
+        cold = _golden_min(cold_fn, -2.0, 3.0)
         for start in (None, -2.0, 3.0, -7.0, 3.5):
             fn, calls = self._counted(self._smooth)
-            assert _golden_min(fn, -2.0, 3.0, 120, start=start) == cold
+            assert _golden_min(fn, -2.0, 3.0, start=start) == cold
             assert calls == cold_calls
 
     def test_start_across_a_kink_still_brackets_it_tightly(self):
         x0 = 0.123456789
         for start in (x0 - 2.0, x0 + 1e-7, x0 + 4.0):
             fn, _ = self._counted(lambda x: abs(x - x0) + 2.0)
-            x, _, width = _golden_min(fn, -3.0, 5.0, 120, start=start)
+            x, _, width = _golden_min(fn, -3.0, 5.0, start=start)
             assert width <= 1e-12 * max(1.0, abs(x0))
             assert abs(x - x0) <= 1e-12 * max(1.0, abs(x0))
 
     def test_start_where_infinite_gives_finite_minimizer(self):
         fn, _ = self._counted(lambda x: math.inf if x <= 0.0 else 1.0 / x + x)
         for start in (-0.5, 1e-3, 3.9):
-            x, f, _ = _golden_min(fn, -1.0, 4.0, 120, start=start)
+            x, f, _ = _golden_min(fn, -1.0, 4.0, start=start)
             assert math.isfinite(f) and 0.0 < x
             assert f - 2.0 <= 4 * np.spacing(2.0)
 
     def test_start_walks_to_a_minimum_at_either_end(self):
         for fn, end in ((math.exp, -1.0), (lambda x: math.exp(-x), 2.0)):
             for start in (-0.999, 0.5, 1.999):
-                x, f, _ = _golden_min(fn, -1.0, 2.0, 120, start=start)
+                x, f, _ = _golden_min(fn, -1.0, 2.0, start=start)
                 assert (x, f) == (end, fn(end))
 
 
@@ -596,11 +596,18 @@ def _round0_context(overrides, seed):
     return build_context(exp.vehicles.values(), exp.geometry, cfg)
 
 
-def test_instance_dump_keeps_block_iters():
-    ctx = _round0_context({"optimization.block_iters": "12"}, 2)
-    back = load_instance(dump_instance(ctx, None))
-    assert back.block_iters == 12
-    assert bcd_solve(back)[0].objective_value == bcd_solve(ctx)[0].objective_value
+def test_instance_dump_with_retired_block_iters_loads():
+    # dumps once carried a line-search cap, `block_iters <n>`, after d_total
+    text = dump_instance(_round0_context({}, 2), None)
+    header = text.splitlines()[1]
+    old = text.replace(header, header.replace(" budget_dropped", " block_iters 12 budget_dropped"))
+    assert "block_iters 12" in old and "block_iters" not in text
+    new_plan, old_plan = bcd_solve(load_instance(text))[0], bcd_solve(load_instance(old))[0]
+    assert old_plan.ids == new_plan.ids
+    assert repr(old_plan.objective_value) == repr(new_plan.objective_value)
+    for i in new_plan.ids:
+        assert repr(old_plan.inclusion_probs[i]) == repr(new_plan.inclusion_probs[i])
+        assert repr(old_plan.rates[i]) == repr(new_plan.rates[i])
 
 
 def test_instance_dump_keeps_budget_dropped():
