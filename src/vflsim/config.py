@@ -186,6 +186,11 @@ class SimConfig:
             (l.aggregation in ("verbatim", "anchored"),
              "learning.aggregation must be 'verbatim' or 'anchored'"),
             (r.rounds >= 0, "run.rounds must be >= 0"),
+            # numpy seeds its generators from non-negative integers only
+            (r.seed >= 0, "run.seed must be >= 0"),
+            (all(s >= 0 for s in r.seeds), "run.seeds items must be >= 0"),
+            (all(0.0 <= a <= 1.0 for a in r.compare_alphas),
+             "run.compare_alphas items must lie in [0, 1]"),
             (r.scheduler in ("vrvfl", "scheme1", "scheme2"),
              "run.scheduler must be one of vrvfl, scheme1, scheme2"),
         ]

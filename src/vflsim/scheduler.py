@@ -51,6 +51,7 @@ _GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
 # geometric pass over the ceiling
 _SCAN_GRID = 1500
 _SCAN_CEILINGS = 1400
+_SCAN_BLOCK = 16  # vehicles per numpy call of the scan
 
 
 # ---------------------------------------------------------------------------
@@ -340,29 +341,46 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, warm=None):
     ell_lo = float(np.max(ln_u - f1_max))
     ell_hi = float(np.max(ln_u - f1_min))
 
-    def rates_at(ell):
-        f1_req = ln_u - ell
-        r_req = np.where(f1_req > 0.0, w * np.log1p(np.maximum(f1_req, 0.0)) / _LN2, 0.0)
-        return np.minimum(np.maximum(r_req, ctx.r_min), ctx.r_max)
+    def rates_at(ell, out=None):
+        # the clamp to r_min > 0 also settles the vehicles that need no raise
+        out = np.subtract(ln_u, ell, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.log1p(out, out=out)
+        np.multiply(w, out, out=out)
+        np.divide(out, _LN2, out=out)
+        np.maximum(out, ctx.r_min, out=out)
+        return np.minimum(out, ctx.r_max, out=out)
 
     weighted_data = alpha * ctx.data_sizes
     scaled_u = ctx.d_total * u
+    rates, x = np.empty(ctx.size), np.empty(ctx.size)
 
     def phi(ell):
-        r = rates_at(ell)
-        p = ctx.success_prob(r)
-        if np.any(p <= 0.0):
+        # SchedulingContext.success_prob inline: p = -expm1(arg) > 0 exactly where
+        # arg < 0, and the cost is infinite elsewhere
+        rates_at(ell, out=rates)
+        np.multiply(rates, _LN2, out=x)
+        np.divide(x, w, out=x)
+        np.expm1(x, out=x)
+        np.divide(ctx.xi3, x, out=x)
+        np.subtract(ctx.xi1, x, out=x)
+        if not x.max() < 0.0:
             return math.inf
-        cost = float(np.sum(weighted_data / (scaled_u * p)))
-        return cost + (1.0 - alpha) * math.exp(ell)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.multiply(scaled_u, x, out=x)
+        np.divide(weighted_data, x, out=x)
+        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
 
     if not ell_hi > ell_lo:
         return rates_at(ell_hi)
     start = warm[0] if warm else None
-    if start is None or not ell_lo < start < ell_hi:
-        floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
-        ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
-    ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
+    # the success probability's overflow and zero division, as it ignores them
+    with np.errstate(divide="ignore", over="ignore"):
+        if start is None or not ell_lo < start < ell_hi:
+            floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
+            ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
+        ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
     if warm:
         warm[0] = ell_star
     return rates_at(ell_star)
@@ -374,7 +392,8 @@ def _waterfill(cost, lo, caps, budget):
     Exact KKT solve: u_v(mu) = clip(sqrt(cost_v/mu), lo, caps_v) with the
     multiplier found by a vectorized scan over its breakpoints.
     """
-    return _waterfill_solver(cost, lo, budget)(caps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _waterfill_solver(cost, lo, budget)(np.array(caps, dtype=float))
 
 
 def _waterfill_solver(cost, lo, budget):
@@ -383,10 +402,12 @@ def _waterfill_solver(cost, lo, budget):
     Everything that does not depend on the caps (finite costs, the active set,
     sqrt(cost), the floor breakpoints cost/lo^2 and the constant event columns)
     is computed once here, so a line search over the caps pays only for the
-    cap breakpoints and their sort.
+    cap breakpoints and their sort.  The solve overwrites its caps argument and
+    may return it; its caller ignores zero division and invalid values.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
+    every = bool(act.all())  # no vehicle pinned at lo: the masks are moot
     ca = cost[act]
     n_lo_fixed = int((~act).sum())
     cost_or_one = np.where(act, cost, 1.0)
@@ -397,29 +418,28 @@ def _waterfill_solver(cost, lo, budget):
     ev_dnlo = np.concatenate([zeros, np.ones_like(ca)])
 
     def solve(caps):
-        caps = np.maximum(caps, lo)
-        u_free = np.where(act, caps, lo)
+        caps = np.maximum(caps, lo, out=caps)
+        u_free = caps if every else np.where(act, caps, lo)
         total = float(u_free.sum())
         if total <= budget * (1.0 + 1e-12):
             return u_free
-        ha = caps[act]
+        ha = caps if every else caps[act]
         mu_hi = ca / ha**2  # below: pinned at cap
         ev_mu = np.concatenate([mu_hi, mu_lo])
         ev_dhi = np.concatenate([-ha, zeros])
         order = np.argsort(ev_mu, kind="stable")
         ev_mu = ev_mu[order]
-        sum_hi = float(ha.sum()) + np.cumsum(ev_dhi[order])
+        sum_hi = (total if every else float(ha.sum())) + np.cumsum(ev_dhi[order])
         sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
         n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
-        lowers = ev_mu
-        uppers = np.append(ev_mu[1:], np.inf)
         rhs = budget - sum_hi - lo * n_lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_cand = (sum_sq / rhs) ** 2
-        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= lowers * (1 - 1e-12)) & (mu_cand <= uppers * (1 + 1e-12))
-        idx = np.flatnonzero(ok)
-        if len(idx) > 0:
-            mu = float(mu_cand[idx[0]])
+        mu_cand = (sum_sq / rhs) ** 2
+        # mu_cand must lie between its breakpoint and the next; the last is unbounded
+        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= ev_mu * (1 - 1e-12))
+        ok[:-1] &= mu_cand[:-1] <= ev_mu[1:] * (1 + 1e-12)
+        first = int(ok.argmax())
+        if ok[first]:
+            mu = float(mu_cand[first])
         else:
             # degenerate ties: fall back to bisection on the monotone budget curve
             mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
@@ -430,7 +450,8 @@ def _waterfill_solver(cost, lo, budget):
                 else:
                     mu_b = mu
             mu = mu_b
-        return np.where(act, np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps), lo)
+        u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
+        return u if every else np.where(act, u, lo)
 
     return solve
 
@@ -459,18 +480,22 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, warm=None):
     ell_lo = math.log(ctx.u_min) + top
     ell_hi = top
     fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+    caps, x = np.empty(ctx.size), np.empty(ctx.size)
 
-    def u_at(ell):
-        return fill(np.exp(np.minimum(0.0, ell - ln_e)))
+    def u_at(ell, out=None):
+        out = np.subtract(ell, ln_e, out=out)
+        np.minimum(0.0, out, out=out)
+        return fill(np.exp(out, out=out))
 
     def psi(ell):
-        u = u_at(ell)
-        return float(np.sum(cost / u)) + (1.0 - alpha) * math.exp(ell)
+        np.divide(cost, u_at(ell, out=caps), out=x)
+        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
 
-    ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, warm[0] if warm else None)
-    if warm:
-        warm[0] = ell_star
-    return u_at(ell_star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, warm[0] if warm else None)
+        if warm:
+            warm[0] = ell_star
+        return u_at(ell_star)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +510,12 @@ class SolverReport:
     block_residuals: list = field(default_factory=list)
 
 
+def _slice_minima(ln_q, rows, left, right):
+    """min of ln_q[rows[i], left[i]:right[i]] per i, for windows that neither the
+    prefix nor the suffix minima of _ceiling_scan settle."""
+    return np.array([ln_q[v, a:b].min() for v, a, b in zip(rows, left, right)])
+
+
 def _ceiling_scan(ctx: SchedulingContext, alpha):
     """Globally-informed candidate for the joint problem when the budget is slack.
 
@@ -496,75 +527,91 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     of log q locates the global optimum up to grid resolution, ignoring the
     sum(u) <= N budget; the caller discards the candidate if that budget turns
     out violated.
+
+    The window minima come from per-vehicle prefix and suffix minima of log q
+    over its grid of G points: a window [l, r) has the minimum of [0, r) when
+    that is below the minimum of [0, l), else the minimum of [l, G) when that
+    is below the minimum of [r, G); only the rest are sliced.  Where even the
+    minimum of [0, r), a lower bound on the window's, prices the riding branch
+    above the u = 1 branch, the window's left end is never located.  The scan
+    runs over blocks of _SCAN_BLOCK vehicles, which bounds its working set;
+    only the grid searches go one vehicle at a time.  Grid rows must ascend,
+    which holds unless R_max is within about 1e-9 of R_min.
     """
     w = ctx.bandwidth
-    xi1 = ctx.xi1
-    xi3 = ctx.xi3
     f1_lo = np.expm1(ctx.r_min * _LN2 / w)
     f1_hi = np.expm1(ctx.r_max * _LN2 / w)
     ln_umin = math.log(ctx.u_min)
-    # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge
-    grids = [np.exp(np.linspace(math.log(f1_lo[v]), math.log(f1_hi[v] * (1 - 1e-9)), _SCAN_GRID))
-             for v in range(ctx.size)]
-    ln_q = []
-    for v in range(ctx.size):
-        p = -np.expm1(np.minimum(xi1[v] - xi3[v] / grids[v], 0.0))
-        ln_q.append(-grids[v] - np.log(np.maximum(p, 1e-300)))
-    ln_cd = np.log(alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total)
-
-    # sparse tables for O(1) range-minimum queries over each log-q grid
-    tables = []
-    for v in range(ctx.size):
-        levels = [ln_q[v]]
-        span = 1
-        while 2 * span <= _SCAN_GRID:
-            prev = levels[-1]
-            levels.append(np.minimum(prev[:-span], prev[span:]))
-            span *= 2
-        tables.append(levels)
-
-    def range_min(v, left, right):
-        """Vectorized min of ln_q[v][left:right] per query; inf on empty windows."""
-        span = right - left
-        out = np.full(len(left), np.inf)
-        ok = span >= 1
-        if not ok.any():
-            return out
-        k = np.zeros(len(left), dtype=int)
-        k[ok] = np.floor(np.log2(span[ok])).astype(int)
-        for level in np.unique(k[ok]):
-            sel = ok & (k == level)
-            tab = tables[v][level]
-            width = 1 << level
-            out[sel] = np.minimum(tab[left[sel]], tab[right[sel] - width])
-        return out
-
-    def phi_branches(v, ells):
-        hi_f = -ells
-        f1_a = np.maximum(f1_lo[v], hi_f)
-        feasible = f1_a <= f1_hi[v] * (1.0 - 1e-12)
-        with np.errstate(divide="ignore"):
-            p_a = -np.expm1(np.minimum(xi1[v] - xi3[v] / f1_a, 0.0))
-        phi_a = np.where(feasible & (p_a > 0),
-                         alpha * ctx.data_sizes[v] / (ctx.d_total * np.maximum(p_a, 1e-300)),
-                         np.inf)
-        g = grids[v]
-        left = np.searchsorted(g, ln_umin - ells, side="left")
-        right = np.searchsorted(g, hi_f, side="right")
-        phi_b = np.exp(np.minimum(ln_cd[v] - ells + range_min(v, left, right), 700.0))
-        return phi_a, phi_b
-
-    def scan_totals(ells):
-        totals = (1.0 - alpha) * np.exp(ells)
-        for v in range(ctx.size):
-            phi_a, phi_b = phi_branches(v, ells)
-            totals += np.minimum(phi_a, phi_b)
-        return totals
-
     ell_lo = float(np.max(ln_umin - f1_hi))
     ell_hi = float(np.max(-f1_lo))
     if not ell_hi > ell_lo:
         return None
+    n_grid, size = _SCAN_GRID, ctx.size
+    blocks = [slice(s, min(s + _SCAN_BLOCK, size)) for s in range(0, size, _SCAN_BLOCK)]
+    xi1, xi3 = ctx.xi1[:, None], ctx.xi3[:, None]
+    lo_col, hi_col = f1_lo[:, None], f1_hi[:, None]
+    weighted_data = alpha * ctx.data_sizes[:, None]
+    ln_cd = np.log(alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total)[:, None]
+
+    # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge,
+    # in np.linspace's arithmetic on math.log ends
+    ln_a = np.array([math.log(x) for x in f1_lo.tolist()])[:, None]
+    ln_b = np.array([math.log(x * (1 - 1e-9)) for x in f1_hi.tolist()])[:, None]
+    steps = np.arange(n_grid, dtype=float)
+    grid, ln_q = np.empty((size, n_grid)), np.empty((size, n_grid))
+    # pre[v, r] = min of ln_q[v, :r] and suf[v, l] = min of ln_q[v, l:]; G = n_grid
+    pre, suf = np.empty((size, n_grid + 1)), np.empty((size, n_grid + 1))
+    pre[:, 0] = suf[:, n_grid] = np.inf
+    for rows in blocks:
+        x = steps * ((ln_b[rows] - ln_a[rows]) / (n_grid - 1)) + ln_a[rows]
+        x[:, -1] = ln_b[rows, 0]
+        g = grid[rows] = np.exp(x)
+        p = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / g, 0.0))
+        q = ln_q[rows] = -g - np.log(np.maximum(p, 1e-300))
+        np.minimum.accumulate(q, axis=1, out=pre[rows, 1:])
+        suf[rows, :n_grid] = np.minimum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
+
+    def branches(rows, ells):
+        """phi_a and phi_b per vehicle of `rows` and ceiling; phi_b reads inf where
+        its lower bound already exceeds phi_a."""
+        hi_f = -ells
+        f1_a = np.maximum(lo_col[rows], hi_f)
+        with np.errstate(divide="ignore"):
+            p_a = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / f1_a, 0.0))
+        live = (f1_a <= hi_col[rows] * (1.0 - 1e-12)) & (p_a > 0)
+        phi_a = np.where(live, weighted_data[rows] / (ctx.d_total * np.maximum(p_a, 1e-300)),
+                         np.inf)
+        g = grid[rows]
+        right = np.array([np.searchsorted(row, hi_f, side="right") for row in g])
+        shift = ln_cd[rows] - ells
+        bound = np.exp(np.minimum(shift + np.take_along_axis(pre[rows], right, axis=1), 700.0))
+        j, k = np.nonzero(~(bound > phi_a * (1.0 + 1e-12)))
+        # np.nonzero goes row by row, so each vehicle's ceilings form one run
+        runs = np.searchsorted(j, np.arange(len(g) + 1))
+        x_left = ln_umin - ells
+        left = np.empty(len(j), dtype=np.intp)
+        for i in np.flatnonzero(runs[1:] > runs[:-1]):
+            a, b = runs[i], runs[i + 1]
+            left[a:b] = np.searchsorted(g[i], x_left[k[a:b]], side="left")
+        v, r = j + rows.start, right[j, k]
+        # [l, r) holds the minimum of [0, r) if that is below the minimum of [0, l),
+        # and the minimum of [l, G) if that is below the minimum of [r, G)
+        in_pre = pre[v, r] < pre[v, left]
+        in_suf = suf[v, left] < suf[v, r]
+        m = np.where(in_pre, pre[v, r], np.where(in_suf, suf[v, left], np.inf))
+        rest = np.flatnonzero(~in_pre & ~in_suf & (left < r))
+        m[rest] = _slice_minima(ln_q, v[rest], left[rest], r[rest])
+        phi_b = np.full(phi_a.shape, np.inf)
+        phi_b[j, k] = np.exp(np.minimum(shift[j, k] + m, 700.0))
+        return phi_a, phi_b
+
+    def scan_totals(ells):
+        totals = (1.0 - alpha) * np.exp(ells)
+        for rows in blocks:
+            for term in np.minimum(*branches(rows, ells)):
+                totals += term  # vehicle by vehicle, in id order
+        return totals
+
     t_min = max(-ell_hi, 1e-9)
     t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
     coarse = -np.geomspace(t_min, t_max, _SCAN_CEILINGS)
@@ -577,19 +624,16 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     kf = int(np.argmin(totals_fine))
     ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
 
-    u = np.empty(ctx.size)
-    ell_arr = np.array([ell])
-    for v in range(ctx.size):
-        phi_a, phi_b = phi_branches(v, ell_arr)
-        if not (math.isfinite(phi_a[0]) or math.isfinite(phi_b[0])):
+    u = np.ones(size)
+    for rows in blocks:
+        phi_a, phi_b = (col[:, 0] for col in branches(rows, np.array([ell])))
+        if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
             return None
-        if phi_b[0] < phi_a[0]:
-            g = grids[v]
-            mask = (g >= ln_umin - ell) & (g <= -ell)
-            j = int(np.flatnonzero(mask)[np.argmin(ln_q[v][mask])])
-            u[v] = min(1.0, math.exp(ell + g[j]))
-        else:
-            u[v] = 1.0
+        for v in np.flatnonzero(phi_b < phi_a) + rows.start:
+            g = grid[v]
+            a = np.searchsorted(g, ln_umin - ell, side="left")
+            b = np.searchsorted(g, -ell, side="right")
+            u[v] = min(1.0, math.exp(ell + g[a + int(np.argmin(ln_q[v, a:b]))]))
     if u.sum() > ctx.n_blocks:
         return None
     return np.clip(u, ctx.u_min, 1.0)

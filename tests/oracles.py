@@ -4,10 +4,12 @@ Each oracle deliberately avoids the code path it checks: the Bessel oracle is
 a raw extended-precision power series and the scheduler oracle is a grid sweep
 over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
-them as references.  The per-vehicle channel refresh and scheduling context
-at the end are the straightforward one-vehicle-at-a-time forms of the
-program's batched ones, and the one-vehicle SGD loop at the very end is the
-reference for the program's lockstep training.
+them as references.  The solver's ceiling scan with per-vehicle sparse tables
+and its line-search evaluations on fresh arrays are the references for the
+program's blocked scan and buffered evaluations.  The per-vehicle channel
+refresh and scheduling context at the end are the straightforward
+one-vehicle-at-a-time forms of the program's batched ones, and the one-vehicle
+SGD loop at the very end is the reference for the program's lockstep training.
 """
 
 import math
@@ -215,6 +217,203 @@ def grid_min_two_vehicle_naive(ctx, alpha, n_u=30, n_r=30):
                 tot = np.where(u_grid[:, None] + u_grid[i] <= ctx.n_blocks, tot, np.inf)
             best = min(best, float(tot.min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the solver's ceiling scan and line-search evaluations, one vehicle or one
+# fresh array at a time
+# ---------------------------------------------------------------------------
+
+def reference_ceiling_scan(ctx, alpha):
+    """scheduler._ceiling_scan one vehicle at a time, window minima from sparse tables."""
+    w = ctx.bandwidth
+    xi1 = ctx.xi1
+    xi3 = ctx.xi3
+    f1_lo = np.expm1(ctx.r_min * _LN2 / w)
+    f1_hi = np.expm1(ctx.r_max * _LN2 / w)
+    ln_umin = math.log(ctx.u_min)
+    # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge
+    grids = [np.exp(np.linspace(math.log(f1_lo[v]), math.log(f1_hi[v] * (1 - 1e-9)),
+                                scheduler._SCAN_GRID))
+             for v in range(ctx.size)]
+    ln_q = []
+    for v in range(ctx.size):
+        p = -np.expm1(np.minimum(xi1[v] - xi3[v] / grids[v], 0.0))
+        ln_q.append(-grids[v] - np.log(np.maximum(p, 1e-300)))
+    ln_cd = np.log(alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total)
+
+    # sparse tables for O(1) range-minimum queries over each log-q grid
+    tables = []
+    for v in range(ctx.size):
+        levels = [ln_q[v]]
+        span = 1
+        while 2 * span <= scheduler._SCAN_GRID:
+            prev = levels[-1]
+            levels.append(np.minimum(prev[:-span], prev[span:]))
+            span *= 2
+        tables.append(levels)
+
+    def range_min(v, left, right):
+        """Vectorized min of ln_q[v][left:right] per query; inf on empty windows."""
+        span = right - left
+        out = np.full(len(left), np.inf)
+        ok = span >= 1
+        if not ok.any():
+            return out
+        k = np.zeros(len(left), dtype=int)
+        k[ok] = np.floor(np.log2(span[ok])).astype(int)
+        for level in np.unique(k[ok]):
+            sel = ok & (k == level)
+            tab = tables[v][level]
+            width = 1 << level
+            out[sel] = np.minimum(tab[left[sel]], tab[right[sel] - width])
+        return out
+
+    def phi_branches(v, ells):
+        hi_f = -ells
+        f1_a = np.maximum(f1_lo[v], hi_f)
+        feasible = f1_a <= f1_hi[v] * (1.0 - 1e-12)
+        with np.errstate(divide="ignore"):
+            p_a = -np.expm1(np.minimum(xi1[v] - xi3[v] / f1_a, 0.0))
+        phi_a = np.where(feasible & (p_a > 0),
+                         alpha * ctx.data_sizes[v] / (ctx.d_total * np.maximum(p_a, 1e-300)),
+                         np.inf)
+        g = grids[v]
+        left = np.searchsorted(g, ln_umin - ells, side="left")
+        right = np.searchsorted(g, hi_f, side="right")
+        phi_b = np.exp(np.minimum(ln_cd[v] - ells + range_min(v, left, right), 700.0))
+        return phi_a, phi_b
+
+    def scan_totals(ells):
+        totals = (1.0 - alpha) * np.exp(ells)
+        for v in range(ctx.size):
+            phi_a, phi_b = phi_branches(v, ells)
+            totals += np.minimum(phi_a, phi_b)
+        return totals
+
+    ell_lo = float(np.max(ln_umin - f1_hi))
+    ell_hi = float(np.max(-f1_lo))
+    if not ell_hi > ell_lo:
+        return None
+    t_min = max(-ell_hi, 1e-9)
+    t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
+    coarse = -np.geomspace(t_min, t_max, scheduler._SCAN_CEILINGS)
+    totals = scan_totals(coarse)
+    k = int(np.argmin(totals))
+    if not math.isfinite(totals[k]):
+        return None
+    fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, scheduler._SCAN_CEILINGS - 1)], 400)
+    totals_fine = scan_totals(fine)
+    kf = int(np.argmin(totals_fine))
+    ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
+
+    u = np.empty(ctx.size)
+    ell_arr = np.array([ell])
+    for v in range(ctx.size):
+        phi_a, phi_b = phi_branches(v, ell_arr)
+        if not (math.isfinite(phi_a[0]) or math.isfinite(phi_b[0])):
+            return None
+        if phi_b[0] < phi_a[0]:
+            g = grids[v]
+            mask = (g >= ln_umin - ell) & (g <= -ell)
+            j = int(np.flatnonzero(mask)[np.argmin(ln_q[v][mask])])
+            u[v] = min(1.0, math.exp(ell + g[j]))
+        else:
+            u[v] = 1.0
+    if u.sum() > ctx.n_blocks:
+        return None
+    return np.clip(u, ctx.u_min, 1.0)
+
+
+def reference_waterfill_solver(cost, lo, budget):
+    """scheduler._waterfill_solver with its masks applied on every call."""
+    cost = np.where(np.isfinite(cost), cost, 1e300)
+    act = cost > 0.0
+    ca = cost[act]
+    n_lo_fixed = int((~act).sum())
+    cost_or_one = np.where(act, cost, 1.0)
+    sq = np.sqrt(ca)
+    mu_lo = ca / lo**2  # above: pinned at floor
+    zeros = np.zeros_like(ca)
+    ev_dsq = np.concatenate([sq, -sq])
+    ev_dnlo = np.concatenate([zeros, np.ones_like(ca)])
+
+    def solve(caps):
+        caps = np.maximum(caps, lo)
+        u_free = np.where(act, caps, lo)
+        total = float(u_free.sum())
+        if total <= budget * (1.0 + 1e-12):
+            return u_free
+        ha = caps[act]
+        mu_hi = ca / ha**2  # below: pinned at cap
+        ev_mu = np.concatenate([mu_hi, mu_lo])
+        ev_dhi = np.concatenate([-ha, zeros])
+        order = np.argsort(ev_mu, kind="stable")
+        ev_mu = ev_mu[order]
+        sum_hi = float(ha.sum()) + np.cumsum(ev_dhi[order])
+        sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
+        n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
+        lowers = ev_mu
+        uppers = np.append(ev_mu[1:], np.inf)
+        rhs = budget - sum_hi - lo * n_lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_cand = (sum_sq / rhs) ** 2
+        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= lowers * (1 - 1e-12)) & (mu_cand <= uppers * (1 + 1e-12))
+        idx = np.flatnonzero(ok)
+        if len(idx) > 0:
+            mu = float(mu_cand[idx[0]])
+        else:
+            # degenerate ties: fall back to bisection on the monotone budget curve
+            mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
+            for _ in range(200):
+                mu = math.sqrt(mu_a * mu_b)
+                if np.minimum(np.maximum(np.sqrt(ca / mu), lo), ha).sum() + n_lo_fixed * lo > budget:
+                    mu_a = mu
+                else:
+                    mu_b = mu
+            mu = mu_b
+        return np.where(act, np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps), lo)
+
+    return solve
+
+
+def reference_rate_block_phi(u, ctx, alpha):
+    """The reduced objective phi(ell) that solve_rate_block searches, with fresh arrays."""
+    u = np.asarray(u, dtype=float)
+    ln_u = np.log(u)
+    w = ctx.bandwidth
+    weighted_data = alpha * ctx.data_sizes
+    scaled_u = ctx.d_total * u
+
+    def rates_at(ell):
+        f1_req = ln_u - ell
+        r_req = np.where(f1_req > 0.0, w * np.log1p(np.maximum(f1_req, 0.0)) / _LN2, 0.0)
+        return np.minimum(np.maximum(r_req, ctx.r_min), ctx.r_max)
+
+    def phi(ell):
+        p = ctx.success_prob(rates_at(ell))
+        if np.any(p <= 0.0):
+            return math.inf
+        cost = float(np.sum(weighted_data / (scaled_u * p)))
+        return cost + (1.0 - alpha) * math.exp(ell)
+
+    return phi
+
+
+def reference_inclusion_block_psi(rates, ctx, alpha):
+    """The reduced objective psi(ell) that solve_inclusion_block searches, with fresh arrays."""
+    rates = np.asarray(rates, dtype=float)
+    p = ctx.success_prob(rates)
+    with np.errstate(divide="ignore"):
+        cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
+    ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)
+    fill = reference_waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+
+    def psi(ell):
+        u = fill(np.exp(np.minimum(0.0, ell - ln_e)))
+        return float(np.sum(cost / u)) + (1.0 - alpha) * math.exp(ell)
+
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(overrides={key: value})
 
+    @pytest.mark.parametrize("key, value", [("run.seed", "-1"), ("run.seeds", "3,-2"),
+                                            ("run.compare_alphas", "0.4,1.5"),
+                                            ("run.compare_alphas", "-0.1")])
+    def test_out_of_range_run_value_named(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(overrides={key: value})
+
     def test_zero_feedback_delay_rejected(self):
         # epsilon = J0(0) = 1 leaves no estimation error, and the success
         # probabilities of the outage model come out 0 or NaN; so does a delay
@@ -131,6 +138,18 @@ class TestCli:
 
     def test_unknown_key_exit_code(self, tmp_path):
         assert cli.main(["run", "--set", "nope.nope=1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        rc = cli.main(["run", "--rounds", "0", "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "run.seed" in capsys.readouterr().err
+
+    def test_compare_rejects_alpha_out_of_range_before_any_run(self, tmp_path, capsys):
+        rc = cli.main(["compare", "--rounds", "1", "--seed", "1", "--out-dir", str(tmp_path),
+                       "--set", "run.compare_alphas=0.4,1.5"] + QUICK)
+        assert rc == 2
+        assert "run.compare_alphas" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_retired_block_iters_key_rejected(self, tmp_path, capsys):
         rc = cli.main(["run", "--set", "optimization.block_iters=120", "--out-dir", str(tmp_path)])
