@@ -32,47 +32,18 @@ _SERIES_SWITCH = 12.0
 
 
 def bessel_j0(x):
-    """Zeroth-order Bessel function of the first kind.
+    """Zeroth-order Bessel function of the first kind, per element; a float for
+    scalar input.
 
     Power series below |x| = 12, Hankel asymptotic expansion with optimal
     truncation beyond.  Absolute error below 1e-9 for |x| <= 20 (much better
-    in practice).
+    in practice).  The series runs on all elements at once, each element
+    summing its own terms in order until one is at most 1e-14 in magnitude.
     """
-    if np.ndim(x) != 0:
-        return _j0_array(np.asarray(x, dtype=float))
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel_j0 requires finite input, got {x!r}")
-    ax = abs(x)
-    if ax <= _SERIES_SWITCH:
-        return _j0_series(ax)
-    return _j0_asymptotic(ax)
-
-
-def _j0_series(x):
-    # terms t_{k+1} = -t_k (x^2/4)/(k+1)^2; partial sums stay O(1e4) for x<=12
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while abs(term) > 1e-14:
-        k += 1
-        term *= -q / (k * k)
-        total += term
-        if k > 400:  # unreachable for x <= 12, guards misuse
-            break
-    return total
-
-
-def _j0_array(x):
-    """bessel_j0 per element, with the same bits as the scalar path.
-
-    The power series runs on all elements at once; each element takes the
-    scalar series' terms, in its order, and stops at the same term.
-    """
+    x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"bessel_j0 requires finite input, got {float(x[~np.isfinite(x)][0])!r}")
-    ax = np.abs(x)
+    ax = np.abs(np.atleast_1d(x))
     out = np.empty_like(ax)
     near = ax <= _SERIES_SWITCH
     q = 0.25 * ax[near] * ax[near]
@@ -80,14 +51,14 @@ def _j0_array(x):
     total = np.ones_like(q)
     live = np.arange(len(q))  # elements whose last term exceeded 1e-14
     k = 0
-    while len(live) and k <= 400:
+    while len(live) and k <= 400:  # 400 is unreachable for |x| <= 12
         k += 1
         term[live] *= -q[live] / (k * k)
         total[live] += term[live]
         live = live[np.abs(term[live]) > 1e-14]
     out[near] = total
     out[~near] = [_j0_asymptotic(v) for v in ax[~near].tolist()]
-    return out
+    return out if x.ndim else float(out[0])
 
 
 def _j0_asymptotic(x):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,10 +215,10 @@ def analytic_block_limits():
     worst = 0.0
     for _ in range(20):
         ctx = random_context(rng, int(rng.integers(2, 9)))
-        plan1, _ = scheduler.bcd_solve(ctx, alpha=1.0)
+        plan1, _ = scheduler.bcd_solve(replace(ctx, alpha=1.0))
         r1 = np.array([plan1.rates[i] for i in plan1.ids])
         worst = max(worst, float(np.max(np.abs(r1 - ctx.r_min) / ctx.r_min)))
-        plan0, _ = scheduler.bcd_solve(ctx, alpha=0.0)
+        plan0, _ = scheduler.bcd_solve(replace(ctx, alpha=0.0))
         r0 = np.array([plan0.rates[i] for i in plan0.ids])
         u0 = np.array([plan0.inclusion_probs[i] for i in plan0.ids])
         worst = max(worst, float(np.max(np.abs(r0 - ctx.r_max) / ctx.r_max)))

@@ -30,7 +30,6 @@ class PhysicalConfig:
     model_bits: float = 4.38e6
     shadowing_sigma_db: float = 3.0
     min_distance_m: float = 1.0
-    speed_of_light_mps: float = 299792458.0
 
 
 @dataclass
@@ -53,9 +52,6 @@ class OptimizationConfig:
     alpha: float = 0.4  # weight between inclusion cost (1) and round-time pressure (0)
     u_min: float = 0.05
     round_time_cap_s: float = 60.0
-    bcd_tol: float = 1e-6
-    bcd_max_outer: int = 50
-    d_total_mode: str = "feasible"  # feasible | coverage
 
 
 @dataclass
@@ -146,7 +142,6 @@ class SimConfig:
             (p.feedback_delay_s > 0, "physical.feedback_delay_s must be > 0"),
             (p.model_bits > 0, "physical.model_bits must be > 0"),
             (p.min_distance_m > 0, "physical.min_distance_m must be > 0"),
-            (p.speed_of_light_mps > 0, "physical.speed_of_light_mps must be > 0"),
             (p.shadowing_sigma_db >= 0, "physical.shadowing_sigma_db must be >= 0"),
             (g.road_length_m > 0, "geometry.road_length_m must be > 0"),
             (g.lane_count >= 1, "geometry.lane_count must be >= 1"),
@@ -159,10 +154,6 @@ class SimConfig:
             (0.0 <= o.alpha <= 1.0, "optimization.alpha must lie in [0, 1]"),
             (0.0 < o.u_min <= 1.0, "optimization.u_min must lie in (0, 1]"),
             (o.round_time_cap_s > 0, "optimization.round_time_cap_s must be > 0"),
-            (o.bcd_tol > 0, "optimization.bcd_tol must be > 0"),
-            (o.bcd_max_outer >= 1, "optimization.bcd_max_outer must be >= 1"),
-            (o.d_total_mode in ("feasible", "coverage"),
-             "optimization.d_total_mode must be 'feasible' or 'coverage'"),
             (l.num_classes >= 2, "learning.num_classes must be >= 2"),
             (l.feature_dim >= l.num_classes,
              "learning.feature_dim must be >= num_classes (class means use one axis each)"),
@@ -199,8 +190,7 @@ class SimConfig:
                 raise ConfigError(msg)
         # the slowest vehicle has the best CSI; once its correlation rounds to 1
         # the estimation error vanishes as above
-        eps = temporal_correlation(self.speed_min_mps, p.carrier_freq_hz, p.feedback_delay_s,
-                                   p.speed_of_light_mps)
+        eps = temporal_correlation(self.speed_min_mps, p.carrier_freq_hz, p.feedback_delay_s)
         if not eps * eps < 1.0:
             raise ConfigError("physical.feedback_delay_s is too short: the CSI correlation "
                               "of the slowest vehicle rounds to 1")

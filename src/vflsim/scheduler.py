@@ -19,15 +19,17 @@ several vehicles tie at the max; it stops once convexity certifies that its
 best value is within a few ulps of the block minimum.
 
 Between alternations the optimal ceiling moves little, so within one
-alternation run each block's search starts from the ceiling of that block's
-previous solve and brackets the minimum downhill from there.  The first
-search of a run covers the whole ceiling range, which for the rate block is
-first cut from below in closed form to the ceilings that can beat the top
+alternation run each block's search starts from the ceiling that block's
+previous solve returned and brackets the minimum downhill from there.  The
+first search of a run covers the whole ceiling range, which for the rate block
+is first cut from below in closed form to the ceilings that can beat the top
 one.  bcd_solve keeps the block results of one solve keyed by the exact input
 bytes, so no block is solved twice on the same input.
 
 Block solvers are deterministic functions of their inputs and starting
-ceiling; iteration order is vehicle-id ascending for reproducibility.
+ceiling, and return their result with the ceiling it sits at; iteration order
+is vehicle-id ascending for reproducibility.  The problem, alpha included, is
+the context's: a solve at another alpha takes a copy of the context.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +49,11 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # a few ulps, the resolution at which the sampled values stop changing
 _CERT_RTOL = 4.0 * sys.float_info.epsilon
 _GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
+# an alternation run stops once one alternation lowers the objective by at most
+# this fraction, or after _BCD_MAX_ALTERNATIONS; every measured run stopped
+# on the decrease, the longest after 47 (README solver notes)
+_BCD_RTOL = 1e-6
+_BCD_MAX_ALTERNATIONS = 50
 # _ceiling_scan: points of each vehicle's log-spaced f1 grid and of the
 # geometric pass over the ceiling
 _SCAN_GRID = 1500
@@ -85,7 +92,6 @@ class SchedulingContext:
         # at rate R is 1 - exp(xi1 - xi3/(2^(R/W)-1)), and 2^(R/W) = 1 + xi3/xi1
         # is the perfect-CSI capacity
         eps2 = self.epsilon**2
-        self.eps2 = eps2
         self.xi1 = (self.bandwidth * self.noise_density
                     / (self.tx_power * self.gain * (1.0 - eps2)))
         self.xi3 = self.h_est_sq * eps2 / (1.0 - eps2)
@@ -137,9 +143,8 @@ def _drop_for_budget(ids, r_max, u_min, n_blocks):
 
 def build_context(vehicles, geometry, cfg):
     """Feasible-set context from live vehicle states; handles the u_min budget shrink."""
-    vehicles = sorted(vehicles, key=lambda x: x.id)
-    coverage_data = sum(v.dataset.size for v in vehicles if v.dataset is not None)
-    road = [v for v in vehicles if v.position < geometry.road_length]
+    road = [v for v in sorted(vehicles, key=lambda x: x.id)
+            if v.position < geometry.road_length]
 
     def column(values):
         return np.array(list(values), dtype=float)
@@ -157,7 +162,6 @@ def build_context(vehicles, geometry, cfg):
     kept, dropped = _drop_for_budget(ids[feasible], r_hi[feasible], opt.u_min,
                                      cfg.physical.n_blocks)
     rows = feasible[kept]
-    d_total = float(data[rows].sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
     return SchedulingContext(
         ids=ids[rows],
         data_sizes=data[rows],
@@ -174,7 +178,7 @@ def build_context(vehicles, geometry, cfg):
         noise_density=cfg.noise_density_w_hz,
         tx_power=cfg.tx_power_w,
         model_bits=cfg.physical.model_bits,
-        d_total=max(d_total, 1.0),
+        d_total=max(float(data[rows].sum()), 1.0),
         budget_dropped=tuple(dropped),
     )
 
@@ -183,9 +187,9 @@ def build_context(vehicles, geometry, cfg):
 # objective and block solvers
 # ---------------------------------------------------------------------------
 
-def objective(u, rates, ctx: SchedulingContext, alpha=None):
+def objective(u, rates, ctx: SchedulingContext):
     """Problem objective at (u, R); +inf when any success probability hits zero."""
-    alpha = ctx.alpha if alpha is None else alpha
+    alpha = ctx.alpha
     u = np.asarray(u, dtype=float)
     rates = np.asarray(rates, dtype=float)
     term1 = 0.0
@@ -315,24 +319,25 @@ def _rate_ceiling_floor(ln_u, cost, f1_max, phi_hi, ctx):
     return float(np.max(ln_u - np.minimum(f1_cap, f1_max)))
 
 
-def solve_rate_block(u, ctx: SchedulingContext, alpha=None, warm=None):
-    """Exact rate-block minimizer for fixed inclusion probabilities.
+def solve_rate_block(u, ctx: SchedulingContext, start=None):
+    """Exact rate-block minimizer for fixed inclusion probabilities; returns
+    (rates, log s).
 
     Parameterized by the ceiling s of the max term: every vehicle whose
     pressure exceeds s raises its rate just enough to meet it, never more,
     because the inclusion cost strictly grows with rate.  The reduced
-    objective is convex in log s.  `warm`, a one-element list, carries log s
-    between calls: an item inside the ceiling range starts the line search
-    there, and the minimizer is written back.  A search without one runs only
-    over the ceilings that can beat the top one (see _rate_ceiling_floor).
+    objective is convex in log s.  A `start` log s inside the ceiling range
+    starts the line search there; a search without one runs only over the
+    ceilings that can beat the top one (see _rate_ceiling_floor).  A solve
+    that runs no search returns `start` as its ceiling.
     """
-    alpha = ctx.alpha if alpha is None else alpha
+    alpha = ctx.alpha
     if ctx.size == 0:
-        return np.array([])
+        return np.array([]), start
     if alpha >= 1.0:
-        return ctx.r_min.copy()
+        return ctx.r_min.copy(), start
     if alpha <= 0.0:
-        return ctx.r_max.copy()
+        return ctx.r_max.copy(), start
     u = np.asarray(u, dtype=float)
     ln_u = np.log(u)
     w = ctx.bandwidth
@@ -373,17 +378,14 @@ def solve_rate_block(u, ctx: SchedulingContext, alpha=None, warm=None):
         return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
 
     if not ell_hi > ell_lo:
-        return rates_at(ell_hi)
-    start = warm[0] if warm else None
+        return rates_at(ell_hi), start
     # the success probability's overflow and zero division, as it ignores them
     with np.errstate(divide="ignore", over="ignore"):
         if start is None or not ell_lo < start < ell_hi:
             floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
             ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
         ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
-    if warm:
-        warm[0] = ell_star
-    return rates_at(ell_star)
+    return rates_at(ell_star), ell_star
 
 
 def _waterfill(cost, lo, caps, budget):
@@ -456,25 +458,26 @@ def _waterfill_solver(cost, lo, budget):
     return solve
 
 
-def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, warm=None):
-    """Exact inclusion-block minimizer for fixed rates.
+def solve_inclusion_block(rates, ctx: SchedulingContext, start=None):
+    """Exact inclusion-block minimizer for fixed rates; returns (u, log s).
 
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
-    The reduced objective is convex in log s.  `warm` carries log s between
-    calls as in solve_rate_block.
+    The reduced objective is convex in log s.  `start` and the returned
+    ceiling are as in solve_rate_block.
     """
-    alpha = ctx.alpha if alpha is None else alpha
+    alpha = ctx.alpha
     if ctx.size == 0:
-        return np.array([])
+        return np.array([]), start
     if alpha <= 0.0:
-        return np.full(ctx.size, ctx.u_min)
+        return np.full(ctx.size, ctx.u_min), start
     rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
-    with np.errstate(divide="ignore"):
+    # p = 0 costs inf whatever the data, and zero data over it would be 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
     if alpha >= 1.0:
-        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks)
+        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), start
     ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
     top = float(np.max(ln_e))
     ell_lo = math.log(ctx.u_min) + top
@@ -492,10 +495,8 @@ def solve_inclusion_block(rates, ctx: SchedulingContext, alpha=None, warm=None):
         return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, warm[0] if warm else None)
-        if warm:
-            warm[0] = ell_star
-        return u_at(ell_star)
+        ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, start)
+        return u_at(ell_star), ell_star
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +648,6 @@ class RoundPlan:
     inclusion_probs: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)
     success_probs: dict = field(default_factory=dict)
-    feasible_set: frozenset = frozenset()
     selected_set: set = field(default_factory=set)
     round_time: float = 0.0
     objective_value: float = math.nan
@@ -667,7 +667,6 @@ def _plan_from(ctx, u, rates, obj):
         inclusion_probs={i: float(v) for i, v in zip(ids, u)},
         rates={i: float(r) for i, r in zip(ids, rates)},
         success_probs={i: float(x) for i, x in zip(ids, p)},
-        feasible_set=frozenset(ids),
         objective_value=obj,
         budget_dropped=ctx.budget_dropped,
     )
@@ -701,7 +700,7 @@ def _start_points(ctx):
     return unique
 
 
-def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
+def bcd_solve(ctx: SchedulingContext):
     """Alternate exact block solves until the relative decrease stalls.
 
     Runs from a small set of deterministic starting points (biconvex problems
@@ -710,7 +709,6 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
     non-increasing by construction: a block candidate is only accepted when it
     does not worsen the objective.
     """
-    alpha = ctx.alpha if alpha is None else alpha
     if ctx.size == 0:
         return RoundPlan(), SolverReport()
 
@@ -727,52 +725,51 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
     # leaves the state unchanged, and the next solve of that block would repeat
     rate_table, inclusion_table = {}, {}
 
-    def solve_block(table, solver, x, warm):
+    def solve_block(table, solver, x, start):
         key = x.tobytes()
         if key not in table:
-            result = solver(x, ctx, alpha, warm=warm)
-            table[key] = result, warm[0]
-        result, warm[0] = table[key]
-        return result
+            table[key] = solver(x, ctx, start)
+        return table[key]
 
     def alternate(u0, trace):
         u = feasible(u0)
         # each block's line search starts from the ceiling of its previous solve
-        warm_rate, warm_inclusion = [None], [None]
+        ell_rate = ell_inclusion = None
         rates = ctx.r_min.copy()
         if not trace:
-            trace.append(objective(u, rates, ctx, alpha))
+            trace.append(objective(u, rates, ctx))
         converged = False
         residuals = [math.inf, math.inf]
         outer = 0
-        for outer in range(1, max_outer + 1):
+        for outer in range(1, _BCD_MAX_ALTERNATIONS + 1):
             prev = trace[-1]
-            r_new = solve_block(rate_table, solve_rate_block, u, warm_rate)
-            o_r = objective(u, r_new, ctx, alpha)
+            r_new, ell_rate = solve_block(rate_table, solve_rate_block, u, ell_rate)
+            o_r = objective(u, r_new, ctx)
             if o_r <= trace[-1]:
                 rates = r_new
                 trace.append(o_r)
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new = solve_block(inclusion_table, solve_inclusion_block, rates, warm_inclusion)
-            o_u = objective(u_new, rates, ctx, alpha)
+            u_new, ell_inclusion = solve_block(inclusion_table, solve_inclusion_block, rates,
+                                               ell_inclusion)
+            o_u = objective(u_new, rates, ctx)
             if o_u <= trace[-1]:
                 u = u_new
                 trace.append(o_u)
             else:
                 trace.append(trace[-1])
             residuals[1] = trace[-2] - trace[-1]
-            if prev - trace[-1] <= tol * max(1e-300, abs(prev)):
+            if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
                 converged = True
                 break
         return trace[-1], u, rates, converged, outer, residuals
 
     restart = False
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < ctx.alpha < 1.0:
         # both block solves are start-independent at the endpoints
         starts = _start_points(ctx)[:1]
-    elif (scanned := _ceiling_scan(ctx, alpha)) is not None:
+    elif (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
         # the scan already located the global basin; a light polish suffices
         starts = [scanned, _start_points(ctx)[0]]
     else:
@@ -801,23 +798,23 @@ def bcd_solve(ctx: SchedulingContext, alpha=None, tol=1e-6, max_outer=50):
 def scheme1_baseline(ctx: SchedulingContext):
     """Uniform inclusion over the feasible set plus reliability-first rates.
 
-    u_v = min(1, N/|V|) for everyone; rates solve the inclusion-cost-only rate
-    block (the round-time pressure term is not part of this baseline), which
-    lands on the per-vehicle minimum rates.
+    u_v = min(1, N/|V|) for everyone; rates are the per-vehicle minimum rates,
+    which solve the inclusion-cost-only rate block (the round-time pressure
+    term is not part of this baseline).
     """
     if ctx.size == 0:
         return RoundPlan(), SolverReport()
     u = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
-    rates = solve_rate_block(u, ctx, alpha=1.0)
+    rates = ctx.r_min.copy()
     obj = objective(u, rates, ctx)
     plan = _plan_from(ctx, u, rates, obj)
     return plan, SolverReport(iterations=1, objective_trace=[obj], converged=True,
                               block_residuals=[0.0, 0.0])
 
 
-def scheme2_baseline(ctx: SchedulingContext, tol=1e-6, max_outer=50):
+def scheme2_baseline(ctx: SchedulingContext):
     """The inclusion-cost-only special case: the full solve at alpha = 1."""
-    return bcd_solve(ctx, alpha=1.0, tol=tol, max_outer=max_outer)
+    return bcd_solve(replace(ctx, alpha=1.0))
 
 
 def realize_selection(plan: RoundPlan, rng, n_blocks):

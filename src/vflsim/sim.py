@@ -109,7 +109,7 @@ class Experiment:
         shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(arrivals)).tolist()
         epsilons = channel.temporal_correlation(
             np.array([speed for _, _, speed in arrivals]), p.carrier_freq_hz,
-            p.feedback_delay_s, p.speed_of_light_mps).tolist()
+            p.feedback_delay_s).tolist()
         for (t_arr, lane, speed), shadow, eps in zip(arrivals, shadows, epsilons):
             vid = self.next_id
             self.next_id += 1
@@ -139,12 +139,11 @@ class Experiment:
 
     def _solve(self, ctx):
         name = self.cfg.run.scheduler
-        opt = self.cfg.optimization
         if name == "scheme1":
             return scheduler.scheme1_baseline(ctx)
         if name == "scheme2":
-            return scheduler.scheme2_baseline(ctx, tol=opt.bcd_tol, max_outer=opt.bcd_max_outer)
-        return scheduler.bcd_solve(ctx, tol=opt.bcd_tol, max_outer=opt.bcd_max_outer)
+            return scheduler.scheme2_baseline(ctx)
+        return scheduler.bcd_solve(ctx)
 
     def draw_outcomes(self, plan, rng=None):
         """Realized rate-support events for the selected vehicles, id ascending.

@@ -4,9 +4,10 @@ Each oracle deliberately avoids the code path it checks: the Bessel oracle is
 a raw extended-precision power series and the scheduler oracle is a grid sweep
 over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
-them as references.  The solver's ceiling scan with per-vehicle sparse tables
-and its line-search evaluations on fresh arrays are the references for the
-program's blocked scan and buffered evaluations.  The per-vehicle channel
+them as references.  The one-point J0 series is the reference for the
+program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
+tables and its line-search evaluations on fresh arrays are the references for
+the program's blocked scan and buffered evaluations.  The per-vehicle channel
 refresh and scheduling context at the end are the straightforward
 one-vehicle-at-a-time forms of the program's batched ones, and the one-vehicle
 SGD loop at the very end is the reference for the program's lockstep training.
@@ -34,6 +35,26 @@ def j0_series_oracle(x, terms=200):
         term = -term * (x * x / 4) / (k * k)
         total += term
     return float(total)
+
+
+def scalar_bessel_j0(x):
+    """bessel_j0 at one point: the power series one term at a time up to |x| = 12,
+    the program's asymptotic expansion beyond."""
+    x = abs(float(x))
+    if x > 12.0:
+        return channel._j0_asymptotic(x)
+    # terms t_{k+1} = -t_k (x^2/4)/(k+1)^2; partial sums stay O(1e4) for x<=12
+    q = 0.25 * x * x
+    term = 1.0
+    total = 1.0
+    k = 0
+    while abs(term) > 1e-14:
+        k += 1
+        term *= -q / (k * k)
+        total += term
+        if k > 400:  # unreachable for x <= 12, guards misuse
+            break
+    return total
 
 
 def j0_first_zero(lo=2.0, hi=3.0, iters=200):
@@ -445,8 +466,7 @@ def reference_channels(vehicles, geometry, cfg, rng_fading):
         v = vehicles[vid]
         re = rng_fading.standard_normal(4)
         scale = math.sqrt(0.5)
-        eps = channel.temporal_correlation(v.velocity, p.carrier_freq_hz, p.feedback_delay_s,
-                                           p.speed_of_light_mps)
+        eps = channel.temporal_correlation(v.velocity, p.carrier_freq_hz, p.feedback_delay_s)
         gain = large_scale_gain_scalar(nearest_rsu_brute_force(v, geometry), p.carrier_freq_hz,
                                        v.shadowing_db, p.min_distance_m)
         out[vid] = channel.ChannelState(h_est=complex(re[0] * scale, re[1] * scale),
@@ -470,9 +490,7 @@ def rate_bounds_scalar(vehicle, geometry, cfg):
 def reference_context(vehicles, geometry, cfg):
     """The scheduling context built row by row, with the weakest link dropped one at a time."""
     rows = []
-    coverage_data = 0
     for v in sorted(vehicles, key=lambda x: x.id):
-        coverage_data += v.dataset.size
         if v.position >= geometry.road_length:
             continue
         soj, r_lo, r_hi = rate_bounds_scalar(v, geometry, cfg)
@@ -487,7 +505,7 @@ def reference_context(vehicles, geometry, cfg):
         dropped.append(rows.pop(worst)[0])
     cols = list(zip(*rows)) if rows else [[]] * 8
     data = np.array(cols[1], dtype=float)
-    d_total = float(data.sum()) if opt.d_total_mode == "feasible" else float(coverage_data)
+    d_total = max(float(data.sum()), 1.0)
     return scheduler.SchedulingContext(
         ids=np.array(cols[0], dtype=int), data_sizes=data,
         epsilon=np.array(cols[2], dtype=float), h_est_sq=np.array(cols[3], dtype=float),
@@ -495,7 +513,7 @@ def reference_context(vehicles, geometry, cfg):
         r_min=np.array(cols[6], dtype=float), r_max=np.array(cols[7], dtype=float),
         alpha=opt.alpha, u_min=opt.u_min, n_blocks=float(cfg.physical.n_blocks),
         bandwidth=cfg.block_bandwidth_hz, noise_density=cfg.noise_density_w_hz,
-        tx_power=cfg.tx_power_w, model_bits=cfg.physical.model_bits, d_total=max(d_total, 1.0),
+        tx_power=cfg.tx_power_w, model_bits=cfg.physical.model_bits, d_total=d_total,
         budget_dropped=tuple(dropped))
 
 

@@ -156,6 +156,14 @@ class TestCli:
         assert rc == 2
         assert "config error: unknown key 'optimization.block_iters'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["optimization.bcd_tol", "optimization.bcd_max_outer",
+                                     "optimization.d_total_mode",
+                                     "physical.speed_of_light_mps"])
+    def test_retired_key_rejected(self, key, tmp_path, capsys):
+        rc = cli.main(["run", "--set", f"{key}=1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: unknown key '{key}'" in capsys.readouterr().err
+
     def test_compare_emits_per_run_and_merged(self, tmp_path):
         rc = cli.main(["compare", "--rounds", "2", "--seeds", "1,2",
                        "--out-dir", str(tmp_path)] + QUICK)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,21 +125,21 @@ class TestRateBlock:
         for _ in range(20):
             ctx = random_context(rng, int(rng.integers(2, 9)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            assert np.array_equal(solve_rate_block(u, ctx, alpha=1.0), ctx.r_min)
+            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=1.0))[0], ctx.r_min)
 
     def test_alpha_zero_ceiling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             ctx = random_context(rng, int(rng.integers(2, 9)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            assert np.array_equal(solve_rate_block(u, ctx, alpha=0.0), ctx.r_max)
+            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=0.0))[0], ctx.r_max)
 
     def test_matches_rate_grid_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(8):
             ctx = random_context(rng, 2, alpha=0.4)
             u = rng.uniform(0.2, 1.0, 2)
-            rates = solve_rate_block(u, ctx)
+            rates, _ = solve_rate_block(u, ctx)
             solved = objective(u, rates, ctx)
             oracle = grid_min_rate_only(u, ctx, 0.4, n_r=2000)
             assert solved <= oracle + 1e-3 * abs(oracle)
@@ -149,7 +150,7 @@ class TestRateBlock:
             ctx = random_context(rng, int(rng.integers(2, 7)),
                                  alpha=float(rng.uniform(0.05, 0.95)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            rates = solve_rate_block(u, ctx)
+            rates, _ = solve_rate_block(u, ctx)
             assert float(np.min(ctx.success_prob(rates))) > 0.0
 
     def test_ceiling_floor_keeps_every_ceiling_that_beats_the_top(self):
@@ -179,7 +180,7 @@ class TestRateBlock:
                                             f1_max, phi_hi, ctx)
                 assert np.all(ells[phi < phi_hi] >= floor)
                 grid_min = float(np.min(phi))
-                solved = objective(u, solve_rate_block(u, ctx), ctx)
+                solved = objective(u, solve_rate_block(u, ctx)[0], ctx)
                 assert solved <= grid_min + 8 * np.spacing(grid_min)
                 checked += 1
         assert checked == 5 * 21 + 200  # 21 corpus instances have alpha < 1
@@ -313,19 +314,44 @@ class TestWaterfill:
 class TestInclusionBlock:
     def test_alpha_one_symmetric_slack_budget(self):
         ctx = symmetric_context(4, alpha=1.0, n_blocks=20.0)
-        u = solve_inclusion_block(ctx.r_min, ctx)
+        u, _ = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, 1.0)
 
     def test_alpha_zero_floor(self):
         rng = np.random.default_rng(7)
         ctx = random_context(rng, 5, alpha=0.0)
-        u = solve_inclusion_block(ctx.r_min, ctx)
+        u, _ = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, ctx.u_min)
 
     def test_symmetric_binding_budget_splits_evenly(self):
         ctx = symmetric_context(2, alpha=1.0, n_blocks=1.0)
-        u = solve_inclusion_block(ctx.r_min, ctx)
+        u, _ = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, [0.5, 0.5], atol=1e-9)
+
+
+class TestBlockCeiling:
+    def test_result_meets_the_returned_ceiling(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            ctx = random_context(rng, int(rng.integers(2, 9)), n_blocks=2.0)
+            u = rng.uniform(ctx.u_min, 1.0, ctx.size)
+            rates, ell_r = solve_rate_block(u, ctx)
+            u_new, ell_u = solve_inclusion_block(rates, ctx)
+            for uu, ell in ((u, ell_r), (u_new, ell_u)):
+                pressure = np.max(uu * np.exp(-np.expm1(rates * _LN2 / ctx.bandwidth)))
+                assert pressure <= math.exp(ell) * (1.0 + 1e-12)
+
+    def test_no_search_returns_the_start(self):
+        rng = np.random.default_rng(18)
+        ctx = random_context(rng, 4)
+        u = np.full(ctx.size, 0.5)
+        for alpha in (0.0, 1.0):
+            endpoint = replace(ctx, alpha=alpha)
+            assert solve_rate_block(u, endpoint, 0.25)[1] == 0.25
+            assert solve_inclusion_block(ctx.r_min, endpoint, 0.25)[1] == 0.25
+        empty = symmetric_context(0)
+        assert solve_rate_block(np.array([]), empty, 0.25)[1] == 0.25
+        assert solve_inclusion_block(np.array([]), empty, 0.25)[1] == 0.25
 
 
 class TestBcd:
@@ -348,8 +374,10 @@ class TestBcd:
     def test_alpha_one_identical_to_scheme2(self):
         rng = np.random.default_rng(10)
         ctx = random_context(rng, 5)
-        plan_a, _ = bcd_solve(ctx, alpha=1.0)
+        alpha = ctx.alpha
+        plan_a, _ = bcd_solve(replace(ctx, alpha=1.0))
         plan_b, _ = scheme2_baseline(ctx)
+        assert ctx.alpha == alpha  # scheme2 solves a copy of the context
         assert plan_a.rates == plan_b.rates
         assert plan_a.inclusion_probs == plan_b.inclusion_probs
         sel_a = realize_selection(plan_a, np.random.default_rng(42), ctx.n_blocks)
@@ -410,7 +438,7 @@ class TestPlanInvariants:
             assert np.all(u >= ctx.u_min - 1e-12) and np.all(u <= 1.0 + 1e-12)
             assert np.all(rates >= ctx.r_min - 1e-9) and np.all(rates <= ctx.r_max + 1e-9)
             realize_selection(plan, rng, ctx.n_blocks)
-            assert plan.selected_set <= set(plan.feasible_set)
+            assert plan.selected_set <= set(plan.ids)
             succ = sorted(plan.selected_set)[: max(1, len(plan.selected_set) // 2)]
             t_round = round_time(plan, succ, ctx.model_bits, 60.0)
             if succ:
@@ -450,7 +478,7 @@ class TestOracleSelfChecks:
 class TestSelection:
     def test_certainty(self):
         ctx = symmetric_context(3)
-        plan, _ = bcd_solve(ctx, alpha=1.0)  # slack budget -> u = 1
+        plan, _ = bcd_solve(ctx)  # alpha = 1 and a slack budget -> u = 1
         rng = np.random.default_rng(13)
         for _ in range(50):
             assert realize_selection(plan, rng, ctx.n_blocks) == set(plan.ids)
@@ -464,8 +492,7 @@ class TestSelection:
         plan = RoundPlan(ids=ids,
                          inclusion_probs={i: 1.0 for i in ids},
                          rates={i: 1e6 for i in ids},
-                         success_probs={0: 0.2, 1: 0.9, 2: 0.8, 3: 0.5, 4: 0.7},
-                         feasible_set=frozenset(ids))
+                         success_probs={0: 0.2, 1: 0.9, 2: 0.8, 3: 0.5, 4: 0.7})
         rng = np.random.default_rng(15)
         selected = realize_selection(plan, rng, 2)
         assert selected == {1, 2}  # largest u*p among the five drawn vehicles
@@ -501,7 +528,7 @@ class TestBaselines:
         ctx = random_context(rng, 5, alpha=0.4)
         plan, _ = scheme1_baseline(ctx)
         u = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
-        expected = solve_rate_block(u, ctx, alpha=1.0)
+        expected, _ = solve_rate_block(u, replace(ctx, alpha=1.0))
         assert np.array_equal(np.array([plan.rates[i] for i in plan.ids]), expected)
 
 

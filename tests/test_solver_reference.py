@@ -4,6 +4,7 @@ time with sparse-table window minima, and the evaluations on fresh arrays.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,10 @@ class TestLineSearchEvaluations:
         ctx = capped_context()
         searches = searched(monkeypatch)
         u = np.full(ctx.size, 0.3)
-        scheduler.solve_rate_block(u, ctx)
+        # the program path raises no floating-point warning, 0/0 included
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scheduler.solve_rate_block(u, ctx)
         phi, lo, hi = searches[-1]
         # a ceiling this low holds vehicle 0 at its cap: infinite, where 0/0 would be NaN
         f1_max = np.expm1(ctx.r_max * math.log(2.0) / ctx.bandwidth)
@@ -165,7 +169,9 @@ class TestLineSearchEvaluations:
         for rates, finite in ((ctx.r_max, False), (ctx.r_max * 0.99, True)):
             # past the capacity vehicle 0 costs inf; below it, its zero data cost
             # 0, which takes the water-fill's general path
-            scheduler.solve_inclusion_block(rates, ctx)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                scheduler.solve_inclusion_block(rates, ctx)
             psi, lo, hi = searches[-1]
             got = same_values(psi, oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha),
                               lo, hi)
