@@ -13,27 +13,32 @@ so it is solved by block coordinate descent.  Each block collapses exactly to
 a one-dimensional convex problem in the epigraph ceiling of the max term: for
 a fixed ceiling the optimal R is the smallest rate meeting it (the inclusion
 cost grows with rate) and the optimal u is a box-capped water-filling of the
-inverse-probability cost.  A scalar golden-section search over the ceiling
-therefore yields the block optimum, including the nonsmooth points where
-several vehicles tie at the max; it stops once convexity certifies that its
-best value is within a few ulps of the block minimum.
+inverse-probability cost.
 
-Between alternations the optimal ceiling moves little, so within one
-alternation run each block's search starts from the ceiling that block's
-previous solve returned and brackets the minimum downhill from there.  The
-first search of a run covers the whole ceiling range, which for the rate block
-is first cut from below in closed form to the ceilings that can beat the top
-one.  bcd_solve keeps the block results of one solve keyed by the exact input
-bytes, so no block is solved twice on the same input.
+The rate block minimizes over the ceiling by golden section, which stops once
+convexity certifies that its best value is within a few ulps of the block
+minimum.  Between alternations its optimal ceiling moves little, so within one
+alternation run each rate search starts from the ceiling the previous rate
+solve returned and brackets the minimum downhill from there; the first search
+of a run covers the whole ceiling range, first cut from below in closed form
+to the ceilings that can beat the top one.  The inclusion block is piecewise
+simple in the ceiling: between changes of which vehicles sit at their caps,
+float at the water level or rest at a bound, its reduced objective has a
+closed form, so an exact search reads the derivative and that closed form off
+each water-fill and needs no start.  bcd_solve keeps the block results of one
+solve keyed by the exact input bytes, so no block is solved twice on the same
+input.
 
-Block solvers are deterministic functions of their inputs and starting
-ceiling, and return their result with the ceiling it sits at; iteration order
-is vehicle-id ascending for reproducibility.  The problem, alpha included, is
-the context's: a solve at another alpha takes a copy of the context.
+Block solvers are deterministic functions of their inputs (and, for the rate
+block, its starting ceiling), and return their result with the ceiling it
+sits at; iteration order is vehicle-id ascending for reproducibility.  The
+problem, alpha included, is the context's: a solve at another alpha takes a
+copy of the context.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import sys
@@ -49,6 +54,7 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # a few ulps, the resolution at which the sampled values stop changing
 _CERT_RTOL = 4.0 * sys.float_info.epsilon
 _GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
+_EXACT_ITERS = 100  # cap on the steps of one inclusion search and of its Newton solves
 # an alternation run stops once one alternation lowers the objective by at most
 # this fraction, or after _BCD_MAX_ALTERNATIONS; every measured run stopped
 # on the decrease, the longest after 47 (README solver notes)
@@ -395,7 +401,7 @@ def _waterfill(cost, lo, caps, budget):
     multiplier found by a vectorized scan over its breakpoints.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _waterfill_solver(cost, lo, budget)(np.array(caps, dtype=float))
+        return _waterfill_solver(cost, lo, budget)(np.array(caps, dtype=float))[0]
 
 
 def _waterfill_solver(cost, lo, budget):
@@ -403,9 +409,11 @@ def _waterfill_solver(cost, lo, budget):
 
     Everything that does not depend on the caps (finite costs, the active set,
     sqrt(cost), the floor breakpoints cost/lo^2 and the constant event columns)
-    is computed once here, so a line search over the caps pays only for the
-    cap breakpoints and their sort.  The solve overwrites its caps argument and
-    may return it; its caller ignores zero division and invalid values.
+    is computed once here, so a search over the caps pays only for the cap
+    breakpoints and their sort.  The solve returns the fill and its budget
+    multiplier mu, 0 when the budget is slack; it overwrites its caps argument
+    with max(caps, lo) and may return it as the fill.  Its caller ignores zero
+    division and invalid values.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
@@ -424,7 +432,7 @@ def _waterfill_solver(cost, lo, budget):
         u_free = caps if every else np.where(act, caps, lo)
         total = float(u_free.sum())
         if total <= budget * (1.0 + 1e-12):
-            return u_free
+            return u_free, 0.0
         ha = caps if every else caps[act]
         mu_hi = ca / ha**2  # below: pinned at cap
         ev_mu = np.concatenate([mu_hi, mu_lo])
@@ -444,59 +452,267 @@ def _waterfill_solver(cost, lo, budget):
             mu = float(mu_cand[first])
         else:
             # degenerate ties: fall back to bisection on the monotone budget curve
-            mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
-            for _ in range(200):
-                mu = math.sqrt(mu_a * mu_b)
-                if np.minimum(np.maximum(np.sqrt(ca / mu), lo), ha).sum() + n_lo_fixed * lo > budget:
-                    mu_a = mu
-                else:
-                    mu_b = mu
-            mu = mu_b
+            mu = _waterfill_bisection(ca, lo, ha, n_lo_fixed * lo, budget,
+                                      float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0)
         u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
-        return u if every else np.where(act, u, lo)
+        return (u if every else np.where(act, u, lo)), mu
 
     return solve
 
 
-def solve_inclusion_block(rates, ctx: SchedulingContext, start=None):
+def _waterfill_bisection(cost, lo, caps, fixed, budget, mu_a, mu_b):
+    """The water-fill's multiplier by 200 geometric bisections of the monotone
+    budget curve over [mu_a, mu_b], with `fixed` spent besides the fill of
+    `cost`: the smallest tried mu whose fill fits the budget."""
+    for _ in range(200):
+        mu = math.sqrt(mu_a * mu_b)
+        if np.minimum(np.maximum(np.sqrt(cost / mu), lo), caps).sum() + fixed > budget:
+            mu_a = mu
+        else:
+            mu_b = mu
+    return mu_b
+
+
+class _CeilingPoint:
+    """The inclusion block at one log ceiling x = log s.
+
+    `u` is the water-fill against the caps min(1, s/e_v) and `mu` its budget
+    multiplier; `held` marks the vehicles held at a cap below 1 and `free` (None
+    when the budget is slack) those at the water level sqrt(c_v/mu).  Their
+    sums give the closed form of the reduced objective on the piece of
+    ceilings where those sets stay the same.  `left` marks vehicles that join
+    the held ones just below x: at a cap that reaches 1 exactly at x, or at x
+    itself when x is a fill's own ceiling.  `d_minus` and `d_plus` are the
+    one-sided derivatives of psi in x.
+    """
+
+    __slots__ = ("x", "s", "psi", "cost_sum", "u", "mu", "total", "held", "free", "c_held",
+                 "u_held", "u_free", "left", "c_left", "u_left", "u_left_free", "d_minus",
+                 "d_plus")
+
+
+class _InclusionPsi:
+    """psi(x), the inclusion block's reduced objective at the log ceiling x,
+    with what the exact search reads off each evaluation.
+
+    By the envelope theorem, psi'(x) = (1-alpha)s - sum over the held vehicles
+    of (c_v/u_v - mu*u_v): raising a held vehicle's cap saves c_v/u_v per unit
+    of log u_v and spends mu*u_v of budget.  On a piece with held set C and
+    free set W,
+
+        psi = A/s + B^2/(M - s*A') + (1-alpha)s + const,
+
+    with A = s*sum_C c/u, A' = sum_C u/s, B = sqrt(mu)*sum_W u and
+    M = sum_C u + sum_W u; the free vehicles share the budget left over.
+    """
+
+    def __init__(self, cost, ln_e, ctx):
+        self.cost, self.ln_e = cost, ln_e
+        self.beta = 1.0 - ctx.alpha
+        self.lo, self.budget = ctx.u_min, ctx.n_blocks
+        self.fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+        self.finite_cost = np.where(np.isfinite(cost), cost, 1e300)  # the fill's
+        self.act = self.finite_cost > 0.0
+        self.every = bool(self.act.all())
+
+    def __call__(self, x, exact=False):
+        """The point at x.  An `exact` evaluation also finds the vehicles whose cap
+        reaches 1 at x and, at the slack end of the budget, the right derivative
+        with the largest multiplier that keeps every vehicle at its cap."""
+        caps = np.subtract(x, self.ln_e)
+        np.minimum(0.0, caps, out=caps)
+        u, mu = self.fill(np.exp(caps, out=caps))  # caps is now max(caps, lo)
+        c_over_u = self.cost / u
+        p = _CeilingPoint()
+        p.x, p.s, p.u, p.mu = x, math.exp(x), u, mu
+        p.cost_sum = float(c_over_u.sum())
+        p.psi = p.cost_sum + self.beta * p.s
+        at_cap = u == caps
+        if not self.every:
+            at_cap &= self.act
+        held = at_cap & (caps < 1.0)
+        if exact:
+            # a cap of exactly lo (x at the lower end) also pins at the floor
+            held &= self.finite_cost > mu * u * u
+        p.held = held
+        p.c_held = float(c_over_u.dot(held))
+        p.u_held = float(u.dot(held))
+        p.total = float(u.sum())
+        p.free = (u < caps) & (u > self.lo) if mu > 0.0 else None
+        p.u_free = float(u.dot(p.free)) if mu > 0.0 else 0.0
+        p.d_plus = p.d_minus = self.beta * p.s - p.c_held + mu * p.u_held
+        p.left, p.c_left, p.u_left, p.u_left_free = None, 0.0, 0.0, 0.0
+        if exact:
+            kink = at_cap & (self.ln_e == x) & (self.finite_cost > mu)
+            if kink.any():
+                p.left, p.u_left = kink, float(kink.sum())
+                p.c_left = float(self.finite_cost.dot(kink))
+                p.d_minus = p.d_plus - (p.c_left - mu * p.u_left)
+            if mu == 0.0 and p.total >= self.budget * (1.0 - 1e-14) and at_cap.any():
+                mu_edge = float(np.min(self.finite_cost[at_cap] / u[at_cap] ** 2))
+                p.d_plus += mu_edge * p.u_held
+        return p
+
+    def snap(self, p):
+        """p moved down to the ceiling its own fill meets, when no vehicle is held
+        at a cap below 1: the fill stays the same and psi falls with s."""
+        ceilings = np.log(p.u) + self.ln_e
+        x = min(float(ceilings.max()), p.x)
+        q = copy.copy(p)
+        q.x, q.s = x, math.exp(x)
+        q.psi = p.cost_sum + self.beta * q.s
+        left = ceilings == x
+        if not self.every:
+            left &= self.act
+        q.left, q.u_left = left, float(p.u.dot(left))
+        q.c_left = float((self.finite_cost / p.u).dot(left))
+        q.u_left_free = float(p.u.dot(left & p.free)) if p.free is not None else 0.0
+        q.d_plus = self.beta * q.s
+        q.d_minus = q.d_plus - (q.c_left - p.mu * q.u_left)
+        return q
+
+    def stationary(self, p, right):
+        """The stationary point of p's piece model, toward larger ceilings when
+        `right`; returns (x, at_edge, sets).  A slack model stops at the ceiling
+        where its caps fill the budget (at_edge), and sets are the held and free
+        masks the model assumes."""
+        held, free = p.held, p.free
+        c_held, u_held, u_free = p.c_held, p.u_held, p.u_free
+        if not right and p.left is not None:
+            held = held | p.left
+            free = None if free is None else free & ~p.left
+            c_held, u_held = c_held + p.c_left, u_held + p.u_left
+            u_free = max(u_free - p.u_left_free, 0.0)
+        sets = (held.tobytes(), None if free is None else free.tobytes())
+        if not (u_held > 0.0 and c_held > 0.0):
+            return -math.inf, False, sets
+        c = self.beta * p.s
+        if p.mu == 0.0 or u_free == 0.0:
+            r = math.sqrt(c_held / c)
+            if p.mu == 0.0:
+                edge = (self.budget - p.total + u_held) / u_held
+                if r > edge:
+                    return p.x + math.log(edge), True, sets
+            return p.x + math.log(r), False, sets
+        # g(r) = psi'(x + log r) / (r s) rises from -inf at r = 0 to +inf where
+        # the free vehicles run out of budget; safeguarded Newton from r = 1
+        k = p.mu * u_free * u_free * u_held
+        r_lo, r_hi, r = 0.0, 1.0 + u_free / u_held, 1.0
+        for _ in range(_EXACT_ITERS):
+            room = u_free + u_held * (1.0 - r)
+            g = k / (room * room) - c_held / (r * r) + c
+            if g == 0.0:
+                break
+            if g < 0.0:
+                r_lo = r
+            else:
+                r_hi = r
+            step = g / (2.0 * c_held / r**3 + 2.0 * u_held * k / room**3)
+            r_new = r - step if r_lo < r - step < r_hi else 0.5 * (r_lo + r_hi)
+            done = abs(r_new - r) <= 1e-15 * r
+            r = r_new
+            if done:
+                break
+        return p.x + math.log(r), False, sets
+
+    def next_kink(self, p, right):
+        """The nearest ceiling past p, toward larger ceilings when `right`, where a
+        vehicle held at its cap reaches or leaves 1: a kink of psi."""
+        if right:
+            ln_e = self.ln_e[p.held]
+            return float(ln_e.min()) if len(ln_e) else math.inf
+        ln_e = self.ln_e[(p.u == 1.0) & (self.ln_e < p.x) & (self.finite_cost > p.mu)]
+        return float(ln_e.max()) if len(ln_e) else -math.inf
+
+
+def _piecewise_min(psi, lo, hi):
+    """Exact minimizer over [lo, hi] of the inclusion block's psi; returns its
+    _CeilingPoint.
+
+    Keeps a bracket [a, b] whose ends have psi' < 0 and psi' > 0, starting from
+    the water-fill at hi moved down to its own ceiling.  Each step evaluates
+    the stationary point of the newest end's piece model, or else of the other
+    end's; failing both, the nearest kink past either end (a cap reaching 1),
+    and failing that the midpoint.  It stops at a point whose one-sided
+    derivatives bracket 0, at a stationary point that lands in the piece whose
+    model proposed it, or once the bracket is narrower than 1e-14 relative.
+    """
+    a, b = lo, hi
+    ends = {True: None, False: None}  # evaluated ends, keyed by `psi' < 0 there`
+    p = psi(hi)
+    best, sets = p, None
+    for _ in range(_EXACT_ITERS):
+        if not math.isfinite(p.psi):
+            return p  # an infinite cost makes psi infinite at every ceiling
+        if not p.held.any():
+            p = psi.snap(p)
+        if p.psi < best.psi:
+            best = p
+        if sets is not None and sets == (p.held.tobytes(),
+                                         None if p.free is None else p.free.tobytes()):
+            return p
+        if (p.d_minus <= 0.0 <= p.d_plus or (p.x >= hi and p.d_minus <= 0.0)
+                or (p.x <= lo and p.d_plus >= 0.0)):
+            return p
+        right = p.d_plus < 0.0
+        if right:
+            a = p.x
+        else:
+            b = p.x
+        ends[right] = p
+        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+            return best
+        order = ((p, right), (ends[not right], not right))
+        x = None
+        for q, q_right in order:
+            if q is not None:
+                x, exact, sets = psi.stationary(q, q_right)
+                if exact:
+                    sets = None  # the model stops at its edge, not at a stationary point
+                if a < x < b:
+                    break
+                if x <= lo == a and ends[True] is None:
+                    x, exact, sets = lo, True, None
+                    break
+                x = None
+        if x is None:
+            sets = None
+            for q, q_right in order:
+                if q is not None and a < (k := psi.next_kink(q, q_right)) < b:
+                    x, exact = k, True
+                    break
+            else:
+                x, exact = 0.5 * (a + b), False
+        p = psi(x, exact)
+    return best
+
+
+def solve_inclusion_block(rates, ctx: SchedulingContext):
     """Exact inclusion-block minimizer for fixed rates; returns (u, log s).
 
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
-    The reduced objective is convex in log s.  `start` and the returned
-    ceiling are as in solve_rate_block.
+    The reduced objective psi is convex in log s and piecewise of closed form,
+    and _piecewise_min solves it exactly.  A solve that runs no search (an empty
+    context, alpha at an endpoint) returns None as its ceiling.
     """
     alpha = ctx.alpha
     if ctx.size == 0:
-        return np.array([]), start
+        return np.array([]), None
     if alpha <= 0.0:
-        return np.full(ctx.size, ctx.u_min), start
+        return np.full(ctx.size, ctx.u_min), None
     rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
     # p = 0 costs inf whatever the data, and zero data over it would be 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
     if alpha >= 1.0:
-        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), start
+        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), None
     ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
     top = float(np.max(ln_e))
-    ell_lo = math.log(ctx.u_min) + top
-    ell_hi = top
-    fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
-    caps, x = np.empty(ctx.size), np.empty(ctx.size)
-
-    def u_at(ell, out=None):
-        out = np.subtract(ell, ln_e, out=out)
-        np.minimum(0.0, out, out=out)
-        return fill(np.exp(out, out=out))
-
-    def psi(ell):
-        np.divide(cost, u_at(ell, out=caps), out=x)
-        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, start)
-        return u_at(ell_star), ell_star
+        point = _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top)
+    return point.u, point.x
 
 
 # ---------------------------------------------------------------------------
@@ -725,16 +941,16 @@ def bcd_solve(ctx: SchedulingContext):
     # leaves the state unchanged, and the next solve of that block would repeat
     rate_table, inclusion_table = {}, {}
 
-    def solve_block(table, solver, x, start):
+    def solve_block(table, solver, x, *start):
         key = x.tobytes()
         if key not in table:
-            table[key] = solver(x, ctx, start)
+            table[key] = solver(x, ctx, *start)
         return table[key]
 
     def alternate(u0, trace):
         u = feasible(u0)
-        # each block's line search starts from the ceiling of its previous solve
-        ell_rate = ell_inclusion = None
+        # each rate search starts from the ceiling of the previous rate solve
+        ell_rate = None
         rates = ctx.r_min.copy()
         if not trace:
             trace.append(objective(u, rates, ctx))
@@ -751,8 +967,7 @@ def bcd_solve(ctx: SchedulingContext):
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new, ell_inclusion = solve_block(inclusion_table, solve_inclusion_block, rates,
-                                               ell_inclusion)
+            u_new, _ = solve_block(inclusion_table, solve_inclusion_block, rates)
             o_u = objective(u_new, rates, ctx)
             if o_u <= trace[-1]:
                 u = u_new

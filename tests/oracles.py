@@ -7,10 +7,12 @@ classifier are textbook formulas the program itself never needs; tests use
 them as references.  The one-point J0 series is the reference for the
 program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
 tables and its line-search evaluations on fresh arrays are the references for
-the program's blocked scan and buffered evaluations.  The per-vehicle channel
-refresh and scheduling context at the end are the straightforward
-one-vehicle-at-a-time forms of the program's batched ones, and the one-vehicle
-SGD loop at the very end is the reference for the program's lockstep training.
+the program's blocked scan and buffered evaluations, and the golden-section
+inclusion block is the reference for the program's exact piecewise one.  The
+per-vehicle channel refresh and scheduling context at the end are the
+straightforward one-vehicle-at-a-time forms of the program's batched ones, and
+the one-vehicle SGD loop at the very end is the reference for the program's
+lockstep training.
 """
 
 import math
@@ -435,6 +437,42 @@ def reference_inclusion_block_psi(rates, ctx, alpha):
         return float(np.sum(cost / u)) + (1.0 - alpha) * math.exp(ell)
 
     return psi
+
+
+def reference_inclusion_block(rates, ctx, start=None):
+    """The golden-section inclusion block that the exact piecewise search
+    replaced; returns (u, log s)."""
+    alpha = ctx.alpha
+    if ctx.size == 0:
+        return np.array([]), start
+    if alpha <= 0.0:
+        return np.full(ctx.size, ctx.u_min), start
+    rates = np.asarray(rates, dtype=float)
+    p = ctx.success_prob(rates)
+    # p = 0 costs inf whatever the data, and zero data over it would be 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
+    if alpha >= 1.0:
+        return scheduler._waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), start
+    ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
+    top = float(np.max(ln_e))
+    ell_lo = math.log(ctx.u_min) + top
+    ell_hi = top
+    fill = reference_waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+    caps, x = np.empty(ctx.size), np.empty(ctx.size)
+
+    def u_at(ell, out=None):
+        out = np.subtract(ell, ln_e, out=out)
+        np.minimum(0.0, out, out=out)
+        return fill(np.exp(out, out=out))
+
+    def psi(ell):
+        np.divide(cost, u_at(ell, out=caps), out=x)
+        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell_star, _, _ = scheduler._golden_min(psi, ell_lo, ell_hi, start)
+        return u_at(ell_star), ell_star
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 
 from oracles import (capacity, compose_fading, j0_first_zero, j0_series_oracle,
                      scalar_bessel_j0, sinr)
-from vflsim.channel import (ChannelState, OutageCoefficients, bessel_j0, large_scale_gain,
-                            outage_coefficients, sample_fading_pair, success_probability,
-                            temporal_correlation)
+from vflsim.channel import (SPEED_OF_LIGHT, ChannelState, OutageCoefficients, bessel_j0,
+                            large_scale_gain, outage_coefficients, sample_fading_pair,
+                            success_probability, temporal_correlation)
+from vflsim.config import parse_config
 
 
 class TestBesselJ0:
@@ -59,6 +60,19 @@ class TestBesselJ0:
             assert np.float64(value).tobytes() == np.float64(scalar_bessel_j0(x)).tobytes()
         assert bessel_j0(xs[1:].reshape(-1, 4)).tobytes() == got[1:].tobytes()
         assert bessel_j0(np.zeros(0)).shape == (0,)
+
+    def test_scalar_at_the_desk_feedback_delay_has_the_scalar_bits(self):
+        # the one scalar call of a run: SimConfig.validate's correlation of the
+        # slowest vehicle, here at the acceptance-7 desk config's 1e-4 s delay
+        cfg = parse_config()
+        cfg.physical.feedback_delay_s = 1e-4
+        cfg.validate()
+        x = (2.0 * math.pi * (cfg.speed_min_mps * cfg.physical.carrier_freq_hz / SPEED_OF_LIGHT)
+             * 1e-4)
+        value = temporal_correlation(cfg.speed_min_mps, cfg.physical.carrier_freq_hz, 1e-4)
+        assert type(value) is float and 0.0 < value < 1.0
+        assert np.float64(value).tobytes() == np.float64(scalar_bessel_j0(x)).tobytes()
+        assert np.float64(bessel_j0(x)).tobytes() == np.float64(value).tobytes()
 
 
 class TestTemporalCorrelation:

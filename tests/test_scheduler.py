@@ -342,16 +342,18 @@ class TestBlockCeiling:
                 assert pressure <= math.exp(ell) * (1.0 + 1e-12)
 
     def test_no_search_returns_the_start(self):
+        # the rate block returns its start; the inclusion block, which takes
+        # none, returns None
         rng = np.random.default_rng(18)
         ctx = random_context(rng, 4)
         u = np.full(ctx.size, 0.5)
         for alpha in (0.0, 1.0):
             endpoint = replace(ctx, alpha=alpha)
             assert solve_rate_block(u, endpoint, 0.25)[1] == 0.25
-            assert solve_inclusion_block(ctx.r_min, endpoint, 0.25)[1] == 0.25
+            assert solve_inclusion_block(ctx.r_min, endpoint)[1] is None
         empty = symmetric_context(0)
         assert solve_rate_block(np.array([]), empty, 0.25)[1] == 0.25
-        assert solve_inclusion_block(np.array([]), empty, 0.25)[1] == 0.25
+        assert solve_inclusion_block(np.array([]), empty)[1] is None
 
 
 class TestBcd:
@@ -408,6 +410,12 @@ class TestBcd:
             r_probe = np.clip(rates + 1e-4 * dr * (ctx.r_max - ctx.r_min),
                               ctx.r_min, ctx.r_max)
             assert objective(u, r_probe, ctx) >= base - slack
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.txt")))
+    def test_corpus_solve_converges_below_the_alternation_cap(self, name):
+        _, report = bcd_solve(load_instance(CORPUS / name))
+        assert report.converged
+        assert report.iterations < scheduler._BCD_MAX_ALTERNATIONS
 
     @pytest.mark.parametrize("name", ["default_vrvfl_s1_r0.txt", "desk_vrvfl_s12_r4.txt"])
     def test_no_block_solve_repeats_an_input(self, name, monkeypatch):

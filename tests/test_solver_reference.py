@@ -1,6 +1,9 @@
 """The solver's blocked ceiling scan and buffered line-search evaluations, bit
 for bit against the references in tests/oracles.py: the scan one vehicle at a
 time with sparse-table window minima, and the evaluations on fresh arrays.
+The exact inclusion block is held to the golden-section block it replaced: a
+value no higher, up to 1e-12 relative, with the box, the budget and the
+ceiling it returns all met.
 """
 
 import math
@@ -11,9 +14,10 @@ import numpy as np
 import pytest
 
 import oracles
-from instances import MODEL_BITS, NOISE, ROUND_CAP, TX_POWER, W_BLOCK, random_context
+from instances import (MODEL_BITS, NOISE, ROUND_CAP, TX_POWER, W_BLOCK, random_context,
+                       symmetric_context)
 from vflsim import scheduler
-from vflsim.scheduler import SchedulingContext, load_instance
+from vflsim.scheduler import SchedulingContext, load_instance, objective
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 INTERIOR = [p.name for p in sorted(CORPUS.glob("*.txt")) if 0.0 < load_instance(p).alpha < 1.0]
@@ -98,6 +102,24 @@ def searched(monkeypatch):
     return searches
 
 
+def searched_inclusion(monkeypatch):
+    """The (psi, lo, hi) of every _piecewise_min call made while installed."""
+    searches = []
+    search = scheduler._piecewise_min
+
+    def spy(psi, lo, hi):
+        searches.append((psi, lo, hi))
+        return search(psi, lo, hi)
+
+    monkeypatch.setattr(scheduler, "_piecewise_min", spy)
+    return searches
+
+
+def psi_values(psi):
+    """The reduced objective alone of the exact search's evaluation function."""
+    return lambda ell: psi(ell).psi
+
+
 def same_values(fn, reference, lo, hi, extra=()):
     """fn at 64 ceilings over [lo - 1, hi + 0.5] and at `extra`, asserted equal by
     bytes to reference's."""
@@ -146,10 +168,11 @@ class TestLineSearchEvaluations:
     def test_inclusion_block(self, name, monkeypatch):
         ctx = evaluation_context(name)
         rates = np.random.default_rng(2).uniform(ctx.r_min, ctx.r_max * (1.0 - 1e-6))
-        searches = searched(monkeypatch)
+        searches = searched_inclusion(monkeypatch)
         scheduler.solve_inclusion_block(rates, ctx)
         psi, lo, hi = searches[-1]
-        same_values(psi, oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha), lo, hi)
+        same_values(psi_values(psi), oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha),
+                    lo, hi)
 
     def test_zero_success_probability_is_infinite_with_zero_data(self, monkeypatch):
         ctx = capped_context()
@@ -166,13 +189,133 @@ class TestLineSearchEvaluations:
         got = same_values(phi, oracles.reference_rate_block_phi(u, ctx, ctx.alpha), lo, hi,
                           extra=[low])
         assert np.isinf(got).any() and np.isfinite(got).any()
+        inclusion_searches = searched_inclusion(monkeypatch)
         for rates, finite in ((ctx.r_max, False), (ctx.r_max * 0.99, True)):
             # past the capacity vehicle 0 costs inf; below it, its zero data cost
             # 0, which takes the water-fill's general path
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 scheduler.solve_inclusion_block(rates, ctx)
-            psi, lo, hi = searches[-1]
-            got = same_values(psi, oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha),
-                              lo, hi)
+            psi, lo, hi = inclusion_searches[-1]
+            got = same_values(psi_values(psi),
+                              oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha), lo, hi)
             assert np.isfinite(got).all() if finite else np.isinf(got).all()
+
+
+def check_inclusion_block(rates, ctx):
+    """The exact block on (rates, ctx) against the golden-section reference: a
+    value no higher up to 1e-12 relative, u in the box, the budget kept (up to
+    the water-fill's own 1e-12 slack) and the returned ceiling met.  Returns
+    (value, reference value)."""
+    u, ell = scheduler.solve_inclusion_block(rates, ctx)
+    u_ref, _ = oracles.reference_inclusion_block(rates, ctx)
+    value, want = objective(u, rates, ctx), objective(u_ref, rates, ctx)
+    assert value <= want * (1.0 + 1e-12)
+    assert np.all(u >= ctx.u_min) and np.all(u <= 1.0)
+    assert u.sum() <= ctx.n_blocks * (1.0 + 1e-12)
+    e = np.exp(-np.expm1(np.asarray(rates) * math.log(2.0) / ctx.bandwidth))
+    assert np.max(u * e) <= math.exp(ell) * (1.0 + 1e-12)
+    return value, want
+
+
+def corpus_inclusion_inputs(ctx, monkeypatch):
+    """The rates of every inclusion-block solve of one bcd_solve of ctx."""
+    inputs = []
+    solve = scheduler.solve_inclusion_block
+
+    def recorded(rates, context):
+        inputs.append(np.array(rates))
+        return solve(rates, context)
+
+    monkeypatch.setattr(scheduler, "solve_inclusion_block", recorded)
+    scheduler.bcd_solve(ctx)
+    monkeypatch.undo()
+    return inputs
+
+
+class TestExactInclusionBlock:
+    @pytest.mark.parametrize("name", INTERIOR)
+    def test_corpus_inputs(self, name, monkeypatch):
+        ctx = load_instance(CORPUS / name)
+        inputs = corpus_inclusion_inputs(ctx, monkeypatch)
+        assert inputs
+        for rates in inputs:
+            check_inclusion_block(rates, ctx)
+
+    def test_random_slack_and_tight_budgets(self):
+        rng = np.random.default_rng(2026)
+        for i in range(3000):
+            n = int(rng.integers(2, 13))
+            tight = i % 2 == 1
+            n_blocks = float(rng.integers(1, n) if tight else rng.integers(n, 21))
+            ctx = random_context(rng, n, n_blocks=n_blocks)
+            rates = rng.uniform(ctx.r_min, ctx.r_max * (1.0 - 1e-6))
+            check_inclusion_block(rates, ctx)
+
+    def test_zero_data_vehicle_rests_at_the_floor(self):
+        ctx = built_context([0.4, 0.8, 0.7], [0.1, 1.0, 0.5], [1e-7, 3e-9, 1e-8],
+                            [0.0, 150.0, 90.0], n_blocks=1.0)
+        rates = ctx.r_min + 0.5 * (ctx.r_max - ctx.r_min)
+        check_inclusion_block(rates, ctx)
+        u, _ = scheduler.solve_inclusion_block(rates, ctx)
+        assert u[0] == ctx.u_min
+
+    def test_zero_success_vehicle_is_infinite(self):
+        ctx = capped_context()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, want = check_inclusion_block(ctx.r_max, ctx)
+        assert math.isinf(value) and math.isinf(want)
+
+    def test_budget_slack_at_every_ceiling(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 9):
+            ctx = random_context(rng, n, n_blocks=float(n))
+            rates = rng.uniform(ctx.r_min, ctx.r_max * (1.0 - 1e-6))
+            check_inclusion_block(rates, ctx)
+
+    def test_one_vehicle(self):
+        rng = np.random.default_rng(32)
+        for n_blocks in (1.0, 0.5, 0.05):
+            ctx = random_context(rng, 1, n_blocks=n_blocks)
+            check_inclusion_block(ctx.r_min + 0.3 * (ctx.r_max - ctx.r_min), ctx)
+
+    @pytest.mark.parametrize("n_blocks", [1.0, 2.5, 4.0])
+    def test_equal_costs(self, n_blocks):
+        ctx = symmetric_context(5, alpha=0.4, n_blocks=n_blocks)
+        check_inclusion_block(ctx.r_min, ctx)
+        u, _ = scheduler.solve_inclusion_block(ctx.r_min, ctx)
+        assert np.all(u == u[0])
+
+    @pytest.mark.parametrize("name", ["dense_vrvfl_s1_r0.txt", "dense_vrvfl_s2_r0.txt"])
+    def test_budget_exactly_the_floor_total(self, name, monkeypatch):
+        # 400 vehicles at u_min = 0.05 fill N = 20 exactly: every plan rests at
+        # the floor, so the block stops at the lowest ceiling.  Equal costs do
+        # not send the water-fill into its bisection fallback (it accepts the
+        # last of a run of tied breakpoints); this does, at ceilings below the
+        # top, where rounding in the sums of 400 distinct caps leaves no
+        # candidate between its breakpoints.  The exact search needs only the
+        # fill at the top, where every cap is 1
+        ctx = load_instance(CORPUS / name)
+        assert ctx.size * ctx.u_min == ctx.n_blocks
+        rates = ctx.r_min + 0.3 * (ctx.r_max - ctx.r_min)
+        fallbacks = []
+        bisection = scheduler._waterfill_bisection
+
+        def counted(*args):
+            fallbacks.append(1)
+            return bisection(*args)
+
+        monkeypatch.setattr(scheduler, "_waterfill_bisection", counted)
+        searches = searched_inclusion(monkeypatch)
+        check_inclusion_block(rates, ctx)
+        assert not fallbacks
+        psi, lo, hi = searches[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for ell in np.linspace(lo, hi, 64):
+                psi(ell)
+        assert fallbacks
+        u, ell = scheduler.solve_inclusion_block(rates, ctx)
+        assert np.all(u == ctx.u_min)
+        top = float(np.max(-np.expm1(rates * math.log(2.0) / ctx.bandwidth)))
+        assert ell == pytest.approx(math.log(ctx.u_min) + top, rel=1e-15)
