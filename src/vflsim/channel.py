@@ -38,8 +38,7 @@ def bessel_j0(x):
     Power series below |x| = 12, Hankel asymptotic expansion with optimal
     truncation beyond.  Absolute error below 1e-9 for |x| <= 20 (much better
     in practice).  The series runs on all elements at once, each element
-    summing its own terms in order until one is at most 1e-14 in magnitude;
-    its steps index the elements still summing only once one has stopped.
+    summing its own terms in order until one is at most 1e-14 in magnitude.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -48,25 +47,15 @@ def bessel_j0(x):
     out = np.empty_like(ax)
     near = ax <= _SERIES_SWITCH
     q = 0.25 * ax[near] * ax[near]
-    neg_q = -q
     term = np.ones_like(q)
     total = np.ones_like(q)
-    # elements whose last term exceeded 1e-14; None while that is every one,
-    # so the steps run on whole arrays until the first element retires
-    live = None if len(q) else np.arange(0)
+    live = np.arange(len(q))  # elements whose last term exceeded 1e-14
     k = 0
-    while k <= 400 and (live is None or len(live)):  # 400 is unreachable for |x| <= 12
+    while len(live) and k <= 400:  # 400 is unreachable for |x| <= 12
         k += 1
-        if live is None:
-            term *= neg_q / (k * k)
-            total += term
-            retired = np.abs(term) <= 1e-14
-            if retired.any():
-                live = np.flatnonzero(~retired)
-        else:
-            term[live] *= neg_q[live] / (k * k)
-            total[live] += term[live]
-            live = live[np.abs(term[live]) > 1e-14]
+        term[live] *= -q[live] / (k * k)
+        total[live] += term[live]
+        live = live[np.abs(term[live]) > 1e-14]
     out[near] = total
     out[~near] = [_j0_asymptotic(v) for v in ax[~near].tolist()]
     return out if x.ndim else float(out[0])

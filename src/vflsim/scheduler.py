@@ -30,8 +30,9 @@ solve keyed by the exact input bytes, so no block is solved twice on the same
 input.
 
 Block solvers are deterministic functions of their inputs (and, for the rate
-block, its starting ceiling), and return their result with the ceiling it
-sits at; iteration order is vehicle-id ascending for reproducibility.  The
+block, its starting ceiling); the rate block returns its result with the
+ceiling it sits at.  Iteration order is vehicle-id ascending for
+reproducibility.  The
 problem, alpha included, is the context's: a solve at another alpha takes a
 copy of the context.
 """
@@ -412,8 +413,9 @@ def _waterfill_solver(cost, lo, budget):
     is computed once here, so a search over the caps pays only for the cap
     breakpoints and their sort.  The solve returns the fill and its budget
     multiplier mu, 0 when the budget is slack; it overwrites its caps argument
-    with max(caps, lo) and may return it as the fill.  Its caller ignores zero
-    division and invalid values.
+    with max(caps, lo) and may return it as the fill.  It carries the finite
+    costs, the active set and `every` as attributes for its callers.  Its
+    caller ignores zero division and invalid values.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
@@ -457,6 +459,7 @@ def _waterfill_solver(cost, lo, budget):
         u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
         return (u if every else np.where(act, u, lo)), mu
 
+    solve.finite_cost, solve.act, solve.every = cost, act, every
     return solve
 
 
@@ -510,10 +513,8 @@ class _InclusionPsi:
         self.cost, self.ln_e = cost, ln_e
         self.beta = 1.0 - ctx.alpha
         self.lo, self.budget = ctx.u_min, ctx.n_blocks
-        self.fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
-        self.finite_cost = np.where(np.isfinite(cost), cost, 1e300)  # the fill's
-        self.act = self.finite_cost > 0.0
-        self.every = bool(self.act.all())
+        self.fill = fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+        self.finite_cost, self.act, self.every = fill.finite_cost, fill.act, fill.every
 
     def __call__(self, x, exact=False):
         """The point at x.  An `exact` evaluation also finds the vehicles whose cap
@@ -688,31 +689,29 @@ def _piecewise_min(psi, lo, hi):
 
 
 def solve_inclusion_block(rates, ctx: SchedulingContext):
-    """Exact inclusion-block minimizer for fixed rates; returns (u, log s).
+    """Exact inclusion-block minimizer u for fixed rates.
 
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
     The reduced objective psi is convex in log s and piecewise of closed form,
-    and _piecewise_min solves it exactly.  A solve that runs no search (an empty
-    context, alpha at an endpoint) returns None as its ceiling.
+    and _piecewise_min solves it exactly.
     """
     alpha = ctx.alpha
     if ctx.size == 0:
-        return np.array([]), None
+        return np.array([])
     if alpha <= 0.0:
-        return np.full(ctx.size, ctx.u_min), None
+        return np.full(ctx.size, ctx.u_min)
     rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
     # p = 0 costs inf whatever the data, and zero data over it would be 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
     if alpha >= 1.0:
-        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), None
+        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks)
     ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
     top = float(np.max(ln_e))
     with np.errstate(divide="ignore", invalid="ignore"):
-        point = _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top)
-    return point.u, point.x
+        return _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top).u
 
 
 # ---------------------------------------------------------------------------
@@ -941,10 +940,10 @@ def bcd_solve(ctx: SchedulingContext):
     # leaves the state unchanged, and the next solve of that block would repeat
     rate_table, inclusion_table = {}, {}
 
-    def solve_block(table, solver, x, *start):
+    def solve_block(table, solve, x):
         key = x.tobytes()
         if key not in table:
-            table[key] = solver(x, ctx, *start)
+            table[key] = solve(x)
         return table[key]
 
     def alternate(u0, trace):
@@ -959,7 +958,8 @@ def bcd_solve(ctx: SchedulingContext):
         outer = 0
         for outer in range(1, _BCD_MAX_ALTERNATIONS + 1):
             prev = trace[-1]
-            r_new, ell_rate = solve_block(rate_table, solve_rate_block, u, ell_rate)
+            r_new, ell_rate = solve_block(rate_table,
+                                          lambda u: solve_rate_block(u, ctx, ell_rate), u)
             o_r = objective(u, r_new, ctx)
             if o_r <= trace[-1]:
                 rates = r_new
@@ -967,7 +967,8 @@ def bcd_solve(ctx: SchedulingContext):
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new, _ = solve_block(inclusion_table, solve_inclusion_block, rates)
+            u_new = solve_block(inclusion_table,
+                                lambda rates: solve_inclusion_block(rates, ctx), rates)
             o_u = objective(u_new, rates, ctx)
             if o_u <= trace[-1]:
                 u = u_new

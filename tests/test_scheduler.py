@@ -314,46 +314,41 @@ class TestWaterfill:
 class TestInclusionBlock:
     def test_alpha_one_symmetric_slack_budget(self):
         ctx = symmetric_context(4, alpha=1.0, n_blocks=20.0)
-        u, _ = solve_inclusion_block(ctx.r_min, ctx)
+        u = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, 1.0)
 
     def test_alpha_zero_floor(self):
         rng = np.random.default_rng(7)
         ctx = random_context(rng, 5, alpha=0.0)
-        u, _ = solve_inclusion_block(ctx.r_min, ctx)
+        u = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, ctx.u_min)
 
     def test_symmetric_binding_budget_splits_evenly(self):
         ctx = symmetric_context(2, alpha=1.0, n_blocks=1.0)
-        u, _ = solve_inclusion_block(ctx.r_min, ctx)
+        u = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, [0.5, 0.5], atol=1e-9)
 
 
 class TestBlockCeiling:
     def test_result_meets_the_returned_ceiling(self):
+        # only the rate block returns a ceiling; the inclusion block takes none
         rng = np.random.default_rng(17)
         for _ in range(10):
             ctx = random_context(rng, int(rng.integers(2, 9)), n_blocks=2.0)
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            rates, ell_r = solve_rate_block(u, ctx)
-            u_new, ell_u = solve_inclusion_block(rates, ctx)
-            for uu, ell in ((u, ell_r), (u_new, ell_u)):
-                pressure = np.max(uu * np.exp(-np.expm1(rates * _LN2 / ctx.bandwidth)))
-                assert pressure <= math.exp(ell) * (1.0 + 1e-12)
+            rates, ell = solve_rate_block(u, ctx)
+            pressure = np.max(u * np.exp(-np.expm1(rates * _LN2 / ctx.bandwidth)))
+            assert pressure <= math.exp(ell) * (1.0 + 1e-12)
 
     def test_no_search_returns_the_start(self):
-        # the rate block returns its start; the inclusion block, which takes
-        # none, returns None
         rng = np.random.default_rng(18)
         ctx = random_context(rng, 4)
         u = np.full(ctx.size, 0.5)
         for alpha in (0.0, 1.0):
             endpoint = replace(ctx, alpha=alpha)
             assert solve_rate_block(u, endpoint, 0.25)[1] == 0.25
-            assert solve_inclusion_block(ctx.r_min, endpoint)[1] is None
         empty = symmetric_context(0)
         assert solve_rate_block(np.array([]), empty, 0.25)[1] == 0.25
-        assert solve_inclusion_block(np.array([]), empty)[1] is None
 
 
 class TestBcd:
