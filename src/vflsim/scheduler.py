@@ -15,26 +15,22 @@ a fixed ceiling the optimal R is the smallest rate meeting it (the inclusion
 cost grows with rate) and the optimal u is a box-capped water-filling of the
 inverse-probability cost.
 
-The rate block minimizes over the ceiling by golden section, which stops once
-convexity certifies that its best value is within a few ulps of the block
-minimum.  Between alternations its optimal ceiling moves little, so within one
-alternation run each rate search starts from the ceiling the previous rate
-solve returned and brackets the minimum downhill from there; the first search
-of a run covers the whole ceiling range, first cut from below in closed form
-to the ceilings that can beat the top one.  The inclusion block is piecewise
-simple in the ceiling: between changes of which vehicles sit at their caps,
-float at the water level or rest at a bound, its reduced objective has a
-closed form, so an exact search reads the derivative and that closed form off
-each water-fill and needs no start.  bcd_solve keeps the block results of one
-solve keyed by the exact input bytes, so no block is solved twice on the same
-input.
+Both blocks are solved exactly, without a line search or a start, by a
+search that keeps a bracket on the sign of the reduced objective's derivative
+in the log ceiling.  The rate block's reduced objective and its first two
+derivatives have closed forms, with a convex kink wherever a vehicle leaves
+its minimum rate, so its search takes safeguarded Newton steps and steps onto
+the kinks.  The inclusion block is piecewise simple in the ceiling: between
+changes of which vehicles sit at their caps, float at the water level or rest
+at a bound, its reduced objective has a closed form, so its search reads the
+derivative and that closed form off each water-fill.  bcd_solve keeps the
+block results of one solve keyed by the exact input bytes, so no block is
+solved twice on the same input.
 
-Block solvers are deterministic functions of their inputs (and, for the rate
-block, its starting ceiling); the rate block returns its result with the
-ceiling it sits at.  Iteration order is vehicle-id ascending for
-reproducibility.  The
-problem, alpha included, is the context's: a solve at another alpha takes a
-copy of the context.
+Block solvers are deterministic functions of their inputs and return their
+result alone.  Iteration order is vehicle-id ascending for reproducibility.
+The problem, alpha included, is the context's: a solve at another alpha
+takes a copy of the context.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from __future__ import annotations
 import copy
 import io
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,12 +45,7 @@ import numpy as np
 from .mobility import remaining_sojourn
 
 _LN2 = math.log(2.0)
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# a line search stops once its best value is this close to the convexity bound:
-# a few ulps, the resolution at which the sampled values stop changing
-_CERT_RTOL = 4.0 * sys.float_info.epsilon
-_GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
-_EXACT_ITERS = 100  # cap on the steps of one inclusion search and of its Newton solves
+_EXACT_ITERS = 100  # cap on the steps of one block search and of its Newton solves
 # an alternation run stops once one alternation lowers the objective by at most
 # this fraction, or after _BCD_MAX_ALTERNATIONS; every measured run stopped
 # on the decrease, the longest after 47 (README solver notes)
@@ -212,187 +202,127 @@ def objective(u, rates, ctx: SchedulingContext):
     return term1 + term2
 
 
-def _convex_lower_bound(a, c, d, b, fa, fc, fd, fb):
-    """Lower bound on the minimum over [a, b] of a convex function sampled at a < c < d < b.
+class _RatePhi:
+    """phi(ell), the rate block's reduced objective at the log ceiling ell, with
+    its one-sided first and second derivatives.
 
-    On [a, c] and [d, b] the function lies above the secant through (c, d)
-    extended outward; on [c, d] above the higher of the secants through (a, c)
-    and (d, b) extended inward.  -inf when a sample is not finite.
+    On (ell_lo, ell_hi] vehicle v is raised above R_min while ell < k_v =
+    ln u_v - f1min_v, to f1_v = 2^(R_v/W) - 1 = ln u_v - ell.  With
+    E_v = exp(xi1_v - xi3_v/f1_v), p_v = 1 - E_v and the cost c_v/p_v, where
+    c_v = alpha D_v/(D u_v),
+
+        phi'(ell) = (1-alpha)e^ell - sum over raised v of c_v xi3_v E_v / (f1_v p_v)^2,
+
+    and phi'' is the derivative of each term again.  phi' jumps up at each k_v,
+    so every kink is convex; a vehicle exactly at its kink counts toward the
+    left derivatives alone.  Where a success probability is 0, phi is infinite
+    and falls toward higher ceilings.
     """
-    if not math.isfinite(fa + fc + fd + fb):
-        return -math.inf
-    s_ac = (fc - fa) / (c - a)
-    s_cd = (fd - fc) / (d - c)
-    s_db = (fb - fd) / (b - d)
-    outer = min(fc, fd, fc - s_cd * (c - a), fd + s_cd * (b - d))
-    # the higher of two lines is lowest at an end of [c, d] or where they cross
-    inner = min(max(fc, fd - s_db * (d - c)), max(fc + s_ac * (d - c), fd))
-    if s_ac != s_db:
-        cross = (fd - fc + s_ac * c - s_db * d) / (s_ac - s_db)
-        if c < cross < d:
-            inner = min(inner, fc + s_ac * (cross - c))
-    return min(outer, inner)
+
+    def __init__(self, u, ctx):
+        self.ctx, self.beta = ctx, 1.0 - ctx.alpha
+        self.ln_u = np.log(u)
+        self.weighted_data = ctx.alpha * ctx.data_sizes
+        self.scaled_u = ctx.d_total * u
+        self.kinks = self.ln_u - np.expm1(ctx.r_min * _LN2 / ctx.bandwidth)
+
+    def rates(self, ell):
+        """The smallest rates in the box whose pressure meets the ceiling e^ell."""
+        # the clamp to r_min > 0 also settles the vehicles that need no raise
+        out = np.subtract(self.ln_u, ell)
+        np.maximum(out, 0.0, out=out)
+        np.log1p(out, out=out)
+        np.multiply(self.ctx.bandwidth, out, out=out)
+        np.divide(out, _LN2, out=out)
+        np.maximum(out, self.ctx.r_min, out=out)
+        return np.minimum(out, self.ctx.r_max, out=out)
+
+    def __call__(self, ell):
+        """(phi, phi'-, phi'+, phi''-, phi''+) at ell."""
+        ctx = self.ctx
+        f1 = np.expm1(self.rates(ell) * _LN2 / ctx.bandwidth)
+        # SchedulingContext.success_prob inline: p = -expm1(arg) > 0 exactly where
+        # arg < 0, and the cost is infinite elsewhere
+        arg = ctx.xi1 - ctx.xi3 / f1
+        if not arg.max() < 0.0:
+            return math.inf, -math.inf, -math.inf, math.nan, math.nan
+        p = -np.expm1(arg)
+        cost = self.weighted_data / (self.scaled_u * p)
+        s = math.exp(ell)
+        # per raised vehicle, -d(cost)/d ell and d2(cost)/d ell2
+        q = ctx.xi3 / (f1 * f1)
+        e = np.exp(arg)
+        g = cost / p * e * q
+        h = g * ((1.0 + e) * q / p - 2.0 / f1)
+        left, right = self.kinks >= ell, self.kinks > ell
+        return (float(cost.sum()) + self.beta * s,
+                self.beta * s - g.sum(where=left), self.beta * s - g.sum(where=right),
+                self.beta * s + h.sum(where=left), self.beta * s + h.sum(where=right))
 
 
-def _downhill_bracket(ev, lo, hi, x0, f0):
-    """A bracket [a, b] within [lo, hi] that holds the minimum of a convex function
-    with f(x0) = f0 finite; returns (a, b, f(a), f(b)).
+def _newton_min(phi, lo, hi):
+    """Exact minimizer over (lo, hi] of the rate block's phi; returns its ceiling.
 
-    Steps of 1e-6 * max(1, |x0|) growing fourfold go downhill from x0 until a
-    sample is no higher than its neighbours on both sides, or the walk reaches
-    lo or hi while still descending.
+    Keeps a bracket [a, b] on the sign of phi', starting from b = hi, and takes
+    a Newton step from the newest end with the one-sided derivatives that face
+    the bracket.  A step that would leave the bracket, or, once both ends are
+    evaluated, that is not under half the step before last (Newton circling
+    between the ends), goes instead to the middle one of the kinks inside the
+    bracket, else to its midpoint: the safeguard of Brent (1973) and of rtsafe
+    in Numerical Recipes.  It stops at a point whose one-sided derivatives
+    bracket 0, at a Newton step under 4e-16 relative, or once the bracket is
+    narrower than 1e-14 relative, and returns the best ceiling it evaluated.
     """
-    def ordered(x, y, fx, fy):
-        return (x, y, fx, fy) if x < y else (y, x, fy, fx)
-
-    h = 1e-6 * max(1.0, abs(x0))
-    x1 = min(x0 + h, hi)
-    f1 = ev(x1)
-    if not f1 < f0:
-        xm = max(x0 - h, lo)
-        fm = ev(xm)
-        if not fm < f0:
-            return xm, x1, fm, f1
-        x1, f1 = xm, fm  # downhill is to the left
-    prev, cur, f_prev, f_cur = x0, x1, f0, f1
-    end = hi if cur > prev else lo
-    while cur != end:
-        nxt = min(max(cur + 4.0 * (cur - prev), lo), hi)
-        f_nxt = ev(nxt)
-        if not f_nxt < f_cur:
-            return ordered(prev, nxt, f_prev, f_nxt)
-        prev, cur, f_prev, f_cur = cur, nxt, f_cur, f_nxt
-    # still descending at the end of the range: the minimum is in [prev, end]
-    return ordered(prev, cur, f_prev, f_cur)
-
-
-def _golden_min(fn, lo, hi, start=None):
-    """Scalar minimization of a convex function on [lo, hi]; returns the best
-    evaluated point, its value and the final bracket width.
-
-    Golden-section search that stops as soon as the best sampled value is
-    within _CERT_RTOL of the convexity lower bound over the bracket, which at a
-    smooth minimum happens near a bracket width of 1e-8.  At a kink the bound
-    stays loose, so the bracket shrinks to 1e-14 relative as before;
-    _GOLDEN_ITERS caps the iterations either way.  A `start` inside (lo, hi)
-    where `fn` is finite, such as the previous minimizer of a nearby function,
-    replaces the full range by a downhill bracket around it; any other start
-    searches [lo, hi].
-    """
-    best = [math.inf, lo]
-
-    def ev(x):
-        f = fn(x)
-        if f < best[0]:
-            best[0], best[1] = f, x
-        return f
-
-    a, b = lo, hi
-    f0 = ev(start) if start is not None and lo < start < hi else math.inf
-    if math.isfinite(f0):
-        a, b, fa, fb = _downhill_bracket(ev, lo, hi, start, f0)
-    else:
-        fa, fb = ev(a), ev(b)
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    fc, fd = ev(c), ev(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc <= fd:
-            b, fb, d, fd = d, fd, c, fc
-            c = b - _PHI * (b - a)
-            fc = ev(c)
+    a, b, x = lo, hi, hi
+    best_x, best_f = hi, math.inf
+    last = before_last = hi - lo
+    for _ in range(_EXACT_ITERS):
+        f, d_minus, d_plus, h_minus, h_plus = phi(x)
+        if f < best_f:
+            best_x, best_f = x, f
+        if d_minus <= 0.0 <= d_plus:
+            return x
+        if d_plus < 0.0:
+            a, d, h = x, d_plus, h_plus
         else:
-            a, fa, c, fc = c, fc, d, fd
-            d = a + _PHI * (b - a)
-            fd = ev(d)
+            b, d, h = x, d_minus, h_minus
         if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
             break
-        lower = _convex_lower_bound(a, c, d, b, fa, fc, fd, fb)
-        if math.isfinite(best[0]) and best[0] - lower <= _CERT_RTOL * abs(best[0]):
-            break
-    return best[1], best[0], b - a
+        step = d / h if 0.0 < h < math.inf else math.nan
+        if abs(step) <= 4e-16 * max(1.0, abs(x)):
+            return x
+        nxt = x - step
+        if not (a < nxt < b and (a == lo or abs(step) <= 0.5 * abs(before_last))):
+            inside = np.sort(phi.kinks[(a < phi.kinks) & (phi.kinks < b)])
+            nxt = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (a + b)
+        before_last, last, x = last, nxt - x, nxt
+    return best_x
 
 
-def _rate_ceiling_floor(ln_u, cost, f1_max, phi_hi, ctx):
-    """Lowest log-ceiling at which the rate block's reduced objective can beat phi_hi.
-
-    A ceiling beats phi_hi only if every cost term cost_v/p_v is below it, so
-    p_v exceeds q_v = cost_v/phi_hi; as p_v = 1 - exp(xi1 - xi3/f1_v), that
-    bounds f1_v = 2^(R_v/W) - 1 by xi3/(xi1 - log1p(-q_v)).  A vehicle meets
-    the ceiling ell only with f1_v >= ln u_v - ell.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1_cap = ctx.xi3 / (ctx.xi1 - np.log1p(-cost / phi_hi))
-    return float(np.max(ln_u - np.minimum(f1_cap, f1_max)))
-
-
-def solve_rate_block(u, ctx: SchedulingContext, start=None):
-    """Exact rate-block minimizer for fixed inclusion probabilities; returns
-    (rates, log s).
+def solve_rate_block(u, ctx: SchedulingContext):
+    """Exact rate-block minimizer for fixed inclusion probabilities.
 
     Parameterized by the ceiling s of the max term: every vehicle whose
     pressure exceeds s raises its rate just enough to meet it, never more,
     because the inclusion cost strictly grows with rate.  The reduced
-    objective is convex in log s.  A `start` log s inside the ceiling range
-    starts the line search there; a search without one runs only over the
-    ceilings that can beat the top one (see _rate_ceiling_floor).  A solve
-    that runs no search returns `start` as its ceiling.
+    objective is convex in log s, with a closed-form derivative, and
+    _newton_min solves it exactly.
     """
     alpha = ctx.alpha
     if ctx.size == 0:
-        return np.array([]), start
+        return np.array([])
     if alpha >= 1.0:
-        return ctx.r_min.copy(), start
+        return ctx.r_min.copy()
     if alpha <= 0.0:
-        return ctx.r_max.copy(), start
-    u = np.asarray(u, dtype=float)
-    ln_u = np.log(u)
-    w = ctx.bandwidth
-    f1_min = np.expm1(ctx.r_min * _LN2 / w)
-    f1_max = np.expm1(ctx.r_max * _LN2 / w)
-    ell_lo = float(np.max(ln_u - f1_max))
-    ell_hi = float(np.max(ln_u - f1_min))
-
-    def rates_at(ell, out=None):
-        # the clamp to r_min > 0 also settles the vehicles that need no raise
-        out = np.subtract(ln_u, ell, out=out)
-        np.maximum(out, 0.0, out=out)
-        np.log1p(out, out=out)
-        np.multiply(w, out, out=out)
-        np.divide(out, _LN2, out=out)
-        np.maximum(out, ctx.r_min, out=out)
-        return np.minimum(out, ctx.r_max, out=out)
-
-    weighted_data = alpha * ctx.data_sizes
-    scaled_u = ctx.d_total * u
-    rates, x = np.empty(ctx.size), np.empty(ctx.size)
-
-    def phi(ell):
-        # SchedulingContext.success_prob inline: p = -expm1(arg) > 0 exactly where
-        # arg < 0, and the cost is infinite elsewhere
-        rates_at(ell, out=rates)
-        np.multiply(rates, _LN2, out=x)
-        np.divide(x, w, out=x)
-        np.expm1(x, out=x)
-        np.divide(ctx.xi3, x, out=x)
-        np.subtract(ctx.xi1, x, out=x)
-        if not x.max() < 0.0:
-            return math.inf
-        np.expm1(x, out=x)
-        np.negative(x, out=x)
-        np.multiply(scaled_u, x, out=x)
-        np.divide(weighted_data, x, out=x)
-        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
-
+        return ctx.r_max.copy()
+    phi = _RatePhi(np.asarray(u, dtype=float), ctx)
+    ell_lo = float(np.max(phi.ln_u - np.expm1(ctx.r_max * _LN2 / ctx.bandwidth)))
+    ell_hi = float(np.max(phi.kinks))
     if not ell_hi > ell_lo:
-        return rates_at(ell_hi), start
+        return phi.rates(ell_hi)
     # the success probability's overflow and zero division, as it ignores them
     with np.errstate(divide="ignore", over="ignore"):
-        if start is None or not ell_lo < start < ell_hi:
-            floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
-            ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
-        ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
-    return rates_at(ell_star), ell_star
+        return phi.rates(_newton_min(phi, ell_lo, ell_hi))
 
 
 def _waterfill(cost, lo, caps, budget):
@@ -943,13 +873,11 @@ def bcd_solve(ctx: SchedulingContext):
     def solve_block(table, solve, x):
         key = x.tobytes()
         if key not in table:
-            table[key] = solve(x)
+            table[key] = solve(x, ctx)
         return table[key]
 
     def alternate(u0, trace):
         u = feasible(u0)
-        # each rate search starts from the ceiling of the previous rate solve
-        ell_rate = None
         rates = ctx.r_min.copy()
         if not trace:
             trace.append(objective(u, rates, ctx))
@@ -958,8 +886,7 @@ def bcd_solve(ctx: SchedulingContext):
         outer = 0
         for outer in range(1, _BCD_MAX_ALTERNATIONS + 1):
             prev = trace[-1]
-            r_new, ell_rate = solve_block(rate_table,
-                                          lambda u: solve_rate_block(u, ctx, ell_rate), u)
+            r_new = solve_block(rate_table, solve_rate_block, u)
             o_r = objective(u, r_new, ctx)
             if o_r <= trace[-1]:
                 rates = r_new
@@ -967,8 +894,7 @@ def bcd_solve(ctx: SchedulingContext):
             else:
                 trace.append(trace[-1])
             residuals[0] = trace[-2] - trace[-1]
-            u_new = solve_block(inclusion_table,
-                                lambda rates: solve_inclusion_block(rates, ctx), rates)
+            u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
             o_u = objective(u_new, rates, ctx)
             if o_u <= trace[-1]:
                 u = u_new

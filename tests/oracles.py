@@ -6,16 +6,17 @@ over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
 them as references.  The one-point J0 series is the reference for the
 program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
-tables and its line-search evaluations on fresh arrays are the references for
-the program's blocked scan and buffered evaluations, and the golden-section
-inclusion block is the reference for the program's exact piecewise one.  The
-per-vehicle channel refresh and scheduling context at the end are the
-straightforward one-vehicle-at-a-time forms of the program's batched ones, and
-the one-vehicle SGD loop at the very end is the reference for the program's
-lockstep training.
+tables and its block-search evaluations on fresh arrays are the references
+for the program's blocked scan and its searches' evaluations, and the
+golden-section rate and inclusion blocks are the references for the program's
+exact Newton and piecewise ones.  The per-vehicle channel refresh and
+scheduling context at the end are the straightforward one-vehicle-at-a-time
+forms of the program's batched ones, and the one-vehicle SGD loop at the very
+end is the reference for the program's lockstep training.
 """
 
 import math
+import sys
 
 import numpy as np
 from mpmath import mp, mpf
@@ -439,6 +440,200 @@ def reference_inclusion_block_psi(rates, ctx, alpha):
     return psi
 
 
+# ---------------------------------------------------------------------------
+# the golden-section block searches that the exact ones replaced
+# ---------------------------------------------------------------------------
+
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# a line search stops once its best value is this close to the convexity bound:
+# a few ulps, the resolution at which the sampled values stop changing
+_CERT_RTOL = 4.0 * sys.float_info.epsilon
+_GOLDEN_ITERS = 120  # cap on one line search; the certificate ends them first
+
+
+def _convex_lower_bound(a, c, d, b, fa, fc, fd, fb):
+    """Lower bound on the minimum over [a, b] of a convex function sampled at a < c < d < b.
+
+    On [a, c] and [d, b] the function lies above the secant through (c, d)
+    extended outward; on [c, d] above the higher of the secants through (a, c)
+    and (d, b) extended inward.  -inf when a sample is not finite.
+    """
+    if not math.isfinite(fa + fc + fd + fb):
+        return -math.inf
+    s_ac = (fc - fa) / (c - a)
+    s_cd = (fd - fc) / (d - c)
+    s_db = (fb - fd) / (b - d)
+    outer = min(fc, fd, fc - s_cd * (c - a), fd + s_cd * (b - d))
+    # the higher of two lines is lowest at an end of [c, d] or where they cross
+    inner = min(max(fc, fd - s_db * (d - c)), max(fc + s_ac * (d - c), fd))
+    if s_ac != s_db:
+        cross = (fd - fc + s_ac * c - s_db * d) / (s_ac - s_db)
+        if c < cross < d:
+            inner = min(inner, fc + s_ac * (cross - c))
+    return min(outer, inner)
+
+
+def _downhill_bracket(ev, lo, hi, x0, f0):
+    """A bracket [a, b] within [lo, hi] that holds the minimum of a convex function
+    with f(x0) = f0 finite; returns (a, b, f(a), f(b)).
+
+    Steps of 1e-6 * max(1, |x0|) growing fourfold go downhill from x0 until a
+    sample is no higher than its neighbours on both sides, or the walk reaches
+    lo or hi while still descending.
+    """
+    def ordered(x, y, fx, fy):
+        return (x, y, fx, fy) if x < y else (y, x, fy, fx)
+
+    h = 1e-6 * max(1.0, abs(x0))
+    x1 = min(x0 + h, hi)
+    f1 = ev(x1)
+    if not f1 < f0:
+        xm = max(x0 - h, lo)
+        fm = ev(xm)
+        if not fm < f0:
+            return xm, x1, fm, f1
+        x1, f1 = xm, fm  # downhill is to the left
+    prev, cur, f_prev, f_cur = x0, x1, f0, f1
+    end = hi if cur > prev else lo
+    while cur != end:
+        nxt = min(max(cur + 4.0 * (cur - prev), lo), hi)
+        f_nxt = ev(nxt)
+        if not f_nxt < f_cur:
+            return ordered(prev, nxt, f_prev, f_nxt)
+        prev, cur, f_prev, f_cur = cur, nxt, f_cur, f_nxt
+    # still descending at the end of the range: the minimum is in [prev, end]
+    return ordered(prev, cur, f_prev, f_cur)
+
+
+def _golden_min(fn, lo, hi, start=None):
+    """Scalar minimization of a convex function on [lo, hi]; returns the best
+    evaluated point, its value and the final bracket width.
+
+    Golden-section search that stops as soon as the best sampled value is
+    within _CERT_RTOL of the convexity lower bound over the bracket, which at a
+    smooth minimum happens near a bracket width of 1e-8.  At a kink the bound
+    stays loose, so the bracket shrinks to 1e-14 relative as before;
+    _GOLDEN_ITERS caps the iterations either way.  A `start` inside (lo, hi)
+    where `fn` is finite, such as the previous minimizer of a nearby function,
+    replaces the full range by a downhill bracket around it; any other start
+    searches [lo, hi].
+    """
+    best = [math.inf, lo]
+
+    def ev(x):
+        f = fn(x)
+        if f < best[0]:
+            best[0], best[1] = f, x
+        return f
+
+    a, b = lo, hi
+    f0 = ev(start) if start is not None and lo < start < hi else math.inf
+    if math.isfinite(f0):
+        a, b, fa, fb = _downhill_bracket(ev, lo, hi, start, f0)
+    else:
+        fa, fb = ev(a), ev(b)
+    c = b - _PHI * (b - a)
+    d = a + _PHI * (b - a)
+    fc, fd = ev(c), ev(d)
+    for _ in range(_GOLDEN_ITERS):
+        if fc <= fd:
+            b, fb, d, fd = d, fd, c, fc
+            c = b - _PHI * (b - a)
+            fc = ev(c)
+        else:
+            a, fa, c, fc = c, fc, d, fd
+            d = a + _PHI * (b - a)
+            fd = ev(d)
+        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+            break
+        lower = _convex_lower_bound(a, c, d, b, fa, fc, fd, fb)
+        if math.isfinite(best[0]) and best[0] - lower <= _CERT_RTOL * abs(best[0]):
+            break
+    return best[1], best[0], b - a
+
+
+def _rate_ceiling_floor(ln_u, cost, f1_max, phi_hi, ctx):
+    """Lowest log-ceiling at which the rate block's reduced objective can beat phi_hi.
+
+    A ceiling beats phi_hi only if every cost term cost_v/p_v is below it, so
+    p_v exceeds q_v = cost_v/phi_hi; as p_v = 1 - exp(xi1 - xi3/f1_v), that
+    bounds f1_v = 2^(R_v/W) - 1 by xi3/(xi1 - log1p(-q_v)).  A vehicle meets
+    the ceiling ell only with f1_v >= ln u_v - ell.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1_cap = ctx.xi3 / (ctx.xi1 - np.log1p(-cost / phi_hi))
+    return float(np.max(ln_u - np.minimum(f1_cap, f1_max)))
+
+
+def reference_rate_block(u, ctx, start=None):
+    """The golden-section rate block that the exact Newton search replaced;
+    returns (rates, log s).
+
+    Parameterized by the ceiling s of the max term: every vehicle whose
+    pressure exceeds s raises its rate just enough to meet it, never more,
+    because the inclusion cost strictly grows with rate.  The reduced
+    objective is convex in log s.  A `start` log s inside the ceiling range
+    starts the line search there; a search without one runs only over the
+    ceilings that can beat the top one (see _rate_ceiling_floor).  A solve
+    that runs no search returns `start` as its ceiling.
+    """
+    alpha = ctx.alpha
+    if ctx.size == 0:
+        return np.array([]), start
+    if alpha >= 1.0:
+        return ctx.r_min.copy(), start
+    if alpha <= 0.0:
+        return ctx.r_max.copy(), start
+    u = np.asarray(u, dtype=float)
+    ln_u = np.log(u)
+    w = ctx.bandwidth
+    f1_min = np.expm1(ctx.r_min * _LN2 / w)
+    f1_max = np.expm1(ctx.r_max * _LN2 / w)
+    ell_lo = float(np.max(ln_u - f1_max))
+    ell_hi = float(np.max(ln_u - f1_min))
+
+    def rates_at(ell, out=None):
+        # the clamp to r_min > 0 also settles the vehicles that need no raise
+        out = np.subtract(ln_u, ell, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.log1p(out, out=out)
+        np.multiply(w, out, out=out)
+        np.divide(out, _LN2, out=out)
+        np.maximum(out, ctx.r_min, out=out)
+        return np.minimum(out, ctx.r_max, out=out)
+
+    weighted_data = alpha * ctx.data_sizes
+    scaled_u = ctx.d_total * u
+    rates, x = np.empty(ctx.size), np.empty(ctx.size)
+
+    def phi(ell):
+        # SchedulingContext.success_prob inline: p = -expm1(arg) > 0 exactly where
+        # arg < 0, and the cost is infinite elsewhere
+        rates_at(ell, out=rates)
+        np.multiply(rates, _LN2, out=x)
+        np.divide(x, w, out=x)
+        np.expm1(x, out=x)
+        np.divide(ctx.xi3, x, out=x)
+        np.subtract(ctx.xi1, x, out=x)
+        if not x.max() < 0.0:
+            return math.inf
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.multiply(scaled_u, x, out=x)
+        np.divide(weighted_data, x, out=x)
+        return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
+
+    if not ell_hi > ell_lo:
+        return rates_at(ell_hi), start
+    # the success probability's overflow and zero division, as it ignores them
+    with np.errstate(divide="ignore", over="ignore"):
+        if start is None or not ell_lo < start < ell_hi:
+            floor = _rate_ceiling_floor(ln_u, weighted_data / scaled_u, f1_max, phi(ell_hi), ctx)
+            ell_lo = max(ell_lo, floor - 1e-9 * max(1.0, abs(floor)))
+        ell_star, _, _ = _golden_min(phi, ell_lo, ell_hi, start)
+    return rates_at(ell_star), ell_star
+
+
 def reference_inclusion_block(rates, ctx, start=None):
     """The golden-section inclusion block that the exact piecewise search
     replaced; returns (u, log s)."""
@@ -471,7 +666,7 @@ def reference_inclusion_block(rates, ctx, start=None):
         return float(x.sum()) + (1.0 - alpha) * math.exp(ell)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell_star, _, _ = scheduler._golden_min(psi, ell_lo, ell_hi, start)
+        ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, start)
         return u_at(ell_star), ell_star
 
 

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from instances import MODEL_BITS, random_context, symmetric_context
-from oracles import (grid_min_rate_only, grid_min_two_vehicle, grid_min_two_vehicle_naive,
-                     rate_block_phi)
+from oracles import (_golden_min, grid_min_rate_only, grid_min_two_vehicle,
+                     grid_min_two_vehicle_naive, rate_block_phi)
 from vflsim import checks, scheduler
 from vflsim.channel import ChannelState
 from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState, remaining_sojourn
 from vflsim.sim import Experiment
-from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _golden_min,
-                              _rate_ceiling_floor, _waterfill, bcd_solve, build_context,
-                              dump_instance, load_instance, objective, rate_bounds,
-                              realize_selection, round_time, scheme1_baseline,
+from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill, bcd_solve,
+                              build_context, dump_instance, load_instance, objective,
+                              rate_bounds, realize_selection, round_time, scheme1_baseline,
                               scheme2_baseline, solve_inclusion_block, solve_rate_block)
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
@@ -125,21 +124,21 @@ class TestRateBlock:
         for _ in range(20):
             ctx = random_context(rng, int(rng.integers(2, 9)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=1.0))[0], ctx.r_min)
+            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=1.0)), ctx.r_min)
 
     def test_alpha_zero_ceiling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             ctx = random_context(rng, int(rng.integers(2, 9)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=0.0))[0], ctx.r_max)
+            assert np.array_equal(solve_rate_block(u, replace(ctx, alpha=0.0)), ctx.r_max)
 
     def test_matches_rate_grid_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(8):
             ctx = random_context(rng, 2, alpha=0.4)
             u = rng.uniform(0.2, 1.0, 2)
-            rates, _ = solve_rate_block(u, ctx)
+            rates = solve_rate_block(u, ctx)
             solved = objective(u, rates, ctx)
             oracle = grid_min_rate_only(u, ctx, 0.4, n_r=2000)
             assert solved <= oracle + 1e-3 * abs(oracle)
@@ -150,12 +149,12 @@ class TestRateBlock:
             ctx = random_context(rng, int(rng.integers(2, 7)),
                                  alpha=float(rng.uniform(0.05, 0.95)))
             u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            rates, _ = solve_rate_block(u, ctx)
+            rates = solve_rate_block(u, ctx)
             assert float(np.min(ctx.success_prob(rates))) > 0.0
 
-    def test_ceiling_floor_keeps_every_ceiling_that_beats_the_top(self):
-        """Cut soundness: a grid ceiling below the floor never beats phi(ell_hi), and the
-        block solve is never above the grid minimum over the uncut range."""
+    def test_never_above_the_grid_minimum(self):
+        """The block solve is never above the minimum of phi over a dense grid of the
+        whole ceiling range, refined toward both ends."""
         rng = np.random.default_rng(6)
         cases = [(load_instance(p), 5) for p in sorted(CORPUS.glob("*.txt"))]
         cases = [(ctx, k) for ctx, k in cases if ctx.alpha < 1.0]
@@ -174,19 +173,16 @@ class TestRateBlock:
                     ell_hi - np.geomspace(1e-9, width, 1500),
                     ell_lo + np.geomspace(1e-9, width, 500)]))
                 ells = ells[(ells >= ell_lo) & (ells <= ell_hi)]
-                phi = rate_block_phi(ells, u, ctx, ctx.alpha)
-                phi_hi = float(rate_block_phi([ell_hi], u, ctx, ctx.alpha)[0])
-                floor = _rate_ceiling_floor(ln_u, ctx.alpha * ctx.data_sizes / (ctx.d_total * u),
-                                            f1_max, phi_hi, ctx)
-                assert np.all(ells[phi < phi_hi] >= floor)
-                grid_min = float(np.min(phi))
-                solved = objective(u, solve_rate_block(u, ctx)[0], ctx)
+                grid_min = float(np.min(rate_block_phi(ells, u, ctx, ctx.alpha)))
+                solved = objective(u, solve_rate_block(u, ctx), ctx)
                 assert solved <= grid_min + 8 * np.spacing(grid_min)
                 checked += 1
         assert checked == 5 * 21 + 200  # 21 corpus instances have alpha < 1
 
 
 class TestGoldenMin:
+    """The golden-section search of the reference blocks in tests/oracles.py."""
+
     @staticmethod
     def _counted(fn):
         calls = []
@@ -327,28 +323,6 @@ class TestInclusionBlock:
         ctx = symmetric_context(2, alpha=1.0, n_blocks=1.0)
         u = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, [0.5, 0.5], atol=1e-9)
-
-
-class TestBlockCeiling:
-    def test_result_meets_the_returned_ceiling(self):
-        # only the rate block returns a ceiling; the inclusion block takes none
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            ctx = random_context(rng, int(rng.integers(2, 9)), n_blocks=2.0)
-            u = rng.uniform(ctx.u_min, 1.0, ctx.size)
-            rates, ell = solve_rate_block(u, ctx)
-            pressure = np.max(u * np.exp(-np.expm1(rates * _LN2 / ctx.bandwidth)))
-            assert pressure <= math.exp(ell) * (1.0 + 1e-12)
-
-    def test_no_search_returns_the_start(self):
-        rng = np.random.default_rng(18)
-        ctx = random_context(rng, 4)
-        u = np.full(ctx.size, 0.5)
-        for alpha in (0.0, 1.0):
-            endpoint = replace(ctx, alpha=alpha)
-            assert solve_rate_block(u, endpoint, 0.25)[1] == 0.25
-        empty = symmetric_context(0)
-        assert solve_rate_block(np.array([]), empty, 0.25)[1] == 0.25
 
 
 class TestBcd:
@@ -531,7 +505,7 @@ class TestBaselines:
         ctx = random_context(rng, 5, alpha=0.4)
         plan, _ = scheme1_baseline(ctx)
         u = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
-        expected, _ = solve_rate_block(u, replace(ctx, alpha=1.0))
+        expected = solve_rate_block(u, replace(ctx, alpha=1.0))
         assert np.array_equal(np.array([plan.rates[i] for i in plan.ids]), expected)
 
 

@@ -1,18 +1,19 @@
 """Search evaluations over the stored benchmark corpus.
 
-bcd_solve starts each rate-block line search from the ceiling of the previous
-rate solve, cuts the rate block's cold bracket from below, never solves a
-block twice on the same input and restarts each multi-start run once, at 1.25
-times its result.  The inclusion block needs no line search: its exact
-piecewise search reads the derivative and the closed form of each piece off
-its water-fills.  None of that shows in a plan, so these guards count, over
-one solve of each corpus instance, the evaluations of every `_golden_min`
-line search (the rate block's alone) and the water-fills of the exact
-inclusion searches, and fail when either climbs back.  The line-search count
-was 28,081 without the first three measures, 22,023 with the repeat table
-alone, 16,266 with a second restart at 0.8 times the result, and 15,341 while
-golden section also solved the inclusion block (7,296 of them inclusion
-evaluations).
+bcd_solve never solves a block twice on the same input and restarts each
+multi-start run once, at 1.25 times its result.  Both blocks are solved
+exactly, without a line search: the rate block by a bracketed Newton
+iteration on the derivative of its reduced objective, the inclusion block by
+a piecewise search that reads the derivative and the closed form of each
+piece off its water-fills.  None of that shows in a plan, so these guards
+count, over one solve of each corpus instance, the evaluations of the exact
+rate searches and the water-fills of the exact inclusion searches, and fail
+when either climbs back.  Under golden section the line-search evaluations
+were 28,081 before warm starts, a cold-bracket cut and the repeat table,
+22,023 with the repeat table alone, 16,266 with all three and a second
+restart at 0.8 times the result, 15,341 without that restart (7,296 of them
+inclusion evaluations), and 8,195 once golden section was left to the rate
+block alone.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 from vflsim import scheduler
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
-MEASURED = 8_195  # the count when golden section was left to the rate block
+MEASURED = 1_293  # evaluations of the exact rate searches, when introduced
 MEASURED_FILLS = 892  # water-fills of the exact inclusion searches, when introduced
 
 
@@ -31,19 +32,17 @@ def solve_corpus():
         scheduler.bcd_solve(scheduler.load_instance(path))
 
 
-def test_corpus_line_search_evaluations_stay_near_measured(monkeypatch):
+def test_corpus_rate_evaluations_stay_near_measured(monkeypatch):
     evaluations = [0]
-    golden = scheduler._golden_min
+    evaluate = scheduler._RatePhi.__call__
 
-    def counted(fn, *args, **kwargs):
-        def fn_counted(x):
-            evaluations[0] += 1
-            return fn(x)
-        return golden(fn_counted, *args, **kwargs)
+    def counted(self, ell):
+        evaluations[0] += 1
+        return evaluate(self, ell)
 
-    monkeypatch.setattr(scheduler, "_golden_min", counted)
+    monkeypatch.setattr(scheduler._RatePhi, "__call__", counted)
     solve_corpus()
-    print(f"corpus line-search evaluations: {evaluations[0]} (measured {MEASURED})")
+    print(f"corpus rate-search evaluations: {evaluations[0]} (measured {MEASURED})")
     assert evaluations[0] <= MEASURED * 1.05
 
 

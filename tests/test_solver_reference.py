@@ -1,9 +1,10 @@
-"""The solver's blocked ceiling scan and buffered line-search evaluations, bit
-for bit against the references in tests/oracles.py: the scan one vehicle at a
-time with sparse-table window minima, and the evaluations on fresh arrays.
-The exact inclusion block is held to the golden-section block it replaced: a
-value no higher, up to 1e-12 relative, with the box, the budget and the
-ceiling it returns all met.
+"""The solver's blocked ceiling scan and its block searches' evaluations, bit for
+bit against the references in tests/oracles.py: the scan one vehicle at a time
+with sparse-table window minima, and the evaluations on fresh arrays.  The rate
+search's derivatives are held to differences of those values.  Each exact
+block is held to the golden-section block it replaced, searched cold: a value
+no higher, up to 1e-12 relative, with the box and, for the inclusion block,
+the budget met.
 """
 
 import math
@@ -89,35 +90,27 @@ class TestCeilingScan:
         assert scan_both(ctx) is None
 
 
-def searched(monkeypatch):
-    """The (function, lo, hi) of every _golden_min call made while installed."""
+def searched(monkeypatch, search):
+    """The (function, lo, hi) of every call of scheduler.<search> made while installed."""
     searches = []
-    golden = scheduler._golden_min
+    real = getattr(scheduler, search)
 
-    def spy(fn, lo, hi, start=None):
+    def spy(fn, lo, hi):
         searches.append((fn, lo, hi))
-        return golden(fn, lo, hi, start)
+        return real(fn, lo, hi)
 
-    monkeypatch.setattr(scheduler, "_golden_min", spy)
-    return searches
-
-
-def searched_inclusion(monkeypatch):
-    """The (psi, lo, hi) of every _piecewise_min call made while installed."""
-    searches = []
-    search = scheduler._piecewise_min
-
-    def spy(psi, lo, hi):
-        searches.append((psi, lo, hi))
-        return search(psi, lo, hi)
-
-    monkeypatch.setattr(scheduler, "_piecewise_min", spy)
+    monkeypatch.setattr(scheduler, search, spy)
     return searches
 
 
 def psi_values(psi):
-    """The reduced objective alone of the exact search's evaluation function."""
+    """The reduced objective alone of the inclusion search's evaluation function."""
     return lambda ell: psi(ell).psi
+
+
+def phi_values(phi):
+    """The reduced objective alone of the rate search's evaluation function."""
+    return lambda ell: phi(ell)[0]
 
 
 def same_values(fn, reference, lo, hi, extra=()):
@@ -129,6 +122,41 @@ def same_values(fn, reference, lo, hi, extra=()):
         want = np.array([reference(ell) for ell in ells])
     assert got.tobytes() == want.tobytes()
     return got
+
+
+def same_derivatives(phi, reference, lo, hi):
+    """phi's one-sided derivatives against differences of the reference's values,
+    to 1e-5 relative.  At each of same_values' 64 ceilings above lo where the
+    reference is finite and no kink lies within two steps, the first and second
+    derivatives against central differences; at each kink in (lo, hi], the left
+    and right first derivatives against backward and forward differences.
+    Returns the number of ceilings checked."""
+    def close(got, want, scale):
+        assert abs(got - want) <= 1e-5 * (abs(want) + abs(scale)), (got, want)
+
+    checked = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for ell in np.linspace(lo - 1.0, hi + 0.5, 64):
+            t = 3e-5 * max(1.0, abs(ell))
+            f_lo, f, f_hi = reference(ell - t), reference(ell), reference(ell + t)
+            if (ell - 2 * t <= lo or np.any(np.abs(phi.kinks - ell) <= 2 * t)
+                    or not math.isfinite(f_lo + f + f_hi)):
+                continue
+            _, d_minus, d_plus, h_minus, h_plus = phi(ell)
+            assert (d_minus, h_minus) == (d_plus, h_plus)
+            close(d_minus, (f_hi - f_lo) / (2 * t), f)
+            close(h_minus, (f_hi - 2 * f + f_lo) / t**2, f)
+            checked += 1
+        for k in phi.kinks[(phi.kinks > lo) & (phi.kinks <= hi)]:
+            t = 1e-7 * max(1.0, abs(k))
+            f_lo, f, f_hi = reference(k - t), reference(k), reference(k + t)
+            if k - t <= lo or not math.isfinite(f_lo + f + f_hi):
+                continue
+            _, d_minus, d_plus, _, _ = phi(k)
+            close(d_minus, (f - f_lo) / t, f)
+            close(d_plus, (f_hi - f) / t, f)
+            checked += 1
+    return checked
 
 
 def capped_context():
@@ -159,16 +187,18 @@ class TestLineSearchEvaluations:
     def test_rate_block(self, name, monkeypatch):
         ctx = evaluation_context(name)
         u = np.random.default_rng(1).uniform(ctx.u_min, 1.0, ctx.size)
-        searches = searched(monkeypatch)
+        searches = searched(monkeypatch, "_newton_min")
         scheduler.solve_rate_block(u, ctx)
         phi, lo, hi = searches[-1]
-        same_values(phi, oracles.reference_rate_block_phi(u, ctx, ctx.alpha), lo, hi)
+        reference = oracles.reference_rate_block_phi(u, ctx, ctx.alpha)
+        same_values(phi_values(phi), reference, lo, hi)
+        assert same_derivatives(phi, reference, lo, hi) > 0
 
     @pytest.mark.parametrize("name", EVALUATED)
     def test_inclusion_block(self, name, monkeypatch):
         ctx = evaluation_context(name)
         rates = np.random.default_rng(2).uniform(ctx.r_min, ctx.r_max * (1.0 - 1e-6))
-        searches = searched_inclusion(monkeypatch)
+        searches = searched(monkeypatch, "_piecewise_min")
         scheduler.solve_inclusion_block(rates, ctx)
         psi, lo, hi = searches[-1]
         same_values(psi_values(psi), oracles.reference_inclusion_block_psi(rates, ctx, ctx.alpha),
@@ -176,7 +206,7 @@ class TestLineSearchEvaluations:
 
     def test_zero_success_probability_is_infinite_with_zero_data(self, monkeypatch):
         ctx = capped_context()
-        searches = searched(monkeypatch)
+        searches = searched(monkeypatch, "_newton_min")
         u = np.full(ctx.size, 0.3)
         # the program path raises no floating-point warning, 0/0 included
         with warnings.catch_warnings():
@@ -186,10 +216,11 @@ class TestLineSearchEvaluations:
         # a ceiling this low holds vehicle 0 at its cap: infinite, where 0/0 would be NaN
         f1_max = np.expm1(ctx.r_max * math.log(2.0) / ctx.bandwidth)
         low = float(np.max(np.log(u) - f1_max)) - 1.0
-        got = same_values(phi, oracles.reference_rate_block_phi(u, ctx, ctx.alpha), lo, hi,
-                          extra=[low])
+        reference = oracles.reference_rate_block_phi(u, ctx, ctx.alpha)
+        got = same_values(phi_values(phi), reference, lo, hi, extra=[low])
         assert np.isinf(got).any() and np.isfinite(got).any()
-        inclusion_searches = searched_inclusion(monkeypatch)
+        assert same_derivatives(phi, reference, lo, hi) > 0
+        inclusion_searches = searched(monkeypatch, "_piecewise_min")
         for rates, finite in ((ctx.r_max, False), (ctx.r_max * 0.99, True)):
             # past the capacity vehicle 0 costs inf; below it, its zero data cost
             # 0, which takes the water-fill's general path
@@ -215,16 +246,16 @@ def check_inclusion_block(rates, ctx):
     return value, want
 
 
-def corpus_inclusion_inputs(ctx, monkeypatch):
-    """The rates of every inclusion-block solve of one bcd_solve of ctx."""
+def block_inputs(ctx, monkeypatch, block):
+    """The input of every solve of scheduler.<block> in one bcd_solve of ctx."""
     inputs = []
-    solve = scheduler.solve_inclusion_block
+    solve = getattr(scheduler, block)
 
-    def recorded(rates, context):
-        inputs.append(np.array(rates))
-        return solve(rates, context)
+    def recorded(x, context):
+        inputs.append(np.array(x))
+        return solve(x, context)
 
-    monkeypatch.setattr(scheduler, "solve_inclusion_block", recorded)
+    monkeypatch.setattr(scheduler, block, recorded)
     scheduler.bcd_solve(ctx)
     monkeypatch.undo()
     return inputs
@@ -234,7 +265,7 @@ class TestExactInclusionBlock:
     @pytest.mark.parametrize("name", INTERIOR)
     def test_corpus_inputs(self, name, monkeypatch):
         ctx = load_instance(CORPUS / name)
-        inputs = corpus_inclusion_inputs(ctx, monkeypatch)
+        inputs = block_inputs(ctx, monkeypatch, "solve_inclusion_block")
         assert inputs
         for rates in inputs:
             check_inclusion_block(rates, ctx)
@@ -304,7 +335,7 @@ class TestExactInclusionBlock:
             return bisection(*args)
 
         monkeypatch.setattr(scheduler, "_waterfill_bisection", counted)
-        searches = searched_inclusion(monkeypatch)
+        searches = searched(monkeypatch, "_piecewise_min")
         check_inclusion_block(rates, ctx)
         assert not fallbacks
         psi, lo, hi = searches[-1]
@@ -314,3 +345,86 @@ class TestExactInclusionBlock:
         assert fallbacks
         u = scheduler.solve_inclusion_block(rates, ctx)
         assert np.all(u == ctx.u_min)
+
+
+def check_rate_block(u, ctx):
+    """The exact block on (u, ctx) against the golden-section reference, searched
+    cold: a value no higher up to 1e-12 relative, rates in the box and every
+    success probability positive.  Returns (value, reference value)."""
+    rates = scheduler.solve_rate_block(u, ctx)
+    rates_ref, _ = oracles.reference_rate_block(u, ctx)
+    value, want = objective(u, rates, ctx), objective(u, rates_ref, ctx)
+    assert value <= want * (1.0 + 1e-12)
+    assert np.all(rates >= ctx.r_min) and np.all(rates <= ctx.r_max)
+    assert np.all(ctx.success_prob(rates) > 0.0)
+    return value, want
+
+
+class TestExactRateBlock:
+    @pytest.mark.parametrize("name", INTERIOR)
+    def test_corpus_inputs(self, name, monkeypatch):
+        ctx = load_instance(CORPUS / name)
+        inputs = block_inputs(ctx, monkeypatch, "solve_rate_block")
+        assert inputs
+        for u in inputs:
+            check_rate_block(u, ctx)
+
+    def test_random_slack_and_tight_budgets(self):
+        # every seventh draw includes every vehicle: those sharing R_min then have
+        # kinks that tie at the top ceiling
+        rng = np.random.default_rng(2026)
+        for i in range(3000):
+            n = int(rng.integers(2, 13))
+            tight = i % 2 == 1
+            n_blocks = float(rng.integers(1, n) if tight else rng.integers(n, 21))
+            ctx = random_context(rng, n, n_blocks=n_blocks)
+            u = np.ones(n) if i % 7 == 0 else rng.uniform(ctx.u_min, 1.0, n)
+            check_rate_block(u, ctx)
+
+    def test_rate_cap_past_capacity(self):
+        ctx = capped_context()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for u in (np.full(ctx.size, 0.3), np.ones(ctx.size)):
+                value, _ = check_rate_block(u, ctx)
+                assert math.isfinite(value)
+
+    def test_zero_data_vehicle(self):
+        # vehicle 0 costs nothing at any rate, so only the ceiling prices raising it
+        ctx = built_context([0.4, 0.8, 0.7], [0.1, 1.0, 0.5], [1e-7, 3e-9, 1e-8],
+                            [0.0, 150.0, 90.0])
+        for u in (np.array([0.9, 0.3, 0.6]), np.array([0.05, 1.0, 1.0])):
+            check_rate_block(u, ctx)
+
+    def test_one_vehicle(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            ctx = random_context(rng, 1)
+            check_rate_block(rng.uniform(ctx.u_min, 1.0, 1), ctx)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1.0 - 1e-6])
+    def test_alpha_near_an_endpoint(self, alpha):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            ctx = random_context(rng, int(rng.integers(1, 13)), alpha=alpha)
+            check_rate_block(rng.uniform(ctx.u_min, 1.0, ctx.size), ctx)
+
+    def test_minimum_at_the_top_ceiling(self, monkeypatch):
+        # three of four vehicles share R_min at u = 1, so their kinks tie at the top
+        # ceiling, where the minimum is: the left derivative there, with all three
+        # at their kink, is already <= 0
+        ctx = random_context(np.random.default_rng(40), 4, alpha=0.6)
+        u = np.ones(ctx.size)
+        _, ell_ref = oracles.reference_rate_block(u, ctx)
+        evaluations = []
+        evaluate = scheduler._RatePhi.__call__
+
+        def counted(phi, ell):
+            evaluations.append(ell)
+            return evaluate(phi, ell)
+
+        monkeypatch.setattr(scheduler._RatePhi, "__call__", counted)
+        check_rate_block(u, ctx)
+        top = float(np.max(scheduler._RatePhi(u, ctx).kinks))
+        assert ell_ref == top
+        assert evaluations == [top]
