@@ -35,6 +35,7 @@ takes a copy of the context.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import io
 import math
@@ -56,6 +57,10 @@ _BCD_MAX_ALTERNATIONS = 50
 _SCAN_GRID = 1500
 _SCAN_CEILINGS = 1400
 _SCAN_BLOCK = 16  # vehicles per numpy call of the scan
+# relative margin by which a ceiling's lower bound must exceed the upper bound
+# on the scan's minimum for it to be skipped; it covers the rounding of phi_b's
+# exponent, about 2|log s| ulp
+_SCAN_PRUNE_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +667,28 @@ def _slice_minima(ln_q, rows, left, right):
     return np.array([ln_q[v, a:b].min() for v, a, b in zip(rows, left, right)])
 
 
+def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
+    """How many of the falling log ceilings `coarse` _ceiling_scan prices: those
+    before the first whose lower bound on the scan total exceeds `upper`, an
+    upper bound on the scan's minimum, by the margin.
+
+    The bound is the sum over vehicles of c / p(max(f1_min, ln u_min - log s)),
+    c = alpha*d/D, capped below phi_b's own cap e^700.  It leaves out the
+    (1 - alpha) s term, so it only rises as s falls and a bisection finds the
+    first ceiling it prunes.
+    """
+    cost = alpha * ctx.data_sizes / ctx.d_total
+    ln_umin = math.log(ctx.u_min)
+
+    def pruned(k):
+        f1 = np.maximum(f1_lo, ln_umin - coarse[k])
+        p = -np.expm1(np.minimum(ctx.xi1 - ctx.xi3 / f1, 0.0))
+        lower = np.minimum(cost / np.maximum(p, 1e-300), 1e304).sum()
+        return lower * (1.0 - _SCAN_PRUNE_MARGIN) > upper
+
+    return bisect.bisect_left(range(len(coarse)), True, key=pruned)
+
+
 def _ceiling_scan(ctx: SchedulingContext, alpha):
     """Globally-informed candidate for the joint problem when the budget is slack.
 
@@ -674,6 +701,16 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     sum(u) <= N budget; the caller discards the candidate if that budget turns
     out violated.
 
+    Only the geometric ceilings that can hold its minimum are priced.  With
+    c = alpha*d/D, a vehicle's term is at most its u = 1 branch, so the total
+    of that branch at every 16th ceiling bounds the minimum from above; and
+    since f1 >= ln u_min - log s and u <= 1, the term is at least
+    c / p(max(f1_min, ln u_min - log s)), which rises as s falls.  Every
+    ceiling from the first whose summed lower bounds exceed the upper bound by
+    the margin _SCAN_PRUNE_MARGIN is priced +inf.  Each grid is computed only
+    up to the ceiling after the last one kept, which the refinement may read;
+    its columns past that stay +inf.
+
     The window minima come from per-vehicle prefix and suffix minima of log q
     over its grid of G points: a window [l, r) has the minimum of [0, r) when
     that is below the minimum of [0, l), else the minimum of [l, G) when that
@@ -681,8 +718,8 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     minimum of [0, r), a lower bound on the window's, prices the riding branch
     above the u = 1 branch, the window's left end is never located.  The scan
     runs over blocks of _SCAN_BLOCK vehicles, which bounds its working set;
-    only the grid searches go one vehicle at a time.  Grid rows must ascend,
-    which holds unless R_max is within about 1e-9 of R_min.
+    only the grid searches go one vehicle at a time.  A vehicle whose R_max is
+    within about 1e-9 of R_min gets a grid of one repeated point.
     """
     w = ctx.bandwidth
     f1_lo = np.expm1(ctx.r_min * _LN2 / w)
@@ -699,34 +736,59 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     weighted_data = alpha * ctx.data_sizes[:, None]
     ln_cd = np.log(alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total)[:, None]
 
+    def branch_a(rows, ells):
+        """phi_a, the u = 1 branch, per vehicle of `rows` and ceiling."""
+        f1_a = np.maximum(lo_col[rows], -ells)
+        with np.errstate(divide="ignore"):
+            p_a = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / f1_a, 0.0))
+        live = (f1_a <= hi_col[rows] * (1.0 - 1e-12)) & (p_a > 0)
+        return np.where(live, weighted_data[rows] / (ctx.d_total * np.maximum(p_a, 1e-300)),
+                        np.inf)
+
+    t_min = max(-ell_hi, 1e-9)
+    t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
+    coarse = -np.geomspace(t_min, t_max, _SCAN_CEILINGS)
+    probes = coarse[::16]
+    upper = np.min((1.0 - alpha) * np.exp(probes) + branch_a(slice(None), probes).sum(axis=0))
+    k_end = _priced_ceilings(ctx, alpha, f1_lo, coarse, upper)
+    # the refinement around the last kept ceiling reads the one below it; 1e-9
+    # covers the rounding of the grid's log and exp
+    ln_need = math.log(-coarse[min(k_end, _SCAN_CEILINGS - 1)]) + 1e-9
+
     # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge,
     # in np.linspace's arithmetic on math.log ends
     ln_a = np.array([math.log(x) for x in f1_lo.tolist()])[:, None]
     ln_b = np.array([math.log(x * (1 - 1e-9)) for x in f1_hi.tolist()])[:, None]
-    steps = np.arange(n_grid, dtype=float)
-    grid, ln_q = np.empty((size, n_grid)), np.empty((size, n_grid))
-    # pre[v, r] = min of ln_q[v, :r] and suf[v, l] = min of ln_q[v, l:]; G = n_grid
-    pre, suf = np.empty((size, n_grid + 1)), np.empty((size, n_grid + 1))
-    pre[:, 0] = suf[:, n_grid] = np.inf
+    ln_b = np.maximum(ln_b, ln_a)
+    delta = (ln_b - ln_a) / (n_grid - 1)
+    # each block computes its columns up to the last with log f1 <= ln_need and
+    # two more, or all of them where a row's grid is one point
+    cols = []
     for rows in blocks:
-        x = steps * ((ln_b[rows] - ln_a[rows]) / (n_grid - 1)) + ln_a[rows]
-        x[:, -1] = ln_b[rows, 0]
-        g = grid[rows] = np.exp(x)
+        d = delta[rows]
+        reach = float(np.max((ln_need - ln_a[rows]) / d)) if np.all(d > 0) else math.inf
+        cols.append(int(min(n_grid, max(reach, 0.0) + 2.0)))
+    width = max(cols)
+    steps = np.arange(width, dtype=float)
+    grid, ln_q = np.full((size, width), np.inf), np.full((size, width), np.inf)
+    # pre[v, r] = min of ln_q[v, :r] and suf[v, l] = min of ln_q[v, l:]; G = width
+    pre, suf = np.empty((size, width + 1)), np.empty((size, width + 1))
+    pre[:, 0] = suf[:, width] = np.inf
+    for rows, n in zip(blocks, cols):
+        x = steps[:n] * delta[rows] + ln_a[rows]
+        if n == n_grid:
+            x[:, -1] = ln_b[rows, 0]
+        g = grid[rows, :n] = np.exp(x)
         p = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / g, 0.0))
-        q = ln_q[rows] = -g - np.log(np.maximum(p, 1e-300))
-        np.minimum.accumulate(q, axis=1, out=pre[rows, 1:])
-        suf[rows, :n_grid] = np.minimum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
+        ln_q[rows, :n] = -g - np.log(np.maximum(p, 1e-300))
+        np.minimum.accumulate(ln_q[rows], axis=1, out=pre[rows, 1:])
+        suf[rows, :width] = np.minimum.accumulate(ln_q[rows, ::-1], axis=1)[:, ::-1]
 
     def branches(rows, ells):
         """phi_a and phi_b per vehicle of `rows` and ceiling; phi_b reads inf where
         its lower bound already exceeds phi_a."""
         hi_f = -ells
-        f1_a = np.maximum(lo_col[rows], hi_f)
-        with np.errstate(divide="ignore"):
-            p_a = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / f1_a, 0.0))
-        live = (f1_a <= hi_col[rows] * (1.0 - 1e-12)) & (p_a > 0)
-        phi_a = np.where(live, weighted_data[rows] / (ctx.d_total * np.maximum(p_a, 1e-300)),
-                         np.inf)
+        phi_a = branch_a(rows, ells)
         g = grid[rows]
         right = np.array([np.searchsorted(row, hi_f, side="right") for row in g])
         shift = ln_cd[rows] - ells
@@ -758,10 +820,8 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
                 totals += term  # vehicle by vehicle, in id order
         return totals
 
-    t_min = max(-ell_hi, 1e-9)
-    t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
-    coarse = -np.geomspace(t_min, t_max, _SCAN_CEILINGS)
-    totals = scan_totals(coarse)
+    totals = np.full(_SCAN_CEILINGS, np.inf)
+    totals[:k_end] = scan_totals(coarse[:k_end])
     k = int(np.argmin(totals))
     if not math.isfinite(totals[k]):
         return None

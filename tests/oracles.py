@@ -6,13 +6,14 @@ over the decision box.  The SINR, Shannon capacity, composed fading and Bayes
 classifier are textbook formulas the program itself never needs; tests use
 them as references.  The one-point J0 series is the reference for the
 program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
-tables and its block-search evaluations on fresh arrays are the references
-for the program's blocked scan and its searches' evaluations, and the
-golden-section rate and inclusion blocks are the references for the program's
-exact Newton and piecewise ones.  The per-vehicle channel refresh and
-scheduling context at the end are the straightforward one-vehicle-at-a-time
-forms of the program's batched ones, and the one-vehicle SGD loop at the very
-end is the reference for the program's lockstep training.
+tables, unpruned, and its block-search evaluations on fresh arrays are the
+references for the program's blocked, pruned scan and its searches'
+evaluations, and the golden-section rate and inclusion blocks are the
+references for the program's exact Newton and piecewise ones.  The
+per-vehicle channel refresh and scheduling context at the end are the
+straightforward one-vehicle-at-a-time forms of the program's batched ones, and
+the one-vehicle SGD loop at the very end is the reference for the program's
+lockstep training.
 """
 
 import math
@@ -249,7 +250,8 @@ def grid_min_two_vehicle_naive(ctx, alpha, n_u=30, n_r=30):
 # ---------------------------------------------------------------------------
 
 def reference_ceiling_scan(ctx, alpha):
-    """scheduler._ceiling_scan one vehicle at a time, window minima from sparse tables."""
+    """scheduler._ceiling_scan one vehicle at a time, window minima from sparse tables,
+    pricing every ceiling on whole grids."""
     w = ctx.bandwidth
     xi1 = ctx.xi1
     xi3 = ctx.xi3
@@ -257,9 +259,12 @@ def reference_ceiling_scan(ctx, alpha):
     f1_hi = np.expm1(ctx.r_max * _LN2 / w)
     ln_umin = math.log(ctx.u_min)
     # per-vehicle log-spaced f1 grids, endpoint pulled off the zero-success edge
-    grids = [np.exp(np.linspace(math.log(f1_lo[v]), math.log(f1_hi[v] * (1 - 1e-9)),
-                                scheduler._SCAN_GRID))
-             for v in range(ctx.size)]
+    # and never below the start
+    grids = []
+    for v in range(ctx.size):
+        ln_a = math.log(f1_lo[v])
+        ln_b = max(math.log(f1_hi[v] * (1 - 1e-9)), ln_a)
+        grids.append(np.exp(np.linspace(ln_a, ln_b, scheduler._SCAN_GRID)))
     ln_q = []
     for v in range(ctx.size):
         p = -np.expm1(np.minimum(xi1[v] - xi3[v] / grids[v], 0.0))

@@ -14,6 +14,10 @@ were 28,081 before warm starts, a cold-bracket cut and the repeat table,
 restart at 0.8 times the result, 15,341 without that restart (7,296 of them
 inclusion evaluations), and 8,195 once golden section was left to the rate
 block alone.
+
+Before the multi-start, each interior solve runs the ceiling scan, which
+prices only the coarse ceilings that can hold its minimum; a third guard
+counts them, against 1,400 per scan (29,400 per pass) before the pruning.
 """
 
 from pathlib import Path
@@ -23,6 +27,7 @@ from vflsim import scheduler
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 MEASURED = 1_293  # evaluations of the exact rate searches, when introduced
 MEASURED_FILLS = 892  # water-fills of the exact inclusion searches, when introduced
+MEASURED_CEILINGS = 9_154  # coarse ceilings the ceiling scans price, when introduced
 
 
 def solve_corpus():
@@ -67,3 +72,18 @@ def test_corpus_inclusion_water_fills_stay_near_measured(monkeypatch):
     print(f"corpus inclusion water-fills: {fills[0]} (measured {MEASURED_FILLS}); "
           f"water-fill bisection fallbacks: {fallbacks[0]}")
     assert fills[0] <= MEASURED_FILLS * 1.05
+
+
+def test_corpus_scan_ceilings_stay_near_measured(monkeypatch):
+    priced = [0]
+    count = scheduler._priced_ceilings
+
+    def counted(*args):
+        kept = count(*args)
+        priced[0] += kept
+        return kept
+
+    monkeypatch.setattr(scheduler, "_priced_ceilings", counted)
+    solve_corpus()
+    print(f"corpus coarse ceilings priced by the scan: {priced[0]} (measured {MEASURED_CEILINGS})")
+    assert 0 < priced[0] <= MEASURED_CEILINGS * 1.05

@@ -1,14 +1,15 @@
 """The solver's blocked ceiling scan and its block searches' evaluations, bit for
 bit against the references in tests/oracles.py: the scan one vehicle at a time
-with sparse-table window minima, and the evaluations on fresh arrays.  The rate
-search's derivatives are held to differences of those values.  Each exact
-block is held to the golden-section block it replaced, searched cold: a value
-no higher, up to 1e-12 relative, with the box and, for the inclusion block,
-the budget met.
+with sparse-table window minima and no pruning, and the evaluations on fresh
+arrays.  The rate search's derivatives are held to differences of those
+values.  Each exact block is held to the golden-section block it replaced,
+searched cold: a value no higher, up to 1e-12 relative, with the box and, for
+the inclusion block, the budget met.
 """
 
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,23 @@ def built_context(eps, h2, gain, data, n_blocks=20.0, alpha=0.4):
         r_max=W_BLOCK * np.log1p(snr) / math.log(2.0), alpha=alpha, u_min=0.05,
         n_blocks=n_blocks, bandwidth=W_BLOCK, noise_density=NOISE, tx_power=TX_POWER,
         model_bits=MODEL_BITS, d_total=max(float(data.sum()), 1.0))
+
+
+def stronger(ctx, rng, decades=2.0):
+    """ctx with each link's gain raised by up to `decades` decades (to at most 1e-5
+    from random_context's 1e-7) and R_max raised to the new capacity, so the
+    scan's log ceilings span many decades."""
+    gain = ctx.gain * 10.0 ** rng.uniform(0.0, decades, ctx.size)
+    snr = TX_POWER * gain * ctx.epsilon**2 * ctx.h_est_sq / (W_BLOCK * NOISE)
+    return replace(ctx, gain=gain, r_max=W_BLOCK * np.log1p(snr) / math.log(2.0))
+
+
+def degenerate(ctx, rng):
+    """ctx with one vehicle's R_max within a relative 1e-14 to 1e-6 of its R_min."""
+    r_max = ctx.r_max.copy()
+    v = int(rng.integers(ctx.size))
+    r_max[v] = ctx.r_min[v] * (1.0 + 10.0 ** rng.uniform(-14.0, -6.0))
+    return replace(ctx, r_max=r_max)
 
 
 def scan_both(ctx):
@@ -88,6 +106,84 @@ class TestCeilingScan:
         ctx = built_context([0.4, 0.8], [0.1, 1.0], [1e-7, 3e-9], [np.nan, 150.0])
         ctx.d_total = 150.0
         assert scan_both(ctx) is None
+
+    # The scan prices only the ceilings before the first whose lower bound on the
+    # total exceeds an upper bound on the minimum, and computes each grid only as
+    # far as those ceilings and the refinement read.  The cases below stress
+    # both bounds against the unpruned reference.
+
+    @pytest.mark.parametrize("strong", [False, True], ids=["weak CSI", "strong CSI"])
+    def test_pruning_on_strong_links(self, strong):
+        # gains up to 1e-5 and n up to 60, at u_min 0.05, 1e-9 and 1 and at
+        # alpha drawn, 1e-9 and 1 - 1e-9
+        rng = np.random.default_rng(13 + strong)
+        for i in range(24):
+            alpha = (None, 1e-9, 1.0 - 1e-9)[i % 3]
+            u_min = (0.05, 1e-9, 1.0)[i // 3 % 3]
+            ctx = random_context(rng, int(rng.integers(2, 61)), alpha=alpha, u_min=u_min,
+                                 strong=strong)
+            scan_both(stronger(ctx, rng))
+
+    def test_pruning_where_riding_the_ceiling_wins(self):
+        # weak estimates and low alpha make the riding branch, which the u = 1
+        # bound ignores, win by most: a lower bound taken at f1 >= -log s in
+        # place of ln u_min - log s, with no margin, prunes the minimum here
+        rng = np.random.default_rng(9)
+        for i in range(120):
+            ctx = random_context(rng, int(rng.integers(2, 13)), u_min=(0.05, 1e-9)[i % 2],
+                                 alpha=float(rng.uniform(0.1, 0.5)))
+            scan_both(ctx)
+
+    def test_zero_data_vehicle(self):
+        rng = np.random.default_rng(17)
+        for i in range(12):
+            ctx = random_context(rng, int(rng.integers(2, 13)), strong=bool(i % 2))
+            ctx.data_sizes[0] = 0.0
+            ctx.d_total = float(ctx.data_sizes.sum())
+            scan_both(stronger(ctx, rng) if i % 3 else ctx)
+
+    def test_degenerate_rows(self):
+        # R_max within 1e-6 of R_min: pulling the grid's end 1e-9 off the
+        # zero-success edge puts it below the start, and the grid must stay one
+        # repeated point rather than descend
+        rng = np.random.default_rng(19)
+        descending = 0
+        for i in range(60):
+            ctx = degenerate(random_context(rng, int(rng.integers(2, 13)),
+                                            strong=bool(i // 2 % 2), u_min=(0.05, 1e-9)[i % 2]),
+                             rng)
+            f1_lo = np.expm1(ctx.r_min * math.log(2.0) / ctx.bandwidth)
+            f1_hi = np.expm1(ctx.r_max * math.log(2.0) / ctx.bandwidth)
+            descending += bool(np.any(f1_hi * (1 - 1e-9) < f1_lo))
+            scan_both(ctx)
+        assert descending > 0
+
+    def test_minimum_at_the_last_kept_ceiling(self, monkeypatch):
+        # The refinement around the last kept ceiling reads the ceiling below it,
+        # so the grids must reach that one.  _SCAN_BLOCK weak links (zero success
+        # from f1 = 5 on) end the ceilings at that edge, where the lower bound
+        # reaches its cap; at alpha = 1e-12 the max term puts the minimum on the
+        # last kept ceiling.  In a block of its own, a vehicle with a high R_min,
+        # as a short sojourn gives, has a grid fine enough that two columns do
+        # not span a ceiling step; its minimum of log q lies between the last
+        # two ceilings, and it rides the ceiling there.
+        n = scheduler._SCAN_BLOCK + 1
+        eps, h2 = np.array([0.8] * (n - 1) + [0.3]), np.array([1.0] * (n - 1) + [0.1])
+        snr = np.array([5.0] * (n - 1) + [9.12])
+        ctx = built_context(eps, h2, snr * W_BLOCK * NOISE / (TX_POWER * eps**2 * h2),
+                            np.full(n, 150.0), alpha=1e-12)
+        ctx = replace(ctx, r_min=np.append(ctx.r_min[1:], W_BLOCK * math.log2(7.0)))
+        kept = []
+        real = scheduler._priced_ceilings
+
+        def spy(*args):
+            kept.append(real(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(scheduler, "_priced_ceilings", spy)
+        u = scan_both(ctx)
+        assert kept == [scheduler._SCAN_CEILINGS - 1]
+        assert u[-1] < 1.0
 
 
 def searched(monkeypatch, search):
