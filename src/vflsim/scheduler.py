@@ -330,27 +330,21 @@ def solve_rate_block(u, ctx: SchedulingContext):
         return phi.rates(_newton_min(phi, ell_lo, ell_hi))
 
 
-def _waterfill(cost, lo, caps, budget):
-    """min sum cost_v/u_v  s.t.  sum u <= budget, lo <= u_v <= caps_v.
-
-    Exact KKT solve: u_v(mu) = clip(sqrt(cost_v/mu), lo, caps_v) with the
-    multiplier found by a vectorized scan over its breakpoints.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _waterfill_solver(cost, lo, budget)(np.array(caps, dtype=float))[0]
-
-
 def _waterfill_solver(cost, lo, budget):
-    """The water-fill of `_waterfill` as a function of the caps alone.
+    """min sum cost_v/u_v  s.t.  sum u <= budget, lo <= u_v <= caps_v, as a
+    function of the caps alone.
 
-    Everything that does not depend on the caps (finite costs, the active set,
-    sqrt(cost), the floor breakpoints cost/lo^2 and the constant event columns)
-    is computed once here, so a search over the caps pays only for the cap
-    breakpoints and their sort.  The solve returns the fill and its budget
-    multiplier mu, 0 when the budget is slack; it overwrites its caps argument
-    with max(caps, lo) and may return it as the fill.  It carries the finite
-    costs, the active set and `every` as attributes for its callers.  Its
-    caller ignores zero division and invalid values.
+    Exact KKT solve: u_v(mu) = clip(sqrt(cost_v/mu), lo, caps_v), with the
+    multiplier mu in closed form on the piece between its sorted breakpoints
+    where the spend meets the budget.  Everything that does not depend on the
+    caps (finite costs, the active set, sqrt(cost), the floor breakpoints
+    cost/lo^2 and the constant event columns) is computed once here, so a
+    search over the caps pays only for the cap breakpoints and their sort.
+    The solve returns the fill and its budget multiplier mu, 0 when the budget
+    is slack; it overwrites its caps argument with max(caps, lo) and may
+    return it as the fill.  It carries the finite costs, the active set and
+    `every` as attributes for its callers.  Its caller ignores zero division,
+    overflow and invalid values.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
@@ -379,36 +373,23 @@ def _waterfill_solver(cost, lo, budget):
         sum_hi = (total if every else float(ha.sum())) + np.cumsum(ev_dhi[order])
         sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
         n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
-        rhs = budget - sum_hi - lo * n_lo
-        mu_cand = (sum_sq / rhs) ** 2
-        # mu_cand must lie between its breakpoint and the next; the last is unbounded
-        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= ev_mu * (1 - 1e-12))
-        ok[:-1] &= mu_cand[:-1] <= ev_mu[1:] * (1 + 1e-12)
-        first = int(ok.argmax())
-        if ok[first]:
-            mu = float(mu_cand[first])
-        else:
-            # degenerate ties: fall back to bisection on the monotone budget curve
-            mu = _waterfill_bisection(ca, lo, ha, n_lo_fixed * lo, budget,
-                                      float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0)
+        # piece k, mu in [ev_mu[k], upper[k]], spends sum_hi[k] + lo*n_lo[k] +
+        # sum_sq[k]/sqrt(mu), which falls as mu rises: the root is on the first piece
+        # whose right end fits.  The last piece, every vehicle at its floor, is the
+        # point ev_mu[-1]; it fits by the budget drop, whatever the rounding
+        upper = np.append(ev_mu[1:], ev_mu[-1])
+        fits = sum_hi + lo * n_lo + sum_sq / np.sqrt(upper) <= budget
+        fits[-1] = True
+        k = int(fits.argmax())
+        mu = float(ev_mu[k])  # no vehicle at the water level: the left end
+        if sum_sq[k] > 0.0:
+            rhs = budget - sum_hi[k] - lo * n_lo[k]
+            mu = min(max(float((sum_sq[k] / rhs) ** 2), mu), float(upper[k]))
         u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
         return (u if every else np.where(act, u, lo)), mu
 
     solve.finite_cost, solve.act, solve.every = cost, act, every
     return solve
-
-
-def _waterfill_bisection(cost, lo, caps, fixed, budget, mu_a, mu_b):
-    """The water-fill's multiplier by 200 geometric bisections of the monotone
-    budget curve over [mu_a, mu_b], with `fixed` spent besides the fill of
-    `cost`: the smallest tried mu whose fill fits the budget."""
-    for _ in range(200):
-        mu = math.sqrt(mu_a * mu_b)
-        if np.minimum(np.maximum(np.sqrt(cost / mu), lo), caps).sum() + fixed > budget:
-            mu_a = mu
-        else:
-            mu_b = mu
-    return mu_b
 
 
 class _CeilingPoint:
@@ -638,14 +619,14 @@ def solve_inclusion_block(rates, ctx: SchedulingContext):
         return np.full(ctx.size, ctx.u_min)
     rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
-    # p = 0 costs inf whatever the data, and zero data over it would be 0/0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p = 0 costs inf whatever the data, and zero data over it would be 0/0; an
+    # infinite cost's floor breakpoint overflows to inf at a small u_min
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
-    if alpha >= 1.0:
-        return _waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks)
-    ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
-    top = float(np.max(ln_e))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        if alpha >= 1.0:
+            return _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
+        ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
+        top = float(np.max(ln_e))
         return _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top).u
 
 
@@ -786,7 +767,8 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
 
     def branches(rows, ells):
         """phi_a and phi_b per vehicle of `rows` and ceiling; phi_b reads inf where
-        its lower bound already exceeds phi_a."""
+        its lower bound already exceeds phi_a, and where its window holds no grid
+        point."""
         hi_f = -ells
         phi_a = branch_a(rows, ells)
         g = grid[rows]
@@ -810,7 +792,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         rest = np.flatnonzero(~in_pre & ~in_suf & (left < r))
         m[rest] = _slice_minima(ln_q, v[rest], left[rest], r[rest])
         phi_b = np.full(phi_a.shape, np.inf)
-        phi_b[j, k] = np.exp(np.minimum(shift[j, k] + m, 700.0))
+        phi_b[j, k] = np.where(m < np.inf, np.exp(np.minimum(shift[j, k] + m, 700.0)), np.inf)
         return phi_a, phi_b
 
     def scan_totals(ells):
@@ -857,7 +839,6 @@ class RoundPlan:
     round_time: float = 0.0
     objective_value: float = math.nan
     trim_events: int = 0
-    budget_dropped: tuple = ()
 
     @property
     def is_empty(self):
@@ -873,7 +854,6 @@ def _plan_from(ctx, u, rates, obj):
         rates={i: float(r) for i, r in zip(ids, rates)},
         success_probs={i: float(x) for i, x in zip(ids, p)},
         objective_value=obj,
-        budget_dropped=ctx.budget_dropped,
     )
 
 

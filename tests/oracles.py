@@ -310,7 +310,9 @@ def reference_ceiling_scan(ctx, alpha):
         g = grids[v]
         left = np.searchsorted(g, ln_umin - ells, side="left")
         right = np.searchsorted(g, hi_f, side="right")
-        phi_b = np.exp(np.minimum(ln_cd[v] - ells + range_min(v, left, right), 700.0))
+        m = range_min(v, left, right)
+        # an empty window leaves no riding option: inf, not the e^700 cap
+        phi_b = np.where(m < np.inf, np.exp(np.minimum(ln_cd[v] - ells + m, 700.0)), np.inf)
         return phi_a, phi_b
 
     def scan_totals(ells):
@@ -382,25 +384,15 @@ def reference_waterfill_solver(cost, lo, budget):
         sum_hi = float(ha.sum()) + np.cumsum(ev_dhi[order])
         sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
         n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
-        lowers = ev_mu
-        uppers = np.append(ev_mu[1:], np.inf)
-        rhs = budget - sum_hi - lo * n_lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_cand = (sum_sq / rhs) ** 2
-        ok = (rhs > 0.0) & (sum_sq > 0.0) & (mu_cand >= lowers * (1 - 1e-12)) & (mu_cand <= uppers * (1 + 1e-12))
-        idx = np.flatnonzero(ok)
-        if len(idx) > 0:
-            mu = float(mu_cand[idx[0]])
-        else:
-            # degenerate ties: fall back to bisection on the monotone budget curve
-            mu_a, mu_b = float(ev_mu[0]) * 0.5, float(ev_mu[-1]) * 2.0
-            for _ in range(200):
-                mu = math.sqrt(mu_a * mu_b)
-                if np.minimum(np.maximum(np.sqrt(ca / mu), lo), ha).sum() + n_lo_fixed * lo > budget:
-                    mu_a = mu
-                else:
-                    mu_b = mu
-            mu = mu_b
+        upper = np.append(ev_mu[1:], ev_mu[-1])
+        fits = sum_hi + lo * n_lo + sum_sq / np.sqrt(upper) <= budget
+        fits[-1] = True
+        k = int(fits.argmax())
+        mu = float(ev_mu[k])
+        if sum_sq[k] > 0.0:
+            rhs = budget - sum_hi[k] - lo * n_lo[k]
+            with np.errstate(divide="ignore"):
+                mu = min(max(float((sum_sq[k] / rhs) ** 2), mu), float(upper[k]))
         return np.where(act, np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps), lo)
 
     return solve
@@ -650,10 +642,11 @@ def reference_inclusion_block(rates, ctx, start=None):
     rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
     # p = 0 costs inf whatever the data, and zero data over it would be 0/0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
-    if alpha >= 1.0:
-        return scheduler._waterfill(cost, ctx.u_min, np.ones(ctx.size), ctx.n_blocks), start
+        if alpha >= 1.0:
+            fill = scheduler._waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+            return fill(np.ones(ctx.size))[0], start
     ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
     top = float(np.max(ln_e))
     ell_lo = math.log(ctx.u_min) + top

@@ -14,7 +14,7 @@ from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
 from vflsim.mobility import RoadGeometry, VehicleState, remaining_sojourn
 from vflsim.sim import Experiment
-from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill, bcd_solve,
+from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill_solver, bcd_solve,
                               build_context, dump_instance, load_instance, objective,
                               rate_bounds, realize_selection, round_time, scheme1_baseline,
                               scheme2_baseline, solve_inclusion_block, solve_rate_block)
@@ -277,6 +277,11 @@ class TestGoldenMin:
 
 class TestWaterfill:
     @staticmethod
+    def _fill(cost, lo, caps, budget):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _waterfill_solver(cost, lo, budget)(np.array(caps, dtype=float))[0]
+
+    @staticmethod
     def _bisect_oracle(cost, lo, caps, budget):
         if np.where(cost > 0, caps, lo).sum() <= budget:
             return np.where(cost > 0, caps, lo)
@@ -297,13 +302,13 @@ class TestWaterfill:
             cost = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.1)
             caps = rng.uniform(0.06, 1.0, n)
             budget = float(rng.uniform(0.05 * n, 1.2 * n))
-            u = _waterfill(cost, 0.05, caps, budget)
+            u = self._fill(cost, 0.05, caps, budget)
             ref = self._bisect_oracle(cost, 0.05, np.maximum(caps, 0.05), budget)
             assert np.allclose(u, ref, atol=1e-6)
             assert u.sum() <= budget * (1 + 1e-9) + 1e-9
 
     def test_unconstrained_sits_at_caps(self):
-        u = _waterfill(np.array([1.0, 2.0]), 0.05, np.array([0.7, 0.9]), 10.0)
+        u = self._fill(np.array([1.0, 2.0]), 0.05, np.array([0.7, 0.9]), 10.0)
         assert np.array_equal(u, [0.7, 0.9])
 
 

@@ -5,15 +5,17 @@ multi-start run once, at 1.25 times its result.  Both blocks are solved
 exactly, without a line search: the rate block by a bracketed Newton
 iteration on the derivative of its reduced objective, the inclusion block by
 a piecewise search that reads the derivative and the closed form of each
-piece off its water-fills.  None of that shows in a plan, so these guards
-count, over one solve of each corpus instance, the evaluations of the exact
-rate searches and the water-fills of the exact inclusion searches, and fail
-when either climbs back.  Under golden section the line-search evaluations
-were 28,081 before warm starts, a cold-bracket cut and the repeat table,
-22,023 with the repeat table alone, 16,266 with all three and a second
-restart at 0.8 times the result, 15,341 without that restart (7,296 of them
-inclusion evaluations), and 8,195 once golden section was left to the rate
-block alone.
+piece off its water-fills; each water-fill finds its budget multiplier in
+closed form on one piece between its breakpoints.  None of that shows in a
+plan, so these guards count, over one solve of each corpus instance, the
+evaluations of the exact rate searches and the water-fills of the exact
+inclusion searches, and fail when either climbs back.  Under golden section
+the line-search evaluations were 28,081 before warm starts, a cold-bracket
+cut and the repeat table, 22,023 with the repeat table alone, 16,266 with all
+three and a second restart at 0.8 times the result, 15,341 without that
+restart (7,296 of them inclusion evaluations), and 8,195 once golden section
+was left to the rate block alone.  The water-fills were 863 with both blocks
+exact and 864 once the multiplier came from the piece search alone.
 
 Before the multi-start, each interior solve runs the ceiling scan, which
 prices only the coarse ceilings that can hold its minimum; a third guard
@@ -52,25 +54,16 @@ def test_corpus_rate_evaluations_stay_near_measured(monkeypatch):
 
 
 def test_corpus_inclusion_water_fills_stay_near_measured(monkeypatch):
-    fills, fallbacks = [0], [0]
+    fills = [0]
     evaluate = scheduler._InclusionPsi.__call__
-    bisection = scheduler._waterfill_bisection
 
     def fill_counted(self, *args, **kwargs):
         fills[0] += 1
         return evaluate(self, *args, **kwargs)
 
-    def bisection_counted(*args):
-        fallbacks[0] += 1
-        return bisection(*args)
-
     monkeypatch.setattr(scheduler._InclusionPsi, "__call__", fill_counted)
-    monkeypatch.setattr(scheduler, "_waterfill_bisection", bisection_counted)
     solve_corpus()
-    # the fallback is reported, not guarded: it ran 19 times per pass under
-    # golden section, all on the two dense instances
-    print(f"corpus inclusion water-fills: {fills[0]} (measured {MEASURED_FILLS}); "
-          f"water-fill bisection fallbacks: {fallbacks[0]}")
+    print(f"corpus inclusion water-fills: {fills[0]} (measured {MEASURED_FILLS})")
     assert fills[0] <= MEASURED_FILLS * 1.05
 
 

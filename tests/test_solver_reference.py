@@ -4,7 +4,9 @@ with sparse-table window minima and no pruning, and the evaluations on fresh
 arrays.  The rate search's derivatives are held to differences of those
 values.  Each exact block is held to the golden-section block it replaced,
 searched cold: a value no higher, up to 1e-12 relative, with the box and, for
-the inclusion block, the budget met.
+the inclusion block, the budget met.  The inclusion block's water-fill is held
+to its KKT conditions on drawn inputs and at the ceilings of two dense
+instances.
 """
 
 import math
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from instances import (MODEL_BITS, NOISE, ROUND_CAP, TX_POWER, W_BLOCK, random_context,
@@ -145,12 +149,15 @@ class TestCeilingScan:
     def test_degenerate_rows(self):
         # R_max within 1e-6 of R_min: pulling the grid's end 1e-9 off the
         # zero-success edge puts it below the start, and the grid must stay one
-        # repeated point rather than descend
+        # repeated point rather than descend.  At u_min = 1 such a vehicle's
+        # riding window can hold no grid point, and a ceiling where it has no
+        # option must price inf
         rng = np.random.default_rng(19)
         descending = 0
         for i in range(60):
             ctx = degenerate(random_context(rng, int(rng.integers(2, 13)),
-                                            strong=bool(i // 2 % 2), u_min=(0.05, 1e-9)[i % 2]),
+                                            strong=bool(i // 2 % 2),
+                                            u_min=(0.05, 1e-9, 1.0)[i % 3]),
                              rng)
             f1_lo = np.expm1(ctx.r_min * math.log(2.0) / ctx.bandwidth)
             f1_hi = np.expm1(ctx.r_max * math.log(2.0) / ctx.bandwidth)
@@ -391,6 +398,16 @@ class TestExactInclusionBlock:
             value, want = check_inclusion_block(ctx.r_max, ctx)
         assert math.isinf(value) and math.isinf(want)
 
+    @pytest.mark.parametrize("alpha", [0.4, 1.0])
+    def test_zero_success_vehicle_at_a_tiny_floor(self, alpha):
+        # at u_min = 1e-9 the infinite cost's floor breakpoint 1e300/u_min^2
+        # overflows, and that must raise no warning
+        ctx = replace(capped_context(), u_min=1e-9, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = scheduler.solve_inclusion_block(ctx.r_max, ctx)
+        assert np.all(u >= ctx.u_min) and np.all(u <= 1.0)
+
     def test_budget_slack_at_every_ceiling(self):
         rng = np.random.default_rng(31)
         for n in (2, 5, 9):
@@ -414,33 +431,83 @@ class TestExactInclusionBlock:
     @pytest.mark.parametrize("name", ["dense_vrvfl_s1_r0.txt", "dense_vrvfl_s2_r0.txt"])
     def test_budget_exactly_the_floor_total(self, name, monkeypatch):
         # 400 vehicles at u_min = 0.05 fill N = 20 exactly: every plan rests at
-        # the floor, so the block stops at the lowest ceiling.  Equal costs do
-        # not send the water-fill into its bisection fallback (it accepts the
-        # last of a run of tied breakpoints); this does, at ceilings below the
-        # top, where rounding in the sums of 400 distinct caps leaves no
-        # candidate between its breakpoints.  The exact search needs only the
-        # fill at the top, where every cap is 1
+        # the floor, so the block stops at the lowest ceiling.  The exact search
+        # needs only the fill at the top, where every cap is 1.  At the ceilings
+        # below it, rounding in the sums of 400 distinct caps can put the spend
+        # of the all-floor piece over N, and the fill must still meet its KKT
+        # conditions there
         ctx = load_instance(CORPUS / name)
         assert ctx.size * ctx.u_min == ctx.n_blocks
         rates = ctx.r_min + 0.3 * (ctx.r_max - ctx.r_min)
-        fallbacks = []
-        bisection = scheduler._waterfill_bisection
-
-        def counted(*args):
-            fallbacks.append(1)
-            return bisection(*args)
-
-        monkeypatch.setattr(scheduler, "_waterfill_bisection", counted)
         searches = searched(monkeypatch, "_piecewise_min")
         check_inclusion_block(rates, ctx)
-        assert not fallbacks
         psi, lo, hi = searches[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for ell in np.linspace(lo, hi, 64):
-                psi(ell)
-        assert fallbacks
+        binding = 0
+        for ell in np.linspace(lo, hi, 64):
+            caps = np.exp(np.minimum(0.0, ell - psi.ln_e))
+            binding += check_waterfill_kkt(psi.cost, ctx.u_min, caps, ctx.n_blocks)[1] > 0.0
+        assert binding > 0
         u = scheduler.solve_inclusion_block(rates, ctx)
         assert np.all(u == ctx.u_min)
+
+
+def check_waterfill_kkt(cost, lo, caps, budget):
+    """The water-fill of cost against caps (raised to lo) under the budget, held
+    to its KKT conditions: every u finite and in [lo, cap]; mu = 0 exactly when
+    the caps fit within the 1e-12 slack, and otherwise a spend at the budget and
+    each positive-cost u at clip(sqrt(c/mu), lo, cap), an infinite cost standing
+    as 1e300.  The spend is held to 1e-12 of the budget or of the caps' total,
+    whichever is larger: the fill's running sums start from that total and lose
+    its ulps when they cancel down to a budget far below it.  Returns (u, mu)."""
+    caps = np.maximum(caps, lo)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fill = scheduler._waterfill_solver(cost, lo, budget)
+        u, mu = fill(caps.copy())
+    assert np.all(np.isfinite(u)) and np.all(u >= lo) and np.all(u <= caps)
+    act = cost > 0.0
+    assert np.all(u[~act] == lo)
+    total = np.where(act, caps, lo).sum()
+    assert (mu == 0.0) == (total <= budget * (1.0 + 1e-12))
+    if mu == math.inf:
+        # 1e300 at a water level below about 7e-5 puts mu past the float range:
+        # every vehicle rests at its floor, under the budget
+        assert np.isinf(cost).any() and np.all(u == lo)
+        assert u.sum() <= budget * (1.0 + 1e-12)
+    elif mu > 0.0:
+        assert abs(u.sum() - budget) <= 1e-12 * max(budget, total)
+        c = np.where(np.isfinite(cost), cost, 1e300)[act]
+        want = np.clip(np.sqrt(c / mu), lo, caps[act])
+        assert np.all(np.abs(u[act] - want) <= 4.0 * np.spacing(want))
+    return u, mu
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """Costs with zeros, infinities and exact ties, a floor lo, caps in [lo, 1]
+    with some at exactly lo or 1, and a budget from the floor total n*lo to past
+    the caps' sum."""
+    n = draw(st.integers(1, 24))
+    pool = draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4))
+    cost = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.just(math.inf), st.sampled_from(pool), st.floats(1e-6, 1e3)),
+        min_size=n, max_size=n)))
+    lo = draw(st.sampled_from([1e-9, 0.05, 1.0 / n]))
+    caps = np.array(draw(st.lists(st.one_of(st.just(lo), st.just(1.0), st.floats(lo, 1.0)),
+                                  min_size=n, max_size=n)))
+    spent = float(np.where(cost > 0.0, caps, lo).sum())
+    t = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.2)))
+    return cost, lo, caps, n * lo + t * (spent - n * lo)
+
+
+class TestWaterfillKKT:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(waterfill_inputs())
+    # one vehicle whose water level at the floor spends just over N = lo: the
+    # all-floor piece is the first that fits, with no room and no vehicle at
+    # the water level
+    @example((np.array([0.5]), 0.05, np.array([1.0]), 0.05))
+    def test_random_inputs(self, inputs):
+        check_waterfill_kkt(*inputs)
 
 
 def check_rate_block(u, ctx):
