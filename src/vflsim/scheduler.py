@@ -48,8 +48,9 @@ from .mobility import remaining_sojourn
 _LN2 = math.log(2.0)
 _EXACT_ITERS = 100  # cap on the steps of one block search and of its Newton solves
 # an alternation run stops once one alternation lowers the objective by at most
-# this fraction, or after _BCD_MAX_ALTERNATIONS; every measured run stopped
-# on the decrease, the longest after 47 (README solver notes)
+# this fraction, or after _BCD_MAX_ALTERNATIONS; on desk seeds 11-13 x 60 rounds
+# two of 540 runs reach the cap, neither the returned one, and the longest
+# returned run takes 24 (README solver notes)
 _BCD_RTOL = 1e-6
 _BCD_MAX_ALTERNATIONS = 50
 # _ceiling_scan: points of each vehicle's log-spaced f1 grid and of the
@@ -671,7 +672,7 @@ def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
 
 
 def _ceiling_scan(ctx: SchedulingContext, alpha):
-    """Globally-informed candidate for the joint problem when the budget is slack.
+    """Globally-informed candidate for the joint problem, ignoring the budget.
 
     Conditioned on the max-term ceiling s, the problem separates per vehicle:
     either u = 1 with the smallest rate whose pressure meets the ceiling, or u
@@ -679,8 +680,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     (alpha*d/(D*s)) * q(R) with q = exp(-(f-1))/p independent of s.  Scanning
     log s (geometric pass plus a local refinement) with sliding-window minima
     of log q locates the global optimum up to grid resolution, ignoring the
-    sum(u) <= N budget; the caller discards the candidate if that budget turns
-    out violated.
+    sum(u) <= N budget, which the candidate may overspend.
 
     Only the geometric ceilings that can hold its minimum are priced.  With
     c = alpha*d/D, a vehicle's term is at most its u = 1 branch, so the total
@@ -822,8 +822,6 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
             a = np.searchsorted(g, ln_umin - ell, side="left")
             b = np.searchsorted(g, -ell, side="right")
             u[v] = min(1.0, math.exp(ell + g[a + int(np.argmin(ln_q[v, a:b]))]))
-    if u.sum() > ctx.n_blocks:
-        return None
     return np.clip(u, ctx.u_min, 1.0)
 
 
@@ -860,39 +858,33 @@ def _plan_from(ctx, u, rates, obj):
 def _start_points(ctx):
     """Deterministic BCD starting points covering the main partial-optimum basins.
 
-    Besides uniform and floor, a "parking" start pins the weaker half of the
-    links (by signal-to-error ratio) at u_min with the budget shared among the
-    rest; basins where poor channels are soft-excluded are unreachable from
-    symmetric starts.
+    The floor start puts every vehicle at u_min.  A "parking" start pins the
+    weaker half of the links (by signal-to-error ratio) at u_min with the
+    budget shared among the rest; basins where poor channels are soft-excluded
+    are unreachable from symmetric starts.
     """
-    uniform = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
-    uniform = np.clip(uniform, ctx.u_min, 1.0)
     floor = np.full(ctx.size, ctx.u_min)
-    starts = [uniform, floor]
+    starts = [floor]
     k = int(math.ceil(0.5 * ctx.size))
     if 0 < k < ctx.size:
         u = np.full(ctx.size, ctx.u_min)
         share = (ctx.n_blocks - k * ctx.u_min) / (ctx.size - k)
         u[np.argsort(ctx.xi3, kind="stable")[k:]] = np.clip(share, ctx.u_min, 1.0)
         starts.append(u)
-    seen = set()
-    unique = []
-    for u in starts:
-        key = tuple(np.round(u, 12))
-        if key not in seen:
-            seen.add(key)
-            unique.append(u)
-    return unique
+    return starts
 
 
 def bcd_solve(ctx: SchedulingContext):
     """Alternate exact block solves until the relative decrease stalls.
 
-    Runs from a small set of deterministic starting points (biconvex problems
-    can have several partially optimal points) and keeps the best.  The
-    reported trace is the winning run's accepted objective values, which are
-    non-increasing by construction: a block candidate is only accepted when it
-    does not worsen the objective.
+    Biconvex problems can have several partially optimal points, so an interior
+    alpha runs from the floor start, the parking start and the ceiling scan's
+    candidate shrunk into the budget, in that order, and keeps the best (the
+    earlier start on a tie).  At alpha 0 or 1 both block solves are
+    start-independent and the floor start alone runs.  The reported trace is
+    the winning run's accepted objective values, which are non-increasing by
+    construction: a block candidate is only accepted when it does not worsen
+    the objective.
     """
     if ctx.size == 0:
         return RoundPlan(), SolverReport()
@@ -916,11 +908,10 @@ def bcd_solve(ctx: SchedulingContext):
             table[key] = solve(x, ctx)
         return table[key]
 
-    def alternate(u0, trace):
+    def alternate(u0):
         u = feasible(u0)
         rates = ctx.r_min.copy()
-        if not trace:
-            trace.append(objective(u, rates, ctx))
+        trace = [objective(u, rates, ctx)]
         converged = False
         residuals = [math.inf, math.inf]
         outer = 0
@@ -945,32 +936,17 @@ def bcd_solve(ctx: SchedulingContext):
             if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
                 converged = True
                 break
-        return trace[-1], u, rates, converged, outer, residuals
+        return trace[-1], u, rates, converged, outer, residuals, trace
 
-    restart = False
+    starts = _start_points(ctx)
     if not 0.0 < ctx.alpha < 1.0:
         # both block solves are start-independent at the endpoints
-        starts = _start_points(ctx)[:1]
+        starts = starts[:1]
     elif (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
-        # the scan already located the global basin; a light polish suffices
-        starts = [scanned, _start_points(ctx)[0]]
-    else:
-        # binding budget: cover the partial-optimum basins the hard way
-        starts = _start_points(ctx)
-        restart = True
-    best = None
-    for u0 in starts:
-        trace = []
-        cand = alternate(u0, trace)
-        # the max term couples the blocks along a nonsmooth ridge with several
-        # blockwise-optimal points; a rescaled warm restart walks along it
-        if restart:
-            again = alternate(cand[1] * 1.25, trace)
-            if again[0] < cand[0]:
-                cand = again
-        if best is None or cand[0] < best[0]:
-            best = (*cand, trace)
-    obj, u, rates, converged, outer, residuals, trace = best
+        starts.append(scanned)
+    # min keeps the earliest of equal objectives
+    obj, u, rates, converged, outer, residuals, trace = min(
+        (alternate(u0) for u0 in starts), key=lambda run: run[0])
     plan = _plan_from(ctx, u, rates, obj)
     report = SolverReport(iterations=outer, objective_trace=trace,
                           converged=converged, block_residuals=residuals)

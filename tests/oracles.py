@@ -351,8 +351,6 @@ def reference_ceiling_scan(ctx, alpha):
             u[v] = min(1.0, math.exp(ell + g[j]))
         else:
             u[v] = 1.0
-    if u.sum() > ctx.n_blocks:
-        return None
     return np.clip(u, ctx.u_min, 1.0)
 
 

@@ -1,25 +1,28 @@
 """Search evaluations over the stored benchmark corpus.
 
-bcd_solve never solves a block twice on the same input and restarts each
-multi-start run once, at 1.25 times its result.  Both blocks are solved
-exactly, without a line search: the rate block by a bracketed Newton
-iteration on the derivative of its reduced objective, the inclusion block by
-a piecewise search that reads the derivative and the closed form of each
-piece off its water-fills; each water-fill finds its budget multiplier in
-closed form on one piece between its breakpoints.  None of that shows in a
-plan, so these guards count, over one solve of each corpus instance, the
-evaluations of the exact rate searches and the water-fills of the exact
-inclusion searches, and fail when either climbs back.  Under golden section
-the line-search evaluations were 28,081 before warm starts, a cold-bracket
-cut and the repeat table, 22,023 with the repeat table alone, 16,266 with all
-three and a second restart at 0.8 times the result, 15,341 without that
-restart (7,296 of them inclusion evaluations), and 8,195 once golden section
-was left to the rate block alone.  The water-fills were 863 with both blocks
-exact and 864 once the multiplier came from the piece search alone.
+bcd_solve never solves a block twice on the same input, and runs once from
+each of its starts, with no restart.  Both blocks are solved exactly, without
+a line search: the rate block by a bracketed Newton iteration on the
+derivative of its reduced objective, the inclusion block by a piecewise search
+that reads the derivative and the closed form of each piece off its
+water-fills; each water-fill finds its budget multiplier in closed form on one
+piece between its breakpoints.  None of that shows in a plan, so these guards
+count, over one solve of each corpus instance, the evaluations of the exact
+rate searches and the water-fills of the exact inclusion searches, and fail
+when either climbs back.  Under golden section the line-search evaluations
+were 28,081 before warm starts, a cold-bracket cut and the repeat table,
+22,023 with the repeat table alone, 16,266 with all three and a second restart
+at 0.8 times the result, 15,341 without that restart (7,296 of them inclusion
+evaluations), and 8,195 once golden section was left to the rate block alone.
+The water-fills were 863 with both blocks exact and 864 once the multiplier
+came from the piece search alone.  With the 1.25x restart and the uniform
+start gone and the ceiling scan's candidate starting every interior solve, a
+pass makes 1,153 rate evaluations (1,293 before) and 891 water-fills (874
+before).
 
-Before the multi-start, each interior solve runs the ceiling scan, which
-prices only the coarse ceilings that can hold its minimum; a third guard
-counts them, against 1,400 per scan (29,400 per pass) before the pruning.
+Each interior solve first runs the ceiling scan, which prices only the coarse
+ceilings that can hold its minimum; a third guard counts them, against 1,400
+per scan (29,400 per pass) before the pruning.
 """
 
 from pathlib import Path
