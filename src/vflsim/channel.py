@@ -7,11 +7,13 @@ delayed MMSE estimate h_est and an independent estimation error h_err,
 
 with h_est, h_err ~ CN(0, 1) and epsilon = J0(2*pi*f_doppler*T_fb) set by the
 vehicle speed, carrier frequency and CSI feedback delay.  Because the error is
-unknown to the link, it shows up as interference in the SINR; whether a chosen
-rate survives the realized error reduces to a closed-form exponential tail.
+unknown to the link, it shows up as interference in the SINR.  Whether a
+chosen rate survives the realized error is the rate-support event, defined
+once in `scheduler.SchedulingContext.support_margin`: the planner's success
+probability and the simulator's outcome draw both read that margin.
 
-All functions are pure and accept numpy arrays transparently where it makes
-sense (rates, gains, probabilities).
+All functions are pure and accept numpy arrays where it makes sense
+(velocities, distances, gains).
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-_LN2 = math.log(2.0)
 
 # Hankel asymptotic series numerators for J0: (4*0-1)(4*0-9)... pattern,
 # a_k = prod_{j=1..k} (2j-1)^2, consumed as P/Q coefficient products below.
@@ -157,47 +157,3 @@ class ChannelState:
     @property
     def h_est_power(self):
         return abs(self.h_est) ** 2
-
-
-@dataclass
-class OutageCoefficients:
-    """Relative estimation-error power (a) and noise power (b) at a chosen rate."""
-
-    a: float
-    b: float
-
-
-def outage_coefficients(rate, bandwidth, epsilon, tx_power, gain, noise_density):
-    """Coefficients of the rate-support condition |h_est|^2 >= a*|h_err|^2 + b.
-
-    a = (2^(R/W)-1)(1-eps^2)/eps^2,  b = (2^(R/W)-1) W N0 / (P L eps^2).
-    """
-    eps2 = float(epsilon) ** 2
-    if eps2 == 0.0:
-        raise ValueError("epsilon = 0 leaves no usable signal (degenerate channel)")
-    if np.any(np.asarray(rate) < 0):
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    t = np.expm1(np.asarray(rate, dtype=float) * _LN2 / bandwidth)  # 2^(R/W) - 1
-    a = t * (1.0 - eps2) / eps2
-    b = t * bandwidth * noise_density / (tx_power * gain * eps2)
-    if np.ndim(rate) == 0:
-        return OutageCoefficients(float(a), float(b))
-    return OutageCoefficients(a, b)
-
-
-def success_probability(coeffs: OutageCoefficients, h_est_power):
-    """Probability the realized error still supports the rate, given the estimate.
-
-    1 - exp(-(|h_est|^2 - b)/a) for |h_est|^2 > b, else 0.  The a = 0 edge
-    (zero rate or perfect correlation) degenerates to a step at b.
-    """
-    h2 = np.asarray(h_est_power, dtype=float)
-    if np.any(h2 < 0):
-        raise ValueError(f"h_est_power must be >= 0, got {h_est_power}")
-    a = np.asarray(coeffs.a, dtype=float)
-    b = np.asarray(coeffs.b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = -np.expm1(-(h2 - b) / np.where(a == 0.0, np.nan, a))
-    step = (h2 > b).astype(float)
-    p = np.where(a == 0.0, step, np.where(h2 > b, tail, 0.0))
-    return float(p) if p.ndim == 0 else p

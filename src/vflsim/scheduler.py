@@ -91,9 +91,8 @@ class SchedulingContext:
     budget_dropped: tuple = ()  # ids removed so |V| * u_min <= N
 
     def __post_init__(self):
-        # noise-to-error and signal-to-error power ratios: the success probability
-        # at rate R is 1 - exp(xi1 - xi3/(2^(R/W)-1)), and 2^(R/W) = 1 + xi3/xi1
-        # is the perfect-CSI capacity
+        # noise-to-error and signal-to-error power ratios: see support_margin;
+        # 2^(R/W) = 1 + xi3/xi1 is the perfect-CSI capacity
         eps2 = self.epsilon**2
         self.xi1 = (self.bandwidth * self.noise_density
                     / (self.tx_power * self.gain * (1.0 - eps2)))
@@ -103,12 +102,21 @@ class SchedulingContext:
     def size(self):
         return len(self.ids)
 
-    def success_prob(self, rates):
-        """Vectorized success probability of per-vehicle rates given the estimates."""
+    def support_margin(self, rates):
+        """Largest estimation-error power |h_err|^2 that per-vehicle rates survive.
+
+        The SINR with the unknown error as interference supports rate R exactly
+        when |h_err|^2 <= xi3/(2^(R/W)-1) - xi1; the margin is negative past the
+        perfect-CSI capacity, where no error power is small enough.
+        """
         f1 = np.expm1(np.asarray(rates, dtype=float) * _LN2 / self.bandwidth)
         with np.errstate(divide="ignore", over="ignore"):
-            arg = self.xi1 - self.xi3 / f1
-        return np.where(arg < 0.0, -np.expm1(np.minimum(arg, 0.0)), 0.0)
+            return self.xi3 / f1 - self.xi1
+
+    def success_prob(self, rates):
+        """Probability that an Exp(1) error power stays within the support margin."""
+        margin = self.support_margin(rates)
+        return np.where(margin > 0.0, -np.expm1(-np.maximum(margin, 0.0)), 0.0)
 
 
 def rate_bounds(gain, epsilon, h_est_sq, sojourn, cfg):
@@ -247,8 +255,9 @@ class _RatePhi:
         """(phi, phi'-, phi'+, phi''-, phi''+) at ell."""
         ctx = self.ctx
         f1 = np.expm1(self.rates(ell) * _LN2 / ctx.bandwidth)
-        # SchedulingContext.success_prob inline: p = -expm1(arg) > 0 exactly where
-        # arg < 0, and the cost is infinite elsewhere
+        # SchedulingContext.success_prob inline on the f1 it needs anyway: arg is
+        # minus the support margin, p = -expm1(arg) > 0 exactly where arg < 0, and
+        # the cost is infinite elsewhere
         arg = ctx.xi1 - ctx.xi3 / f1
         if not arg.max() < 0.0:
             return math.inf, -math.inf, -math.inf, math.nan, math.nan
@@ -640,7 +649,6 @@ class SolverReport:
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     converged: bool = False
-    block_residuals: list = field(default_factory=list)
 
 
 def _slice_minima(ln_q, rows, left, right):
@@ -913,7 +921,6 @@ def bcd_solve(ctx: SchedulingContext):
         rates = ctx.r_min.copy()
         trace = [objective(u, rates, ctx)]
         converged = False
-        residuals = [math.inf, math.inf]
         outer = 0
         for outer in range(1, _BCD_MAX_ALTERNATIONS + 1):
             prev = trace[-1]
@@ -924,7 +931,6 @@ def bcd_solve(ctx: SchedulingContext):
                 trace.append(o_r)
             else:
                 trace.append(trace[-1])
-            residuals[0] = trace[-2] - trace[-1]
             u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
             o_u = objective(u_new, rates, ctx)
             if o_u <= trace[-1]:
@@ -932,11 +938,10 @@ def bcd_solve(ctx: SchedulingContext):
                 trace.append(o_u)
             else:
                 trace.append(trace[-1])
-            residuals[1] = trace[-2] - trace[-1]
             if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
                 converged = True
                 break
-        return trace[-1], u, rates, converged, outer, residuals, trace
+        return trace[-1], u, rates, converged, outer, trace
 
     starts = _start_points(ctx)
     if not 0.0 < ctx.alpha < 1.0:
@@ -945,11 +950,10 @@ def bcd_solve(ctx: SchedulingContext):
     elif (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
         starts.append(scanned)
     # min keeps the earliest of equal objectives
-    obj, u, rates, converged, outer, residuals, trace = min(
+    obj, u, rates, converged, outer, trace = min(
         (alternate(u0) for u0 in starts), key=lambda run: run[0])
     plan = _plan_from(ctx, u, rates, obj)
-    report = SolverReport(iterations=outer, objective_trace=trace,
-                          converged=converged, block_residuals=residuals)
+    report = SolverReport(iterations=outer, objective_trace=trace, converged=converged)
     return plan, report
 
 
@@ -966,8 +970,7 @@ def scheme1_baseline(ctx: SchedulingContext):
     rates = ctx.r_min.copy()
     obj = objective(u, rates, ctx)
     plan = _plan_from(ctx, u, rates, obj)
-    return plan, SolverReport(iterations=1, objective_trace=[obj], converged=True,
-                              block_residuals=[0.0, 0.0])
+    return plan, SolverReport(iterations=1, objective_trace=[obj], converged=True)
 
 
 def scheme2_baseline(ctx: SchedulingContext):

@@ -145,29 +145,19 @@ class Experiment:
             return scheduler.scheme2_baseline(ctx)
         return scheduler.bcd_solve(ctx)
 
-    def draw_outcomes(self, plan, rng=None):
+    def draw_outcomes(self, plan, ctx, rng=None):
         """Realized rate-support events for the selected vehicles, id ascending.
 
-        Draws the unknown error power |h_err|^2 ~ Exp(1) per selected vehicle
-        and keeps those satisfying |h_err|^2 <= (|h_est|^2 - b)/a at the
-        assigned rate.
+        Draws the unknown error power |h_err|^2 ~ Exp(1) of each selected
+        vehicle, in one call over the ascending ids, and keeps those whose draw
+        is at most the support margin of their assigned rate: the event whose
+        probability is the plan's success probability.
         """
         rng = self.rng_outage if rng is None else rng
-        cfg = self.cfg
-        successful = []
-        for vid in sorted(plan.selected_set):
-            err_power = float(rng.exponential(1.0))
-            ch = self.vehicles[vid].channel
-            coeffs = channel.outage_coefficients(
-                plan.rates[vid], cfg.block_bandwidth_hz, ch.epsilon,
-                cfg.tx_power_w, ch.large_scale_gain, cfg.noise_density_w_hz)
-            if coeffs.a == 0.0:
-                ok = ch.h_est_power > coeffs.b
-            else:
-                ok = err_power <= (ch.h_est_power - coeffs.b) / coeffs.a
-            if ok:
-                successful.append(vid)
-        return successful
+        selected = np.array(sorted(plan.selected_set), dtype=int)
+        margin = ctx.support_margin([plan.rates[i] for i in plan.ids])
+        err_power = rng.exponential(1.0, size=len(selected))
+        return selected[err_power <= margin[np.searchsorted(ctx.ids, selected)]].tolist()
 
     def run_round(self):
         cfg = self.cfg
@@ -181,7 +171,7 @@ class Experiment:
         else:
             plan, _report = self._solve(ctx)
             scheduler.realize_selection(plan, self.rng_selection, cfg.physical.n_blocks)
-            successful = self.draw_outcomes(plan)
+            successful = self.draw_outcomes(plan, ctx)
         lr = fl_core.lr_schedule(t_idx, cfg.learning.lr_base, cfg.learning.lr_decay_rounds)
         ids = sorted(successful)
         parts = [self.vehicles[vid].dataset for vid in ids]

@@ -5,10 +5,10 @@ import pytest
 
 from oracles import (capacity, compose_fading, j0_first_zero, j0_series_oracle,
                      scalar_bessel_j0, sinr)
-from vflsim.channel import (SPEED_OF_LIGHT, ChannelState, OutageCoefficients, bessel_j0,
-                            large_scale_gain, outage_coefficients, sample_fading_pair,
-                            success_probability, temporal_correlation)
+from vflsim.channel import (SPEED_OF_LIGHT, ChannelState, bessel_j0, large_scale_gain,
+                            sample_fading_pair, temporal_correlation)
 from vflsim.config import parse_config
+from vflsim.scheduler import SchedulingContext
 
 
 class TestBesselJ0:
@@ -172,51 +172,51 @@ class TestSinrCapacity:
             capacity(1.0, -0.1)
 
 
+def _link(h_est_sq, epsilon=math.sqrt(0.5), gain=1.0, bandwidth=1.0, noise_density=1.0,
+          tx_power=2.0):
+    """One-vehicle context carrying a link's constants; the other fields are placeholders."""
+    one = np.ones(1)
+    return SchedulingContext(
+        ids=np.zeros(1, dtype=int), data_sizes=one, epsilon=one * epsilon,
+        h_est_sq=one * h_est_sq, gain=one * gain, sojourn=one, r_min=one, r_max=one,
+        alpha=0.5, u_min=0.05, n_blocks=1.0, bandwidth=bandwidth,
+        noise_density=noise_density, tx_power=tx_power, model_bits=1.0, d_total=1.0)
+
+
 class TestOutage:
-    def test_coefficient_values(self):
-        # R=W, eps^2=0.5, W*N0=1, P*L=2 -> a=1, b=1
-        c = outage_coefficients(1.0, 1.0, math.sqrt(0.5), 2.0, 1.0, 1.0)
-        assert c.a == pytest.approx(1.0)
-        assert c.b == pytest.approx(1.0)
+    def test_margin_values(self):
+        # eps^2=0.5, W*N0=1, P*L=2 -> xi1=1, xi3=|h_est|^2; at R=W the margin is xi3 - xi1
+        ctx = _link(3.0)
+        assert ctx.xi1[0] == pytest.approx(1.0)
+        assert ctx.xi3[0] == pytest.approx(3.0)
+        assert ctx.support_margin([1.0])[0] == pytest.approx(2.0)
 
-    def test_zero_rate(self):
-        c = outage_coefficients(0.0, 5e5, 0.5, 0.2, 1e-8, 4e-21)
-        assert c.a == 0.0 and c.b == 0.0
-
-    def test_perfect_csi_kills_a(self):
-        c = outage_coefficients(2e6, 5e5, 1.0, 0.2, 1e-8, 4e-21)
-        assert c.a == 0.0 and c.b > 0.0
-
-    def test_zero_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            outage_coefficients(1e6, 5e5, 0.0, 0.2, 1e-8, 4e-21)
+    def test_zero_rate_survives_any_error(self):
+        ctx = _link(0.4)
+        assert ctx.support_margin([0.0])[0] == math.inf
+        assert ctx.success_prob([0.0])[0] == 1.0
 
     def test_success_probability_values(self):
-        assert success_probability(OutageCoefficients(1.0, 1.0), 1.0 + math.log(2)) \
-            == pytest.approx(0.5, rel=1e-12)
-        assert success_probability(OutageCoefficients(1.0, 1.0), 1.0) == 0.0
-        assert success_probability(OutageCoefficients(2.0, 1.5), 0.7) == 0.0
-
-    def test_degenerate_a_is_step(self):
-        assert success_probability(OutageCoefficients(0.0, 1.0), 2.0) == 1.0
-        assert success_probability(OutageCoefficients(0.0, 1.0), 0.5) == 0.0
-
-    def test_negative_estimate_power_rejected(self):
-        with pytest.raises(ValueError):
-            success_probability(OutageCoefficients(1.0, 1.0), -0.1)
+        ctx = _link(1.0 + math.log(2))
+        assert ctx.support_margin([1.0])[0] == pytest.approx(math.log(2), rel=1e-12)
+        assert ctx.success_prob([1.0])[0] == pytest.approx(0.5, rel=1e-12)
+        # past capacity the margin is negative and no error power is small enough
+        assert _link(1.0).support_margin([2.0])[0] < 0.0
+        assert _link(1.0).success_prob([2.0])[0] == 0.0
+        assert _link(0.7).success_prob([1.0])[0] == 0.0
 
     def test_monotone_in_rate(self):
-        rates = np.linspace(1e4, 8e6, 400)
+        ctx = _link(0.9, epsilon=0.6, gain=3e-9, bandwidth=5e5, noise_density=3.98e-21,
+                    tx_power=0.2)
         prev = 1.1
-        for r in rates:
-            c = outage_coefficients(float(r), 5e5, 0.6, 0.2, 3e-9, 3.98e-21)
-            p = success_probability(c, 0.9)
+        for r in np.linspace(1e4, 8e6, 400):
+            p = float(ctx.success_prob([r])[0])
             assert p <= prev + 1e-12
             prev = p
 
 
 def test_rate_support_condition_round_trip():
-    """A rate meeting capacity with equality makes the support event tight."""
+    """At the capacity for a drawn error power, the support margin is that power."""
     rng = np.random.default_rng(5)
     for _ in range(25):
         eps = float(rng.uniform(0.2, 0.95))
@@ -226,9 +226,9 @@ def test_rate_support_condition_round_trip():
                           epsilon=eps, large_scale_gain=10 ** rng.uniform(-9, -7))
         w, n0, p = 5e5, 3.98e-21, 0.2
         rate = capacity(w, sinr(p, st, n0, w))
-        c = outage_coefficients(rate, w, eps, p, st.large_scale_gain, n0)
-        threshold = (st.h_est_power - c.b) / c.a
-        assert threshold == pytest.approx(err_power, rel=1e-9)
+        ctx = _link(st.h_est_power, epsilon=eps, gain=st.large_scale_gain, bandwidth=w,
+                    noise_density=n0, tx_power=p)
+        assert ctx.support_margin([rate])[0] == pytest.approx(err_power, rel=1e-9)
 
 
 def test_composed_power_second_moment():

@@ -21,6 +21,27 @@ def small_cfg(**kv):
     return cfg
 
 
+def solved_round():
+    """A populated road at seed 3, its scheduling context and its VR-VFL plan."""
+    cfg = small_cfg(physical__feedback_delay_s=1e-4)
+    exp = Experiment(cfg, seed=3)
+    exp._refresh_channels()
+    ctx = scheduler.build_context(exp.vehicles.values(), exp.geometry, cfg)
+    plan, _ = scheduler.bcd_solve(ctx)
+    return exp, ctx, plan
+
+
+class FixedDraws:
+    """Stands in for the outage stream: its one exponential call returns set values."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def exponential(self, scale, size):
+        assert scale == 1.0 and size == len(self.values)
+        return self.values
+
+
 class TestRoundMechanics:
     def test_empty_road_round(self):
         cfg = small_cfg(traffic__arrival_rate_per_lane=0.0)
@@ -57,20 +78,32 @@ class TestRoundMechanics:
             assert r.n_success <= r.n_selected <= r.n_feasible
 
     def test_outage_frequency_matches_closed_form(self):
-        cfg = small_cfg(physical__feedback_delay_s=1e-4)
-        exp = Experiment(cfg, seed=3)
-        exp._refresh_channels()
-        ctx = scheduler.build_context(exp.vehicles.values(), exp.geometry, cfg)
-        plan, _ = scheduler.bcd_solve(ctx)
+        exp, ctx, plan = solved_round()
         plan.selected_set = set(plan.ids)
         rng = np.random.default_rng(99)
         trials = 10_000
         counts = dict.fromkeys(plan.ids, 0)
         for _ in range(trials):
-            for vid in exp.draw_outcomes(plan, rng):
+            for vid in exp.draw_outcomes(plan, ctx, rng):
                 counts[vid] += 1
         for vid in plan.ids:
             assert counts[vid] / trials == pytest.approx(plan.success_probs[vid], abs=0.02)
+
+    def test_planned_probability_and_drawn_event_share_one_margin(self):
+        exp, ctx, plan = solved_round()
+        margin = ctx.support_margin([plan.rates[i] for i in plan.ids])
+        assert np.all(margin > 0.0)
+        for vid, m in zip(plan.ids, margin):
+            assert plan.success_probs[vid] == float(-np.expm1(-m))
+        # every other vehicle is selected; their error powers land just above,
+        # just below or exactly on their margins
+        picked = list(range(1, ctx.size, 2))
+        plan.selected_set = {plan.ids[k] for k in picked}
+        draws = [np.nextafter(margin[k], (np.inf, -np.inf, margin[k])[j % 3])
+                 for j, k in enumerate(picked)]
+        kept = [plan.ids[k] for j, k in enumerate(picked) if j % 3]
+        assert len(picked) >= 6
+        assert exp.draw_outcomes(plan, ctx, FixedDraws(draws)) == kept
 
 
 class TestDeterminism:
