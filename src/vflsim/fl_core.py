@@ -68,20 +68,26 @@ def _logits(w, features, num_classes):
     return logits
 
 
-def _softmax_loss(logits, labels):
+def _softmax_loss(logits, labels, rows=None):
     """Softmax probabilities, computed in place of the logits, and the mean cross-entropy.
 
     Also returns the (row, label) index of each sample's own class in the
-    probabilities viewed as rows of num_classes.
+    probabilities viewed as rows of num_classes, and the padding mask.  With
+    rows (one leading dimension), problem k's mean runs over its first rows[k]
+    samples and the mask marks the samples past them; without, it is None.
     """
     logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=-1, keepdims=True)
-    rows = probs.reshape(-1, probs.shape[-1])
-    hit = (np.arange(len(rows)), labels.ravel())
-    # the same bits as np.mean, in a third of the time on a mini-batch
-    loss = -(np.log(rows[hit].reshape(labels.shape) + 1e-300).sum(axis=-1) / labels.shape[-1])
-    return probs, loss, hit
+    flat = probs.reshape(-1, probs.shape[-1])
+    hit = (np.arange(len(flat)), labels.ravel())
+    logp = np.log(flat[hit].reshape(labels.shape) + 1e-300)
+    if rows is None:
+        # the same bits as np.mean, in a third of the time on a mini-batch
+        return probs, -(logp.sum(axis=-1) / labels.shape[-1]), hit, None
+    pad = np.arange(labels.shape[-1]) >= rows[:, None]
+    logp[pad] = 0.0  # assigned, not multiplied: nan * 0 is nan
+    return probs, -(logp.sum(axis=-1) / rows), hit, pad
 
 
 def class_means(num_classes, feature_dim, separation):
@@ -141,19 +147,38 @@ def make_test_set(rng, cfg):
     return feats, labels
 
 
-def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0):
+def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0, rows=None):
     """Mean cross-entropy of the softmax model plus (mu/2)|w - ref|^2, with gradient.
 
     Leading dimensions of w (..., p), features (..., n, d) and labels (..., n)
     index independent problems, and the loss and gradient keep them.  Each
-    problem gets the same bits as its own call: the matmuls run one gemm per
-    2-D slice, and every other step is elementwise or reduces along the same
-    axis.
+    problem gets the same bits as its own call: the matmuls run one BLAS call
+    per 2-D slice, and every other step is elementwise or reduces along the
+    same axis.
+
+    rows, given with one leading dimension, holds each problem's count of
+    valid samples; the samples past it are padding, which must be finite.
+    Their delta rows are set to 0, so the backward `delta^T @ X` keeps each
+    problem's bits, and the loss sums the valid samples only: it is finite
+    exactly when the unpadded loss is, though its last bits may differ.  The
+    forward `X @ W^T` runs a gemm whose row i has the same bits for every row
+    count of 2 or more, but numpy runs a slice of one row as a gemv, whose bits
+    differ; so a problem with one valid row among wider ones gets its logits
+    from its own one-row product.
     """
     n = labels.shape[-1]
-    delta, loss, hit = _softmax_loss(_logits(w, features, num_classes), labels)
+    logits = _logits(w, features, num_classes)
+    if rows is not None and n > 1:
+        one = rows == 1
+        if one.any():
+            logits[one, :1] = _logits(w[one], features[one, :1], num_classes)
+    delta, loss, hit, pad = _softmax_loss(logits, labels, rows)
     delta.reshape(-1, num_classes)[hit] -= 1.0
-    delta /= n
+    if rows is None:
+        delta /= n
+    else:
+        delta[pad] = 0.0
+        delta /= rows[:, None, None]
     grad = np.concatenate([(delta.swapaxes(-1, -2) @ features).reshape(w.shape[:-1] + (-1,)),
                            delta.sum(axis=-2)], axis=-1)
     if mu != 0.0:
@@ -176,53 +201,60 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
 
     Vehicle k trains on partitions[k] and reshuffles its batches every epoch
     from rngs[k]; the trained flat weights come back in the same order.  All
-    vehicles take their SGD steps in lockstep: at each step index, those whose
-    batches have the same length go through one stacked loss_and_grad call.
-    A vehicle's weights have the same bits as when it trains alone, because
-    no operation mixes the rows of different vehicles.
+    vehicles take their SGD steps in lockstep: at each step index, one
+    loss_and_grad call takes every vehicle still training, each batch padded
+    to the step's longest by repeating its last sample, with the batch
+    lengths as its rows.  A vehicle's weights have the same bits as when it
+    trains alone, because no operation mixes the rows of different vehicles
+    and the padded rows change no bit of the valid ones.
     """
     if not partitions:
         return []
     epochs, batch_size = cfg.local_epochs, cfg.batch_size
-    # a partition draws its features when first read: draw them all before the
-    # scratch arrays exist, so the kept features do not pin freed memory
-    features = [part.features for part in partitions] if epochs else []
-    sizes = [part.size for part in partitions]
-    n = np.array(sizes, dtype=np.int64)
+    n = np.array([part.size for part in partitions], dtype=np.int64)
     per_epoch = -(-n // batch_size)  # batches per epoch
-    first = np.cumsum(n) - n  # each vehicle's first entry in the concatenated arrays
-    labels = np.concatenate([part.labels for part in partitions])
-    orders = np.empty(len(labels), dtype=np.int64)  # each vehicle's sample order this epoch
+    # most batches first: the vehicles still training at a step are then the
+    # first rows of the stack, and their weights are a view
+    rank = np.argsort(-per_epoch, kind="stable")
+    n, per_epoch = n[rank], per_epoch[rank]
+    # a partition draws its features when first read: draw them all before the
+    # scratch arrays exist, so the kept features do not pin freed memory.  They
+    # are copied once per round and gathered once per step: a copy of every
+    # step's batch up front would raise peak memory
+    features = np.concatenate([partitions[k].features for k in rank.tolist()]) if epochs else None
+    labels = np.concatenate([partitions[k].labels for k in rank.tolist()])
+    first = np.cumsum(n) - n  # each vehicle's first row in the round's arrays
+    # every epoch's sample order, drawn up front from each vehicle's own
+    # stream: row i of the stack has its epochs one after another from
+    # epochs * first[i]
+    orders = np.empty(epochs * len(labels), dtype=np.int64)
+    for k, f, size in zip(rank.tolist(), first.tolist(), n.tolist()):
+        for epoch in range(epochs):
+            at = epochs * f + epoch * size
+            np.add(rngs[k].permutation(size), f, out=orders[at:at + size])
+    steps = epochs * per_epoch
     w = np.tile(np.asarray(weights_in, dtype=float), (len(partitions), 1))
     vel = np.zeros_like(w)
-    grad = np.zeros_like(w)
-    for step in range(epochs * int(per_epoch.max(initial=0))):
-        live = step < epochs * per_epoch
-        active = np.flatnonzero(live)
-        start = step % per_epoch[active] * batch_size
-        for k in active[start == 0].tolist():  # vehicles that begin an epoch
-            orders[first[k]:first[k] + sizes[k]] = rngs[k].permutation(sizes[k])
-        length = np.minimum(n[active] - start, batch_size)
-        for size in sorted(set(length.tolist())):
-            same = length == size
-            ks = active[same]
-            sel = orders[(first[ks] + start[same])[:, None] + np.arange(size)]
-            # gathered batch by batch: a shuffled copy of every vehicle's
-            # data per epoch would raise peak memory
-            feats = np.empty((len(ks), size, cfg.feature_dim))
-            for row, k, idx in zip(feats, ks.tolist(), sel):
-                row[...] = features[k][idx]
-            loss, grad[ks] = loss_and_grad(w[ks], feats, labels[first[ks][:, None] + sel],
-                                           cfg.num_classes, ref=global_ref, mu=cfg.prox_mu)
-            if not np.isfinite(loss).all():
-                raise RuntimeError(f"non-finite local loss ({loss[~np.isfinite(loss)][0]}) "
-                                   f"at lr={lr}, batch of {size} samples")
-        # vel = momentum * vel + grad; w -= lr * vel, on the rows that took a step
-        live = live[:, None]
-        np.multiply(vel, cfg.momentum, out=vel, where=live)
-        np.add(vel, grad, out=vel, where=live)
-        np.subtract(w, lr * vel, out=w, where=live)
-    return list(w)
+    for step in range(int(steps[0])):
+        m = int(np.count_nonzero(steps > step))  # vehicles still training
+        epoch, batch = np.divmod(step, per_epoch[:m])
+        start = batch * batch_size
+        length = np.minimum(n[:m] - start, batch_size)
+        # a padded slot repeats the vehicle's last sample of the batch
+        sel = orders[(epochs * first[:m] + epoch * n[:m] + start)[:, None]
+                     + np.minimum(np.arange(length.max()), length[:, None] - 1)]
+        loss, grad = loss_and_grad(w[:m], features[sel], labels[sel], cfg.num_classes,
+                                   ref=global_ref, mu=cfg.prox_mu, rows=length)
+        bad = ~np.isfinite(loss)
+        if bad.any():
+            raise RuntimeError(f"non-finite local loss ({loss[bad][0]}) "
+                               f"at lr={lr}, batch of {length[bad][0]} samples")
+        # vel = momentum * vel + grad; w -= lr * vel
+        vel_m = vel[:m]
+        vel_m *= cfg.momentum
+        vel_m += grad
+        w[:m] -= lr * vel_m
+    return list(w[np.argsort(rank)])
 
 
 def aggregate(updates, total_data, global_prev, anchored=False):
@@ -258,7 +290,7 @@ def evaluate(weights, features, labels, num_classes):
         raise ValueError("empty test set")
     logits = _logits(weights, features, num_classes)
     pred = np.argmax(logits, axis=1)
-    _, loss, _ = _softmax_loss(logits, labels)
+    _, loss, _, _ = _softmax_loss(logits, labels)
     return float(np.mean(pred == labels)), float(loss)
 
 

@@ -152,8 +152,8 @@ class TestStackedTraining:
             sizes = [150] * n_vehicles
         elif n_vehicles == 1:
             sizes = [100]
-        else:  # below one batch, one sample, exact multiples, then ragged
-            sizes = [7, 1, 64, 32] + rng.integers(1, 226, size=n_vehicles - 4).tolist()
+        else:  # below one batch, one sample, exact multiples, a one-sample tail, then ragged
+            sizes = [7, 1, 64, 32, 33, 65] + rng.integers(1, 226, size=n_vehicles - 6).tolist()
         parts = []
         for n in sizes:
             labels = rng.integers(0, cfg.num_classes, size=n)
@@ -192,6 +192,59 @@ class TestStackedTraining:
     def test_no_vehicles(self):
         cfg = learning_cfg()
         assert local_train(np.zeros(210), [], np.zeros(210), cfg, [], lr=0.1) == []
+
+    def test_padded_rows_keep_gemm_bits(self):
+        """The BLAS behaviour padded training rests on: a gemm's row has the same bits for
+        every row count of 2 or more, and zero delta rows add nothing to the backward."""
+        rng = np.random.default_rng(22)
+        c = 10
+        for d in (20, 30):
+            for width in range(2, 33):
+                mats = rng.standard_normal((3, c, d))
+                xs = rng.standard_normal((3, width, d))
+                padded = xs @ mats.swapaxes(-1, -2)
+                for rows in range(2, width + 1):
+                    where = (f"BLAS assumption broken: a gemm's first {rows} rows differ "
+                             f"with {width} rows (d={d})")
+                    alone = xs[1, :rows] @ mats[1].T
+                    assert padded[1, :rows].tobytes() == alone.tobytes(), where
+                    assert (xs[1] @ mats[1].T)[:rows].tobytes() == alone.tobytes(), where
+                    delta = rng.standard_normal((width, c))
+                    delta[rows:] = 0.0
+                    want = delta[:rows].T @ xs[1, :rows]
+                    assert (delta.T @ xs[1]).tobytes() == want.tobytes(), (
+                        f"BLAS assumption broken: zero delta rows past {rows} of {width} "
+                        f"change the backward gemm (d={d})")
+
+    def test_padded_call_matches_reference_per_problem(self):
+        rng = np.random.default_rng(23)
+        c, d, width = 10, 30, 32
+        rows = np.array([1, 2, 7, 31, 32, 1, 17])
+        w = rng.standard_normal((len(rows), c * (d + 1)))
+        x = rng.standard_normal((len(rows), width, d))
+        y = rng.integers(0, c, size=(len(rows), width))
+        ref = rng.standard_normal(c * (d + 1))
+        loss, grad = loss_and_grad(w, x, y, c, ref=ref, mu=0.01, rows=rows)
+        for k, size in enumerate(rows):
+            want_loss, want_grad = reference_loss_and_grad(w[k], x[k, :size], y[k, :size], c,
+                                                           ref=ref, mu=0.01)
+            assert loss[k] == pytest.approx(want_loss, rel=1e-12)
+            assert grad[k].tobytes() == want_grad.tobytes(), f"problem {k} ({size} rows)"
+
+    def test_non_finite_loss_in_a_padded_batch_aborts(self):
+        cfg = learning_cfg(num_classes=3, feature_dim=4, batch_size=32)
+        rng = np.random.default_rng(24)
+        parts = [TestLocalTrain._small_instance(rng, n=n) for n in (60, 5, 60)]
+        parts[1].features[2] = np.nan
+        with pytest.raises(RuntimeError, match=r"non-finite local loss \(nan\) at lr=0.1, "
+                                               r"batch of 5 samples"):
+            local_train(np.zeros(15), parts, np.zeros(15), cfg,
+                        [np.random.default_rng(k) for k in range(3)], lr=0.1)
+        # the same vehicles with finite data train: padded rows raise nothing
+        parts[1].features[2] = 0.0
+        for trained in local_train(np.zeros(15), parts, np.zeros(15), cfg,
+                                   [np.random.default_rng(k) for k in range(3)], lr=0.1):
+            assert np.isfinite(trained).all()
 
     def test_non_finite_loss_of_any_vehicle_aborts(self):
         cfg = learning_cfg(num_classes=3, feature_dim=4)
