@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,30 +129,12 @@ def large_scale_gain(distance, carrier_freq, shadowing_db=0.0, min_distance=1.0)
     return np.array([10.0 ** e for e in exponent.ravel().tolist()]).reshape(exponent.shape)
 
 
-def sample_fading_pair(rng):
-    """One (h_est, h_err) draw: independent circular complex Gaussians, E|.|^2 = 1."""
-    re = rng.standard_normal(4)
-    scale = math.sqrt(0.5)
-    h_est = complex(re[0] * scale, re[1] * scale)
-    h_err = complex(re[2] * scale, re[3] * scale)
-    return h_est, h_err
+def sample_fading_pair(rng, n):
+    """n (h_est, h_err) draws: two length-n arrays of independent circular complex
+    Gaussians, E|.|^2 = 1.
 
-
-@dataclass
-class ChannelState:
-    """Per-vehicle channel snapshot: fading estimate/error pair, correlation, large-scale gain."""
-
-    h_est: complex
-    h_err: complex
-    epsilon: float
-    large_scale_gain: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [-1, 1], got {self.epsilon}")
-        if self.large_scale_gain <= 0:
-            raise ValueError(f"large_scale_gain must be > 0, got {self.large_scale_gain}")
-
-    @property
-    def h_est_power(self):
-        return abs(self.h_est) ** 2
+    Vehicle k's draw is row k of one (n, 4) standard-normal block, the same
+    numbers as n draws of 4 in turn.
+    """
+    h = (rng.standard_normal((n, 4)) * math.sqrt(0.5)).view(complex)
+    return h[:, 0], h[:, 1]

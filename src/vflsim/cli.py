@@ -119,7 +119,7 @@ def cmd_dump_instance(cfg):
     seed = _seeds(cfg)[0]
     exp = sim.Experiment(cfg, seed)
     exp._refresh_channels()
-    ctx = scheduler.build_context(exp.vehicles.values(), exp.geometry, cfg)
+    ctx = scheduler.build_context(exp.vehicles, exp.geometry, cfg)
     if cfg.run.scheduler == "scheme2":
         ctx.alpha = 1.0  # scheme2_baseline solves the round at alpha = 1
     path = out / f"instance_seed{seed}.txt"

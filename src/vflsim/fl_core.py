@@ -76,7 +76,13 @@ def _softmax_loss(logits, labels, rows=None):
     rows (one leading dimension), problem k's mean runs over its first rows[k]
     samples and the mask marks the samples past them; without, it is None.
     """
-    logits -= logits.max(axis=-1, keepdims=True)
+    # the row max as a chain of column maxima: numpy reduces a short last axis
+    # one row at a time.  The chain can differ from .max only in the sign of a
+    # zero maximum, and subtracting either zero gives every logit's exp the same bits
+    top = logits[..., :1].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c:c + 1], out=top)
+    logits -= top
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=-1, keepdims=True)
     flat = probs.reshape(-1, probs.shape[-1])

@@ -3,12 +3,14 @@
 Vehicles enter at position 0 of a straight road segment, keep a constant random
 speed for their whole lifetime and leave once they pass the far end.  Roadside
 units sit on the road centerline, evenly spaced; lanes are laid out
-symmetrically about the centerline.
+symmetrically about the centerline.  The vehicles on the road are one
+Population: an array per attribute, one row per vehicle.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,27 +35,87 @@ class RoadGeometry:
         return n
 
     def rsu_x(self, k):
-        """Position of RSU k along the centerline: spacing/2 + k*spacing."""
+        """Position of RSU k along the centerline: spacing/2 + k*spacing, per element."""
         return self.rsu_spacing / 2.0 + self.rsu_spacing * k
 
     def lane_center_y(self, lane):
-        """Lateral offset of a lane center; lanes split symmetrically about y = 0."""
-        if not 0 <= lane < self.lane_count:
+        """Lateral offset of a lane center, per element; lanes split symmetrically about y = 0."""
+        lane = np.asarray(lane)
+        if np.any((lane < 0) | (lane >= self.lane_count)):
             raise ValueError(f"lane index {lane} out of range 0..{self.lane_count - 1}")
         return (lane - (self.lane_count - 1) / 2.0) * self.lane_width
 
 
-@dataclass
-class VehicleState:
-    id: int
-    lane: int
-    position: float  # m along the road
-    velocity: float  # m/s, constant for the vehicle's lifetime
-    spawn_time: float  # s
-    shadowing_db: float = 0.0  # drawn once at spawn, held (slow fading)
-    dataset: object = None  # Partition handle, carried for the whole lifetime
-    epsilon: float = None  # CSI correlation, fixed by the constant speed; set at spawn
-    channel: object = None  # ChannelState, refreshed every round
+class Population:
+    """The vehicles on the road as parallel arrays, one row per vehicle, ids ascending.
+
+    `partitions` lists each row's dataset.  `h_est_sq` (the power |h_est|^2 of
+    the fading estimate) and `gain` (the large-scale linear gain) hold the last
+    channel refresh: None before it, and cleared whenever rows come or go.
+    """
+
+    COLUMNS = {"ids": int, "lane": int, "position": float, "velocity": float,
+               "spawn_time": float, "shadowing_db": float, "epsilon": float}
+
+    def __init__(self, partitions=(), **columns):
+        """Rows from one column per name in COLUMNS, each as long as `partitions`;
+        a column left out is zeros."""
+        unknown = set(columns) - set(self.COLUMNS)
+        if unknown:
+            raise TypeError(f"unknown population columns {sorted(unknown)}")
+        self.partitions = list(partitions)
+        n = len(self.partitions)
+        for name, dtype in self.COLUMNS.items():
+            values = np.asarray(columns.get(name, np.zeros(n)), dtype=dtype)
+            if values.shape != (n,):
+                raise ValueError(f"column {name} has shape {values.shape}, expected ({n},)")
+            setattr(self, name, values)
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            raise ValueError("vehicle ids must ascend")
+        self.h_est_sq = self.gain = None
+
+    def __len__(self):
+        return len(self.ids)
+
+    def values(self):
+        """The population itself, which build_context takes whole: callers written
+        against a dict of vehicles pass `vehicles.values()`."""
+        return self
+
+    def extend(self, other):
+        """Append the rows of `other`, whose ids must all exceed the ones here."""
+        if len(other) and len(self) and other.ids[0] <= self.ids[-1]:
+            raise ValueError(f"vehicle id {other.ids[0]} does not exceed {self.ids[-1]}")
+        for name in self.COLUMNS:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+        self.partitions += other.partitions
+        self.h_est_sq = self.gain = None
+
+    def keep(self, mask):
+        """Drop the rows where the boolean `mask` is False."""
+        for name in self.COLUMNS:
+            setattr(self, name, getattr(self, name)[mask])
+        self.partitions = list(itertools.compress(self.partitions, mask.tolist()))
+        self.h_est_sq = self.gain = None
+
+    def rows(self, ids):
+        """Row index of each vehicle id; KeyError for an id not on the road."""
+        ids = np.asarray(ids, dtype=int)
+        missing = ids[~np.isin(ids, self.ids)]
+        if len(missing):
+            raise KeyError(f"vehicle {missing[0]} is not on the road")
+        return np.searchsorted(self.ids, ids)
+
+    def set_channels(self, h_est_sq, gain):
+        """Store one channel refresh, after checking each row's correlation and gain."""
+        eps = self.epsilon
+        for bad, rule, values in (
+                (~((eps >= -1.0) & (eps <= 1.0)), "epsilon must lie in [-1, 1]", eps),
+                (~(gain > 0.0), "large_scale_gain must be > 0", gain)):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"vehicle {self.ids[k]}: {rule}, got {values[k]}")
+        self.h_est_sq, self.gain = h_est_sq, gain
 
 
 def remaining_sojourn(position, velocity, geometry: RoadGeometry):
@@ -65,21 +127,24 @@ def remaining_sojourn(position, velocity, geometry: RoadGeometry):
     return float(soj) if soj.ndim == 0 else soj
 
 
-def nearest_rsu_distance(vehicle: VehicleState, geometry: RoadGeometry):
-    """Euclidean distance from the vehicle to the closest RSU.
+def nearest_rsu_distance(position, lane, geometry: RoadGeometry):
+    """Euclidean distance from each vehicle to its closest RSU, per element.
 
     Only the RSU nearest along the road and its two neighbours are measured:
     rounding can put the computed nearest index off by one, and every other
-    RSU is at least a spacing farther along the road.
+    RSU is at least a spacing farther along the road.  Each distance is a
+    math.hypot of its own: numpy's hypot rounds differently and would move the
+    seeded results.
     """
-    y = geometry.lane_center_y(vehicle.lane)
-    x = vehicle.position
-    last = geometry.rsu_count - 1
-    k = min(max(round((x - geometry.rsu_spacing / 2.0) / geometry.rsu_spacing), 0), last)
+    x = np.asarray(position, dtype=float)
+    y = np.repeat(geometry.lane_center_y(lane), 3).tolist()
+    s, last = geometry.rsu_spacing, geometry.rsu_count - 1
+    # np.rint rounds half to even, as Python's round does
+    k = np.clip(np.rint((x - s / 2.0) / s), 0, last).astype(int)
     # at either end of the road a neighbour index is clipped and measured twice
-    return min(math.hypot(x - geometry.rsu_x(max(k - 1, 0)), y),
-               math.hypot(x - geometry.rsu_x(k), y),
-               math.hypot(x - geometry.rsu_x(min(k + 1, last)), y))
+    near = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, last)], axis=1)
+    dx = (x[:, None] - geometry.rsu_x(near)).ravel().tolist()
+    return np.array(list(map(math.hypot, dx, y))).reshape(-1, 3).min(axis=1)
 
 
 class ArrivalProcess:

@@ -152,21 +152,16 @@ def _drop_for_budget(ids, r_max, u_min, n_blocks):
     return np.flatnonzero(keep), [int(i) for i in np.asarray(ids)[weakest]]
 
 
-def build_context(vehicles, geometry, cfg):
-    """Feasible-set context from live vehicle states; handles the u_min budget shrink."""
-    road = [v for v in sorted(vehicles, key=lambda x: x.id)
-            if v.position < geometry.road_length]
-
-    def column(values):
-        return np.array(list(values), dtype=float)
-
-    ids = np.array([v.id for v in road], dtype=int)
-    data = column(v.dataset.size if v.dataset is not None else 0 for v in road)
-    eps = column(v.channel.epsilon for v in road)
-    h2 = column(v.channel.h_est_power for v in road)
-    gain = column(v.channel.large_scale_gain for v in road)
-    soj = remaining_sojourn(column(v.position for v in road),
-                            column(v.velocity for v in road), geometry)
+def build_context(population, geometry, cfg):
+    """Feasible-set context from a mobility.Population's last channel refresh;
+    handles the u_min budget shrink."""
+    road = np.flatnonzero(population.position < geometry.road_length)
+    ids = population.ids[road]
+    data = np.array([population.partitions[k].size for k in road.tolist()], dtype=float)
+    eps = population.epsilon[road]
+    h2 = population.h_est_sq[road]
+    gain = population.gain[road]
+    soj = remaining_sojourn(population.position[road], population.velocity[road], geometry)
     r_lo, r_hi = rate_bounds(gain, eps, h2, soj, cfg)
     feasible = np.flatnonzero(r_lo < r_hi)
     opt = cfg.optimization

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import channel, fl_core, scheduler
 from .config import SimConfig, config_hash, serialize_config
-from .mobility import ArrivalProcess, RoadGeometry, VehicleState, nearest_rsu_distance
+from .mobility import ArrivalProcess, Population, RoadGeometry, nearest_rsu_distance
 
 _ARRIVALS, _SPEEDS, _SHADOWING, _FADING, _SELECTION, _OUTAGE, _TRAINING, _DATA = range(8)
 
@@ -84,7 +84,7 @@ class Experiment:
             _stream(self.seed, _SPEEDS),
             start_time=-self.warmup,
         )
-        self.vehicles = {}
+        self.vehicles = Population()
         self.next_id = 0
         self.time = 0.0
         self.pop_synced_at = -self.warmup
@@ -100,40 +100,40 @@ class Experiment:
         dt = t_new - self.pop_synced_at
         road = self.geometry.road_length
         p = self.cfg.physical
-        for vid in [i for i, v in self.vehicles.items()
-                    if v.position + v.velocity * dt > road]:
-            del self.vehicles[vid]
-        for v in self.vehicles.values():
-            v.position += v.velocity * dt
-        arrivals = self.arrivals.pop_until(t_new)
-        shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(arrivals)).tolist()
-        epsilons = channel.temporal_correlation(
-            np.array([speed for _, _, speed in arrivals]), p.carrier_freq_hz,
-            p.feedback_delay_s).tolist()
-        for (t_arr, lane, speed), shadow, eps in zip(arrivals, shadows, epsilons):
-            vid = self.next_id
-            self.next_id += 1
-            part = fl_core.make_partition(functools.partial(_stream, self.seed, _DATA, 1 + vid),
-                                          self.cfg.learning)
-            pos = speed * (t_new - t_arr)
-            if pos > road:
-                continue  # spawned and departed within the same advance window
-            self.vehicles[vid] = VehicleState(
-                id=vid, lane=lane, position=pos, velocity=speed, spawn_time=t_arr,
-                shadowing_db=shadow, dataset=part, epsilon=eps,
-            )
+        pop = self.vehicles
+        pop.position = pop.position + pop.velocity * dt
+        pop.keep(~(pop.position > road))
+        t_arr, lane, speed = np.array(self.arrivals.pop_until(t_new), dtype=float).reshape(-1, 3).T
+        ids = self.next_id + np.arange(len(t_arr))
+        self.next_id += len(t_arr)
+        shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(t_arr))
+        epsilons = channel.temporal_correlation(speed, p.carrier_freq_hz, p.feedback_delay_s)
+        pos = speed * (t_new - t_arr)
+        # an arrival that spawned and departed within this advance window keeps
+        # its id, so no later vehicle's streams move, but gets no partition
+        on = ~(pos > road)
+        parts = [fl_core.make_partition(functools.partial(_stream, self.seed, _DATA, 1 + vid),
+                                        self.cfg.learning) for vid in ids[on].tolist()]
+        pop.extend(Population(parts, ids=ids[on], lane=lane[on], position=pos[on],
+                              velocity=speed[on], spawn_time=t_arr[on],
+                              shadowing_db=shadows[on], epsilon=epsilons[on]))
         self.pop_synced_at = t_new
 
     def _refresh_channels(self):
+        """Draw the round's fading estimates and large-scale gains, one array call each.
+
+        The error half of each fading draw is drawn and dropped: the outcome
+        draw in draw_outcomes stands in for it, and drawing it keeps the
+        fading stream where it was.
+        """
         p = self.cfg.physical
-        vehicles = [self.vehicles[vid] for vid in sorted(self.vehicles)]
-        fading = [channel.sample_fading_pair(self.rng_fading) for _ in vehicles]
-        dist = np.array([nearest_rsu_distance(v, self.geometry) for v in vehicles])
-        shadow = np.array([v.shadowing_db for v in vehicles])
-        gains = channel.large_scale_gain(dist, p.carrier_freq_hz, shadow, p.min_distance_m)
-        for v, (h_est, h_err), gain in zip(vehicles, fading, gains.tolist()):
-            v.channel = channel.ChannelState(h_est=h_est, h_err=h_err, epsilon=v.epsilon,
-                                             large_scale_gain=gain)
+        pop = self.vehicles
+        h_est, _ = channel.sample_fading_pair(self.rng_fading, len(pop))
+        # Python's complex abs and float power: numpy's round differently
+        h_est_sq = np.array([abs(h) ** 2 for h in h_est.tolist()])
+        dist = nearest_rsu_distance(pop.position, pop.lane, self.geometry)
+        pop.set_channels(h_est_sq, channel.large_scale_gain(dist, p.carrier_freq_hz,
+                                                            pop.shadowing_db, p.min_distance_m))
 
     # -- one round ------------------------------------------------------------
 
@@ -164,7 +164,7 @@ class Experiment:
         t_idx = len(self.records)
         self._advance_population(self.time)  # moves by the previous round time
         self._refresh_channels()
-        ctx = scheduler.build_context(self.vehicles.values(), self.geometry, cfg)
+        ctx = scheduler.build_context(self.vehicles, self.geometry, cfg)
         if ctx.size == 0:
             plan = scheduler.RoundPlan()
             successful = []
@@ -174,7 +174,7 @@ class Experiment:
             successful = self.draw_outcomes(plan, ctx)
         lr = fl_core.lr_schedule(t_idx, cfg.learning.lr_base, cfg.learning.lr_decay_rounds)
         ids = sorted(successful)
-        parts = [self.vehicles[vid].dataset for vid in ids]
+        parts = [self.vehicles.partitions[k] for k in self.vehicles.rows(ids).tolist()]
         trained = fl_core.local_train(self.weights, parts, self.weights, cfg.learning,
                                       [_stream(self.seed, _TRAINING, vid, t_idx) for vid in ids],
                                       lr)

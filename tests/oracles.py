@@ -80,15 +80,14 @@ def compose_fading(epsilon, h_est, h_err):
     return epsilon * h_est + math.sqrt(max(0.0, 1.0 - epsilon * epsilon)) * h_err
 
 
-def sinr(tx_power, state, noise_density, bandwidth):
+def sinr(tx_power, gain, epsilon, h_est, h_err, noise_density, bandwidth):
     """SINR with the estimation error acting as interference.
 
     gamma = P*L*eps^2*|h_est|^2 / (W*N0 + P*L*(1-eps^2)*|h_err|^2)
     """
-    eps2 = state.epsilon**2
-    signal = tx_power * state.large_scale_gain * eps2 * state.h_est_power
-    denom = (bandwidth * noise_density
-             + tx_power * state.large_scale_gain * (1.0 - eps2) * abs(state.h_err) ** 2)
+    eps2 = epsilon**2
+    signal = tx_power * gain * eps2 * abs(h_est) ** 2
+    denom = bandwidth * noise_density + tx_power * gain * (1.0 - eps2) * abs(h_err) ** 2
     if denom == 0.0:
         raise ZeroDivisionError("SINR denominator is zero (no noise and no estimation error power)")
     return signal / denom
@@ -670,12 +669,12 @@ def reference_inclusion_block(rates, ctx, start=None):
 # per-vehicle channel refresh and scheduling context
 # ---------------------------------------------------------------------------
 
-def nearest_rsu_brute_force(vehicle, geometry):
-    """Distance to the closest of all RSUs, each measured with math.hypot."""
+def nearest_rsu_brute_force(position, lane, geometry):
+    """Distance from one vehicle to the closest of all RSUs, each measured with math.hypot."""
     n = int(geometry.road_length // geometry.rsu_spacing)
     xs = geometry.rsu_spacing / 2.0 + geometry.rsu_spacing * np.arange(n)
-    y = geometry.lane_center_y(vehicle.lane)
-    return min(math.hypot(vehicle.position - float(rx), y - 0.0) for rx in xs)
+    y = float(geometry.lane_center_y(lane))
+    return min(math.hypot(position - float(rx), y - 0.0) for rx in xs)
 
 
 def large_scale_gain_scalar(distance, carrier_freq, shadowing_db, min_distance):
@@ -687,46 +686,46 @@ def large_scale_gain_scalar(distance, carrier_freq, shadowing_db, min_distance):
     return float(10.0 ** (-(pl_db + shadowing_db) / 10.0))
 
 
-def reference_channels(vehicles, geometry, cfg, rng_fading):
-    """{id: ChannelState} of one refresh, drawn vehicle by vehicle in id order from rng_fading."""
+def reference_channels(population, geometry, cfg, rng_fading):
+    """(h_est_sq, epsilon, gain) arrays of one refresh, drawn vehicle by vehicle in id
+    order from rng_fading, with each vehicle's correlation recomputed from its speed."""
     p = cfg.physical
-    out = {}
-    for vid in sorted(vehicles):
-        v = vehicles[vid]
+    rows = []
+    for lane, x, speed, shadow in zip(population.lane.tolist(), population.position.tolist(),
+                                      population.velocity.tolist(),
+                                      population.shadowing_db.tolist()):
         re = rng_fading.standard_normal(4)
         scale = math.sqrt(0.5)
-        eps = channel.temporal_correlation(v.velocity, p.carrier_freq_hz, p.feedback_delay_s)
-        gain = large_scale_gain_scalar(nearest_rsu_brute_force(v, geometry), p.carrier_freq_hz,
-                                       v.shadowing_db, p.min_distance_m)
-        out[vid] = channel.ChannelState(h_est=complex(re[0] * scale, re[1] * scale),
-                                        h_err=complex(re[2] * scale, re[3] * scale),
-                                        epsilon=eps, large_scale_gain=gain)
-    return out
+        h_est = complex(re[0] * scale, re[1] * scale)
+        eps = channel.temporal_correlation(speed, p.carrier_freq_hz, p.feedback_delay_s)
+        gain = large_scale_gain_scalar(nearest_rsu_brute_force(x, lane, geometry),
+                                       p.carrier_freq_hz, shadow, p.min_distance_m)
+        rows.append((abs(h_est) ** 2, eps, gain))
+    return tuple(np.array(col, dtype=float) for col in (zip(*rows) if rows else [[]] * 3))
 
 
-def rate_bounds_scalar(vehicle, geometry, cfg):
-    """(R_min, R_max) of one vehicle in Python float arithmetic."""
-    ch = vehicle.channel
-    sojourn = (geometry.road_length - vehicle.position) / vehicle.velocity
+def rate_bounds_scalar(position, velocity, epsilon, h_est_sq, gain, geometry, cfg):
+    """(sojourn, R_min, R_max) of one vehicle in Python float arithmetic."""
+    sojourn = (geometry.road_length - position) / velocity
     w = cfg.block_bandwidth_hz
-    snr = (cfg.tx_power_w * ch.large_scale_gain * ch.epsilon**2 * ch.h_est_power
-           / (w * cfg.noise_density_w_hz))
+    snr = cfg.tx_power_w * gain * epsilon**2 * h_est_sq / (w * cfg.noise_density_w_hz)
     r_max = w * math.log1p(snr) / _LN2
     r_min = cfg.physical.model_bits / min(cfg.optimization.round_time_cap_s, sojourn)
     return sojourn, r_min, r_max
 
 
-def reference_context(vehicles, geometry, cfg):
+def reference_context(population, geometry, cfg):
     """The scheduling context built row by row, with the weakest link dropped one at a time."""
     rows = []
-    for v in sorted(vehicles, key=lambda x: x.id):
-        if v.position >= geometry.road_length:
+    pop = population
+    for vid, x, speed, eps, h2, gain, part in zip(
+            pop.ids.tolist(), pop.position.tolist(), pop.velocity.tolist(), pop.epsilon.tolist(),
+            pop.h_est_sq.tolist(), pop.gain.tolist(), pop.partitions):
+        if x >= geometry.road_length:
             continue
-        soj, r_lo, r_hi = rate_bounds_scalar(v, geometry, cfg)
+        soj, r_lo, r_hi = rate_bounds_scalar(x, speed, eps, h2, gain, geometry, cfg)
         if r_lo < r_hi:
-            ch = v.channel
-            rows.append((v.id, v.dataset.size, ch.epsilon, ch.h_est_power, ch.large_scale_gain,
-                         soj, r_lo, r_hi))
+            rows.append((vid, part.size, eps, h2, gain, soj, r_lo, r_hi))
     opt = cfg.optimization
     dropped = []
     while rows and len(rows) * opt.u_min > cfg.physical.n_blocks:

@@ -5,10 +5,11 @@ import pytest
 
 from oracles import (capacity, compose_fading, j0_first_zero, j0_series_oracle,
                      scalar_bessel_j0, sinr)
-from vflsim.channel import (SPEED_OF_LIGHT, ChannelState, bessel_j0, large_scale_gain,
-                            sample_fading_pair, temporal_correlation)
+from vflsim.channel import (SPEED_OF_LIGHT, bessel_j0, large_scale_gain, sample_fading_pair,
+                            temporal_correlation)
 from vflsim.config import parse_config
 from vflsim.scheduler import SchedulingContext
+from vflsim.sim import Experiment
 
 
 class TestBesselJ0:
@@ -130,11 +131,24 @@ class TestLargeScaleGain:
 class TestFading:
     def test_unit_power(self):
         rng = np.random.default_rng(7)
-        draws = [sample_fading_pair(rng) for _ in range(100_000)]
-        est_power = np.mean([abs(h) ** 2 for h, _ in draws])
-        err_power = np.mean([abs(g) ** 2 for _, g in draws])
+        h_est, h_err = sample_fading_pair(rng, 100_000)
+        est_power = np.mean([abs(h) ** 2 for h in h_est.tolist()])
+        err_power = np.mean([abs(g) ** 2 for g in h_err.tolist()])
         assert est_power == pytest.approx(1.0, abs=0.02)
         assert err_power == pytest.approx(1.0, abs=0.02)
+
+    def test_one_block_draws_what_draws_of_four_in_turn_draw(self):
+        block, turns = np.random.default_rng(8), np.random.default_rng(8)
+        h_est, h_err = sample_fading_pair(block, 300)
+        scale = math.sqrt(0.5)
+        for k in range(300):
+            re = turns.standard_normal(4)
+            assert h_est[k] == complex(re[0] * scale, re[1] * scale)
+            assert h_err[k] == complex(re[2] * scale, re[3] * scale)
+        assert block.bit_generator.state == turns.bit_generator.state
+        empty = np.random.default_rng(8)
+        assert [len(h) for h in sample_fading_pair(empty, 0)] == [0, 0]
+        assert empty.bit_generator.state == np.random.default_rng(8).bit_generator.state
 
     def test_perfect_correlation_keeps_estimate(self):
         h = compose_fading(1.0, 0.3 + 0.4j, 0.9 - 0.1j)
@@ -143,24 +157,21 @@ class TestFading:
 
 class TestSinrCapacity:
     def test_direct_substitution(self):
-        st = ChannelState(h_est=1.0 + 0j, h_err=0.0 + 0j, epsilon=1.0, large_scale_gain=1.0)
-        assert sinr(1.0, st, 1.0, 1.0) == pytest.approx(1.0)
+        assert sinr(1.0, 1.0, 1.0, 1.0 + 0j, 0.0 + 0j, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_error_term_in_denominator(self):
         # P*L=1, eps^2=0.5, |h_est|^2=2, |h_err|^2=1, W*N0=0.5 -> 1/(0.5+0.5)
-        st = ChannelState(h_est=math.sqrt(2) + 0j, h_err=1.0 + 0j,
-                          epsilon=math.sqrt(0.5), large_scale_gain=1.0)
-        assert sinr(1.0, st, 0.5, 1.0) == pytest.approx(1.0)
+        value = sinr(1.0, 1.0, math.sqrt(0.5), math.sqrt(2) + 0j, 1.0 + 0j, 0.5, 1.0)
+        assert value == pytest.approx(1.0)
 
     def test_interference_limited_power(self):
-        st = ChannelState(h_est=1.2 + 0j, h_err=0.7 + 0j, epsilon=0.6, large_scale_gain=1e-8)
         limit = 0.36 * 1.2**2 / ((1 - 0.36) * 0.7**2)
-        assert sinr(1e9, st, 4e-21, 5e5) == pytest.approx(limit, rel=1e-3)
+        assert sinr(1e9, 1e-8, 0.6, 1.2 + 0j, 0.7 + 0j, 4e-21, 5e5) == pytest.approx(limit,
+                                                                                   rel=1e-3)
 
     def test_zero_denominator_rejected(self):
-        st = ChannelState(h_est=1.0 + 0j, h_err=0.0 + 0j, epsilon=1.0, large_scale_gain=1.0)
         with pytest.raises(ZeroDivisionError):
-            sinr(1.0, st, 0.0, 0.0)
+            sinr(1.0, 1.0, 1.0, 1.0 + 0j, 0.0 + 0j, 0.0, 0.0)
 
     def test_capacity_values(self):
         assert capacity(1.0, 1.0) == pytest.approx(1.0)
@@ -170,6 +181,46 @@ class TestSinrCapacity:
     def test_capacity_negative_sinr_rejected(self):
         with pytest.raises(ValueError):
             capacity(1.0, -0.1)
+
+
+class TestRefreshValidation:
+    """A channel refresh rejects a population row whose correlation lies outside
+    [-1, 1] or whose gain is not positive, and names the row's vehicle."""
+
+    @staticmethod
+    def _road():
+        exp = Experiment(parse_config(), seed=4)
+        return exp, 3, int(exp.vehicles.ids[3])
+
+    @pytest.mark.parametrize("eps", [1.5, -1.5, float(np.nextafter(1.0, 2.0)), math.nan])
+    def test_epsilon_outside_unit_interval(self, eps):
+        exp, row, vid = self._road()
+        exp.vehicles.epsilon[row] = eps
+        with pytest.raises(ValueError, match=rf"vehicle {vid}: epsilon must lie in \[-1, 1\]"):
+            exp._refresh_channels()
+        assert exp.vehicles.gain is None
+
+    def test_epsilon_at_either_end_accepted(self):
+        exp, row, _ = self._road()
+        exp.vehicles.epsilon[row:row + 2] = (-1.0, 1.0)
+        exp._refresh_channels()
+        assert np.all(exp.vehicles.gain > 0.0)
+
+    def test_gain_underflowing_to_zero(self):
+        exp, row, vid = self._road()
+        exp.vehicles.shadowing_db[row] = 5000.0  # a 5,000 dB loss: the gain rounds to 0
+        with pytest.raises(ValueError, match=f"vehicle {vid}: large_scale_gain must be > 0"):
+            exp._refresh_channels()
+
+    @pytest.mark.parametrize("gain", [0.0, -1e-9, math.nan])
+    def test_non_positive_gain(self, gain):
+        exp, row, vid = self._road()
+        pop = exp.vehicles
+        gains = np.full(len(pop), 1e-8)
+        gains[row] = gain
+        with pytest.raises(ValueError, match=f"vehicle {vid}: large_scale_gain must be > 0"):
+            pop.set_channels(np.ones(len(pop)), gains)
+        assert pop.h_est_sq is None
 
 
 def _link(h_est_sq, epsilon=math.sqrt(0.5), gain=1.0, bandwidth=1.0, noise_density=1.0,
@@ -222,12 +273,11 @@ def test_rate_support_condition_round_trip():
         eps = float(rng.uniform(0.2, 0.95))
         h_est = complex(rng.normal(), rng.normal()) * math.sqrt(0.5)
         err_power = float(rng.exponential(1.0)) + 1e-6
-        st = ChannelState(h_est=h_est, h_err=math.sqrt(err_power) + 0j,
-                          epsilon=eps, large_scale_gain=10 ** rng.uniform(-9, -7))
+        gain = 10 ** rng.uniform(-9, -7)
         w, n0, p = 5e5, 3.98e-21, 0.2
-        rate = capacity(w, sinr(p, st, n0, w))
-        ctx = _link(st.h_est_power, epsilon=eps, gain=st.large_scale_gain, bandwidth=w,
-                    noise_density=n0, tx_power=p)
+        rate = capacity(w, sinr(p, gain, eps, h_est, math.sqrt(err_power) + 0j, n0, w))
+        ctx = _link(abs(h_est) ** 2, epsilon=eps, gain=gain, bandwidth=w, noise_density=n0,
+                    tx_power=p)
         assert ctx.support_margin([rate])[0] == pytest.approx(err_power, rel=1e-9)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bayes_weights, reference_local_train, reference_loss_and_grad
+from vflsim import fl_core
 from vflsim.config import parse_config
 from vflsim.fl_core import (ClientUpdate, Partition, aggregate, convergence_proxy, evaluate,
                             init_weights, local_train, loss_and_grad, lr_schedule,
@@ -66,6 +67,28 @@ class TestGradient:
             assert grad[i].tobytes() == want_grad.tobytes()
         one_loss, one_grad = loss_and_grad(w[0, 0], x[0, 0], y[0, 0], c, ref=ref, mu=mu)
         assert one_loss == loss[0, 0] and one_grad.tobytes() == grad[0, 0].tobytes()
+
+    def test_row_max_chain_keeps_the_softmax_bits(self):
+        # a padded (m, 32, 10) stack: a row mixing +0.0, -0.0 and -1.0 (whose
+        # maximum's zero sign depends on the reduction order), an all -0.0 row
+        # and a row holding a NaN
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((6, 32, 10))
+        logits[0, 3] = [0.0, -0.0, 0.0, -0.0, -0.0, -1.0, -1.0, 0.0, -0.0, -1.0]
+        logits[0, 4] = -0.0
+        logits[2, 7, 4] = np.nan
+        labels = rng.integers(0, 10, size=(6, 32))
+        rows = np.array([32, 5, 20, 1, 32, 17])
+        want = logits.copy()
+        want -= want.max(axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        probs, loss, _, _ = fl_core._softmax_loss(logits.copy(), labels, rows)
+        nan_row = np.zeros((6, 32), dtype=bool)
+        nan_row[2, 7] = True
+        assert np.isnan(probs[nan_row]).all() and np.isnan(want[nan_row]).all()
+        assert probs[~nan_row].tobytes() == want[~nan_row].tobytes()
+        assert np.isnan(loss[2]) and np.isfinite(np.delete(loss, 2)).all()
 
     def test_prox_requires_reference(self):
         rng = np.random.default_rng(4)

@@ -4,21 +4,29 @@ from scipy import stats
 
 from oracles import nearest_rsu_brute_force
 from vflsim.config import ConfigError, parse_config
-from vflsim.mobility import (ArrivalProcess, RoadGeometry, VehicleState, nearest_rsu_distance,
+from vflsim.mobility import (ArrivalProcess, Population, RoadGeometry, nearest_rsu_distance,
                              remaining_sojourn)
 from vflsim.sim import Experiment
 
 
-def make_vehicle(vid=0, lane=0, position=0.0, velocity=25.0, **kw):
-    return VehicleState(id=vid, lane=lane, position=position, velocity=velocity,
-                        spawn_time=0.0, **kw)
+def make_population(ids, position, velocity=25.0, lane=0):
+    """Vehicles without partitions; scalar columns are broadcast to every row."""
+    n = len(ids)
+    return Population([None] * n, ids=ids, lane=np.broadcast_to(lane, n),
+                      position=np.broadcast_to(position, n),
+                      velocity=np.broadcast_to(velocity, n))
 
 
 def population(vehicles):
     """An experiment without arrivals holding exactly these vehicles, synced at t = 0."""
     exp = Experiment(parse_config(overrides={"traffic.arrival_rate_per_lane": "0"}), seed=0)
-    exp.vehicles = {v.id: v for v in vehicles}
+    exp.vehicles = vehicles
     return exp
+
+
+def distance(position, lane, geometry):
+    """nearest_rsu_distance of one vehicle."""
+    return float(nearest_rsu_distance([position], [lane], geometry)[0])
 
 
 class TestGeometry:
@@ -73,86 +81,106 @@ class TestAdvance:
     """Experiment._advance_population: departures leave, everyone else moves by velocity * dt."""
 
     def test_zero_dt_identity(self):
-        exp = population([make_vehicle(0, position=123.0), make_vehicle(1, position=99.0)])
+        exp = population(make_population([0, 1], position=[123.0, 99.0]))
         exp._advance_population(0.0)
-        assert [v.position for v in exp.vehicles.values()] == [123.0, 99.0]
+        assert exp.vehicles.position.tolist() == [123.0, 99.0]
 
     def test_departure(self):
-        exp = population([make_vehicle(7, position=1999.0, velocity=25.0)])
+        exp = population(make_population([7], position=1999.0, velocity=25.0))
         exp._advance_population(1.0)
-        assert exp.vehicles == {}
+        assert len(exp.vehicles) == 0 and exp.vehicles.partitions == []
 
     def test_count_conservation(self):
         rng = np.random.default_rng(4)
-        vs = [make_vehicle(i, position=float(rng.uniform(0, 2000)),
-                           velocity=float(rng.uniform(16, 28))) for i in range(300)]
-        start = {v.id: (v.position, v.velocity) for v in vs}
-        exp = population(vs)
+        xs, speeds = rng.uniform(0, 2000, 300), rng.uniform(16, 28, 300)
+        start = dict(enumerate(zip(xs.tolist(), speeds.tolist())))
+        exp = population(make_population(np.arange(300), position=xs, velocity=speeds))
         exp._advance_population(30.0)
-        gone = set(start) - set(exp.vehicles)
+        now = dict(zip(exp.vehicles.ids.tolist(), exp.vehicles.position.tolist()))
+        gone = set(start) - set(now)
         assert gone and len(exp.vehicles) + len(gone) == 300
         for vid, (x, speed) in start.items():
             if vid in gone:
                 assert x + speed * 30.0 > 2000.0
             else:
-                assert exp.vehicles[vid].position == x + speed * 30.0
+                assert now[vid] == x + speed * 30.0
+
+
+class TestPopulation:
+    def test_rows_follow_ids_through_keep_and_extend(self):
+        pop = make_population([2, 5, 9], position=[1.0, 2.0, 3.0])
+        pop.partitions = ["a", "b", "c"]
+        pop.keep(np.array([True, False, True]))
+        pop.extend(Population(["d"], ids=[12], position=[4.0]))
+        assert pop.ids.tolist() == [2, 9, 12] and pop.partitions == ["a", "c", "d"]
+        assert pop.position.tolist() == [1.0, 3.0, 4.0]
+        assert pop.rows([9, 12]).tolist() == [1, 2]
+        with pytest.raises(KeyError, match="vehicle 5"):
+            pop.rows([5])
+
+    def test_ids_must_ascend(self):
+        with pytest.raises(ValueError, match="ascend"):
+            make_population([3, 1], position=0.0)
+        pop = make_population([3], position=0.0)
+        with pytest.raises(ValueError, match="does not exceed"):
+            pop.extend(make_population([3], position=0.0))
+
+    def test_columns_are_checked(self):
+        with pytest.raises(ValueError, match="column position"):
+            Population([None, None], ids=[0, 1], position=[1.0])
+        with pytest.raises(TypeError, match="speed"):
+            Population([None], ids=[0], speed=[1.0])
 
 
 class TestSojourn:
     def test_midway(self):
-        v = make_vehicle(position=1000.0, velocity=25.0)
-        assert remaining_sojourn(v.position, v.velocity, RoadGeometry()) == 40.0
+        assert remaining_sojourn(1000.0, 25.0, RoadGeometry()) == 40.0
 
     def test_boundary(self):
-        v = make_vehicle(position=2000.0, velocity=25.0)
-        assert remaining_sojourn(v.position, v.velocity, RoadGeometry()) == 0.0
+        assert remaining_sojourn(2000.0, 25.0, RoadGeometry()) == 0.0
 
     def test_entry(self):
-        v = make_vehicle(position=0.0, velocity=16.6667)
-        soj = remaining_sojourn(v.position, v.velocity, RoadGeometry())
+        soj = remaining_sojourn(0.0, 16.6667, RoadGeometry())
         assert soj == pytest.approx(120.0, rel=1e-4)
 
     def test_out_of_coverage_rejected(self):
-        v = make_vehicle(position=2100.0)
         with pytest.raises(ValueError):
-            remaining_sojourn(v.position, v.velocity, RoadGeometry())
+            remaining_sojourn(2100.0, 25.0, RoadGeometry())
 
     def test_decreases_exactly_with_motion(self):
         g = RoadGeometry()
-        v = make_vehicle(position=0.0, velocity=23.4)
-        start = remaining_sojourn(v.position, v.velocity, g)
+        exp = population(make_population([0], position=0.0, velocity=23.4))
+        start = remaining_sojourn(0.0, 23.4, g)
         assert start == g.road_length / 23.4
-        population([v])._advance_population(17.0)
-        soj = remaining_sojourn(v.position, v.velocity, g)
+        exp._advance_population(17.0)
+        soj = remaining_sojourn(exp.vehicles.position, exp.vehicles.velocity, g)[0]
         assert soj == pytest.approx(start - 17.0, rel=1e-12)
 
 
 class TestNearestRsu:
     def test_along_centerline(self):
         g = RoadGeometry(lane_count=1, lane_width=4.0)  # single lane sits at y=0
-        v = make_vehicle(position=120.0, lane=0)
-        assert nearest_rsu_distance(v, g) == pytest.approx(30.0)
+        assert distance(120.0, 0, g) == pytest.approx(30.0)
 
     def test_lateral_only(self):
         g = RoadGeometry(lane_count=2, lane_width=4.0)  # lanes at y = -2, +2
-        v = make_vehicle(position=50.0, lane=1)
-        assert nearest_rsu_distance(v, g) == pytest.approx(2.0)
+        assert distance(50.0, 1, g) == pytest.approx(2.0)
 
     def test_reflection_symmetry(self):
         g = RoadGeometry()
         for lane in range(6):
-            a = make_vehicle(position=150.0 - 37.0, lane=lane)
-            b = make_vehicle(position=150.0 + 37.0, lane=lane)
-            assert nearest_rsu_distance(a, g) == pytest.approx(nearest_rsu_distance(b, g))
+            assert distance(150.0 - 37.0, lane, g) == pytest.approx(distance(150.0 + 37.0, lane, g))
 
     def test_bounded_by_spacing_and_width(self):
         g = RoadGeometry()
         rng = np.random.default_rng(5)
         bound = g.rsu_spacing / 2 + g.lane_count * g.lane_width
-        for _ in range(500):
-            v = make_vehicle(position=float(rng.uniform(0, 2000)),
-                             lane=int(rng.integers(0, 6)))
-            assert nearest_rsu_distance(v, g) <= bound
+        xs, lanes = rng.uniform(0, 2000, 500), rng.integers(0, 6, 500)
+        assert np.all(nearest_rsu_distance(xs, lanes, g) <= bound)
+
+    def test_lane_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            nearest_rsu_distance([10.0, 20.0], [0, 6], RoadGeometry())
 
 
 class TestNearestRsuEdgeCases:
@@ -177,19 +205,23 @@ class TestNearestRsuEdgeCases:
                    np.nextafter(g.rsu_x(k) + s / 2.0, np.inf)]
         return [float(x) for x in xs]
 
+    @staticmethod
+    def assert_brute_force(xs, lanes, g):
+        got = nearest_rsu_distance(xs, lanes, g).tolist()
+        for x, lane, d in zip(xs, lanes, got):
+            assert d == nearest_rsu_brute_force(x, lane, g), (x, lane)
+
     def test_matches_brute_force(self):
         for g in self.GEOMETRIES:
             for lane in range(g.lane_count):
-                for x in self.positions(g):
-                    v = make_vehicle(position=x, lane=lane)
-                    assert nearest_rsu_distance(v, g) == nearest_rsu_brute_force(v, g), (x, lane)
+                xs = self.positions(g)
+                self.assert_brute_force(xs, [lane] * len(xs), g)
 
     def test_matches_brute_force_on_random_positions(self):
         rng = np.random.default_rng(31)
         for g in self.GEOMETRIES:
-            for x in rng.uniform(0.0, g.road_length, 2000).tolist():
-                v = make_vehicle(position=x, lane=int(rng.integers(g.lane_count)))
-                assert nearest_rsu_distance(v, g) == nearest_rsu_brute_force(v, g), x
+            xs = rng.uniform(0.0, g.road_length, 2000).tolist()
+            self.assert_brute_force(xs, rng.integers(g.lane_count, size=2000).tolist(), g)
 
 
 class TestArrivalProcess:

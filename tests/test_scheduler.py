@@ -9,10 +9,10 @@ from instances import MODEL_BITS, random_context, symmetric_context
 from oracles import (_golden_min, grid_min_rate_only, grid_min_two_vehicle,
                      grid_min_two_vehicle_naive, rate_block_phi)
 from vflsim import checks, scheduler
-from vflsim.channel import ChannelState
 from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
-from vflsim.mobility import RoadGeometry, VehicleState, remaining_sojourn
+from vflsim.fl_core import Partition
+from vflsim.mobility import Population, RoadGeometry, remaining_sojourn
 from vflsim.sim import Experiment
 from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill_solver, bcd_solve,
                               build_context, dump_instance, load_instance, objective,
@@ -22,19 +22,23 @@ from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill_solv
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 
 
-def vehicle_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, vid=0, data=None):
-    ch = ChannelState(h_est=math.sqrt(h_est_sq) + 0j, h_err=0j,
-                      epsilon=epsilon, large_scale_gain=gain)
-    return VehicleState(id=vid, lane=0, position=position, velocity=velocity,
-                        spawn_time=0.0, channel=ch, dataset=data)
+def road_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, data=0):
+    """A refreshed population of vehicles 0, 1, ...: one row per element, scalars broadcast."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, (gain, h_est_sq, epsilon, position, velocity,
+                                                      data)))
+    gain, h_est_sq, epsilon, position, velocity, data = (c.astype(float) for c in cols)
+    parts = [Partition(features=np.zeros((int(n), 1)), labels=np.zeros(int(n), dtype=np.int64))
+             for n in data.tolist()]
+    pop = Population(parts, ids=np.arange(len(gain)), position=position, velocity=velocity,
+                     epsilon=epsilon)
+    pop.set_channels(h_est_sq, gain)
+    return pop
 
 
-def bounds_of(v, cfg):
-    """(R_min, R_max) of one vehicle through the batched rate_bounds."""
-    ch = v.channel
-    sojourn = remaining_sojourn(np.array([v.position]), v.velocity, RoadGeometry())
-    r_lo, r_hi = rate_bounds(np.array([ch.large_scale_gain]), np.array([ch.epsilon]),
-                             np.array([ch.h_est_power]), sojourn, cfg)
+def bounds_of(pop, cfg):
+    """(R_min, R_max) of a one-vehicle population through the batched rate_bounds."""
+    sojourn = remaining_sojourn(pop.position, pop.velocity, RoadGeometry())
+    r_lo, r_hi = rate_bounds(pop.gain, pop.epsilon, pop.h_est_sq, sojourn, cfg)
     return float(r_lo[0]), float(r_hi[0])
 
 
@@ -45,23 +49,23 @@ class TestRateBounds:
             "physical.bandwidth_hz": "20", "physical.n_blocks": "20",
             "physical.tx_power_dbm": "30", "physical.noise_density_dbm_hz": "0",
             "physical.model_bits": "60"})
-        v = vehicle_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)
+        v = road_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)
         r_lo, r_hi = bounds_of(v, cfg)
         assert r_hi == pytest.approx(1.0, rel=1e-12)
         assert r_lo == pytest.approx(1.0, rel=1e-12)  # 60 bits over the 60 s cap
 
     def test_sojourn_limited_floor(self):
         cfg = parse_config()
-        v = vehicle_with(gain=1e-8, h_est_sq=1.0, epsilon=0.7, position=1000.0, velocity=25.0)
+        v = road_with(gain=1e-8, h_est_sq=1.0, epsilon=0.7, position=1000.0, velocity=25.0)
         r_lo, _ = bounds_of(v, cfg)
         assert r_lo == pytest.approx(4.38e6 / 40.0)  # sojourn 40 s under the 60 s cap
 
     def test_zero_estimate_infeasible(self):
         cfg = parse_config()
-        v = vehicle_with(gain=1e-8, h_est_sq=0.0, epsilon=0.7)
+        v = road_with(gain=1e-8, h_est_sq=0.0, epsilon=0.7)
         _, r_hi = bounds_of(v, cfg)
         assert r_hi == 0.0
-        assert build_context([v], RoadGeometry(), cfg).size == 0
+        assert build_context(v, RoadGeometry(), cfg).size == 0
 
 
 class TestFeasibleSet:
@@ -72,22 +76,22 @@ class TestFeasibleSet:
             "physical.bandwidth_hz": "20", "physical.n_blocks": "20",
             "physical.tx_power_dbm": "30", "physical.noise_density_dbm_hz": "0",
             "physical.model_bits": "60"})
-        v = vehicle_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)  # R_min == R_max
-        assert build_context([v], RoadGeometry(), cfg).size == 0
+        v = road_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)  # R_min == R_max
+        assert build_context(v, RoadGeometry(), cfg).size == 0
 
     def test_easy_instances_all_feasible(self):
         cfg = parse_config(overrides={"physical.model_bits": "1"})
-        vs = [vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=i) for i in range(4)]
+        vs = road_with(gain=[1e-7] * 4, h_est_sq=1.0, epsilon=0.7)
         assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0, 1, 2, 3]
 
     def test_off_road_vehicle_dropped(self):
         cfg = parse_config(overrides={"physical.model_bits": "1"})
-        vs = [vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=0),
-              vehicle_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, vid=1, position=2000.0)]
+        vs = road_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, position=[0.0, 2000.0])
         assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0]
 
     def test_empty_road(self):
-        assert build_context([], RoadGeometry(), parse_config()).size == 0
+        assert build_context(road_with(gain=[], h_est_sq=[], epsilon=[]), RoadGeometry(),
+                             parse_config()).size == 0
 
 
 class TestObjective:
@@ -517,11 +521,7 @@ class TestBaselines:
 def test_budget_shrink_drops_weakest_links():
     cfg = parse_config(overrides={"physical.n_blocks": "1", "optimization.u_min": "0.9",
                                   "physical.bandwidth_hz": "1e7"})
-    vehicles = []
-    for i, h2 in enumerate((0.4, 2.5, 1.1)):
-        v = vehicle_with(gain=1e-8, h_est_sq=h2, epsilon=0.7, vid=i)
-        v.dataset = type("P", (), {"size": 100})()
-        vehicles.append(v)
+    vehicles = road_with(gain=1e-8, h_est_sq=[0.4, 2.5, 1.1], epsilon=0.7, data=100)
     ctx = build_context(vehicles, RoadGeometry(), cfg)
     assert ctx.size == 1
     assert list(ctx.ids) == [1]  # highest R_max survives
@@ -602,7 +602,7 @@ def _round0_context(overrides, seed):
     cfg = parse_config(overrides=overrides)
     exp = Experiment(cfg, seed)
     exp._refresh_channels()
-    return build_context(exp.vehicles.values(), exp.geometry, cfg)
+    return build_context(exp.vehicles, exp.geometry, cfg)
 
 
 def test_instance_dump_with_retired_block_iters_loads():

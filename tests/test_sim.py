@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from vflsim import channel, fl_core, scheduler
 from vflsim.config import parse_config
 from vflsim.fl_core import Partition, make_partition
-from vflsim.mobility import VehicleState
+from vflsim.mobility import Population
 from vflsim.sim import Experiment, round_csv_text, run_experiment
 
 
@@ -21,12 +22,17 @@ def small_cfg(**kv):
     return cfg
 
 
+def partition(exp, vid):
+    """The dataset of vehicle `vid` on the experiment's road."""
+    return exp.vehicles.partitions[int(exp.vehicles.rows([vid])[0])]
+
+
 def solved_round():
     """A populated road at seed 3, its scheduling context and its VR-VFL plan."""
     cfg = small_cfg(physical__feedback_delay_s=1e-4)
     exp = Experiment(cfg, seed=3)
     exp._refresh_channels()
-    ctx = scheduler.build_context(exp.vehicles.values(), exp.geometry, cfg)
+    ctx = scheduler.build_context(exp.vehicles, exp.geometry, cfg)
     plan, _ = scheduler.bcd_solve(ctx)
     return exp, ctx, plan
 
@@ -62,8 +68,8 @@ class TestRoundMechanics:
         part = make_partition(np.random.default_rng(0), cfg.learning)
         p = cfg.physical
         eps = channel.temporal_correlation(5.0, p.carrier_freq_hz, p.feedback_delay_s)
-        exp.vehicles[0] = VehicleState(id=0, lane=0, position=0.0, velocity=5.0,
-                                       spawn_time=0.0, dataset=part, epsilon=eps)
+        exp.vehicles = Population([part], ids=[0], lane=[0], position=[0.0], velocity=[5.0],
+                                  spawn_time=[0.0], epsilon=[eps])
         exp.next_id = 1
         for _ in range(5):
             rec = exp.run_round()
@@ -149,10 +155,12 @@ class TestSchedulerSwapIsolation:
             cfg = small_cfg(run__rounds=3, run__scheduler=sched)
             exp = Experiment(cfg, seed=9)
             exp.run()
+            pop = exp.vehicles
             populations[sched] = {
-                vid: (v.lane, v.spawn_time, v.velocity, v.shadowing_db,
-                      v.dataset.features.tobytes(), v.dataset.labels.tobytes())
-                for vid, v in exp.vehicles.items()
+                vid: (lane, t0, speed, shadow, part.features.tobytes(), part.labels.tobytes())
+                for vid, lane, t0, speed, shadow, part in zip(
+                    pop.ids.tolist(), pop.lane.tolist(), pop.spawn_time.tolist(),
+                    pop.velocity.tolist(), pop.shadowing_db.tolist(), pop.partitions)
             }
         ids_common = set.intersection(*[set(p) for p in populations.values()])
         assert ids_common  # rounds overlap enough to share vehicles
@@ -164,9 +172,8 @@ class TestSchedulerSwapIsolation:
         cfg = small_cfg()
         a = Experiment(cfg, seed=10)
         b = Experiment(cfg, seed=10)
-        for vid in set(a.vehicles) & set(b.vehicles):
-            assert np.array_equal(a.vehicles[vid].dataset.features,
-                                  b.vehicles[vid].dataset.features)
+        for vid in set(a.vehicles.ids.tolist()) & set(b.vehicles.ids.tolist()):
+            assert np.array_equal(partition(a, vid).features, partition(b, vid).features)
 
 
 DESK = {"traffic.arrival_rate_per_lane": "0.05", "physical.feedback_delay_s": "1e-4",
@@ -192,9 +199,11 @@ class _ReferenceCheckedExperiment(Experiment):
             return
         expected = oracles.reference_channels(self.vehicles, self.geometry, self.cfg, rng)
         assert rng.bit_generator.state == self.rng_fading.bit_generator.state
-        assert {vid: v.channel for vid, v in self.vehicles.items()} == expected
-        got = scheduler.build_context(self.vehicles.values(), self.geometry, self.cfg)
-        ref = oracles.reference_context(self.vehicles.values(), self.geometry, self.cfg)
+        for name, want in zip(("h_est_sq", "epsilon", "gain"), expected):
+            have = getattr(self.vehicles, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        got = scheduler.build_context(self.vehicles, self.geometry, self.cfg)
+        ref = oracles.reference_context(self.vehicles, self.geometry, self.cfg)
         for name in ("ids", "data_sizes", "epsilon", "h_est_sq", "gain", "sojourn",
                      "r_min", "r_max", "xi1", "xi3"):
             a, b = getattr(got, name), getattr(ref, name)
@@ -218,13 +227,13 @@ class TestLazyPartitions:
     def test_late_read_equals_eager_draw(self, partitioning):
         cfg = small_cfg(learning__partitioning=partitioning)
         exp = Experiment(cfg, seed=13)
-        vids = sorted(exp.vehicles)
+        vids = exp.vehicles.ids.tolist()
         late = vids[len(vids) // 2]
         for vid in vids:  # everyone else first, the chosen vehicle last
             if vid != late:
-                exp.vehicles[vid].dataset.features
+                partition(exp, vid).features
         for vid in vids[-3:] + [late]:
-            part = exp.vehicles[vid].dataset
+            part = partition(exp, vid)
             feats, labels = oracles.eager_partition(
                 np.random.default_rng(np.random.SeedSequence(13, spawn_key=(7, 1 + vid))),
                 cfg.learning)
@@ -248,9 +257,9 @@ class TestLazyPartitions:
 
         monkeypatch.setattr(fl_core, "sample_blob", counting_blob)
         monkeypatch.setattr(fl_core, "local_train", recording_train)
-        spawned_before = set(exp.vehicles)
+        spawned_before = set(exp.vehicles.ids.tolist())
         exp.run()
-        departed = spawned_before - set(exp.vehicles)
+        departed = spawned_before - set(exp.vehicles.ids.tolist())
         assert departed and exp.next_id > len(spawned_before)
         assert trained and len(draws) == len(trained)  # one draw per trained vehicle, none else
 
@@ -260,6 +269,40 @@ class TestLazyPartitions:
         assert part.features is feats and part.labels is labels and part.size == 3
         with pytest.raises(ValueError):
             Partition(labels=labels)
+
+
+class TestArrivalPartitions:
+    def test_arrival_gone_within_its_window_gets_no_partition(self, monkeypatch):
+        cfg = parse_config(overrides={"learning.partitioning": "noniid"})
+        made = []  # vehicle id of each partition made, read off its (7, 1 + id) stream key
+        make_partition = fl_core.make_partition
+
+        def recording(rng, lc):
+            made.append(rng.args[-1] - 1)
+            return make_partition(rng, lc)
+
+        monkeypatch.setattr(fl_core, "make_partition", recording)
+        exp = Experiment(cfg, seed=12)
+        on_road = exp.vehicles.ids.tolist()
+        assert made == on_road
+        # the warm-up window holds fast early arrivals that had already left
+        gone = sorted(set(range(exp.next_id)) - set(on_road))
+        after = [vid + 1 for vid in gone if vid + 1 in on_road]
+        assert gone and after
+        for vid in after:  # the next vehicle's stream has not moved
+            part = partition(exp, vid)
+            feats, labels = oracles.eager_partition(
+                np.random.default_rng(np.random.SeedSequence(12, spawn_key=(7, 1 + vid))),
+                cfg.learning)
+            assert part.labels.tobytes() == labels.tobytes()
+            assert part.features.tobytes() == feats.tobytes()
+
+
+def test_dense_scheme1_rounds_keep_their_bytes():
+    """Three rounds of about 1,080 vehicles against the CSV the per-vehicle simulator wrote."""
+    cfg = parse_config(overrides={**DENSE, "run.rounds": "3"})
+    stored = Path(__file__).resolve().parent / "data" / "dense_scheme1_s1.csv"
+    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes()
 
 
 def test_thousand_round_run_completes():
