@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Write the 22 seeded CSVs that a change compares against its parent commit.
+"""Write the 23 seeded CSVs that a change compares against its parent commit.
 
 Usage:
     python3 scripts/seeded_csvs.py OUT_DIR
 
 Runs, in this process, the default `vflsim compare` (20 rounds, seeds 1-3)
 into OUT_DIR/default, acceptance 7's desk comparison (60 rounds, seeds 11-13)
-into OUT_DIR/desk, and one scheme1 and one vrvfl run of the default config at
-10 times the arrival rate (6 rounds, seed 1) into OUT_DIR/dense.  The package
+into OUT_DIR/desk, one scheme1 and one vrvfl run of the default config at 10
+times the arrival rate (6 rounds, seed 1) into OUT_DIR/dense, and the same
+scheme1 run with non-iid partitions into OUT_DIR/dense-noniid.  The package
 is imported from the src directory of the checkout that holds this script, so
 running it from a checkout of the parent and from one of the change and
 passing both OUT_DIRs to scripts/csv_moves.py reports what the change moved.
@@ -34,6 +35,9 @@ def commands(out):
     for scheduler in ("scheme1", "vrvfl"):
         yield ["run", "--rounds", "6", "--seed", "1", "--scheduler", scheduler,
                "--out-dir", f"{out}/dense", "--set", "traffic.arrival_rate_per_lane=2.0"]
+    yield ["run", "--rounds", "6", "--seed", "1", "--scheduler", "scheme1",
+           "--out-dir", f"{out}/dense-noniid", "--set", "traffic.arrival_rate_per_lane=2.0",
+           "--set", "learning.partitioning=noniid"]
 
 
 def main(argv):

@@ -17,27 +17,12 @@ import numpy as np
 from .config import ConfigError
 
 
+@dataclass(eq=False)
 class Partition:
-    """One vehicle's local dataset.
+    """One vehicle's local dataset."""
 
-    Made from its arrays, or from its labels and a function that draws the
-    features: those are drawn on first read and then kept.
-    """
-
-    def __init__(self, features=None, labels=None, draw_features=None):
-        if (features is None) == (draw_features is None):
-            raise ValueError("a partition takes exactly one of features and draw_features")
-        if features is not None:
-            self.features = features
-        self.labels = labels  # (n,) int64 in [0, num_classes)
-        self._draw_features = draw_features
-
-    @functools.cached_property
-    def features(self):
-        """(n, d) float64."""
-        feats = self._draw_features()
-        self._draw_features = None
-        return feats
+    features: np.ndarray  # (n, d) float64
+    labels: np.ndarray  # (n,) int64 in [0, num_classes)
 
     @property
     def size(self):
@@ -110,29 +95,40 @@ def sample_blob(rng, labels, num_classes, feature_dim, separation):
 
 
 def make_partition(rng, cfg):
-    """One vehicle's partition under the configured iid/non-iid scheme.
-
-    `rng` is the vehicle's own generator, or a function of no arguments that
-    makes it.  The labels, and so the size, are drawn here; the features are
-    drawn from the same generator when first read, so a partition that is
-    never trained on draws none.  Iid labels take no draw, so the generator is
-    only made then.
-    """
-    c, d, sep = cfg.num_classes, cfg.feature_dim, cfg.class_separation
+    """One vehicle's partition under the configured iid/non-iid scheme, drawn from
+    `rng`, the vehicle's own generator: its labels, then its features."""
+    c = cfg.num_classes
     if cfg.partitioning == "iid":
         labels = _iid_labels(c, cfg.samples_per_class)
     else:
-        rng = _generator(rng)
-        k = int(rng.integers(1, cfg.noniid_max_classes + 1))
-        classes = rng.choice(c, size=k, replace=False)
-        count = int(rng.integers(cfg.noniid_min_samples, cfg.noniid_max_samples + 1))
-        if count < k:
-            raise ConfigError("non-iid sample count below number of drawn classes")
+        classes, count = _noniid_draw(rng, cfg)
         # spread samples as evenly as possible so every drawn class appears
+        k = len(classes)
         per = [count // k + (1 if i < count % k else 0) for i in range(k)]
         labels = np.concatenate([np.full(n, cls, dtype=np.int64) for cls, n in zip(classes, per)])
-    return Partition(labels=labels,
-                     draw_features=lambda: sample_blob(_generator(rng), labels, c, d, sep))
+    return Partition(sample_blob(rng, labels, c, cfg.feature_dim, cfg.class_separation), labels)
+
+
+def partition_sizes(ids, rng_of, cfg):
+    """Dataset size of each vehicle in `ids`, as make_partition(rng_of(vid), cfg) draws it.
+
+    Iid sizes are all equal and take no draw.  A non-iid size is fixed by the
+    vehicle's label draw, made here from a fresh generator and made again when
+    its partition is built.
+    """
+    if cfg.partitioning == "iid":
+        return np.full(len(ids), cfg.num_classes * cfg.samples_per_class, dtype=np.int64)
+    return np.array([_noniid_draw(rng_of(vid), cfg)[1] for vid in ids], dtype=np.int64)
+
+
+def _noniid_draw(rng, cfg):
+    """The classes a non-iid partition holds and its sample count."""
+    k = int(rng.integers(1, cfg.noniid_max_classes + 1))
+    classes = rng.choice(cfg.num_classes, size=k, replace=False)
+    count = int(rng.integers(cfg.noniid_min_samples, cfg.noniid_max_samples + 1))
+    if count < k:
+        raise ConfigError("non-iid sample count below number of drawn classes")
+    return classes, count
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,10 +137,6 @@ def _iid_labels(num_classes, samples_per_class):
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     labels.flags.writeable = False
     return labels
-
-
-def _generator(rng):
-    return rng if isinstance(rng, np.random.Generator) else rng()
 
 
 def make_test_set(rng, cfg):
@@ -223,10 +215,8 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
     # first rows of the stack, and their weights are a view
     rank = np.argsort(-per_epoch, kind="stable")
     n, per_epoch = n[rank], per_epoch[rank]
-    # a partition draws its features when first read: draw them all before the
-    # scratch arrays exist, so the kept features do not pin freed memory.  They
-    # are copied once per round and gathered once per step: a copy of every
-    # step's batch up front would raise peak memory
+    # the features are copied once per round and gathered once per step: a
+    # copy of every step's batch up front would raise peak memory
     features = np.concatenate([partitions[k].features for k in rank.tolist()]) if epochs else None
     labels = np.concatenate([partitions[k].labels for k in rank.tolist()])
     first = np.cumsum(n) - n  # each vehicle's first row in the round's arrays
@@ -300,19 +290,19 @@ def evaluate(weights, features, labels, num_classes):
     return float(np.mean(pred == labels)), float(loss)
 
 
-def convergence_proxy(stats):
-    """Scheduling-quality score sum_v (D_v/D) (1/(u_v p_v) - 1); 0 iff every u*p = 1.
-
-    stats: iterable of (data_size, inclusion_prob, success_prob).
-    """
-    stats = list(stats)
-    total = sum(s[0] for s in stats)
+def convergence_proxy(data_sizes, inclusion_probs, success_probs):
+    """Scheduling-quality score sum_v (D_v/D) (1/(u_v p_v) - 1) over aligned arrays;
+    0 iff every u*p = 1, 0.0 when the sizes sum to no more than 0, and inf when
+    any u or p is at most 0."""
+    d = np.asarray(data_sizes, dtype=float)
+    if not len(d):
+        return 0.0
+    # cumsum adds left to right, as a running sum does
+    total = np.cumsum(d)[-1]
     if total <= 0:
         return 0.0
-    acc = 0.0
-    for d, u, p in stats:
-        if u <= 0 or p <= 0:
-            return math.inf
-        acc += (d / total) * (1.0 / (u * p) - 1.0)
-    return float(acc)
-
+    u = np.asarray(inclusion_probs, dtype=float)
+    p = np.asarray(success_probs, dtype=float)
+    if np.any(u <= 0) or np.any(p <= 0):
+        return math.inf
+    return float(np.cumsum((d / total) * (1.0 / (u * p) - 1.0))[-1])

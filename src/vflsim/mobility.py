@@ -10,7 +10,6 @@ Population: an array per attribute, one row per vehicle.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,22 +48,23 @@ class RoadGeometry:
 class Population:
     """The vehicles on the road as parallel arrays, one row per vehicle, ids ascending.
 
-    `partitions` lists each row's dataset.  `h_est_sq` (the power |h_est|^2 of
-    the fading estimate) and `gain` (the large-scale linear gain) hold the last
-    channel refresh: None before it, and cleared whenever rows come or go.
+    `data_size` is each vehicle's dataset size.  `partitions` maps the id of
+    each vehicle whose dataset has been made to that dataset, and loses the
+    vehicle with its row.  `h_est_sq` (the power |h_est|^2 of the fading
+    estimate) and `gain` (the large-scale linear gain) hold the last channel
+    refresh: None before it, and cleared whenever rows come or go.
     """
 
     COLUMNS = {"ids": int, "lane": int, "position": float, "velocity": float,
-               "spawn_time": float, "shadowing_db": float, "epsilon": float}
+               "spawn_time": float, "shadowing_db": float, "epsilon": float, "data_size": int}
 
-    def __init__(self, partitions=(), **columns):
-        """Rows from one column per name in COLUMNS, each as long as `partitions`;
-        a column left out is zeros."""
+    def __init__(self, **columns):
+        """Rows from one column per name in COLUMNS, each as long as `ids`; a column
+        left out is zeros."""
         unknown = set(columns) - set(self.COLUMNS)
         if unknown:
             raise TypeError(f"unknown population columns {sorted(unknown)}")
-        self.partitions = list(partitions)
-        n = len(self.partitions)
+        n = len(np.atleast_1d(columns.get("ids", ())))
         for name, dtype in self.COLUMNS.items():
             values = np.asarray(columns.get(name, np.zeros(n)), dtype=dtype)
             if values.shape != (n,):
@@ -72,6 +72,7 @@ class Population:
             setattr(self, name, values)
         if np.any(self.ids[1:] <= self.ids[:-1]):
             raise ValueError("vehicle ids must ascend")
+        self.partitions = {}
         self.h_est_sq = self.gain = None
 
     def __len__(self):
@@ -88,14 +89,17 @@ class Population:
             raise ValueError(f"vehicle id {other.ids[0]} does not exceed {self.ids[-1]}")
         for name in self.COLUMNS:
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-        self.partitions += other.partitions
+        self.partitions.update(other.partitions)
         self.h_est_sq = self.gain = None
 
     def keep(self, mask):
         """Drop the rows where the boolean `mask` is False."""
+        if self.partitions:
+            gone = set(self.ids[~mask].tolist())
+            self.partitions = {vid: part for vid, part in self.partitions.items()
+                               if vid not in gone}
         for name in self.COLUMNS:
             setattr(self, name, getattr(self, name)[mask])
-        self.partitions = list(itertools.compress(self.partitions, mask.tolist()))
         self.h_est_sq = self.gain = None
 
     def rows(self, ids):
@@ -152,9 +156,13 @@ class ArrivalProcess:
 
     Arrivals accrue over simulated time through exponential inter-arrival gaps,
     so the realized point process (times, lanes, speeds) does not depend on how
-    the simulation slices time into rounds.  Speeds are drawn from a separate
-    stream, consumed in chronological arrival order.
+    the simulation slices time into rounds.  The gaps are drawn from their own
+    stream in blocks of GAP_BLOCK, the same numbers one draw at a time would
+    give, and taken in chronological arrival order; speeds are drawn from a
+    separate stream, in the same order.
     """
+
+    GAP_BLOCK = 256
 
     def __init__(self, geometry, rate_per_lane, speed_range, rng_arrivals, rng_speeds, start_time=0.0):
         if rate_per_lane < 0:
@@ -167,6 +175,7 @@ class ArrivalProcess:
         self.speed_range = (v_lo, v_hi)
         self._rng_arrivals = rng_arrivals
         self._rng_speeds = rng_speeds
+        self._gaps = []  # drawn and not yet taken, the next one last
         # (next arrival time, lane) of every lane; the heap yields the earliest,
         # the lower lane first on a tie
         if rate_per_lane > 0:
@@ -177,12 +186,19 @@ class ArrivalProcess:
             self._next = [(math.inf, 0)]
 
     def pop_until(self, t_end):
-        """All (time, lane, speed) arrivals with time <= t_end, chronological order."""
-        events = []
-        while self._next[0][0] <= t_end:
-            t, lane = self._next[0]
-            gap = self._rng_arrivals.exponential(1.0 / self.rate)
-            heapq.heapreplace(self._next, (t + gap, lane))
-            events.append((t, lane))
-        speeds = self._rng_speeds.uniform(*self.speed_range, len(events)).tolist()
-        return [(t, lane, speed) for (t, lane), speed in zip(events, speeds)]
+        """The arrivals with time <= t_end, chronological, as a (k, 3) array of
+        (time, lane, speed) rows."""
+        heap, gaps = self._next, self._gaps
+        times, lanes = [], []
+        while heap[0][0] <= t_end:
+            if not gaps:
+                block = self._rng_arrivals.exponential(1.0 / self.rate, self.GAP_BLOCK)
+                gaps.extend(block[::-1].tolist())
+            t, lane = heap[0]
+            heapq.heapreplace(heap, (t + gaps.pop(), lane))
+            times.append(t)
+            lanes.append(lane)
+        out = np.empty((len(times), 3))
+        out[:, 0], out[:, 1] = times, lanes
+        out[:, 2] = self._rng_speeds.uniform(*self.speed_range, len(times))
+        return out

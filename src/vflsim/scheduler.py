@@ -143,11 +143,17 @@ def _drop_for_budget(ids, r_max, u_min, n_blocks):
     kept vehicles in their order and the dropped ids in the order they were
     dropped.
     """
-    n_keep = len(ids)
-    while n_keep and n_keep * u_min > n_blocks:
-        n_keep -= 1
-    weakest = np.lexsort((ids, r_max))[: len(ids) - n_keep]
-    keep = np.ones(len(ids), dtype=bool)
+    n = n_keep = len(ids)
+    if n * u_min > n_blocks:
+        # the largest count k with k * u_min <= n_blocks, then a fix-up on that
+        # same float test so that rounding in the division cannot move k
+        n_keep = min(max(int(n_blocks / u_min), 0), n)
+        while n_keep < n and (n_keep + 1) * u_min <= n_blocks:
+            n_keep += 1
+        while n_keep and n_keep * u_min > n_blocks:
+            n_keep -= 1
+    weakest = np.lexsort((ids, r_max))[: n - n_keep]
+    keep = np.ones(n, dtype=bool)
     keep[weakest] = False
     return np.flatnonzero(keep), [int(i) for i in np.asarray(ids)[weakest]]
 
@@ -157,7 +163,7 @@ def build_context(population, geometry, cfg):
     handles the u_min budget shrink."""
     road = np.flatnonzero(population.position < geometry.road_length)
     ids = population.ids[road]
-    data = np.array([population.partitions[k].size for k in road.tolist()], dtype=float)
+    data = population.data_size[road].astype(float)
     eps = population.epsilon[road]
     h2 = population.h_est_sq[road]
     gain = population.gain[road]

@@ -20,7 +20,6 @@ successful rate.
 
 from __future__ import annotations
 
-import functools
 import subprocess
 import time as _time
 from dataclasses import dataclass
@@ -103,21 +102,37 @@ class Experiment:
         pop = self.vehicles
         pop.position = pop.position + pop.velocity * dt
         pop.keep(~(pop.position > road))
-        t_arr, lane, speed = np.array(self.arrivals.pop_until(t_new), dtype=float).reshape(-1, 3).T
+        t_arr, lane, speed = self.arrivals.pop_until(t_new).T
         ids = self.next_id + np.arange(len(t_arr))
         self.next_id += len(t_arr)
         shadows = self.rng_shadowing.normal(0.0, p.shadowing_sigma_db, len(t_arr))
         epsilons = channel.temporal_correlation(speed, p.carrier_freq_hz, p.feedback_delay_s)
         pos = speed * (t_new - t_arr)
         # an arrival that spawned and departed within this advance window keeps
-        # its id, so no later vehicle's streams move, but gets no partition
+        # its id, so no later vehicle's streams move, but gets no row
         on = ~(pos > road)
-        parts = [fl_core.make_partition(functools.partial(_stream, self.seed, _DATA, 1 + vid),
-                                        self.cfg.learning) for vid in ids[on].tolist()]
-        pop.extend(Population(parts, ids=ids[on], lane=lane[on], position=pos[on],
-                              velocity=speed[on], spawn_time=t_arr[on],
-                              shadowing_db=shadows[on], epsilon=epsilons[on]))
+        sizes = fl_core.partition_sizes(ids[on].tolist(), self._data_stream, self.cfg.learning)
+        pop.extend(Population(ids=ids[on], lane=lane[on], position=pos[on], velocity=speed[on],
+                              spawn_time=t_arr[on], shadowing_db=shadows[on],
+                              epsilon=epsilons[on], data_size=sizes))
         self.pop_synced_at = t_new
+
+    def _data_stream(self, vid):
+        """Vehicle vid's own dataset stream."""
+        return _stream(self.seed, _DATA, 1 + vid)
+
+    def partitions(self, ids):
+        """The datasets of the vehicles `ids`, which must be on the road.
+
+        A vehicle's dataset is made from its own stream the first time it is
+        asked for, and kept while the vehicle stays on the road.
+        """
+        self.vehicles.rows(ids)  # KeyError for a vehicle not on the road
+        made = self.vehicles.partitions
+        for vid in ids:
+            if vid not in made:
+                made[vid] = fl_core.make_partition(self._data_stream(vid), self.cfg.learning)
+        return [made[vid] for vid in ids]
 
     def _refresh_channels(self):
         """Draw the round's fading estimates and large-scale gains, one array call each.
@@ -174,7 +189,7 @@ class Experiment:
             successful = self.draw_outcomes(plan, ctx)
         lr = fl_core.lr_schedule(t_idx, cfg.learning.lr_base, cfg.learning.lr_decay_rounds)
         ids = sorted(successful)
-        parts = [self.vehicles.partitions[k] for k in self.vehicles.rows(ids).tolist()]
+        parts = self.partitions(ids)
         trained = fl_core.local_train(self.weights, parts, self.weights, cfg.learning,
                                       [_stream(self.seed, _TRAINING, vid, t_idx) for vid in ids],
                                       lr)
@@ -188,9 +203,10 @@ class Experiment:
                                        cfg.optimization.round_time_cap_s)
         plan.round_time = t_round
         if ctx.size:
+            ids_ctx = ctx.ids.tolist()
             proxy = fl_core.convergence_proxy(
-                (ctx.data_sizes[k], plan.inclusion_probs[int(i)], plan.success_probs[int(i)])
-                for k, i in enumerate(ctx.ids))
+                ctx.data_sizes, [plan.inclusion_probs[i] for i in ids_ctx],
+                [plan.success_probs[i] for i in ids_ctx])
         else:
             proxy = float("nan")
         acc, loss = fl_core.evaluate(self.weights, self.test_x, self.test_y,

@@ -11,11 +11,15 @@ references for the program's blocked, pruned scan and its searches'
 evaluations, and the golden-section rate and inclusion blocks are the
 references for the program's exact Newton and piecewise ones.  The
 per-vehicle channel refresh and scheduling context at the end are the
-straightforward one-vehicle-at-a-time forms of the program's batched ones, and
-the one-vehicle SGD loop at the very end is the reference for the program's
+straightforward one-vehicle-at-a-time forms of the program's batched ones.
+The one-at-a-time budget shrink, the running-sum convergence proxy and the
+one-draw-per-event arrival process are the references for the program's
+closed-form shrink, array proxy and buffered arrival gaps, and the
+one-vehicle SGD loop at the very end is the reference for the program's
 lockstep training.
 """
 
+import heapq
 import math
 import sys
 
@@ -718,14 +722,14 @@ def reference_context(population, geometry, cfg):
     """The scheduling context built row by row, with the weakest link dropped one at a time."""
     rows = []
     pop = population
-    for vid, x, speed, eps, h2, gain, part in zip(
+    for vid, x, speed, eps, h2, gain, size in zip(
             pop.ids.tolist(), pop.position.tolist(), pop.velocity.tolist(), pop.epsilon.tolist(),
-            pop.h_est_sq.tolist(), pop.gain.tolist(), pop.partitions):
+            pop.h_est_sq.tolist(), pop.gain.tolist(), pop.data_size.tolist()):
         if x >= geometry.road_length:
             continue
         soj, r_lo, r_hi = rate_bounds_scalar(x, speed, eps, h2, gain, geometry, cfg)
         if r_lo < r_hi:
-            rows.append((vid, part.size, eps, h2, gain, soj, r_lo, r_hi))
+            rows.append((vid, size, eps, h2, gain, soj, r_lo, r_hi))
     opt = cfg.optimization
     dropped = []
     while rows and len(rows) * opt.u_min > cfg.physical.n_blocks:
@@ -743,6 +747,59 @@ def reference_context(population, geometry, cfg):
         bandwidth=cfg.block_bandwidth_hz, noise_density=cfg.noise_density_w_hz,
         tx_power=cfg.tx_power_w, model_bits=cfg.physical.model_bits, d_total=d_total,
         budget_dropped=tuple(dropped))
+
+
+def reference_drop_for_budget(ids, r_max, u_min, n_blocks):
+    """Positions kept and ids dropped by the u_min budget shrink, with the kept count
+    counted down one vehicle at a time."""
+    n_keep = len(ids)
+    while n_keep and n_keep * u_min > n_blocks:
+        n_keep -= 1
+    weakest = np.lexsort((ids, r_max))[: len(ids) - n_keep]
+    keep = np.ones(len(ids), dtype=bool)
+    keep[weakest] = False
+    return np.flatnonzero(keep), [int(i) for i in np.asarray(ids)[weakest]]
+
+
+def reference_convergence_proxy(stats):
+    """sum_v (D_v/D) (1/(u_v p_v) - 1) as a running sum over (data_size, u, p) rows."""
+    stats = list(stats)
+    total = sum(s[0] for s in stats)
+    if total <= 0:
+        return 0.0
+    acc = 0.0
+    for d, u, p in stats:
+        if u <= 0 or p <= 0:
+            return math.inf
+        acc += (d / total) * (1.0 / (u * p) - 1.0)
+    return float(acc)
+
+
+class ScalarArrivals:
+    """Per-lane Poisson arrivals with one exponential draw per event, merged through a
+    heap that pops the lower lane first on a tie; pop_until returns (t, lane, speed)
+    tuples."""
+
+    def __init__(self, geometry, rate_per_lane, speed_range, rng_arrivals, rng_speeds,
+                 start_time=0.0):
+        self.rate, self.speed_range = rate_per_lane, speed_range
+        self._rng_arrivals, self._rng_speeds = rng_arrivals, rng_speeds
+        if rate_per_lane > 0:
+            self._next = [(start_time + rng_arrivals.exponential(1.0 / rate_per_lane), lane)
+                          for lane in range(geometry.lane_count)]
+            heapq.heapify(self._next)
+        else:
+            self._next = [(math.inf, 0)]
+
+    def pop_until(self, t_end):
+        events = []
+        while self._next[0][0] <= t_end:
+            t, lane = self._next[0]
+            gap = self._rng_arrivals.exponential(1.0 / self.rate)
+            heapq.heapreplace(self._next, (t + gap, lane))
+            events.append((t, lane))
+        speeds = self._rng_speeds.uniform(*self.speed_range, len(events)).tolist()
+        return [(t, lane, speed) for (t, lane), speed in zip(events, speeds)]
 
 
 def eager_partition(rng, cfg):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import bayes_weights, reference_local_train, reference_loss_and_grad
 from vflsim import fl_core
 from vflsim.config import parse_config
@@ -364,27 +365,49 @@ class TestEvaluate:
             evaluate(np.zeros(6), np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
 
 
+def proxy(stats):
+    """convergence_proxy of (data_size, u, p) rows."""
+    d, u, p = np.array(stats, dtype=float).reshape(-1, 3).T
+    return convergence_proxy(d, u, p)
+
+
 class TestConvergenceProxy:
     def test_perfect_participation_is_zero(self):
-        assert convergence_proxy([(100, 1.0, 1.0), (50, 1.0, 1.0)]) == 0.0
+        assert proxy([(100, 1.0, 1.0), (50, 1.0, 1.0)]) == 0.0
 
     def test_single_half_half(self):
-        assert convergence_proxy([(80, 0.5, 0.5)]) == pytest.approx(3.0)
+        assert proxy([(80, 0.5, 0.5)]) == pytest.approx(3.0)
 
     def test_monotone_in_probabilities(self):
-        base = convergence_proxy([(10, 0.5, 0.6), (20, 0.7, 0.8)])
-        assert convergence_proxy([(10, 0.6, 0.6), (20, 0.7, 0.8)]) < base
-        assert convergence_proxy([(10, 0.5, 0.6), (20, 0.7, 0.9)]) < base
+        base = proxy([(10, 0.5, 0.6), (20, 0.7, 0.8)])
+        assert proxy([(10, 0.6, 0.6), (20, 0.7, 0.8)]) < base
+        assert proxy([(10, 0.5, 0.6), (20, 0.7, 0.9)]) < base
 
     def test_zero_probability_is_infinite(self):
-        assert convergence_proxy([(10, 0.0, 0.5)]) == math.inf
+        assert proxy([(10, 0.0, 0.5)]) == math.inf
 
     def test_nonnegative(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
             stats = [(int(rng.integers(1, 100)), float(rng.uniform(0.01, 1)),
                       float(rng.uniform(0.01, 1))) for _ in range(5)]
-            assert convergence_proxy(stats) >= 0.0
+            assert proxy(stats) >= 0.0
+
+    def test_bits_equal_the_running_sum(self):
+        rng = np.random.default_rng(18)
+        cases = [[], [(0, 0.5, 0.5)], [(0, 0.0, 0.5), (0, 1.0, 1.0)], [(10, 0.5, 0.0)],
+                 [(10, 1.0, 1.0), (0, 0.5, 0.5)], [(5, 1.0, 1.0), (7, 1.0, 1.0)]]
+        for _ in range(3000):
+            n = int(rng.integers(1, 400))
+            sizes = rng.integers(1, 1000, n) if rng.uniform() < 0.5 else rng.uniform(0, 1000, n)
+            u = rng.uniform(0.0, 1.0, n) ** float(rng.choice([1.0, 8.0]))
+            p = rng.uniform(0.0, 1.0, n)
+            u[rng.uniform(size=n) < 0.05] = 1.0
+            cases.append(list(zip(sizes.tolist(), u.tolist(), p.tolist())))
+        for stats in cases:
+            want = oracles.reference_convergence_proxy(stats)
+            got = proxy(stats)
+            assert type(got) is float and got.hex() == want.hex(), stats
 
 
 def test_lr_schedule_steps():

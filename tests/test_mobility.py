@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import nearest_rsu_brute_force
+from oracles import ScalarArrivals, nearest_rsu_brute_force
 from vflsim.config import ConfigError, parse_config
 from vflsim.mobility import (ArrivalProcess, Population, RoadGeometry, nearest_rsu_distance,
                              remaining_sojourn)
@@ -10,9 +10,9 @@ from vflsim.sim import Experiment
 
 
 def make_population(ids, position, velocity=25.0, lane=0):
-    """Vehicles without partitions; scalar columns are broadcast to every row."""
+    """Vehicles with empty datasets; scalar columns are broadcast to every row."""
     n = len(ids)
-    return Population([None] * n, ids=ids, lane=np.broadcast_to(lane, n),
+    return Population(ids=ids, lane=np.broadcast_to(lane, n),
                       position=np.broadcast_to(position, n),
                       velocity=np.broadcast_to(velocity, n))
 
@@ -88,7 +88,7 @@ class TestAdvance:
     def test_departure(self):
         exp = population(make_population([7], position=1999.0, velocity=25.0))
         exp._advance_population(1.0)
-        assert len(exp.vehicles) == 0 and exp.vehicles.partitions == []
+        assert len(exp.vehicles) == 0 and exp.vehicles.partitions == {}
 
     def test_count_conservation(self):
         rng = np.random.default_rng(4)
@@ -109,10 +109,14 @@ class TestAdvance:
 class TestPopulation:
     def test_rows_follow_ids_through_keep_and_extend(self):
         pop = make_population([2, 5, 9], position=[1.0, 2.0, 3.0])
-        pop.partitions = ["a", "b", "c"]
+        pop.data_size[:] = [20, 50, 90]
+        pop.partitions = {2: "a", 5: "b", 9: "c"}
         pop.keep(np.array([True, False, True]))
-        pop.extend(Population(["d"], ids=[12], position=[4.0]))
-        assert pop.ids.tolist() == [2, 9, 12] and pop.partitions == ["a", "c", "d"]
+        new = Population(ids=[12], position=[4.0], data_size=[120])
+        new.partitions[12] = "d"
+        pop.extend(new)
+        assert pop.ids.tolist() == [2, 9, 12] and pop.partitions == {2: "a", 9: "c", 12: "d"}
+        assert pop.data_size.tolist() == [20, 90, 120]
         assert pop.position.tolist() == [1.0, 3.0, 4.0]
         assert pop.rows([9, 12]).tolist() == [1, 2]
         with pytest.raises(KeyError, match="vehicle 5"):
@@ -127,9 +131,11 @@ class TestPopulation:
 
     def test_columns_are_checked(self):
         with pytest.raises(ValueError, match="column position"):
-            Population([None, None], ids=[0, 1], position=[1.0])
+            Population(ids=[0, 1], position=[1.0])
+        with pytest.raises(ValueError, match="column data_size"):
+            Population(ids=[0, 1], data_size=[100, 100, 100])
         with pytest.raises(TypeError, match="speed"):
-            Population([None], ids=[0], speed=[1.0])
+            Population(ids=[0], speed=[1.0])
 
 
 class TestSojourn:
@@ -241,13 +247,39 @@ class TestArrivalProcess:
         a = ArrivalProcess(*args, np.random.default_rng(8), np.random.default_rng(9))
         b = ArrivalProcess(*args, np.random.default_rng(8), np.random.default_rng(9))
         whole = a.pop_until(100.0)
-        sliced = []
-        for t in (13.0, 27.5, 27.5, 64.0, 100.0):
-            sliced.extend(b.pop_until(t))
-        assert whole == sliced
+        sliced = np.concatenate([b.pop_until(t) for t in (13.0, 27.5, 27.5, 64.0, 100.0)])
+        assert whole.tobytes() == sliced.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, ArrivalProcess.GAP_BLOCK])
+    def test_buffered_gaps_equal_one_draw_per_event(self, monkeypatch, block):
+        """Sliced horizons, block refills (about 800 arrivals) and rate 0, bit for bit."""
+        monkeypatch.setattr(ArrivalProcess, "GAP_BLOCK", block)
+        g = RoadGeometry()
+        for rate, horizons in ((0.3, (-50.0, 13.0, 27.5, 27.5, 64.0, 400.0)), (0.0, (1e9,))):
+            streams = [np.random.default_rng(8), np.random.default_rng(9)]
+            proc = ArrivalProcess(g, rate, (16.0, 28.0), *streams, start_time=-50.0)
+            streams = [np.random.default_rng(8), np.random.default_rng(9)]
+            ref = ScalarArrivals(g, rate, (16.0, 28.0), *streams, start_time=-50.0)
+            total = 0
+            for t in horizons:
+                got, want = proc.pop_until(t), ref.pop_until(t)
+                assert got.shape == (len(want), 3)
+                assert got.tobytes() == np.array(want, dtype=float).reshape(-1, 3).tobytes()
+                total += len(got)
+            assert proc._next == ref._next
+            assert total > 2 * ArrivalProcess.GAP_BLOCK if rate else total == 0
+
+    def test_len_counts_arrivals(self):
+        proc = ArrivalProcess(RoadGeometry(), 0.3, (16.0, 28.0),
+                              np.random.default_rng(8), np.random.default_rng(9))
+        arrivals = proc.pop_until(50.0)
+        times = arrivals[:, 0]
+        assert len(arrivals) == len(times) > 0 and np.all(times <= 50.0)
+        assert np.all(np.diff(times) >= 0)
+        assert len(proc.pop_until(50.0)) == 0
 
     def test_zero_rate_never_arrives(self):
         g = RoadGeometry()
         proc = ArrivalProcess(g, 0.0, (16.0, 28.0),
                               np.random.default_rng(10), np.random.default_rng(11))
-        assert proc.pop_until(1e9) == []
+        assert proc.pop_until(1e9).shape == (0, 3)

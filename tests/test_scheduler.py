@@ -4,14 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instances import MODEL_BITS, random_context, symmetric_context
 from oracles import (_golden_min, grid_min_rate_only, grid_min_two_vehicle,
-                     grid_min_two_vehicle_naive, rate_block_phi)
+                     grid_min_two_vehicle_naive, rate_block_phi, reference_drop_for_budget)
 from vflsim import checks, scheduler
 from vflsim.checks import curvature_certificate, inclusion_cost_summand
 from vflsim.config import parse_config
-from vflsim.fl_core import Partition
 from vflsim.mobility import Population, RoadGeometry, remaining_sojourn
 from vflsim.sim import Experiment
 from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill_solver, bcd_solve,
@@ -27,10 +28,8 @@ def road_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, data=0):
     cols = np.broadcast_arrays(*map(np.atleast_1d, (gain, h_est_sq, epsilon, position, velocity,
                                                       data)))
     gain, h_est_sq, epsilon, position, velocity, data = (c.astype(float) for c in cols)
-    parts = [Partition(features=np.zeros((int(n), 1)), labels=np.zeros(int(n), dtype=np.int64))
-             for n in data.tolist()]
-    pop = Population(parts, ids=np.arange(len(gain)), position=position, velocity=velocity,
-                     epsilon=epsilon)
+    pop = Population(ids=np.arange(len(gain)), position=position, velocity=velocity,
+                     epsilon=epsilon, data_size=data)
     pop.set_channels(h_est_sq, gain)
     return pop
 
@@ -550,6 +549,25 @@ def test_budget_drop_matches_naive_loop_with_ties():
         n_blocks = float(rng.integers(1, 25))
         kept, dropped = _drop_for_budget(ids, r_max, u_min, n_blocks)
         assert ([rows[i] for i in kept], dropped) == _naive_budget_drop(rows, u_min, n_blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 2000),
+       u_min=st.one_of(st.sampled_from([1e-9, 0.05, 1.0]),
+                       st.floats(1e-12, 1.0, allow_subnormal=False)),
+       budget=st.floats(0.0, 60.0, allow_subnormal=False), seed=st.integers(0, 2**32 - 1))
+@example(n=1000, u_min=0.05, budget=20.0, seed=0)
+@example(n=10, u_min=0.7, budget=4.199999999999999, seed=1)  # 4.19.../0.7 rounds below 6
+@example(n=50, u_min=0.05, budget=1.7, seed=2)  # 1.7/0.05 is 34, but 34 * 0.05 > 1.7
+def test_budget_drop_matches_the_countdown(n, u_min, budget, seed):
+    """Budgets off the multiples of u_min included: the kept positions and the
+    dropped order equal those of the one-at-a-time countdown."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10 * n + 1, size=n, replace=False))
+    r_max = rng.choice([1e6, 2e6, 3e6], size=n) * rng.choice([1.0, 1.5], size=n)
+    kept, dropped = _drop_for_budget(ids, r_max, u_min, budget)
+    want_kept, want_dropped = reference_drop_for_budget(ids, r_max, u_min, budget)
+    assert kept.tolist() == want_kept.tolist() and dropped == want_dropped
 
 
 class TestCurvatureDiagnostics:

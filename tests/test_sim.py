@@ -22,9 +22,14 @@ def small_cfg(**kv):
     return cfg
 
 
+def _data_stream(seed, vid):
+    """Vehicle `vid`'s own partition stream, spawn key (7, 1 + vid)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7, 1 + vid)))
+
+
 def partition(exp, vid):
     """The dataset of vehicle `vid` on the experiment's road."""
-    return exp.vehicles.partitions[int(exp.vehicles.rows([vid])[0])]
+    return exp.partitions([vid])[0]
 
 
 def solved_round():
@@ -68,8 +73,9 @@ class TestRoundMechanics:
         part = make_partition(np.random.default_rng(0), cfg.learning)
         p = cfg.physical
         eps = channel.temporal_correlation(5.0, p.carrier_freq_hz, p.feedback_delay_s)
-        exp.vehicles = Population([part], ids=[0], lane=[0], position=[0.0], velocity=[5.0],
-                                  spawn_time=[0.0], epsilon=[eps])
+        exp.vehicles = Population(ids=[0], lane=[0], position=[0.0], velocity=[5.0],
+                                  spawn_time=[0.0], epsilon=[eps], data_size=[part.size])
+        exp.vehicles.partitions[0] = part
         exp.next_id = 1
         for _ in range(5):
             rec = exp.run_round()
@@ -157,10 +163,12 @@ class TestSchedulerSwapIsolation:
             exp.run()
             pop = exp.vehicles
             populations[sched] = {
-                vid: (lane, t0, speed, shadow, part.features.tobytes(), part.labels.tobytes())
-                for vid, lane, t0, speed, shadow, part in zip(
+                vid: (lane, t0, speed, shadow, size, part.features.tobytes(),
+                      part.labels.tobytes())
+                for vid, lane, t0, speed, shadow, size, part in zip(
                     pop.ids.tolist(), pop.lane.tolist(), pop.spawn_time.tolist(),
-                    pop.velocity.tolist(), pop.shadowing_db.tolist(), pop.partitions)
+                    pop.velocity.tolist(), pop.shadowing_db.tolist(), pop.data_size.tolist(),
+                    exp.partitions(pop.ids.tolist()))
             }
         ids_common = set.intersection(*[set(p) for p in populations.values()])
         assert ids_common  # rounds overlap enough to share vehicles
@@ -202,6 +210,9 @@ class _ReferenceCheckedExperiment(Experiment):
         for name, want in zip(("h_est_sq", "epsilon", "gain"), expected):
             have = getattr(self.vehicles, name)
             assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        sizes = [len(oracles.eager_partition(_data_stream(self.seed, vid), self.cfg.learning)[1])
+                 for vid in self.vehicles.ids.tolist()]
+        assert self.vehicles.data_size.tolist() == sizes
         got = scheduler.build_context(self.vehicles, self.geometry, self.cfg)
         ref = oracles.reference_context(self.vehicles, self.geometry, self.cfg)
         for name in ("ids", "data_sizes", "epsilon", "h_est_sq", "gain", "sojourn",
@@ -234,10 +245,8 @@ class TestLazyPartitions:
                 partition(exp, vid).features
         for vid in vids[-3:] + [late]:
             part = partition(exp, vid)
-            feats, labels = oracles.eager_partition(
-                np.random.default_rng(np.random.SeedSequence(13, spawn_key=(7, 1 + vid))),
-                cfg.learning)
-            assert part.size == len(labels)
+            feats, labels = oracles.eager_partition(_data_stream(13, vid), cfg.learning)
+            assert part.size == len(labels) == exp.vehicles.data_size[exp.vehicles.rows([vid])[0]]
             assert part.features.tobytes() == feats.tobytes()
             assert part.labels.tobytes() == labels.tobytes()
 
@@ -267,21 +276,21 @@ class TestLazyPartitions:
         feats, labels = np.zeros((3, 2)), np.array([0, 1, 1])
         part = Partition(features=feats, labels=labels)
         assert part.features is feats and part.labels is labels and part.size == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Partition(labels=labels)
 
 
 class TestArrivalPartitions:
     def test_arrival_gone_within_its_window_gets_no_partition(self, monkeypatch):
         cfg = parse_config(overrides={"learning.partitioning": "noniid"})
-        made = []  # vehicle id of each partition made, read off its (7, 1 + id) stream key
-        make_partition = fl_core.make_partition
+        made = []  # vehicle ids whose dataset size was drawn at admission
+        partition_sizes = fl_core.partition_sizes
 
-        def recording(rng, lc):
-            made.append(rng.args[-1] - 1)
-            return make_partition(rng, lc)
+        def recording(ids, rng_of, lc):
+            made.extend(ids)
+            return partition_sizes(ids, rng_of, lc)
 
-        monkeypatch.setattr(fl_core, "make_partition", recording)
+        monkeypatch.setattr(fl_core, "partition_sizes", recording)
         exp = Experiment(cfg, seed=12)
         on_road = exp.vehicles.ids.tolist()
         assert made == on_road
@@ -291,17 +300,60 @@ class TestArrivalPartitions:
         assert gone and after
         for vid in after:  # the next vehicle's stream has not moved
             part = partition(exp, vid)
-            feats, labels = oracles.eager_partition(
-                np.random.default_rng(np.random.SeedSequence(12, spawn_key=(7, 1 + vid))),
-                cfg.learning)
+            feats, labels = oracles.eager_partition(_data_stream(12, vid), cfg.learning)
             assert part.labels.tobytes() == labels.tobytes()
             assert part.features.tobytes() == feats.tobytes()
+
+    def test_dense_round_makes_partitions_for_its_trainers_only(self, monkeypatch):
+        made = []  # vehicle id of each partition made, read off its (7, 1 + id) stream key
+        make_partition = fl_core.make_partition
+
+        def recording(rng, lc):
+            made.append(rng.bit_generator.seed_seq.spawn_key[-1] - 1)
+            return make_partition(rng, lc)
+
+        monkeypatch.setattr(fl_core, "make_partition", recording)
+        exp = Experiment(parse_config(overrides=DENSE), seed=1)
+        assert made == [] and len(exp.vehicles) > 1000
+        trainers, draw_outcomes = [], exp.draw_outcomes
+        exp.draw_outcomes = lambda *args: trainers.append(draw_outcomes(*args)) or trainers[-1]
+        for _ in range(3):
+            before = list(made)
+            parts = dict(exp.vehicles.partitions)
+            exp.run_round()
+            new = sorted(set(trainers[-1]) - set(parts))
+            assert made == before + new and 0 < len(trainers[-1]) < 50
+            # a vehicle still on the road keeps the partition it was first given
+            for vid, part in parts.items():
+                if vid in exp.vehicles.partitions:
+                    assert exp.vehicles.partitions[vid] is part
+            assert set(exp.vehicles.partitions) <= set(exp.vehicles.ids.tolist())
+
+    @pytest.mark.parametrize("partitioning", ["iid", "noniid"])
+    def test_partition_made_on_training_equals_eager_draw(self, partitioning):
+        cfg = small_cfg(learning__partitioning=partitioning, run__scheduler="scheme1")
+        exp = Experiment(cfg, seed=15)
+        exp.run()
+        assert exp.vehicles.partitions
+        for vid, part in exp.vehicles.partitions.items():
+            feats, labels = oracles.eager_partition(_data_stream(15, vid), cfg.learning)
+            assert part.labels.tobytes() == labels.tobytes()
+            assert part.features.tobytes() == feats.tobytes()
+            assert exp.vehicles.data_size[exp.vehicles.rows([vid])[0]] == len(labels)
 
 
 def test_dense_scheme1_rounds_keep_their_bytes():
     """Three rounds of about 1,080 vehicles against the CSV the per-vehicle simulator wrote."""
     cfg = parse_config(overrides={**DENSE, "run.rounds": "3"})
     stored = Path(__file__).resolve().parent / "data" / "dense_scheme1_s1.csv"
+    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes()
+
+
+def test_dense_noniid_rounds_keep_their_bytes():
+    """Three non-iid dense rounds against the CSV the eager-partition simulator wrote:
+    every arrival's size comes from its own label draw."""
+    cfg = parse_config(overrides={**DENSE, "learning.partitioning": "noniid", "run.rounds": "3"})
+    stored = Path(__file__).resolve().parent / "data" / "dense_noniid_s1.csv"
     assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes()
 
 
