@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,35 +45,48 @@ def init_weights(num_classes, feature_dim):
     return np.zeros(num_classes * feature_dim + num_classes)
 
 
-def _logits(w, features, num_classes):
-    """features @ W^T + b, for any leading dimensions shared by w and features."""
+def _logits(w, features, num_classes, one=()):
+    """features @ W^T + b, for any leading dimensions shared by w and features.
+
+    `one` indexes the problems, along the first leading dimension, whose batch
+    has one valid sample at the head of a wider padded one.  numpy runs a
+    one-row slice as a gemv, whose bits differ from the gemm's, so their first
+    row gets its logits from its own one-row product.
+    """
     cd = num_classes * features.shape[-1]
     mat = w[..., :cd].reshape(w.shape[:-1] + (num_classes, features.shape[-1]))
     logits = features @ mat.swapaxes(-1, -2)
     logits += w[..., None, cd:]
+    if len(one):
+        logits[one, :1] = _logits(w[one], features[one, :1], num_classes)
     return logits
+
+
+def _softmax(logits):
+    """Softmax probabilities along the last axis, computed in place of the logits."""
+    # the row max as a running maximum down the columns of a transposed copy:
+    # numpy reduces a short last axis one row at a time.  It can differ from
+    # .max only in the sign of a zero maximum, and subtracting either zero
+    # gives every logit's exp the same bits
+    c = logits.shape[-1]
+    top = np.maximum.reduce(logits.reshape(-1, c).T.copy(), axis=0)
+    logits -= top.reshape(logits.shape[:-1] + (1,))
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def _softmax_loss(logits, labels, rows=None):
     """Softmax probabilities, computed in place of the logits, and the mean cross-entropy.
 
-    Also returns the (row, label) index of each sample's own class in the
-    probabilities viewed as rows of num_classes, and the padding mask.  With
-    rows (one leading dimension), problem k's mean runs over its first rows[k]
-    samples and the mask marks the samples past them; without, it is None.
+    Also returns the flat index of each sample's own class in the
+    probabilities, and the padding mask.  With rows (one leading dimension),
+    problem k's mean runs over its first rows[k] samples and the mask marks the
+    samples past them; without, it is None.
     """
-    # the row max as a chain of column maxima: numpy reduces a short last axis
-    # one row at a time.  The chain can differ from .max only in the sign of a
-    # zero maximum, and subtracting either zero gives every logit's exp the same bits
-    top = logits[..., :1].copy()
-    for c in range(1, logits.shape[-1]):
-        np.maximum(top, logits[..., c:c + 1], out=top)
-    logits -= top
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    flat = probs.reshape(-1, probs.shape[-1])
-    hit = (np.arange(len(flat)), labels.ravel())
-    logp = np.log(flat[hit].reshape(labels.shape) + 1e-300)
+    probs = _softmax(logits)
+    hit = np.arange(labels.size) * probs.shape[-1] + labels.ravel()
+    logp = np.log(probs.reshape(-1)[hit].reshape(labels.shape) + 1e-300)
     if rows is None:
         # the same bits as np.mean, in a third of the time on a mini-batch
         return probs, -(logp.sum(axis=-1) / labels.shape[-1]), hit, None
@@ -81,10 +95,42 @@ def _softmax_loss(logits, labels, rows=None):
     return probs, -(logp.sum(axis=-1) / rows), hit, pad
 
 
+def _gradient(delta, features, hit, pad, rows, out, diff, w, ref, mu):
+    """Write into `out` the gradient of the mean cross-entropy plus (mu/2)|w - ref|^2.
+
+    `delta` holds the softmax probabilities and becomes, in place, the loss's
+    derivative in the logits: 1 comes off at each sample's own class (`hit`,
+    flat indices), the padded samples (`pad`, or None) are zeroed, and each
+    problem is divided by its count of samples (`rows`, broadcast against
+    delta).  With mu, `diff` (shaped like out) receives w - ref.  This is the
+    one backward pass: loss_and_grad and each lockstep step of local_train
+    run it.
+    """
+    delta.reshape(-1)[hit] -= 1.0
+    if pad is not None:
+        delta[pad] = 0.0  # assigned, not multiplied: nan * 0 is nan
+    delta /= rows
+    c, d = delta.shape[-1], features.shape[-1]
+    np.matmul(delta.swapaxes(-1, -2), features,
+              out=out[..., :c * d].reshape(out.shape[:-1] + (c, d)))
+    # the sum over samples, accumulated in sample order as delta.sum(axis=-2)
+    # does, but down the rows of a copy with the samples first: numpy would
+    # run one short inner loop per sample and problem
+    np.add.reduce(np.moveaxis(delta, -2, 0).copy(), axis=0, out=out[..., c * d:])
+    if mu != 0.0:
+        if ref is None:
+            raise ValueError("prox term requires a reference weight vector")
+        np.subtract(w, ref, out=diff)
+        out += mu * diff
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def class_means(num_classes, feature_dim, separation):
-    """Cluster centers: separation * e_c on the first num_classes axes."""
+    """Cluster centers, read-only: separation * e_c on the first num_classes axes."""
     means = np.zeros((num_classes, feature_dim))
     means[np.arange(num_classes), np.arange(num_classes)] = separation
+    means.flags.writeable = False
     return means
 
 
@@ -94,14 +140,18 @@ def sample_blob(rng, labels, num_classes, feature_dim, separation):
     return means[labels] + rng.standard_normal((len(labels), feature_dim))
 
 
-def make_partition(rng, cfg):
+def make_partition(rng, cfg, drawn=None):
     """One vehicle's partition under the configured iid/non-iid scheme, drawn from
-    `rng`, the vehicle's own generator: its labels, then its features."""
+    `rng`, the vehicle's own generator: its labels, then its features.
+
+    `drawn`, when given, is the non-iid label draw `(classes, count)` that
+    partition_sizes already took from `rng`, which continues after it.
+    """
     c = cfg.num_classes
     if cfg.partitioning == "iid":
         labels = _iid_labels(c, cfg.samples_per_class)
     else:
-        classes, count = _noniid_draw(rng, cfg)
+        classes, count = _noniid_draw(rng, cfg) if drawn is None else drawn
         # spread samples as evenly as possible so every drawn class appears
         k = len(classes)
         per = [count // k + (1 if i < count % k else 0) for i in range(k)]
@@ -110,15 +160,21 @@ def make_partition(rng, cfg):
 
 
 def partition_sizes(ids, rng_of, cfg):
-    """Dataset size of each vehicle in `ids`, as make_partition(rng_of(vid), cfg) draws it.
+    """Dataset size of each vehicle in `ids`, as make_partition(rng_of(vid), cfg) draws it,
+    and the label draws made for them.
 
-    Iid sizes are all equal and take no draw.  A non-iid size is fixed by the
-    vehicle's label draw, made here from a fresh generator and made again when
-    its partition is built.
+    Iid sizes are all equal and take no draw, and the draws are {}.  A non-iid
+    size is fixed by the vehicle's label draw, made here: the draws map each
+    id to its generator, positioned after the draw, and the draw, which
+    make_partition takes as `drawn` when the vehicle first trains.
     """
     if cfg.partitioning == "iid":
-        return np.full(len(ids), cfg.num_classes * cfg.samples_per_class, dtype=np.int64)
-    return np.array([_noniid_draw(rng_of(vid), cfg)[1] for vid in ids], dtype=np.int64)
+        return np.full(len(ids), cfg.num_classes * cfg.samples_per_class, dtype=np.int64), {}
+    draws = {}
+    for vid in ids:
+        rng = rng_of(vid)
+        draws[vid] = rng, _noniid_draw(rng, cfg)
+    return np.array([count for _, (_, count) in draws.values()], dtype=np.int64), draws
 
 
 def _noniid_draw(rng, cfg):
@@ -165,27 +221,13 @@ def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0, rows=None)
     from its own one-row product.
     """
     n = labels.shape[-1]
-    logits = _logits(w, features, num_classes)
-    if rows is not None and n > 1:
-        one = rows == 1
-        if one.any():
-            logits[one, :1] = _logits(w[one], features[one, :1], num_classes)
-    delta, loss, hit, pad = _softmax_loss(logits, labels, rows)
-    delta.reshape(-1, num_classes)[hit] -= 1.0
-    if rows is None:
-        delta /= n
-    else:
-        delta[pad] = 0.0
-        delta /= rows[:, None, None]
-    grad = np.concatenate([(delta.swapaxes(-1, -2) @ features).reshape(w.shape[:-1] + (-1,)),
-                           delta.sum(axis=-2)], axis=-1)
+    one = np.flatnonzero(rows == 1) if rows is not None and n > 1 else ()
+    delta, loss, hit, pad = _softmax_loss(_logits(w, features, num_classes, one), labels, rows)
+    grad, diff = np.empty(w.shape), np.empty(w.shape)
+    _gradient(delta, features, hit, pad, n if rows is None else rows[:, None, None],
+              grad, diff, w, ref, mu)
     if mu != 0.0:
-        if ref is None:
-            raise ValueError("prox term requires a reference weight vector")
-        diff = w - ref
         loss += 0.5 * mu * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-        diff *= mu
-        grad += diff
     return loss, grad
 
 
@@ -199,16 +241,22 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
 
     Vehicle k trains on partitions[k] and reshuffles its batches every epoch
     from rngs[k]; the trained flat weights come back in the same order.  All
-    vehicles take their SGD steps in lockstep: at each step index, one
-    loss_and_grad call takes every vehicle still training, each batch padded
-    to the step's longest by repeating its last sample, with the batch
-    lengths as its rows.  A vehicle's weights have the same bits as when it
-    trains alone, because no operation mixes the rows of different vehicles
-    and the padded rows change no bit of the valid ones.
+    vehicles take their SGD steps in lockstep: each step runs one forward and
+    backward pass over every vehicle still training, each batch padded to the
+    step's longest by repeating its last sample.  A vehicle's weights have the
+    same bits as when it trains alone, because no operation mixes the rows of
+    different vehicles and the padded rows change no bit of the valid ones.
+
+    Every step's geometry is planned once per round.  A step computes no
+    loss: it checks that each gradient's bias part is finite, which fails
+    exactly when a vehicle's mean cross-entropy does, and that every entry of
+    w - global_ref lies where the pull's square cannot overflow.  Only when a
+    check fails does the step compute the loss, and it raises if the loss is
+    not finite.
     """
     if not partitions:
         return []
-    epochs, batch_size = cfg.local_epochs, cfg.batch_size
+    c, epochs, batch_size, mu = cfg.num_classes, cfg.local_epochs, cfg.batch_size, cfg.prox_mu
     n = np.array([part.size for part in partitions], dtype=np.int64)
     per_epoch = -(-n // batch_size)  # batches per epoch
     # most batches first: the vehicles still training at a step are then the
@@ -228,28 +276,57 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
         for epoch in range(epochs):
             at = epochs * f + epoch * size
             np.add(rngs[k].permutation(size), f, out=orders[at:at + size])
+
+    # the step plan, over the (step, vehicle, slot) grid: vehicle v trains at
+    # step s while s < steps[v], with length[s, v] samples; the step's width is
+    # the longest, and a padded slot repeats the vehicle's last sample
     steps = epochs * per_epoch
+    s = np.arange(steps[0])[:, None]
+    live = s < steps
+    m = np.count_nonzero(live, axis=1)  # vehicles still training
+    epoch, batch = np.divmod(s, np.maximum(per_epoch, 1))
+    length = np.where(live, np.minimum(n - batch * batch_size, batch_size), 0)
+    width = length.max(axis=1, initial=0)
+    slot = np.arange(width.max(initial=0))
+    cell = live[..., None] & (slot < width[:, None, None])
+    # step s's cells, (vehicle, slot) in row-major order, are [at[s], at[s + 1])
+    at = np.concatenate([[0], np.cumsum(m * width)]).tolist()
+    rows = orders[((epochs * first + epoch * n + batch * batch_size)[..., None]
+                   + np.minimum(slot, length[..., None] - 1))[cell]]
+    row_labels = labels[rows]
+    # the flat index of each cell's own class in its step's (m, width, c) probabilities
+    hit = (np.arange(len(n))[:, None] * width[:, None, None] + slot)[cell] * c + row_labels
+    pad = (slot >= length[..., None])[cell]
+    padded = ((length < width[:, None]) & live).any(axis=1).tolist()
+    one = live & (length == 1) & (width[:, None] > 1)
+    ones = one.any(axis=1).tolist()
+    divisor = length.astype(float)[..., None, None]
+
     w = np.tile(np.asarray(weights_in, dtype=float), (len(partitions), 1))
     vel = np.zeros_like(w)
-    for step in range(int(steps[0])):
-        m = int(np.count_nonzero(steps > step))  # vehicles still training
-        epoch, batch = np.divmod(step, per_epoch[:m])
-        start = batch * batch_size
-        length = np.minimum(n[:m] - start, batch_size)
-        # a padded slot repeats the vehicle's last sample of the batch
-        sel = orders[(epochs * first[:m] + epoch * n[:m] + start)[:, None]
-                     + np.minimum(np.arange(length.max()), length[:, None] - 1)]
-        loss, grad = loss_and_grad(w[:m], features[sel], labels[sel], cfg.num_classes,
-                                   ref=global_ref, mu=cfg.prox_mu, rows=length)
-        bad = ~np.isfinite(loss)
-        if bad.any():
-            raise RuntimeError(f"non-finite local loss ({loss[bad][0]}) "
-                               f"at lr={lr}, batch of {length[bad][0]} samples")
+    grad, diff = np.empty_like(w), np.empty_like(w)
+    # with every |w_i - ref_i| within reach, (mu/2)|w - ref|^2 stays below 1/8 of the float range
+    reach = math.sqrt(sys.float_info.max / (4.0 * w.shape[1] * max(1.0, mu)))
+    for step, (k, wide) in enumerate(zip(m.tolist(), width.tolist())):
+        cells = slice(at[step], at[step + 1])
+        x = np.take(features, rows[cells].reshape(k, wide), axis=0)
+        w_k, grad_k, diff_k = w[:k], grad[:k], diff[:k]
+        delta = _softmax(_logits(w_k, x, c, np.flatnonzero(one[step]) if ones[step] else ()))
+        _gradient(delta, x, hit[cells], pad[cells].reshape(k, wide) if padded[step] else None,
+                  divisor[step, :k], grad_k, diff_k, w_k, global_ref, mu)
+        if not (np.isfinite(grad_k[:, -c:]).all()
+                and (mu == 0.0 or -reach <= diff_k.min() and diff_k.max() <= reach)):
+            loss, _ = loss_and_grad(w_k, x, row_labels[cells].reshape(k, wide), c,
+                                    ref=global_ref, mu=mu, rows=length[step, :k])
+            bad = ~np.isfinite(loss)
+            if bad.any():
+                raise RuntimeError(f"non-finite local loss ({loss[bad][0]}) "
+                                   f"at lr={lr}, batch of {length[step, :k][bad][0]} samples")
         # vel = momentum * vel + grad; w -= lr * vel
-        vel_m = vel[:m]
-        vel_m *= cfg.momentum
-        vel_m += grad
-        w[:m] -= lr * vel_m
+        vel_k = vel[:k]
+        vel_k *= cfg.momentum
+        vel_k += grad_k
+        w_k -= lr * vel_k
     return list(w[np.argsort(rank)])
 
 

@@ -49,8 +49,10 @@ class Population:
     """The vehicles on the road as parallel arrays, one row per vehicle, ids ascending.
 
     `data_size` is each vehicle's dataset size.  `partitions` maps the id of
-    each vehicle whose dataset has been made to that dataset, and loses the
-    vehicle with its row.  `h_est_sq` (the power |h_est|^2 of the fading
+    each vehicle whose dataset has been made to that dataset.  `label_draws`
+    maps the id of each non-iid vehicle whose dataset is yet to be made to
+    its generator and the label draw taken from it (fl_core.partition_sizes).
+    Both lose a vehicle with its row.  `h_est_sq` (the power |h_est|^2 of the fading
     estimate) and `gain` (the large-scale linear gain) hold the last channel
     refresh: None before it, and cleared whenever rows come or go.
     """
@@ -72,7 +74,7 @@ class Population:
             setattr(self, name, values)
         if np.any(self.ids[1:] <= self.ids[:-1]):
             raise ValueError("vehicle ids must ascend")
-        self.partitions = {}
+        self.partitions, self.label_draws = {}, {}
         self.h_est_sq = self.gain = None
 
     def __len__(self):
@@ -90,14 +92,14 @@ class Population:
         for name in self.COLUMNS:
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
         self.partitions.update(other.partitions)
+        self.label_draws.update(other.label_draws)
         self.h_est_sq = self.gain = None
 
     def keep(self, mask):
         """Drop the rows where the boolean `mask` is False."""
-        if self.partitions:
-            gone = set(self.ids[~mask].tolist())
-            self.partitions = {vid: part for vid, part in self.partitions.items()
-                               if vid not in gone}
+        for vid in self.ids[~mask].tolist():
+            self.partitions.pop(vid, None)
+            self.label_draws.pop(vid, None)
         for name in self.COLUMNS:
             setattr(self, name, getattr(self, name)[mask])
         self.h_est_sq = self.gain = None

@@ -836,7 +836,12 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
 
 @dataclass
 class RoundPlan:
-    """Inclusion probabilities and rates for one round, plus realized outcomes."""
+    """Inclusion probabilities and rates for one round, plus realized outcomes.
+
+    `u`, `p` and `r` hold inclusion_probs, success_probs and rates again, as
+    arrays in ids order.  A plan made from its dicts alone takes them from
+    the dicts, with nan for an id a dict lacks.
+    """
 
     ids: tuple = ()
     inclusion_probs: dict = field(default_factory=dict)
@@ -846,6 +851,16 @@ class RoundPlan:
     round_time: float = 0.0
     objective_value: float = math.nan
     trim_events: int = 0
+    u: np.ndarray = field(default=None, compare=False)
+    p: np.ndarray = field(default=None, compare=False)
+    r: np.ndarray = field(default=None, compare=False)
+
+    def __post_init__(self):
+        for name, values in (("u", self.inclusion_probs), ("p", self.success_probs),
+                             ("r", self.rates)):
+            if getattr(self, name) is None:
+                setattr(self, name, np.array([values.get(i, math.nan) for i in self.ids],
+                                             dtype=float))
 
     @property
     def is_empty(self):
@@ -853,14 +868,16 @@ class RoundPlan:
 
 
 def _plan_from(ctx, u, rates, obj):
+    u, rates = np.array(u, dtype=float), np.array(rates, dtype=float)
     p = ctx.success_prob(rates)
-    ids = [int(i) for i in ctx.ids]
+    ids = ctx.ids.tolist()
     return RoundPlan(
         ids=tuple(ids),
-        inclusion_probs={i: float(v) for i, v in zip(ids, u)},
-        rates={i: float(r) for i, r in zip(ids, rates)},
-        success_probs={i: float(x) for i, x in zip(ids, p)},
+        inclusion_probs=dict(zip(ids, u.tolist())),
+        rates=dict(zip(ids, rates.tolist())),
+        success_probs=dict(zip(ids, p.tolist())),
         objective_value=obj,
+        u=u, p=p, r=rates,
     )
 
 
@@ -986,11 +1003,10 @@ def realize_selection(plan: RoundPlan, rng, n_blocks):
         plan.selected_set = set()
         return plan.selected_set
     ids = np.array(plan.ids)
-    u = np.array([plan.inclusion_probs[i] for i in plan.ids])
-    draws = rng.uniform(size=len(ids))
-    chosen = ids[draws < u]
+    drawn = rng.uniform(size=len(ids)) < plan.u
+    chosen = ids[drawn]
     if len(chosen) > n_blocks:
-        score = np.array([plan.inclusion_probs[i] * plan.success_probs[i] for i in chosen])
+        score = (plan.u * plan.p)[drawn]
         keep = chosen[np.lexsort((chosen, -score))][: int(n_blocks)]
         plan.trim_events = len(chosen) - len(keep)
         chosen = keep

@@ -20,6 +20,7 @@ successful rate.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import time as _time
 from dataclasses import dataclass
@@ -111,10 +112,12 @@ class Experiment:
         # an arrival that spawned and departed within this advance window keeps
         # its id, so no later vehicle's streams move, but gets no row
         on = ~(pos > road)
-        sizes = fl_core.partition_sizes(ids[on].tolist(), self._data_stream, self.cfg.learning)
+        sizes, draws = fl_core.partition_sizes(ids[on].tolist(), self._data_stream,
+                                               self.cfg.learning)
         pop.extend(Population(ids=ids[on], lane=lane[on], position=pos[on], velocity=speed[on],
                               spawn_time=t_arr[on], shadowing_db=shadows[on],
                               epsilon=epsilons[on], data_size=sizes))
+        pop.label_draws.update(draws)
         self.pop_synced_at = t_new
 
     def _data_stream(self, vid):
@@ -125,13 +128,15 @@ class Experiment:
         """The datasets of the vehicles `ids`, which must be on the road.
 
         A vehicle's dataset is made from its own stream the first time it is
-        asked for, and kept while the vehicle stays on the road.
+        asked for, continuing from the label draw admission made for a non-iid
+        vehicle, and kept while the vehicle stays on the road.
         """
         self.vehicles.rows(ids)  # KeyError for a vehicle not on the road
-        made = self.vehicles.partitions
+        made, kept = self.vehicles.partitions, self.vehicles.label_draws
         for vid in ids:
             if vid not in made:
-                made[vid] = fl_core.make_partition(self._data_stream(vid), self.cfg.learning)
+                rng, drawn = kept.pop(vid) if vid in kept else (self._data_stream(vid), None)
+                made[vid] = fl_core.make_partition(rng, self.cfg.learning, drawn)
         return [made[vid] for vid in ids]
 
     def _refresh_channels(self):
@@ -170,7 +175,7 @@ class Experiment:
         """
         rng = self.rng_outage if rng is None else rng
         selected = np.array(sorted(plan.selected_set), dtype=int)
-        margin = ctx.support_margin([plan.rates[i] for i in plan.ids])
+        margin = ctx.support_margin(plan.r)
         err_power = rng.exponential(1.0, size=len(selected))
         return selected[err_power <= margin[np.searchsorted(ctx.ids, selected)]].tolist()
 
@@ -202,13 +207,7 @@ class Experiment:
         t_round = scheduler.round_time(plan, successful, cfg.physical.model_bits,
                                        cfg.optimization.round_time_cap_s)
         plan.round_time = t_round
-        if ctx.size:
-            ids_ctx = ctx.ids.tolist()
-            proxy = fl_core.convergence_proxy(
-                ctx.data_sizes, [plan.inclusion_probs[i] for i in ids_ctx],
-                [plan.success_probs[i] for i in ids_ctx])
-        else:
-            proxy = float("nan")
+        proxy = fl_core.convergence_proxy(ctx.data_sizes, plan.u, plan.p) if ctx.size else math.nan
         acc, loss = fl_core.evaluate(self.weights, self.test_x, self.test_y,
                                      cfg.learning.num_classes)
         rec = RoundRecord(

@@ -14,9 +14,11 @@ per-vehicle channel refresh and scheduling context at the end are the
 straightforward one-vehicle-at-a-time forms of the program's batched ones.
 The one-at-a-time budget shrink, the running-sum convergence proxy and the
 one-draw-per-event arrival process are the references for the program's
-closed-form shrink, array proxy and buffered arrival gaps, and the
-one-vehicle SGD loop at the very end is the reference for the program's
-lockstep training.
+closed-form shrink, array proxy and buffered arrival gaps.  Near the end, the
+one-vehicle SGD loop is the reference for the program's lockstep training, and
+the lockstep loop that computed every step's loss, kept as it was, is the
+reference for the planned, loss-free steps that replaced it: for their bits
+and for the step and message of their error.
 """
 
 import heapq
@@ -27,7 +29,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from vflsim import channel, scheduler
-from vflsim.fl_core import class_means, sample_blob
+from vflsim.fl_core import class_means, loss_and_grad, sample_blob
 
 mp.dps = 50
 
@@ -858,3 +860,64 @@ def reference_local_train(weights_in, partition, global_ref, rng, lr, num_classe
             vel = momentum * vel + grad
             w -= lr * vel
     return w
+
+
+# fl_core.local_train before its steps were planned once per round and
+# stopped computing the loss, kept verbatim
+def lockstep_local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
+    """Momentum SGD of each partition from weights_in, with a proximal pull toward global_ref.
+
+    Vehicle k trains on partitions[k] and reshuffles its batches every epoch
+    from rngs[k]; the trained flat weights come back in the same order.  All
+    vehicles take their SGD steps in lockstep: at each step index, one
+    loss_and_grad call takes every vehicle still training, each batch padded
+    to the step's longest by repeating its last sample, with the batch
+    lengths as its rows.  A vehicle's weights have the same bits as when it
+    trains alone, because no operation mixes the rows of different vehicles
+    and the padded rows change no bit of the valid ones.
+    """
+    if not partitions:
+        return []
+    epochs, batch_size = cfg.local_epochs, cfg.batch_size
+    n = np.array([part.size for part in partitions], dtype=np.int64)
+    per_epoch = -(-n // batch_size)  # batches per epoch
+    # most batches first: the vehicles still training at a step are then the
+    # first rows of the stack, and their weights are a view
+    rank = np.argsort(-per_epoch, kind="stable")
+    n, per_epoch = n[rank], per_epoch[rank]
+    # the features are copied once per round and gathered once per step: a
+    # copy of every step's batch up front would raise peak memory
+    features = np.concatenate([partitions[k].features for k in rank.tolist()]) if epochs else None
+    labels = np.concatenate([partitions[k].labels for k in rank.tolist()])
+    first = np.cumsum(n) - n  # each vehicle's first row in the round's arrays
+    # every epoch's sample order, drawn up front from each vehicle's own
+    # stream: row i of the stack has its epochs one after another from
+    # epochs * first[i]
+    orders = np.empty(epochs * len(labels), dtype=np.int64)
+    for k, f, size in zip(rank.tolist(), first.tolist(), n.tolist()):
+        for epoch in range(epochs):
+            at = epochs * f + epoch * size
+            np.add(rngs[k].permutation(size), f, out=orders[at:at + size])
+    steps = epochs * per_epoch
+    w = np.tile(np.asarray(weights_in, dtype=float), (len(partitions), 1))
+    vel = np.zeros_like(w)
+    for step in range(int(steps[0])):
+        m = int(np.count_nonzero(steps > step))  # vehicles still training
+        epoch, batch = np.divmod(step, per_epoch[:m])
+        start = batch * batch_size
+        length = np.minimum(n[:m] - start, batch_size)
+        # a padded slot repeats the vehicle's last sample of the batch
+        sel = orders[(epochs * first[:m] + epoch * n[:m] + start)[:, None]
+                     + np.minimum(np.arange(length.max()), length[:, None] - 1)]
+        loss, grad = loss_and_grad(w[:m], features[sel], labels[sel], cfg.num_classes,
+                                   ref=global_ref, mu=cfg.prox_mu, rows=length)
+        bad = ~np.isfinite(loss)
+        if bad.any():
+            raise RuntimeError(f"non-finite local loss ({loss[bad][0]}) "
+                               f"at lr={lr}, batch of {length[bad][0]} samples")
+        # vel = momentum * vel + grad; w -= lr * vel
+        vel_m = vel[:m]
+        vel_m *= cfg.momentum
+        vel_m += grad
+        w[:m] -= lr * vel_m
+    return list(w[np.argsort(rank)])

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from oracles import bayes_weights, reference_local_train, reference_loss_and_grad
+from oracles import (bayes_weights, lockstep_local_train, reference_local_train,
+                     reference_loss_and_grad)
 from vflsim import fl_core
 from vflsim.config import parse_config
 from vflsim.fl_core import (ClientUpdate, Partition, aggregate, convergence_proxy, evaluate,
@@ -278,6 +281,129 @@ class TestStackedTraining:
         with pytest.raises(RuntimeError, match=r"non-finite local loss \(nan\) at lr=0.1"):
             local_train(np.zeros(15), parts, np.zeros(15), cfg,
                         [np.random.default_rng(k) for k in range(3)], lr=0.1)
+
+
+@st.composite
+def training_inputs(draw):
+    """1-25 vehicles of 1-230 samples, some with a one-sample tail batch, a batch
+    of 1-40, 0-5 epochs, and mu and momentum each 0 or drawn."""
+    batch_size = draw(st.integers(1, 40))
+    tail = st.integers(0, 229 // batch_size).map(lambda q: q * batch_size + 1)
+    sizes = draw(st.lists(st.one_of(st.integers(1, 230), tail), min_size=1, max_size=25))
+    c = draw(st.integers(2, 10))
+    return dict(sizes=sizes, batch_size=batch_size, num_classes=c,
+                feature_dim=draw(st.integers(c, 30)), local_epochs=draw(st.integers(0, 5)),
+                prox_mu=draw(st.one_of(st.just(0.0), st.floats(1e-4, 0.1))),
+                momentum=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99))),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def training_setup(sizes, seed, **learning):
+    """Partitions of the given sizes and a start and reference near 0, drawn from seed."""
+    cfg = learning_cfg(**learning)
+    rng = np.random.default_rng(seed)
+    parts = []
+    for n in sizes:
+        labels = rng.integers(0, cfg.num_classes, size=n)
+        parts.append(Partition(features=sample_blob(rng, labels, cfg.num_classes,
+                                                    cfg.feature_dim, cfg.class_separation),
+                               labels=labels))
+    w0 = 0.1 * rng.standard_normal(cfg.num_classes * (cfg.feature_dim + 1))
+    return cfg, parts, w0, w0 + 0.01 * rng.standard_normal(len(w0))
+
+
+def train_outcome(train, monkeypatch, module, w0, parts, global_ref, cfg, lr):
+    """What train does: ("trained", each vehicle's weight bytes, each stream's state) or
+    ("raised", its message, the bytes of the weights its last loss_and_grad call saw)."""
+    seen = []
+    loss_and_grad = fl_core.loss_and_grad
+
+    def recording(w, *args, **kwargs):
+        seen.append(np.array(w).tobytes())
+        return loss_and_grad(w, *args, **kwargs)
+
+    monkeypatch.setattr(module, "loss_and_grad", recording)
+    rngs = [np.random.default_rng((3, k)) for k in range(len(parts))]
+    try:
+        with np.errstate(all="ignore"):  # inf - inf and overflow warn on the way
+            trained = train(w0, parts, global_ref, cfg, rngs, lr)
+    except RuntimeError as err:
+        return "raised", str(err), seen[-1]
+    finally:
+        monkeypatch.setattr(module, "loss_and_grad", loss_and_grad)
+    return ("trained", [w.tobytes() for w in trained],
+            [rng.bit_generator.state for rng in rngs])
+
+
+class TestLeanTraining:
+    """local_train against the lockstep loop it replaced, which computed every
+    step's loss: the same bits, and the same error at the same step."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(training_inputs())
+    # a one-sample tail batch in a wider step, beside a one-sample vehicle
+    @example(dict(sizes=[65, 33, 1, 64], batch_size=32, num_classes=10, feature_dim=30,
+                  local_epochs=2, prox_mu=0.0025, momentum=0.9, seed=1))
+    def test_bits_match_the_lockstep_oracle(self, inputs):
+        inputs = dict(inputs)
+        sizes, seed = inputs.pop("sizes"), inputs.pop("seed")
+        cfg, parts, w0, global_ref = training_setup(sizes, seed, **inputs)
+        got_rngs = [np.random.default_rng((seed, k)) for k in range(len(parts))]
+        want_rngs = [np.random.default_rng((seed, k)) for k in range(len(parts))]
+        got = local_train(w0, parts, global_ref, cfg, got_rngs, lr=0.05)
+        want = lockstep_local_train(w0, parts, global_ref, cfg, want_rngs, lr=0.05)
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+        assert ([rng.bit_generator.state for rng in got_rngs]
+                == [rng.bit_generator.state for rng in want_rngs])
+
+    @staticmethod
+    def _same_outcome(monkeypatch, w0, parts, global_ref, cfg, lr):
+        got = train_outcome(local_train, monkeypatch, fl_core, w0, parts, global_ref, cfg, lr)
+        want = train_outcome(lockstep_local_train, monkeypatch, oracles, w0, parts,
+                             global_ref, cfg, lr)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("mu", [0.0, 0.0025])
+    @pytest.mark.parametrize("vehicle, sample", [(1, 2), (0, 40)])  # padded, unpadded batch
+    def test_nan_features(self, monkeypatch, mu, vehicle, sample):
+        cfg, parts, w0, global_ref = training_setup([60, 5, 60], 30, num_classes=3,
+                                                    feature_dim=4, batch_size=32, prox_mu=mu)
+        parts[vehicle].features[sample] = np.nan
+        outcome = self._same_outcome(monkeypatch, w0, parts, global_ref, cfg, lr=0.1)
+        assert outcome[0] == "raised" and "(nan)" in outcome[1]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.0025])
+    @pytest.mark.parametrize("entry, value", [(0, np.nan), (1, np.inf), (13, -np.inf),
+                                              (14, np.inf)])
+    def test_non_finite_weights_in(self, monkeypatch, mu, entry, value):
+        cfg, parts, w0, global_ref = training_setup([60, 5, 60], 31, num_classes=3,
+                                                    feature_dim=4, prox_mu=mu)
+        w0[entry] = value
+        outcome = self._same_outcome(monkeypatch, w0, parts, global_ref, cfg, lr=0.1)
+        # a -inf bias drives its class's probability to 0: finite without the pull
+        assert outcome[0] == ("trained" if (entry, mu) == (13, 0.0) else "raised")
+
+    @pytest.mark.parametrize("mu, lr", [(0.0, 1e307), (0.0025, 1e100)])
+    def test_overflowing_learning_rate(self, monkeypatch, mu, lr):
+        """Without the pull the weights overflow to inf; with it, |w - ref|^2 does."""
+        cfg, parts, w0, global_ref = training_setup([60, 5, 60], 32, num_classes=3,
+                                                    feature_dim=4, batch_size=8, prox_mu=mu)
+        outcome = self._same_outcome(monkeypatch, w0, parts, global_ref, cfg, lr=lr)
+        assert outcome[0] == "raised"
+        assert np.abs(np.frombuffer(outcome[2])).max() > 1e100  # after the weights grew
+
+    @pytest.mark.parametrize("scale, raised", [(1e160, True), (3e153, False)])
+    def test_distant_reference(self, monkeypatch, scale, raised):
+        """|w - ref|^2 overflows at 1e160; at 3e153 the check fails on every step
+        but the loss stays finite, and training goes on."""
+        cfg, parts, w0, global_ref = training_setup([60, 5, 60], 33, num_classes=3,
+                                                    feature_dim=4, prox_mu=0.0025)
+        outcome = self._same_outcome(monkeypatch, w0, parts, np.full(len(w0), scale), cfg,
+                                     lr=0.1)
+        assert outcome[0] == ("raised" if raised else "trained")
+        if raised:
+            assert "(inf)" in outcome[1]
 
 
 class TestAggregate:

@@ -111,11 +111,14 @@ class TestPopulation:
         pop = make_population([2, 5, 9], position=[1.0, 2.0, 3.0])
         pop.data_size[:] = [20, 50, 90]
         pop.partitions = {2: "a", 5: "b", 9: "c"}
+        pop.label_draws = {5: "B", 9: "C"}
         pop.keep(np.array([True, False, True]))
         new = Population(ids=[12], position=[4.0], data_size=[120])
         new.partitions[12] = "d"
+        new.label_draws[12] = "D"
         pop.extend(new)
         assert pop.ids.tolist() == [2, 9, 12] and pop.partitions == {2: "a", 9: "c", 12: "d"}
+        assert pop.label_draws == {9: "C", 12: "D"}
         assert pop.data_size.tolist() == [20, 90, 120]
         assert pop.position.tolist() == [1.0, 3.0, 4.0]
         assert pop.rows([9, 12]).tolist() == [1, 2]

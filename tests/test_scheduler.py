@@ -472,6 +472,17 @@ class TestSelection:
         check = checks.selection_frequency()
         assert check.conditions and check.ok, check.detail
 
+    def test_plan_arrays_hold_the_dicts_in_id_order(self):
+        rng = np.random.default_rng(19)
+        ctx = random_context(rng, 6, alpha=0.4)
+        for plan, _ in (bcd_solve(ctx), scheme1_baseline(ctx)):
+            for array, values in ((plan.u, plan.inclusion_probs), (plan.p, plan.success_probs),
+                                  (plan.r, plan.rates)):
+                assert array.tolist() == [values[i] for i in plan.ids]
+        plan = RoundPlan(ids=(4, 7), rates={4: 1e6, 7: 2e6})  # a plan given by dicts
+        assert plan.r.tolist() == [1e6, 2e6] and np.isnan(plan.u).all()
+        assert RoundPlan().u.shape == (0,)
+
     def test_trim_keeps_best_expected_updates(self):
         ids = (0, 1, 2, 3, 4)
         plan = RoundPlan(ids=ids,

@@ -308,9 +308,9 @@ class TestArrivalPartitions:
         made = []  # vehicle id of each partition made, read off its (7, 1 + id) stream key
         make_partition = fl_core.make_partition
 
-        def recording(rng, lc):
+        def recording(rng, lc, drawn):
             made.append(rng.bit_generator.seed_seq.spawn_key[-1] - 1)
-            return make_partition(rng, lc)
+            return make_partition(rng, lc, drawn)
 
         monkeypatch.setattr(fl_core, "make_partition", recording)
         exp = Experiment(parse_config(overrides=DENSE), seed=1)
