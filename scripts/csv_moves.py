@@ -11,9 +11,11 @@ same relative path under CHANGE_OUT.  For each one whose bytes differ it
 prints the first moved row, named by its scheduler, seed and round columns
 where the file has them, and the largest relative change of every moved
 column, |change - parent| / |parent| over the rows both files hold.  Files
-that are byte-identical are counted, not listed.  The exit status is 0 when
-nothing moved, 1 when a file moved and 2 when PARENT_OUT holds no CSV.  Only
-the standard library is used.
+that are byte-identical are counted, not listed.  When the platform.txt lines
+that scripts/seeded_csvs.py writes differ between the two directories, both
+are printed first: bits may move with numpy or the BLAS kernels alone.  The
+exit status is 0 when nothing moved, 1 when a file moved and 2 when
+PARENT_OUT holds no CSV.  Only the standard library is used.
 """
 
 import csv
@@ -43,6 +45,14 @@ def relative_change(old, new):
 def row_name(row, index):
     keys = [f"{k}={row[k]}" for k in KEY_COLUMNS if k in row]
     return " ".join(keys) if keys else f"row {index}"
+
+
+def platforms(parent_dir, change_dir):
+    """Both directories' platform.txt lines, named by side, when they differ, else []."""
+    texts = [(root / "platform.txt").read_text(encoding="utf-8").strip()
+             if (root / "platform.txt").exists() else "no platform.txt"
+             for root in (parent_dir, change_dir)]
+    return [] if texts[0] == texts[1] else [f"parent {texts[0]}", f"change {texts[1]}"]
 
 
 def report(rel, parent, change):
@@ -83,6 +93,8 @@ def main(argv):
     if not parents:
         print(f"no CSV files under {parent_dir}", file=sys.stderr)
         return 2
+    for line in platforms(parent_dir, change_dir):
+        print(line)
     same = moved = 0
     for parent in parents:
         rel = parent.relative_to(parent_dir)

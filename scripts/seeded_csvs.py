@@ -12,7 +12,9 @@ scheme1 run with non-iid partitions into OUT_DIR/dense-noniid.  The package
 is imported from the src directory of the checkout that holds this script, so
 running it from a checkout of the parent and from one of the change and
 passing both OUT_DIRs to scripts/csv_moves.py reports what the change moved.
-The exit status is the first nonzero `vflsim` exit status, or 0.
+OUT_DIR/platform.txt records the numpy, BLAS and BLAS core the bits rest on,
+as the run manifests do.  The exit status is the first nonzero `vflsim` exit
+status, or 0.
 """
 
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vflsim import cli  # noqa: E402
+from vflsim import cli, sim  # noqa: E402
 
 DESK = ["traffic.arrival_rate_per_lane=0.05", "physical.feedback_delay_s=1e-4",
         "learning.feature_dim=30", "learning.class_separation=1.2",
@@ -44,6 +46,9 @@ def main(argv):
     if len(argv) != 2:
         print("usage: python3 scripts/seeded_csvs.py OUT_DIR", file=sys.stderr)
         return 2
+    out = Path(argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "platform.txt").write_text(f"platform = {sim.platform()}\n", encoding="utf-8")
     for args in commands(argv[1]):
         status = cli.main(args)
         if status:

@@ -51,7 +51,8 @@ def _logits(w, features, num_classes, one=()):
     `one` indexes the problems, along the first leading dimension, whose batch
     has one valid sample at the head of a wider padded one.  numpy runs a
     one-row slice as a gemv, whose bits differ from the gemm's, so their first
-    row gets its logits from its own one-row product.
+    row gets its logits from its own one-row product: that keeps an unpadded
+    batch's bits, which determinism alone would not need.
     """
     cd = num_classes * features.shape[-1]
     mat = w[..., :cd].reshape(w.shape[:-1] + (num_classes, features.shape[-1]))
@@ -212,13 +213,13 @@ def loss_and_grad(w, features, labels, num_classes, ref=None, mu=0.0, rows=None)
 
     rows, given with one leading dimension, holds each problem's count of
     valid samples; the samples past it are padding, which must be finite.
-    Their delta rows are set to 0, so the backward `delta^T @ X` keeps each
-    problem's bits, and the loss sums the valid samples only: it is finite
-    exactly when the unpadded loss is, though its last bits may differ.  The
-    forward `X @ W^T` runs a gemm whose row i has the same bits for every row
-    count of 2 or more, but numpy runs a slice of one row as a gemv, whose bits
-    differ; so a problem with one valid row among wider ones gets its logits
-    from its own one-row product.
+    Their delta rows are set to 0 and the loss sums the valid samples only: it
+    is finite exactly when the unpadded loss is, though its last bits may
+    differ.  A problem with one valid row among wider ones gets its logits
+    from its own one-row product, as an unpadded call would (see _logits).
+    A padded problem's gradient has the unpadded one's bits only where a gemm
+    row keeps its bits for every row count of 2 or more and zero delta rows add
+    nothing to `delta^T @ X`: not under OpenBLAS's Haswell or Prescott kernels.
     """
     n = labels.shape[-1]
     one = np.flatnonzero(rows == 1) if rows is not None and n > 1 else ()
@@ -242,17 +243,19 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
     Vehicle k trains on partitions[k] and reshuffles its batches every epoch
     from rngs[k]; the trained flat weights come back in the same order.  All
     vehicles take their SGD steps in lockstep: each step runs one forward and
-    backward pass over every vehicle still training, each batch padded to the
-    step's longest by repeating its last sample.  A vehicle's weights have the
-    same bits as when it trains alone, because no operation mixes the rows of
-    different vehicles and the padded rows change no bit of the valid ones.
+    backward pass over every vehicle still training, each batch padded by
+    repeating its last sample to one width, min(batch_size, the largest
+    partition the config can draw).  A vehicle's bits depend only on its
+    partition, its stream and the config: no operation mixes the rows of
+    different vehicles, and its gemms have the same shapes whoever trains
+    beside it.  That they also equal an unpadded loop's bits, and so the
+    stored goldens', rests on row-stable gemms (see loss_and_grad).
 
-    Every step's geometry is planned once per round.  A step computes no
-    loss: it checks that each gradient's bias part is finite, which fails
-    exactly when a vehicle's mean cross-entropy does, and that every entry of
-    w - global_ref lies where the pull's square cannot overflow.  Only when a
-    check fails does the step compute the loss, and it raises if the loss is
-    not finite.
+    A step computes no loss: it checks that each gradient's bias part is
+    finite, which fails exactly when a vehicle's mean cross-entropy does, and
+    that every entry of w - global_ref lies where the pull's square cannot
+    overflow.  Only when a check fails does the step compute the loss, and it
+    raises if the loss is not finite.
     """
     if not partitions:
         return []
@@ -277,28 +280,27 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
             at = epochs * f + epoch * size
             np.add(rngs[k].permutation(size), f, out=orders[at:at + size])
 
-    # the step plan, over the (step, vehicle, slot) grid: vehicle v trains at
-    # step s while s < steps[v], with length[s, v] samples; the step's width is
-    # the longest, and a padded slot repeats the vehicle's last sample
+    # the step plan, made once per round over dense (step, vehicle, slot)
+    # arrays: vehicle v trains at step s < steps[v] on length[s, v] samples,
+    # padded by repeating the last; a finished vehicle repeats its last step
     steps = epochs * per_epoch
     s = np.arange(steps[0])[:, None]
     live = s < steps
     m = np.count_nonzero(live, axis=1)  # vehicles still training
-    epoch, batch = np.divmod(s, np.maximum(per_epoch, 1))
-    length = np.where(live, np.minimum(n - batch * batch_size, batch_size), 0)
-    width = length.max(axis=1, initial=0)
-    slot = np.arange(width.max(initial=0))
-    cell = live[..., None] & (slot < width[:, None, None])
-    # step s's cells, (vehicle, slot) in row-major order, are [at[s], at[s + 1])
-    at = np.concatenate([[0], np.cumsum(m * width)]).tolist()
-    rows = orders[((epochs * first + epoch * n + batch * batch_size)[..., None]
-                   + np.minimum(slot, length[..., None] - 1))[cell]]
+    epoch, batch = np.divmod(np.minimum(s, steps - 1), np.maximum(per_epoch, 1))
+    length = np.minimum(n - batch * batch_size, batch_size)
+    # one width, whoever trains: the longest batch the config draws, or a larger partition's
+    largest = c * cfg.samples_per_class if cfg.partitioning == "iid" else cfg.noniid_max_samples
+    width = min(batch_size, max(largest, int(n.max())))
+    slot = np.arange(width)
+    rows = orders[(epochs * first + epoch * n + batch * batch_size)[..., None]
+                  + np.minimum(slot, length[..., None] - 1)]
     row_labels = labels[rows]
-    # the flat index of each cell's own class in its step's (m, width, c) probabilities
-    hit = (np.arange(len(n))[:, None] * width[:, None, None] + slot)[cell] * c + row_labels
-    pad = (slot >= length[..., None])[cell]
-    padded = ((length < width[:, None]) & live).any(axis=1).tolist()
-    one = live & (length == 1) & (width[:, None] > 1)
+    # the flat index of each slot's own class in its step's (k, width, c) probabilities
+    hit = (np.arange(len(n))[:, None] * width + slot) * c + row_labels
+    pad = slot >= length[..., None]
+    padded = ((length < width) & live).any(axis=1).tolist()
+    one = live & (length == 1) & (width > 1)
     ones = one.any(axis=1).tolist()
     divisor = length.astype(float)[..., None, None]
 
@@ -307,23 +309,21 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
     grad, diff = np.empty_like(w), np.empty_like(w)
     # with every |w_i - ref_i| within reach, (mu/2)|w - ref|^2 stays below 1/8 of the float range
     reach = math.sqrt(sys.float_info.max / (4.0 * w.shape[1] * max(1.0, mu)))
-    for step, (k, wide) in enumerate(zip(m.tolist(), width.tolist())):
-        cells = slice(at[step], at[step + 1])
-        x = np.take(features, rows[cells].reshape(k, wide), axis=0)
-        w_k, grad_k, diff_k = w[:k], grad[:k], diff[:k]
+    for step, k in enumerate(m.tolist()):
+        x = np.take(features, rows[step, :k], axis=0)
+        w_k, vel_k, grad_k, diff_k = w[:k], vel[:k], grad[:k], diff[:k]
         delta = _softmax(_logits(w_k, x, c, np.flatnonzero(one[step]) if ones[step] else ()))
-        _gradient(delta, x, hit[cells], pad[cells].reshape(k, wide) if padded[step] else None,
+        _gradient(delta, x, hit[step, :k], pad[step, :k] if padded[step] else None,
                   divisor[step, :k], grad_k, diff_k, w_k, global_ref, mu)
         if not (np.isfinite(grad_k[:, -c:]).all()
                 and (mu == 0.0 or -reach <= diff_k.min() and diff_k.max() <= reach)):
-            loss, _ = loss_and_grad(w_k, x, row_labels[cells].reshape(k, wide), c,
+            loss, _ = loss_and_grad(w_k, x, row_labels[step, :k], c,
                                     ref=global_ref, mu=mu, rows=length[step, :k])
             bad = ~np.isfinite(loss)
             if bad.any():
                 raise RuntimeError(f"non-finite local loss ({loss[bad][0]}) "
                                    f"at lr={lr}, batch of {length[step, :k][bad][0]} samples")
         # vel = momentum * vel + grad; w -= lr * vel
-        vel_k = vel[:k]
         vel_k *= cfg.momentum
         vel_k += grad_k
         w_k -= lr * vel_k

@@ -20,10 +20,12 @@ successful rate.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import subprocess
 import time as _time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -260,12 +262,42 @@ def git_describe():
         return "unknown"
 
 
+def blas_core():
+    """The CPU core whose kernels numpy's bundled OpenBLAS runs, as OpenBLAS names it
+    (Prescott kernels read "Katmai"), or None where numpy bundles no OpenBLAS."""
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        try:
+            dll = ctypes.CDLL(str(lib))  # the library numpy loaded, not a second copy
+        except OSError:
+            continue
+        # numpy 2 wheels bundle scipy-openblas, numpy 1 wheels OpenBLAS itself
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            if hasattr(dll, name):
+                corename = getattr(dll, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def platform():
+    """numpy's version, its BLAS and the BLAS core: the platform a CSV's bits rest on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        name = "blas unknown"
+    return f"numpy {np.__version__}, {name}, core {blas_core() or 'unknown'}"
+
+
 def write_manifest(path, cfg, seed, wall_clock_s):
     with open(path, "w", encoding="utf-8") as f:
         f.write("vflsim-manifest 1\n")
         f.write(f"seed = {seed}\n")
         f.write(f"config_hash = {config_hash(cfg)}\n")
         f.write(f"git = {git_describe()}\n")
+        f.write(f"platform = {platform()}\n")
         f.write(f"wall_clock_s = {wall_clock_s:.3f}\n")
         f.write("[config]\n")
         f.write(serialize_config(cfg))

@@ -121,7 +121,9 @@ class TestCli:
         csv = (tmp_path / "rounds_vrvfl_seed4.csv").read_text()
         assert csv == ("t,time_start,T_t,time_cum,n_feasible,n_selected,"
                        "n_success,objective,proxy,accuracy,loss\n")
-        assert (tmp_path / "manifest_vrvfl_seed4.txt").exists()
+        manifest = (tmp_path / "manifest_vrvfl_seed4.txt").read_text().splitlines()
+        platform, = [line for line in manifest if line.startswith("platform = ")]
+        assert platform.startswith(f"platform = numpy {np.__version__}, ")
 
     def test_run_batch_seeds(self, tmp_path):
         rc = cli.main(["run", "--rounds", "2", "--seeds", "1,2",

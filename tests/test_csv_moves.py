@@ -60,3 +60,21 @@ def test_parent_without_csv_exits_2(tmp_path, capsys):
     change = make_tree(tmp_path / "change")
     assert csv_moves.main(["csv_moves.py", str(tmp_path / "parent"), str(change)]) == 2
     assert "no CSV files under" in capsys.readouterr().err
+
+
+def test_differing_platforms_are_printed_first(tmp_path, capsys):
+    parent = make_tree(tmp_path / "parent")
+    change = make_tree(tmp_path / "change")
+    skylake = "platform = numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX\n"
+    (parent / "platform.txt").write_text(skylake, encoding="utf-8")
+    (change / "platform.txt").write_text(skylake, encoding="utf-8")
+    assert run(parent, change, capsys) == (0, "0 moved, 2 byte-identical\n")
+    (change / "platform.txt").write_text(skylake.replace("SkylakeX", "Haswell"),
+                                         encoding="utf-8")
+    status, out = run(parent, change, capsys)
+    assert status == 0
+    assert out.splitlines() == [f"parent {skylake.strip()}",
+                                f"change {skylake.strip().replace('SkylakeX', 'Haswell')}",
+                                "0 moved, 2 byte-identical"]
+    (change / "platform.txt").unlink()
+    assert run(parent, change, capsys)[1].splitlines()[1] == "change no platform.txt"

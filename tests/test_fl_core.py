@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (bayes_weights, lockstep_local_train, reference_local_train,
                      reference_loss_and_grad)
-from vflsim import fl_core
+from vflsim import fl_core, sim
 from vflsim.config import parse_config
 from vflsim.fl_core import (ClientUpdate, Partition, aggregate, convergence_proxy, evaluate,
                             init_weights, local_train, loss_and_grad, lr_schedule,
@@ -221,8 +225,10 @@ class TestStackedTraining:
         assert local_train(np.zeros(210), [], np.zeros(210), cfg, [], lr=0.1) == []
 
     def test_padded_rows_keep_gemm_bits(self):
-        """The BLAS behaviour padded training rests on: a gemm's row has the same bits for
-        every row count of 2 or more, and zero delta rows add nothing to the backward."""
+        """The BLAS behaviour that padded training's equality with the unpadded references
+        and the stored goldens rests on (its determinism does not): a gemm's row has the
+        same bits for every row count of 2 or more, and zero delta rows add nothing to the
+        backward."""
         rng = np.random.default_rng(22)
         c = 10
         for d in (20, 30):
@@ -281,6 +287,94 @@ class TestStackedTraining:
         with pytest.raises(RuntimeError, match=r"non-finite local loss \(nan\) at lr=0.1"):
             local_train(np.zeros(15), parts, np.zeros(15), cfg,
                         [np.random.default_rng(k) for k in range(3)], lr=0.1)
+
+
+class TestRoundWidth:
+    """Every lockstep step is padded to one width that the config alone sets."""
+
+    @staticmethod
+    def _widths(monkeypatch, cfg, sizes, together):
+        """The widths of the batches fl_core._logits receives while partitions of the
+        given sizes train, each alone or all together."""
+        rng = np.random.default_rng(40)
+        parts = []
+        for n in sizes:
+            labels = rng.integers(0, cfg.num_classes, size=n)
+            parts.append(Partition(sample_blob(rng, labels, cfg.num_classes, cfg.feature_dim,
+                                               cfg.class_separation), labels))
+        widths = set()
+        logits = fl_core._logits
+
+        def spy(w, features, *args):
+            widths.add(features.shape[-2])
+            return logits(w, features, *args)
+
+        monkeypatch.setattr(fl_core, "_logits", spy)
+        w0 = np.zeros(cfg.num_classes * (cfg.feature_dim + 1))
+        for group in ([parts] if together else [[part] for part in parts]):
+            local_train(w0, group, w0, cfg, [np.random.default_rng(k) for k in range(len(group))],
+                        lr=0.05)
+        return widths
+
+    # sizes without a one-sample batch, whose one-row product would add a width of 1
+    @pytest.mark.parametrize("learning, sizes, width", [
+        (dict(partitioning="noniid"), [7, 40, 100, 224], 32),
+        (dict(partitioning="iid", samples_per_class=5, batch_size=64), [50, 50], 50),
+        (dict(partitioning="noniid", batch_size=1000, noniid_max_samples=225), [30, 100], 225),
+    ])
+    def test_one_width_alone_and_beside_others(self, monkeypatch, learning, sizes, width):
+        cfg = learning_cfg(local_epochs=2, **learning)
+        assert width == min(cfg.batch_size, cfg.num_classes * cfg.samples_per_class
+                            if cfg.partitioning == "iid" else cfg.noniid_max_samples)
+        assert self._widths(monkeypatch, cfg, sizes, together=False) == {width}
+        assert self._widths(monkeypatch, cfg, sizes, together=True) == {width}
+
+
+# trains non-iid vehicles, the first with a one-sample tail batch, each alone and
+# then the first j of them together for j = 2..5, and prints the core and the
+# number of trained vehicles whose bytes differ from their lone run
+CO_TRAINERS = """
+import numpy as np
+from vflsim import fl_core, sim
+from vflsim.config import parse_config
+
+cfg = parse_config(overrides={"learning.partitioning": "noniid"}).learning
+differ = compared = 0
+for trial in range(10):
+    parts = [fl_core.make_partition(np.random.default_rng((trial, k)), cfg) for k in range(5)]
+    tail = (parts[0].size - 1) // cfg.batch_size * cfg.batch_size + 1
+    parts[0] = fl_core.Partition(parts[0].features[:tail], parts[0].labels[:tail])
+    rng = np.random.default_rng(trial)
+    w0 = 0.1 * rng.standard_normal(cfg.num_classes * (cfg.feature_dim + 1))
+    ref = w0 + 0.01 * rng.standard_normal(len(w0))
+
+    def train(ks):
+        return fl_core.local_train(w0, [parts[k] for k in ks], ref, cfg,
+                                   [np.random.default_rng((trial, k, 1)) for k in ks], lr=0.05)
+
+    alone = [train([k])[0].tobytes() for k in range(5)]
+    for j in range(2, 6):
+        for k, w in enumerate(train(range(j))):
+            differ += w.tobytes() != alone[k]
+            compared += 1
+print(sim.blas_core(), differ, compared)
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell", "SkylakeX"])
+def test_co_trainers_leave_a_vehicles_bits_alone(coretype):
+    """A vehicle's trained bytes are the same alone and beside 1-4 others, under each
+    OpenBLAS kernel family, whether or not its gemms keep a row's bits as rows are added."""
+    if sim.blas_core() is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(fl_core.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", CO_TRAINERS], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    core, differ, compared = out.stdout.split()
+    assert differ == "0", (f"{differ} of {compared} vehicles trained beside others differ "
+                           f"from their lone run under {core} kernels")
 
 
 @st.composite

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from vflsim import channel, fl_core, scheduler
+from vflsim import channel, fl_core, scheduler, sim
 from vflsim.config import parse_config
 from vflsim.fl_core import Partition, make_partition
 from vflsim.mobility import Population
@@ -189,6 +189,13 @@ DESK = {"traffic.arrival_rate_per_lane": "0.05", "physical.feedback_delay_s": "1
         "learning.partitioning": "noniid", "learning.lr_base": "0.01",
         "learning.aggregation": "anchored", "learning.test_samples_per_class": "200"}
 DENSE = {"traffic.arrival_rate_per_lane": "2.0", "run.scheduler": "scheme1"}
+# the platform that wrote tests/data/*.csv: their bits hold on it, and may move
+# with numpy or the BLAS kernels alone
+GOLDEN_PLATFORM = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX"
+
+
+def platform_note():
+    return f"tests/data written under {GOLDEN_PLATFORM}; this run: {sim.platform()}"
 
 
 class _ReferenceCheckedExperiment(Experiment):
@@ -346,7 +353,8 @@ def test_dense_scheme1_rounds_keep_their_bytes():
     """Three rounds of about 1,080 vehicles against the CSV the per-vehicle simulator wrote."""
     cfg = parse_config(overrides={**DENSE, "run.rounds": "3"})
     stored = Path(__file__).resolve().parent / "data" / "dense_scheme1_s1.csv"
-    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes()
+    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes(), \
+        platform_note()
 
 
 def test_dense_noniid_rounds_keep_their_bytes():
@@ -354,7 +362,8 @@ def test_dense_noniid_rounds_keep_their_bytes():
     every arrival's size comes from its own label draw."""
     cfg = parse_config(overrides={**DENSE, "learning.partitioning": "noniid", "run.rounds": "3"})
     stored = Path(__file__).resolve().parent / "data" / "dense_noniid_s1.csv"
-    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes()
+    assert round_csv_text(run_experiment(cfg, seed=1)).encode() == stored.read_bytes(), \
+        platform_note()
 
 
 def test_thousand_round_run_completes():
