@@ -19,16 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fl_core, scheduler, sim
-from .config import parse_config
+from .config import SimConfig, parse_config
 
 _LN2 = math.log(2.0)
 
-# physics constants of the random scheduling instances (the config defaults)
-W_BLOCK = 5e5
-NOISE = 10 ** (-174.0 / 10.0) * 1e-3
-TX_POWER = 10 ** (23.0 / 10.0) * 1e-3
-MODEL_BITS = 4.38e6
-ROUND_CAP = 60.0
+# physics constants of the random scheduling instances: the config defaults
+_DEFAULTS = SimConfig()
+W_BLOCK = _DEFAULTS.block_bandwidth_hz
+NOISE = _DEFAULTS.noise_density_w_hz
+TX_POWER = _DEFAULTS.tx_power_w
+MODEL_BITS = _DEFAULTS.physical.model_bits
+ROUND_CAP = _DEFAULTS.optimization.round_time_cap_s
 
 
 @dataclass
@@ -217,13 +218,10 @@ def analytic_block_limits():
     for _ in range(20):
         ctx = random_context(rng, int(rng.integers(2, 9)))
         plan1, _ = scheduler.bcd_solve(replace(ctx, alpha=1.0))
-        r1 = np.array([plan1.rates[i] for i in plan1.ids])
-        worst = max(worst, float(np.max(np.abs(r1 - ctx.r_min) / ctx.r_min)))
+        worst = max(worst, float(np.max(np.abs(plan1.r - ctx.r_min) / ctx.r_min)))
         plan0, _ = scheduler.bcd_solve(replace(ctx, alpha=0.0))
-        r0 = np.array([plan0.rates[i] for i in plan0.ids])
-        u0 = np.array([plan0.inclusion_probs[i] for i in plan0.ids])
-        worst = max(worst, float(np.max(np.abs(r0 - ctx.r_max) / ctx.r_max)))
-        worst = max(worst, float(np.max(np.abs(u0 - ctx.u_min) / ctx.u_min)))
+        worst = max(worst, float(np.max(np.abs(plan0.r - ctx.r_max) / ctx.r_max)))
+        worst = max(worst, float(np.max(np.abs(plan0.u - ctx.u_min) / ctx.u_min)))
     dt = time.monotonic() - t0
     return Check("analytic limits at alpha in {0, 1}",
                  f"worst relative deviation = {worst:.2e} over 20 instances, {dt:.1f}s",
@@ -265,16 +263,17 @@ def selection_frequency():
     rng = np.random.default_rng(20240)
     ctx = random_context(rng, 6, alpha=0.5)
     plan, _ = scheduler.bcd_solve(ctx)
-    counts = dict.fromkeys(plan.ids, 0)
-    trials = 20_000
+    counts = np.zeros(ctx.size)
+    trials, trimmed = 20_000, 0
     for _ in range(trials):
-        for vid in scheduler.realize_selection(plan, rng, ctx.n_blocks):
-            counts[vid] += 1
-    worst = max(abs(counts[i] / trials - plan.inclusion_probs[i]) for i in plan.ids)
+        selected, trim = scheduler.realize_selection(plan, rng, ctx.n_blocks)
+        counts[selected] += 1
+        trimmed += trim
+    worst = float(np.max(np.abs(counts / trials - plan.u)))
     return Check("selection frequency matches inclusion probabilities",
                  f"max |frequency - u| = {worst:.4f} over {trials} draws",
                  {"max |frequency - u| <= 0.01": worst <= 0.01,
-                  "no draw overflowed the block budget": plan.trim_events == 0})
+                  "no draw overflowed the block budget": trimmed == 0})
 
 
 def seeded_determinism():

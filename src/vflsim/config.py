@@ -179,6 +179,7 @@ class SimConfig:
             (r.rounds >= 0, "run.rounds must be >= 0"),
             # numpy seeds its generators from non-negative integers only
             (r.seed >= 0, "run.seed must be >= 0"),
+            (all(float(s).is_integer() for s in r.seeds), "run.seeds items must be integers"),
             (all(s >= 0 for s in r.seeds), "run.seeds items must be >= 0"),
             (all(0.0 <= a <= 1.0 for a in r.compare_alphas),
              "run.compare_alphas items must lie in [0, 1]"),

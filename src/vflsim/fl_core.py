@@ -30,17 +30,6 @@ class Partition:
         return len(self.labels)
 
 
-@dataclass
-class ClientUpdate:
-    """One successfully received local model plus its reweighting statistics."""
-
-    vehicle_id: int
-    weights: np.ndarray
-    data_size: int
-    inclusion_prob: float  # u in (0, 1]
-    success_prob: float  # P(success | estimate) in (0, 1]
-
-
 def init_weights(num_classes, feature_dim):
     return np.zeros(num_classes * feature_dim + num_classes)
 
@@ -330,30 +319,34 @@ def local_train(weights_in, partitions, global_ref, cfg, rngs, lr):
     return list(w[np.argsort(rank)])
 
 
-def aggregate(updates, total_data, global_prev, anchored=False):
+def aggregate(weights, data_sizes, inclusion_probs, success_probs, total_data, global_prev,
+              anchored=False):
     """Combine received models, amplifying rarely-included or outage-prone senders.
 
+    `weights` are the received models and `data_sizes`, `inclusion_probs` and
+    `success_probs` their D_v, u_v and p_v, aligned with them; the models are
+    added in the order given.
     Default: w' = sum_v (D_v / D) * w_v / (u_v * p_v) over the received set.
     Anchored: the same correction applied to deltas from the previous global,
     w' = w_prev + sum_v (D_v / D) * (w_v - w_prev) / (u_v * p_v), which keeps
     the update unbiased around the full-participation average while staying
     anchored at w_prev in unlucky rounds.  Empty input returns global_prev.
     """
-    if not updates:
+    if not len(weights):
         return np.array(global_prev, copy=True)
     if total_data <= 0:
         raise ValueError(f"total_data must be > 0, got {total_data}")
     out = np.array(global_prev, copy=True) if anchored else np.zeros_like(np.asarray(global_prev, dtype=float))
-    for upd in sorted(updates, key=lambda u: u.vehicle_id):
-        if upd.inclusion_prob <= 0 or upd.success_prob <= 0:
-            raise ValueError(
-                f"vehicle {upd.vehicle_id}: inclusion/success probabilities must be > 0 "
-                f"(got u={upd.inclusion_prob}, p={upd.success_prob})")
-        scale = upd.data_size / (total_data * upd.inclusion_prob * upd.success_prob)
+    for k, (w, d, u, p) in enumerate(zip(weights, data_sizes, inclusion_probs, success_probs,
+                                         strict=True)):
+        if u <= 0 or p <= 0:
+            raise ValueError(f"model {k}: inclusion/success probabilities must be > 0 "
+                             f"(got u={u}, p={p})")
+        scale = d / (total_data * u * p)
         if anchored:
-            out += scale * (upd.weights - global_prev)
+            out += scale * (w - global_prev)
         else:
-            out += scale * upd.weights
+            out += scale * w
     return out
 
 

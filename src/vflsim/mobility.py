@@ -81,8 +81,9 @@ class Population:
         return len(self.ids)
 
     def values(self):
-        """The population itself, which build_context takes whole: callers written
-        against a dict of vehicles pass `vehicles.values()`."""
+        """The population itself, which build_context takes whole.  It stays for
+        its one caller, benchmarks/bench_workloads.py's round0_context, written
+        when the road was a dict of vehicles."""
         return self
 
     def extend(self, other):

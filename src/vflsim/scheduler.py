@@ -834,51 +834,40 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     return np.clip(u, ctx.u_min, 1.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundPlan:
-    """Inclusion probabilities and rates for one round, plus realized outcomes.
+    """One round's solve: per-vehicle arrays aligned with `ids` (the context's ids).
 
-    `u`, `p` and `r` hold inclusion_probs, success_probs and rates again, as
-    arrays in ids order.  A plan made from its dicts alone takes them from
-    the dicts, with nan for an id a dict lacks.
+    `u` holds the inclusion probabilities, `r` the rates and `p` the success
+    probabilities of those rates.  A round refers to a vehicle by its
+    position in these arrays.  `inclusion_probs` and `rates` are views of `u`
+    and `r` by id; they stay for the benchmark's plan check, which reads them,
+    and its test, which assigns `inclusion_probs`.
     """
 
     ids: tuple = ()
-    inclusion_probs: dict = field(default_factory=dict)
-    rates: dict = field(default_factory=dict)
-    success_probs: dict = field(default_factory=dict)
-    selected_set: set = field(default_factory=set)
-    round_time: float = 0.0
+    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    p: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    r: np.ndarray = field(default_factory=lambda: np.zeros(0))
     objective_value: float = math.nan
-    trim_events: int = 0
-    u: np.ndarray = field(default=None, compare=False)
-    p: np.ndarray = field(default=None, compare=False)
-    r: np.ndarray = field(default=None, compare=False)
-
-    def __post_init__(self):
-        for name, values in (("u", self.inclusion_probs), ("p", self.success_probs),
-                             ("r", self.rates)):
-            if getattr(self, name) is None:
-                setattr(self, name, np.array([values.get(i, math.nan) for i in self.ids],
-                                             dtype=float))
 
     @property
-    def is_empty(self):
-        return len(self.ids) == 0
+    def inclusion_probs(self):
+        return dict(zip(self.ids, self.u.tolist()))
+
+    @inclusion_probs.setter
+    def inclusion_probs(self, by_id):
+        self.u = np.array([by_id[i] for i in self.ids], dtype=float)
+
+    @property
+    def rates(self):
+        return dict(zip(self.ids, self.r.tolist()))
 
 
 def _plan_from(ctx, u, rates, obj):
     u, rates = np.array(u, dtype=float), np.array(rates, dtype=float)
-    p = ctx.success_prob(rates)
-    ids = ctx.ids.tolist()
-    return RoundPlan(
-        ids=tuple(ids),
-        inclusion_probs=dict(zip(ids, u.tolist())),
-        rates=dict(zip(ids, rates.tolist())),
-        success_probs=dict(zip(ids, p.tolist())),
-        objective_value=obj,
-        u=u, p=p, r=rates,
-    )
+    return RoundPlan(ids=tuple(ctx.ids.tolist()), u=u, p=ctx.success_prob(rates), r=rates,
+                     objective_value=obj)
 
 
 def _start_points(ctx):
@@ -998,28 +987,25 @@ def scheme2_baseline(ctx: SchedulingContext):
 
 def realize_selection(plan: RoundPlan, rng, n_blocks):
     """Independent Bernoulli(u_v) inclusion; overflow beyond the block budget keeps
-    the vehicles with the largest u_v * p_v (most valuable expected updates)."""
-    if plan.is_empty:
-        plan.selected_set = set()
-        return plan.selected_set
-    ids = np.array(plan.ids)
-    drawn = rng.uniform(size=len(ids)) < plan.u
-    chosen = ids[drawn]
-    if len(chosen) > n_blocks:
-        score = (plan.u * plan.p)[drawn]
-        keep = chosen[np.lexsort((chosen, -score))][: int(n_blocks)]
-        plan.trim_events = len(chosen) - len(keep)
-        chosen = keep
-    plan.selected_set = {int(i) for i in chosen}
-    return plan.selected_set
+    the vehicles with the largest u_v * p_v (most valuable expected updates), the
+    lower id on a tie.
+
+    Returns the selected positions in the plan's arrays, ascending, and how
+    many drawn vehicles the budget trimmed.
+    """
+    drawn = np.flatnonzero(rng.uniform(size=len(plan.ids)) < plan.u)
+    if len(drawn) <= n_blocks:
+        return drawn, 0
+    keep = drawn[np.lexsort((drawn, -(plan.u * plan.p)[drawn]))][: int(n_blocks)]
+    return np.sort(keep), len(drawn) - len(keep)
 
 
-def round_time(plan: RoundPlan, successful_ids, model_bits, round_time_cap):
-    """Duration of a round: the whole model at the slowest successful rate."""
-    rates = [plan.rates[i] for i in successful_ids]
-    if not rates:
+def round_time(plan: RoundPlan, successful, model_bits, round_time_cap):
+    """Duration of a round: the whole model at the slowest rate among the
+    successful positions, or the cap when none succeeded."""
+    if not len(successful):
         return round_time_cap
-    return model_bits / min(rates)
+    return model_bits / float(plan.r[successful].min())
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,17 @@ class Experiment:
             return scheduler.scheme2_baseline(ctx)
         return scheduler.bcd_solve(ctx)
 
-    def draw_outcomes(self, plan, ctx, rng=None):
-        """Realized rate-support events for the selected vehicles, id ascending.
+    def draw_outcomes(self, plan, ctx, selected, rng=None):
+        """The selected positions whose transmission survives, ascending.
 
-        Draws the unknown error power |h_err|^2 ~ Exp(1) of each selected
-        vehicle, in one call over the ascending ids, and keeps those whose draw
-        is at most the support margin of their assigned rate: the event whose
-        probability is the plan's success probability.
+        Draws the unknown error power |h_err|^2 ~ Exp(1) of each position in
+        `selected`, an ascending array of positions in the plan's arrays, in
+        one call, and keeps those whose draw is at most the support margin of
+        their assigned rate: the event whose probability is the plan's `p`.
         """
         rng = self.rng_outage if rng is None else rng
-        selected = np.array(sorted(plan.selected_set), dtype=int)
-        margin = ctx.support_margin(plan.r)
         err_power = rng.exponential(1.0, size=len(selected))
-        return selected[err_power <= margin[np.searchsorted(ctx.ids, selected)]].tolist()
+        return selected[err_power <= ctx.support_margin(plan.r)[selected]]
 
     def run_round(self):
         cfg = self.cfg
@@ -187,37 +185,31 @@ class Experiment:
         self._advance_population(self.time)  # moves by the previous round time
         self._refresh_channels()
         ctx = scheduler.build_context(self.vehicles, self.geometry, cfg)
-        if ctx.size == 0:
-            plan = scheduler.RoundPlan()
-            successful = []
-        else:
-            plan, _report = self._solve(ctx)
-            scheduler.realize_selection(plan, self.rng_selection, cfg.physical.n_blocks)
-            successful = self.draw_outcomes(plan, ctx)
+        plan, _report = self._solve(ctx)
+        selected, trimmed = scheduler.realize_selection(plan, self.rng_selection,
+                                                        cfg.physical.n_blocks)
+        successful = self.draw_outcomes(plan, ctx, selected)
         lr = fl_core.lr_schedule(t_idx, cfg.learning.lr_base, cfg.learning.lr_decay_rounds)
-        ids = sorted(successful)
+        ids = ctx.ids[successful].tolist()
         parts = self.partitions(ids)
         trained = fl_core.local_train(self.weights, parts, self.weights, cfg.learning,
                                       [_stream(self.seed, _TRAINING, vid, t_idx) for vid in ids],
                                       lr)
-        updates = [fl_core.ClientUpdate(vehicle_id=vid, weights=w, data_size=part.size,
-                                        inclusion_prob=plan.inclusion_probs[vid],
-                                        success_prob=plan.success_probs[vid])
-                   for vid, part, w in zip(ids, parts, trained)]
-        self.weights = fl_core.aggregate(updates, max(ctx.d_total, 1.0), self.weights,
+        self.weights = fl_core.aggregate(trained, ctx.data_sizes[successful],
+                                         plan.u[successful], plan.p[successful], ctx.d_total,
+                                         self.weights,
                                          anchored=cfg.learning.aggregation == "anchored")
         t_round = scheduler.round_time(plan, successful, cfg.physical.model_bits,
                                        cfg.optimization.round_time_cap_s)
-        plan.round_time = t_round
         proxy = fl_core.convergence_proxy(ctx.data_sizes, plan.u, plan.p) if ctx.size else math.nan
         acc, loss = fl_core.evaluate(self.weights, self.test_x, self.test_y,
                                      cfg.learning.num_classes)
         rec = RoundRecord(
             t=t_idx, time_start=self.time, round_time=t_round,
             time_cum=self.time + t_round, n_feasible=ctx.size,
-            n_selected=len(plan.selected_set), n_success=len(successful),
+            n_selected=len(selected), n_success=len(successful),
             objective=plan.objective_value, proxy=proxy, accuracy=acc, loss=loss,
-            trim_events=plan.trim_events)
+            trim_events=trimmed)
         self.records.append(rec)
         self.time += t_round
         return rec

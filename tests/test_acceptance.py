@@ -145,9 +145,9 @@ def test_criterion_6_anchored_aggregation_unbiased():
     samples = w_prev + (ind * scale) @ (locals_ - w_prev)
     # cross-check the vectorization against the aggregation routine itself
     for k in range(25):
-        upds = [fl_core.ClientUpdate(v, locals_[v], int(d[v]), float(u[v]), float(p[v]))
-                for v in range(n) if ind[k, v]]
-        direct = fl_core.aggregate(upds, float(d.sum()), w_prev, anchored=True)
+        got = ind[k] > 0
+        direct = fl_core.aggregate(locals_[got], d[got], u[got], p[got], float(d.sum()), w_prev,
+                                   anchored=True)
         assert np.allclose(direct, samples[k], rtol=1e-12, atol=1e-12)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(trials)

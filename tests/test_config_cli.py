@@ -1,8 +1,11 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_acceptance import _desk_config
 from vflsim import cli
 from vflsim.config import (ConfigError, SimConfig, config_hash, iter_keys, parse_config,
                            serialize_config)
@@ -95,6 +98,16 @@ class TestValidation:
     def test_out_of_range_run_value_named(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("value", ["1.5", "3,2.5", "1e-1"])
+    def test_non_integral_seed_named(self, value):
+        with pytest.raises(ConfigError, match=re.escape("run.seeds")):
+            parse_config(overrides={"run.seeds": value})
+
+    def test_non_integral_seed_runs_nothing(self, tmp_path, capsys):
+        rc = cli.main(["run", "--rounds", "0", "--seeds", "1.5", "--out-dir", str(tmp_path)])
+        assert rc == 2 and "run.seeds" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_zero_feedback_delay_rejected(self):
         # epsilon = J0(0) = 1 leaves no estimation error, and the success
@@ -227,3 +240,27 @@ class TestCli:
 def test_validate_passes_on_fresh_checkout(tmp_path):
     rc = cli.main(["validate", "--out-dir", str(tmp_path)])
     assert rc == 0
+
+
+def _assigned_literal(path, name):
+    """The literal that the module at `path` assigns to `name`, read without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    value, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+def test_desk_regime_is_one_config():
+    """Acceptance 7's desk config, the seeded-CSV script's and the benchmark's agree
+    on every key but the round count and the scheduler."""
+    def text(cfg):
+        return "".join(line for line in serialize_config(cfg).splitlines(keepends=True)
+                       if not line.startswith(("run.rounds ", "run.scheduler ")))
+
+    root = Path(__file__).resolve().parent.parent
+    script = _assigned_literal(root / "scripts" / "seeded_csvs.py", "DESK")
+    bench = _assigned_literal(root / "benchmarks" / "bench_workloads.py", "DESK_OVERRIDES")
+    desk = text(_desk_config("vrvfl"))
+    assert desk != text(parse_config())
+    assert text(parse_config(overrides=dict(item.split("=", 1) for item in script))) == desk
+    assert text(parse_config(overrides=bench)) == desk

@@ -14,7 +14,7 @@ from oracles import (bayes_weights, lockstep_local_train, reference_local_train,
                      reference_loss_and_grad)
 from vflsim import fl_core, sim
 from vflsim.config import parse_config
-from vflsim.fl_core import (ClientUpdate, Partition, aggregate, convergence_proxy, evaluate,
+from vflsim.fl_core import (Partition, aggregate, convergence_proxy, evaluate,
                             init_weights, local_train, loss_and_grad, lr_schedule,
                             make_partition, make_test_set, sample_blob)
 
@@ -504,38 +504,51 @@ class TestAggregate:
     def test_single_full_weight(self):
         w_prev = np.zeros(4)
         w_v = np.array([1.0, -2.0, 3.0, 0.5])
-        upd = [ClientUpdate(0, w_v, 100, 1.0, 1.0)]
-        assert np.allclose(aggregate(upd, 100, w_prev), w_v)
-        assert np.allclose(aggregate(upd, 100, w_prev, anchored=True), w_v)
+        assert np.allclose(aggregate([w_v], [100], [1.0], [1.0], 100, w_prev), w_v)
+        assert np.allclose(aggregate([w_v], [100], [1.0], [1.0], 100, w_prev, anchored=True), w_v)
 
     def test_empty_keeps_previous(self):
         w_prev = np.array([1.0, 2.0])
-        out = aggregate([], 50, w_prev)
+        out = aggregate([], [], [], [], 50, w_prev)
         assert np.array_equal(out, w_prev)
         out[0] = 99.0
         assert w_prev[0] == 1.0  # returned copy, not an alias
 
     def test_zero_probability_rejected(self):
+        with pytest.raises(ValueError, match="model 0"):
+            aggregate([np.ones(2)], [10], [0.0], [0.5], 10, np.zeros(2))
+        with pytest.raises(ValueError, match="model 0"):
+            aggregate([np.ones(2)], [10], [0.5], [0.0], 10, np.zeros(2))
+
+    def test_misaligned_arrays_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([ClientUpdate(0, np.ones(2), 10, 0.0, 0.5)], 10, np.zeros(2))
-        with pytest.raises(ValueError):
-            aggregate([ClientUpdate(0, np.ones(2), 10, 0.5, 0.0)], 10, np.zeros(2))
+            aggregate([np.ones(2), np.ones(2)], [10], [0.5, 0.5], [0.5, 0.5], 10, np.zeros(2))
+
+    def test_models_added_in_the_order_given(self):
+        rng = np.random.default_rng(9)
+        w_prev = rng.standard_normal(5)
+        ws = rng.standard_normal((4, 5))
+        d, u, p = np.array([60.0, 80.0, 50.0, 70.0]), rng.uniform(0.3, 1, 4), rng.uniform(0.3, 1, 4)
+        expected = w_prev.copy()
+        for k in range(4):
+            expected += d[k] / (300.0 * u[k] * p[k]) * (ws[k] - w_prev)
+        out = aggregate(ws, d, u, p, 300.0, w_prev, anchored=True)
+        assert out.tobytes() == expected.tobytes()
 
     def test_data_scale_invariance(self):
         rng = np.random.default_rng(10)
         w_prev = rng.standard_normal(5)
-        upds = [ClientUpdate(i, rng.standard_normal(5), 50 + 10 * i, 0.5, 0.8)
-                for i in range(4)]
-        base = aggregate(upds, 200, w_prev)
-        scaled = [ClientUpdate(u.vehicle_id, u.weights, u.data_size * 17,
-                               u.inclusion_prob, u.success_prob) for u in upds]
-        assert np.allclose(aggregate(scaled, 200 * 17, w_prev), base, rtol=1e-12)
+        ws = [rng.standard_normal(5) for _ in range(4)]
+        d = np.array([50 + 10 * i for i in range(4)])
+        u, p = np.full(4, 0.5), np.full(4, 0.8)
+        base = aggregate(ws, d, u, p, 200, w_prev)
+        assert np.allclose(aggregate(ws, d * 17, u, p, 200 * 17, w_prev), base, rtol=1e-12)
 
     def test_anchored_mode_unbiased(self):
         rng = np.random.default_rng(11)
         n, dim = 6, 4
         w_prev = rng.standard_normal(dim)
-        locals_ = [rng.standard_normal(dim) for _ in range(n)]
+        locals_ = rng.standard_normal((n, dim))
         d = rng.integers(50, 200, size=n).astype(float)
         u = rng.uniform(0.4, 0.9, n)
         p = rng.uniform(0.5, 0.95, n)
@@ -543,10 +556,8 @@ class TestAggregate:
         trials = 4000
         acc = np.zeros(dim)
         for _ in range(trials):
-            upds = [ClientUpdate(v, locals_[v], int(d[v]), float(u[v]), float(p[v]))
-                    for v in range(n)
-                    if rng.uniform() < u[v] and rng.uniform() < p[v]]
-            acc += aggregate(upds, d.sum(), w_prev, anchored=True)
+            got = [v for v in range(n) if rng.uniform() < u[v] and rng.uniform() < p[v]]
+            acc += aggregate(locals_[got], d[got], u[got], p[got], d.sum(), w_prev, anchored=True)
         assert np.allclose(acc / trials, target, atol=0.05)
 
 
@@ -654,12 +665,10 @@ def test_federated_tracks_centralized_on_iid():
     w_fed = init_weights(4, 8)
     total = sum(p.size for p in parts)
     for t in range(rounds):
-        upds = []
-        for v, p in enumerate(parts):
-            trained, = local_train(w_fed, [p], w_fed, cfg,
-                                   [np.random.default_rng((t, v))], lr=lr)
-            upds.append(ClientUpdate(v, trained, p.size, 1.0, 1.0))
-        w_fed = aggregate(upds, total, w_fed)
+        trained = [local_train(w_fed, [p], w_fed, cfg, [np.random.default_rng((t, v))], lr=lr)[0]
+                   for v, p in enumerate(parts)]
+        ones = np.ones(n_vehicles)
+        w_fed = aggregate(trained, [p.size for p in parts], ones, ones, total, w_fed)
 
     steps_per_vehicle = cfg.local_epochs * math.ceil(parts[0].size / cfg.batch_size)
     total_steps = rounds * n_vehicles * steps_per_vehicle

@@ -357,23 +357,23 @@ class TestBcd:
         plan_a, _ = bcd_solve(replace(ctx, alpha=1.0))
         plan_b, _ = scheme2_baseline(ctx)
         assert ctx.alpha == alpha  # scheme2 solves a copy of the context
-        assert plan_a.rates == plan_b.rates
-        assert plan_a.inclusion_probs == plan_b.inclusion_probs
-        sel_a = realize_selection(plan_a, np.random.default_rng(42), ctx.n_blocks)
-        sel_b = realize_selection(plan_b, np.random.default_rng(42), ctx.n_blocks)
-        assert sel_a == sel_b
+        assert plan_a.ids == plan_b.ids
+        assert plan_a.r.tobytes() == plan_b.r.tobytes()
+        assert plan_a.u.tobytes() == plan_b.u.tobytes()
+        sel_a, _ = realize_selection(plan_a, np.random.default_rng(42), ctx.n_blocks)
+        sel_b, _ = realize_selection(plan_b, np.random.default_rng(42), ctx.n_blocks)
+        assert sel_a.tolist() == sel_b.tolist()
 
     def test_empty_context_skips(self):
         ctx = symmetric_context(0)
         plan, report = bcd_solve(ctx)
-        assert plan.is_empty and report.iterations == 0
+        assert plan.ids == () and len(plan.u) == 0 and report.iterations == 0
 
     def test_partial_optimality_probes(self):
         rng = np.random.default_rng(11)
         ctx = random_context(rng, 6, alpha=0.45)
         plan, _ = bcd_solve(ctx)
-        u = np.array([plan.inclusion_probs[i] for i in plan.ids])
-        rates = np.array([plan.rates[i] for i in plan.ids])
+        u, rates = plan.u, plan.r
         base = plan.objective_value
         slack = 1e-6 * abs(base)
         for _ in range(100):
@@ -417,17 +417,18 @@ class TestPlanInvariants:
             nb = float(rng.choice([20.0, 4.0]))
             ctx = random_context(rng, n, alpha=float(rng.uniform(0.05, 0.95)), n_blocks=nb)
             plan, _ = bcd_solve(ctx)
-            u = np.array([plan.inclusion_probs[i] for i in plan.ids])
-            rates = np.array([plan.rates[i] for i in plan.ids])
+            u, rates = plan.u, plan.r
+            assert plan.ids == tuple(ctx.ids.tolist())
             assert u.sum() <= ctx.n_blocks + 1e-9
             assert np.all(u >= ctx.u_min - 1e-12) and np.all(u <= 1.0 + 1e-12)
             assert np.all(rates >= ctx.r_min - 1e-9) and np.all(rates <= ctx.r_max + 1e-9)
-            realize_selection(plan, rng, ctx.n_blocks)
-            assert plan.selected_set <= set(plan.ids)
-            succ = sorted(plan.selected_set)[: max(1, len(plan.selected_set) // 2)]
+            selected, trimmed = realize_selection(plan, rng, ctx.n_blocks)
+            assert np.all(np.diff(selected) > 0) and np.all((0 <= selected) & (selected < n))
+            assert len(selected) <= ctx.n_blocks and trimmed >= 0
+            succ = selected[: max(1, len(selected) // 2)]
             t_round = round_time(plan, succ, ctx.model_bits, 60.0)
-            if succ:
-                assert t_round == ctx.model_bits / min(plan.rates[i] for i in succ)
+            if len(succ):
+                assert t_round == ctx.model_bits / min(rates[k] for k in succ)
 
 
 class TestBlockConvexity:
@@ -466,7 +467,8 @@ class TestSelection:
         plan, _ = bcd_solve(ctx)  # alpha = 1 and a slack budget -> u = 1
         rng = np.random.default_rng(13)
         for _ in range(50):
-            assert realize_selection(plan, rng, ctx.n_blocks) == set(plan.ids)
+            selected, trimmed = realize_selection(plan, rng, ctx.n_blocks)
+            assert selected.tolist() == [0, 1, 2] and trimmed == 0
 
     def test_empirical_frequency(self):
         check = checks.selection_frequency()
@@ -476,48 +478,48 @@ class TestSelection:
         rng = np.random.default_rng(19)
         ctx = random_context(rng, 6, alpha=0.4)
         for plan, _ in (bcd_solve(ctx), scheme1_baseline(ctx)):
-            for array, values in ((plan.u, plan.inclusion_probs), (plan.p, plan.success_probs),
-                                  (plan.r, plan.rates)):
-                assert array.tolist() == [values[i] for i in plan.ids]
-        plan = RoundPlan(ids=(4, 7), rates={4: 1e6, 7: 2e6})  # a plan given by dicts
-        assert plan.r.tolist() == [1e6, 2e6] and np.isnan(plan.u).all()
-        assert RoundPlan().u.shape == (0,)
+            assert plan.ids == tuple(ctx.ids.tolist())
+            assert plan.p.tobytes() == ctx.success_prob(plan.r).tobytes()
+            for array, view in ((plan.u, plan.inclusion_probs), (plan.r, plan.rates)):
+                assert list(view) == list(plan.ids)
+                assert list(view.values()) == array.tolist()
+        assert RoundPlan().u.shape == RoundPlan().p.shape == RoundPlan().r.shape == (0,)
 
     def test_trim_keeps_best_expected_updates(self):
-        ids = (0, 1, 2, 3, 4)
-        plan = RoundPlan(ids=ids,
-                         inclusion_probs={i: 1.0 for i in ids},
-                         rates={i: 1e6 for i in ids},
-                         success_probs={0: 0.2, 1: 0.9, 2: 0.8, 3: 0.5, 4: 0.7})
+        plan = RoundPlan(ids=(10, 11, 12, 13, 14), u=np.ones(5),
+                         p=np.array([0.2, 0.9, 0.8, 0.5, 0.7]), r=np.full(5, 1e6))
         rng = np.random.default_rng(15)
-        selected = realize_selection(plan, rng, 2)
-        assert selected == {1, 2}  # largest u*p among the five drawn vehicles
-        assert plan.trim_events == 3
+        selected, trimmed = realize_selection(plan, rng, 2)
+        assert selected.tolist() == [1, 2]  # largest u*p among the five drawn vehicles
+        assert trimmed == 3
+        plan.p = np.full(5, 0.5)  # a tie keeps the lower positions
+        assert realize_selection(plan, rng, 3)[0].tolist() == [0, 1, 2]
 
 
 class TestRoundTime:
     def test_slowest_successful_rate(self):
-        plan = RoundPlan(ids=(0, 1), rates={0: 1e6, 1: 2e6})
-        assert round_time(plan, [0, 1], 4.38e6, 60.0) == pytest.approx(4.38)
+        plan = RoundPlan(ids=(4, 7, 9), r=np.array([1e6, 3e6, 2e6]))
+        assert round_time(plan, np.array([1, 2]), 4.38e6, 60.0) == pytest.approx(2.19)
+        assert round_time(plan, np.array([0, 1, 2]), 4.38e6, 60.0) == pytest.approx(4.38)
 
     def test_single(self):
-        plan = RoundPlan(ids=(0,), rates={0: MODEL_BITS / 10.0})
-        assert round_time(plan, [0], MODEL_BITS, 60.0) == pytest.approx(10.0)
+        plan = RoundPlan(ids=(0,), r=np.array([MODEL_BITS / 10.0]))
+        assert round_time(plan, np.array([0]), MODEL_BITS, 60.0) == pytest.approx(10.0)
 
     def test_empty_falls_back_to_cap(self):
-        assert round_time(RoundPlan(), [], MODEL_BITS, 60.0) == 60.0
+        assert round_time(RoundPlan(), np.zeros(0, dtype=int), MODEL_BITS, 60.0) == 60.0
 
 
 class TestBaselines:
     def test_scheme1_small_population_full_inclusion(self):
         ctx = symmetric_context(4, n_blocks=20.0)
         plan, _ = scheme1_baseline(ctx)
-        assert all(plan.inclusion_probs[i] == 1.0 for i in plan.ids)
+        assert plan.u.tolist() == [1.0] * ctx.size
 
     def test_scheme1_double_population_halves(self):
         ctx = symmetric_context(8, n_blocks=4.0)
         plan, _ = scheme1_baseline(ctx)
-        assert all(plan.inclusion_probs[i] == 0.5 for i in plan.ids)
+        assert plan.u.tolist() == [0.5] * ctx.size
 
     def test_scheme1_rates_are_reliability_first(self):
         rng = np.random.default_rng(16)
@@ -525,7 +527,7 @@ class TestBaselines:
         plan, _ = scheme1_baseline(ctx)
         u = np.full(ctx.size, min(1.0, ctx.n_blocks / ctx.size))
         expected = solve_rate_block(u, replace(ctx, alpha=1.0))
-        assert np.array_equal(np.array([plan.rates[i] for i in plan.ids]), expected)
+        assert np.array_equal(plan.r, expected)
 
 
 def test_budget_shrink_drops_weakest_links():
@@ -643,9 +645,8 @@ def test_instance_dump_with_retired_block_iters_loads():
     new_plan, old_plan = bcd_solve(load_instance(text))[0], bcd_solve(load_instance(old))[0]
     assert old_plan.ids == new_plan.ids
     assert repr(old_plan.objective_value) == repr(new_plan.objective_value)
-    for i in new_plan.ids:
-        assert repr(old_plan.inclusion_probs[i]) == repr(new_plan.inclusion_probs[i])
-        assert repr(old_plan.rates[i]) == repr(new_plan.rates[i])
+    assert old_plan.u.tobytes() == new_plan.u.tobytes()
+    assert old_plan.r.tobytes() == new_plan.r.tobytes()
 
 
 def test_instance_dump_keeps_budget_dropped():

@@ -91,31 +91,44 @@ class TestRoundMechanics:
 
     def test_outage_frequency_matches_closed_form(self):
         exp, ctx, plan = solved_round()
-        plan.selected_set = set(plan.ids)
+        everyone = np.arange(ctx.size)
         rng = np.random.default_rng(99)
         trials = 10_000
-        counts = dict.fromkeys(plan.ids, 0)
+        counts = np.zeros(ctx.size)
         for _ in range(trials):
-            for vid in exp.draw_outcomes(plan, ctx, rng):
-                counts[vid] += 1
-        for vid in plan.ids:
-            assert counts[vid] / trials == pytest.approx(plan.success_probs[vid], abs=0.02)
+            counts[exp.draw_outcomes(plan, ctx, everyone, rng)] += 1
+        assert np.allclose(counts / trials, plan.p, rtol=0.0, atol=0.02)
 
     def test_planned_probability_and_drawn_event_share_one_margin(self):
         exp, ctx, plan = solved_round()
-        margin = ctx.support_margin([plan.rates[i] for i in plan.ids])
+        margin = ctx.support_margin(plan.r)
         assert np.all(margin > 0.0)
-        for vid, m in zip(plan.ids, margin):
-            assert plan.success_probs[vid] == float(-np.expm1(-m))
+        for p, m in zip(plan.p.tolist(), margin):
+            assert p == float(-np.expm1(-m))
         # every other vehicle is selected; their error powers land just above,
         # just below or exactly on their margins
-        picked = list(range(1, ctx.size, 2))
-        plan.selected_set = {plan.ids[k] for k in picked}
+        picked = np.arange(1, ctx.size, 2)
         draws = [np.nextafter(margin[k], (np.inf, -np.inf, margin[k])[j % 3])
                  for j, k in enumerate(picked)]
-        kept = [plan.ids[k] for j, k in enumerate(picked) if j % 3]
+        kept = [k for j, k in enumerate(picked.tolist()) if j % 3]
         assert len(picked) >= 6
-        assert exp.draw_outcomes(plan, ctx, FixedDraws(draws)) == kept
+        assert exp.draw_outcomes(plan, ctx, picked, FixedDraws(draws)).tolist() == kept
+
+
+def _per_id_read(plan):
+    raise AssertionError("a round read its plan by vehicle id")
+
+
+def test_round_reads_only_the_plan_arrays(monkeypatch):
+    """A round's selection, outcomes, round time and aggregation take the plan's
+    arrays by position: with the per-id views raising, every CSV keeps its text."""
+    cfgs = {name: small_cfg(run__scheduler=name) for name in ("vrvfl", "scheme1", "scheme2")}
+    plain = {name: run_experiment(cfg, seed=4) for name, cfg in cfgs.items()}
+    assert all(any(r.n_success for r in recs) for recs in plain.values())
+    monkeypatch.setattr(scheduler.RoundPlan, "inclusion_probs", property(_per_id_read))
+    monkeypatch.setattr(scheduler.RoundPlan, "rates", property(_per_id_read))
+    for name, cfg in cfgs.items():
+        assert round_csv_text(run_experiment(cfg, seed=4)) == round_csv_text(plain[name])
 
 
 class TestDeterminism:
@@ -323,7 +336,12 @@ class TestArrivalPartitions:
         exp = Experiment(parse_config(overrides=DENSE), seed=1)
         assert made == [] and len(exp.vehicles) > 1000
         trainers, draw_outcomes = [], exp.draw_outcomes
-        exp.draw_outcomes = lambda *args: trainers.append(draw_outcomes(*args)) or trainers[-1]
+
+        def recorded(plan, ctx, selected):
+            successful = draw_outcomes(plan, ctx, selected)
+            trainers.append(ctx.ids[successful].tolist())
+            return successful
+        exp.draw_outcomes = recorded
         for _ in range(3):
             before = list(made)
             parts = dict(exp.vehicles.partitions)

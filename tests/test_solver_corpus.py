@@ -29,8 +29,7 @@ def test_plan_no_worse_than_recorded_and_feasible(name):
     # stored before dumps carried the dropped ids: none are assumed
     assert ctx.budget_dropped == ()
     plan, report = bcd_solve(ctx)
-    u = np.array([plan.inclusion_probs[i] for i in plan.ids])
-    rates = np.array([plan.rates[i] for i in plan.ids])
+    u, rates = plan.u, plan.r
     assert plan.objective_value <= RECORDED[name] * (1.0 + 1e-9)
     assert plan.objective_value == objective(u, rates, ctx)
     assert u.sum() <= ctx.n_blocks * (1.0 + 1e-9)
