@@ -10,12 +10,14 @@ same commands.  Every CSV under PARENT_OUT is compared with the file of the
 same relative path under CHANGE_OUT.  For each one whose bytes differ it
 prints the first moved row, named by its scheduler, seed and round columns
 where the file has them, and the largest relative change of every moved
-column, |change - parent| / |parent| over the rows both files hold.  Files
-that are byte-identical are counted, not listed.  When the platform.txt lines
-that scripts/seeded_csvs.py writes differ between the two directories, both
-are printed first: bits may move with numpy or the BLAS kernels alone.  The
-exit status is 0 when nothing moved, 1 when a file moved and 2 when
-PARENT_OUT holds no CSV.  Only the standard library is used.
+column, |change - parent| / |parent| over the rows both files hold.  A CSV
+found on one side only is listed as `missing:` (parent only) or `added:`
+(change only) and counts as moved.  Files that are byte-identical are
+counted, not listed.  When the platform.txt lines that scripts/seeded_csvs.py
+writes differ between the two directories, both are printed first: bits may
+move with numpy or the BLAS kernels alone.  The exit status is 0 when nothing
+moved, 1 when a file moved and 2 when PARENT_OUT holds no CSV.  Only the
+standard library is used.
 """
 
 import csv
@@ -106,6 +108,11 @@ def main(argv):
             same += 1
         else:
             print("\n".join(report(rel, parent, change)))
+            moved += 1
+    for change in sorted(change_dir.rglob("*.csv")):
+        rel = change.relative_to(change_dir)
+        if not (parent_dir / rel).exists():
+            print(f"added: {rel}")
             moved += 1
     print(f"{moved} moved, {same} byte-identical")
     return 1 if moved else 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import checks, scheduler, sim
@@ -24,7 +25,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-        ("run", "run one experiment (or a batch over run.seeds)"),
+        ("run", "run one experiment per seed of run.seeds"),
         ("compare", "run VR-VFL (per alpha), scheme1 and scheme2 on shared environment seeds"),
         ("validate", "run the built-in Monte Carlo and oracle property checks"),
         ("dump-instance", "write one round-0 scheduling instance for offline debugging"),
@@ -33,7 +34,7 @@ def _build_parser():
         p.add_argument("--config", help="config file (section.key = value lines)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key, e.g. --set optimization.alpha=0.2")
-        p.add_argument("--seed", type=int, help="run.seed override")
+        p.add_argument("--seed", type=int, help="one seed: the same as --seeds N")
         p.add_argument("--seeds", help="run.seeds override, comma separated")
         p.add_argument("--alpha", type=float, help="optimization.alpha override")
         p.add_argument("--scheduler", choices=["vrvfl", "scheme1", "scheme2"],
@@ -50,10 +51,9 @@ def _config_from_args(args):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
         overrides[key.strip()] = val.strip()
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if args.seeds is not None:
-        overrides["run.seeds"] = args.seeds
+    seeds = args.seed if args.seeds is None else args.seeds  # --seeds wins over --seed
+    if seeds is not None:
+        overrides["run.seeds"] = str(seeds)
     if args.alpha is not None:
         overrides["optimization.alpha"] = repr(args.alpha)
     if args.scheduler is not None:
@@ -67,61 +67,54 @@ def _config_from_args(args):
     return parse_config(path=args.config, overrides=overrides)
 
 
-def _seeds(cfg):
-    return tuple(int(s) for s in cfg.run.seeds) or (cfg.run.seed,)
+def _labelled_configs(cfg, command):
+    """The (label, config) pairs that `command` runs, each once per seed of run.seeds."""
+    if command == "run":
+        pairs = [(cfg.run.scheduler, cfg.run.scheduler, cfg.optimization.alpha)]
+    else:
+        pairs = [(f"vrvfl_a{a:g}", "vrvfl", float(a)) for a in cfg.run.compare_alphas]
+        pairs += [(s, s, cfg.optimization.alpha) for s in ("scheme1", "scheme2")]
+    labels = [label for label, _, _ in pairs]
+    if len(set(labels)) < len(labels):  # one label's files would overwrite another's
+        raise ConfigError("run.compare_alphas items must give distinct labels, got "
+                          + ", ".join(labels))
+    text = serialize_config(cfg)  # each label parses its own copy
+    return [(label, parse_config(text=text, overrides={"run.scheduler": sched,
+                                                       "optimization.alpha": repr(alpha)}))
+            for label, sched, alpha in pairs]
 
 
-def cmd_run(cfg):
-    out = Path(cfg.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for seed in _seeds(cfg):
-        tag = f"{cfg.run.scheduler}_seed{seed}"
-        records = sim.run_experiment(cfg, seed=seed,
-                                     csv_path=out / f"rounds_{tag}.csv",
-                                     manifest_path=out / f"manifest_{tag}.txt")
-        last = records[-1].accuracy if records else float("nan")
-        print(f"run {tag}: {len(records)} rounds, final accuracy {last}")
-    return 0
-
-
-def compare_labels(cfg):
-    labels = [(f"vrvfl_a{a:g}", "vrvfl", float(a)) for a in cfg.run.compare_alphas]
-    labels.append(("scheme1", "scheme1", cfg.optimization.alpha))
-    labels.append(("scheme2", "scheme2", cfg.optimization.alpha))
-    return labels
-
-
-def cmd_compare(cfg):
+def cmd_runs(cfg, command):
+    """`run` or `compare`: each labelled config over run.seeds, one CSV and manifest per
+    run, and for `compare` the merged accuracy-vs-time table."""
+    runs = _labelled_configs(cfg, command)
     out = Path(cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     merged = ["scheduler,seed,t,time_cum,accuracy"]
-    for label, sched, alpha in compare_labels(cfg):
-        for seed in _seeds(cfg):
-            run_cfg = parse_config(text=serialize_config(cfg))  # deep copy
-            run_cfg.run.scheduler = sched
-            run_cfg.optimization.alpha = alpha
+    for label, run_cfg in runs:
+        for seed in (int(s) for s in cfg.run.seeds):
             tag = f"{label}_seed{seed}"
-            records = sim.run_experiment(run_cfg, seed=seed,
-                                         csv_path=out / f"rounds_{tag}.csv",
+            records = sim.run_experiment(run_cfg, seed, csv_path=out / f"rounds_{tag}.csv",
                                          manifest_path=out / f"manifest_{tag}.txt")
-            for r in records:
-                merged.append(f"{label},{seed},{r.t},{r.time_cum!r},{r.accuracy!r}")
+            merged += [f"{label},{seed},{r.t},{r.time_cum!r},{r.accuracy!r}" for r in records]
             last = records[-1].accuracy if records else float("nan")
-            print(f"compare {tag}: {len(records)} rounds, final accuracy {last}")
-    (out / "merged_accuracy_vs_time.csv").write_text("\n".join(merged) + "\n", encoding="utf-8")
-    print(f"merged table: {out / 'merged_accuracy_vs_time.csv'}")
+            print(f"{command} {tag}: {len(records)} rounds, final accuracy {last}")
+    if command == "compare":
+        (out / "merged_accuracy_vs_time.csv").write_text("\n".join(merged) + "\n",
+                                                          encoding="utf-8")
+        print(f"merged table: {out / 'merged_accuracy_vs_time.csv'}")
     return 0
 
 
 def cmd_dump_instance(cfg):
     out = Path(cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = _seeds(cfg)[0]
+    seed = int(cfg.run.seeds[0])
     exp = sim.Experiment(cfg, seed)
     exp._refresh_channels()
     ctx = scheduler.build_context(exp.vehicles, exp.geometry, cfg)
     if cfg.run.scheduler == "scheme2":
-        ctx.alpha = 1.0  # scheme2_baseline solves the round at alpha = 1
+        ctx = replace(ctx, alpha=1.0)  # scheme2_baseline solves the round at alpha = 1
     path = out / f"instance_seed{seed}.txt"
     scheduler.dump_instance(ctx, path)
     print(f"instance with {ctx.size} feasible vehicles -> {path}")
@@ -146,10 +139,8 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
+        if args.command in ("run", "compare"):
+            return cmd_runs(cfg, args.command)
         if args.command == "validate":
             return cmd_validate()
         if args.command == "dump-instance":

@@ -77,8 +77,7 @@ class LearningConfig:
 @dataclass
 class RunConfig:
     rounds: int = 200
-    seed: int = 1
-    seeds: tuple = ()  # batch seeds; empty means single run with `seed`
+    seeds: tuple = (1,)  # one run per seed
     scheduler: str = "vrvfl"  # vrvfl | scheme1 | scheme2
     out_dir: str = "out"
     compare_alphas: tuple = (0.4,)
@@ -177,8 +176,10 @@ class SimConfig:
             (l.aggregation in ("verbatim", "anchored"),
              "learning.aggregation must be 'verbatim' or 'anchored'"),
             (r.rounds >= 0, "run.rounds must be >= 0"),
+            (len(r.seeds) >= 1, "run.seeds must name at least one seed"),
+            # one seed's CSV and manifest would overwrite another's
+            (len(set(r.seeds)) == len(r.seeds), "run.seeds items must be distinct"),
             # numpy seeds its generators from non-negative integers only
-            (r.seed >= 0, "run.seed must be >= 0"),
             (all(float(s).is_integer() for s in r.seeds), "run.seeds items must be integers"),
             (all(s >= 0 for s in r.seeds), "run.seeds items must be >= 0"),
             (all(0.0 <= a <= 1.0 for a in r.compare_alphas),

@@ -516,7 +516,8 @@ class _InclusionPsi:
             return -math.inf, False, sets
         c = self.beta * p.s
         if p.mu == 0.0 or u_free == 0.0:
-            r = math.sqrt(c_held / c)
+            # s = e^x underflows to 0 far left, where the model falls toward every larger x
+            r = math.sqrt(c_held / c) if c > 0.0 else math.inf
             if p.mu == 0.0:
                 edge = (self.budget - p.total + u_held) / u_held
                 if r > edge:

@@ -62,10 +62,10 @@ def _stream(seed, *key):
 class Experiment:
     """Mutable state of one seeded run."""
 
-    def __init__(self, cfg: SimConfig, seed=None):
+    def __init__(self, cfg: SimConfig, seed):
         cfg.validate()
         self.cfg = cfg
-        self.seed = cfg.run.seed if seed is None else seed
+        self.seed = seed
         self.geometry = RoadGeometry(
             road_length=cfg.geometry.road_length_m,
             lane_count=cfg.geometry.lane_count,
@@ -295,7 +295,7 @@ def write_manifest(path, cfg, seed, wall_clock_s):
         f.write(serialize_config(cfg))
 
 
-def run_experiment(cfg: SimConfig, seed=None, csv_path=None, manifest_path=None):
+def run_experiment(cfg: SimConfig, seed, csv_path=None, manifest_path=None):
     """One seeded run; optionally writes the per-round CSV and manifest."""
     started = _time.monotonic()
     exp = Experiment(cfg, seed)
@@ -303,5 +303,5 @@ def run_experiment(cfg: SimConfig, seed=None, csv_path=None, manifest_path=None)
     if csv_path is not None:
         write_round_csv(records, csv_path)
     if manifest_path is not None:
-        write_manifest(manifest_path, cfg, exp.seed, _time.monotonic() - started)
+        write_manifest(manifest_path, cfg, seed, _time.monotonic() - started)
     return records

@@ -173,11 +173,35 @@ class TestCli:
 
     @pytest.mark.parametrize("key", ["optimization.bcd_tol", "optimization.bcd_max_outer",
                                      "optimization.d_total_mode",
-                                     "physical.speed_of_light_mps"])
+                                     "physical.speed_of_light_mps", "run.seed"])
     def test_retired_key_rejected(self, key, tmp_path, capsys):
         rc = cli.main(["run", "--set", f"{key}=1", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert f"config error: unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, key", [
+        ("run", ["--seeds", "1,1"], "run.seeds"),
+        ("run", ["--set", "run.seeds="], "run.seeds"),
+        ("compare", ["--seeds", "2,1,2"], "run.seeds"),
+        ("compare", ["--set", "run.compare_alphas=0.4,0.4000001"], "run.compare_alphas"),
+    ])
+    def test_colliding_or_missing_outputs_rejected_before_any_run(self, command, args, key,
+                                                                  tmp_path, capsys):
+        # both alphas print as 0.4, so both runs would be labelled vrvfl_a0.4
+        rc = cli.main([command, "--rounds", "1", "--out-dir", str(tmp_path)] + args + QUICK)
+        assert rc == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_seed_flag_is_one_seed_of_run_seeds(self, tmp_path):
+        assert cli.main(["run", "--rounds", "0", "--seed", "4",
+                         "--out-dir", str(tmp_path / "one")] + QUICK) == 0
+        manifest = (tmp_path / "one" / "manifest_vrvfl_seed4.txt").read_text().splitlines()
+        assert [line for line in manifest if line.startswith("run.seed")] == ["run.seeds = 4"]
+        assert cli.main(["run", "--rounds", "0", "--seed", "4", "--seeds", "5,6",
+                         "--out-dir", str(tmp_path / "both")] + QUICK) == 0
+        assert sorted(p.name for p in (tmp_path / "both").glob("*.csv")) == [
+            "rounds_vrvfl_seed5.csv", "rounds_vrvfl_seed6.csv"]
 
     def test_compare_emits_per_run_and_merged(self, tmp_path):
         rc = cli.main(["compare", "--rounds", "2", "--seeds", "1,2",

@@ -55,6 +55,17 @@ def test_missing_change_file_counts_as_moved(tmp_path, capsys):
     assert f"missing: {Path('default', 'rounds_vrvfl_seed1.csv')}" in out.splitlines()
 
 
+def test_change_only_file_counts_as_moved(tmp_path, capsys):
+    parent = make_tree(tmp_path / "parent")
+    change = make_tree(tmp_path / "change")
+    (change / "dense").mkdir()
+    (change / "dense" / "rounds_scheme1_seed1.csv").write_text(ROUNDS, encoding="utf-8")
+    status, out = run(parent, change, capsys)
+    assert status == 1
+    assert out.splitlines() == [f"added: {Path('dense', 'rounds_scheme1_seed1.csv')}",
+                                "1 moved, 2 byte-identical"]
+
+
 def test_parent_without_csv_exits_2(tmp_path, capsys):
     (tmp_path / "parent").mkdir()
     change = make_tree(tmp_path / "change")

@@ -332,6 +332,15 @@ class TestInclusionBlock:
         u = solve_inclusion_block(ctx.r_min, ctx)
         assert np.allclose(u, [0.5, 0.5], atol=1e-9)
 
+    @pytest.mark.parametrize("snr", [700.0, 746.0, 1e4])
+    @pytest.mark.parametrize("n", [21, 25, 30])
+    def test_ceiling_underflowing_to_zero(self, snr, n):
+        # past an SNR of about 745 the ceiling e^x underflows to 0 at the low end
+        # of the search, where a piece model then has no round-time term
+        ctx = symmetric_context(n, alpha=0.4)
+        u = solve_inclusion_block(np.full(n, ctx.bandwidth * math.log2(1.0 + snr)), ctx)
+        assert np.allclose(u, 20.0 / n, rtol=1e-12, atol=0.0)
+
 
 class TestBcd:
     def test_trace_non_increasing(self):
