@@ -29,7 +29,6 @@ W_BLOCK = _DEFAULTS.block_bandwidth_hz
 NOISE = _DEFAULTS.noise_density_w_hz
 TX_POWER = _DEFAULTS.tx_power_w
 MODEL_BITS = _DEFAULTS.physical.model_bits
-ROUND_CAP = _DEFAULTS.optimization.round_time_cap_s
 
 
 @dataclass
@@ -68,9 +67,8 @@ def random_context(rng, n_vehicles, alpha=None, n_blocks=20.0, u_min=0.05,
         h2 = float(rng.exponential(1.0))
         gain = float(10.0 ** rng.uniform(-10.0, -7.0))
         sojourn = float(rng.uniform(5.0, 120.0))
-        snr = TX_POWER * gain * eps**2 * h2 / (W_BLOCK * NOISE)
-        r_max = W_BLOCK * math.log1p(snr) / math.log(2.0)
-        r_min = MODEL_BITS / min(ROUND_CAP, sojourn)
+        r_min, r_max = (float(b[0]) for b in scheduler.rate_bounds(
+            np.array([gain]), np.array([eps]), np.array([h2]), np.array([sojourn]), _DEFAULTS))
         if not r_min < r_max:
             continue
         data = float(rng.integers(50, 300))

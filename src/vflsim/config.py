@@ -6,8 +6,6 @@ conventional; everything downstream of parsing works in linear SI units via
 the derived properties, so mixed-unit bugs cannot creep into the physics.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
@@ -149,7 +147,8 @@ class SimConfig:
              "geometry.rsu_spacing_m must lie in (0, road_length_m]"),
             (t.arrival_rate_per_lane >= 0, "traffic.arrival_rate_per_lane must be >= 0"),
             (0 < t.speed_min_kmh <= t.speed_max_kmh,
-             "traffic speeds must satisfy 0 < speed_min_kmh <= speed_max_kmh"),
+             "traffic.speed_min_kmh and traffic.speed_max_kmh must satisfy "
+             "0 < speed_min_kmh <= speed_max_kmh"),
             (0.0 <= o.alpha <= 1.0, "optimization.alpha must lie in [0, 1]"),
             (0.0 < o.u_min <= 1.0, "optimization.u_min must lie in (0, 1]"),
             (o.round_time_cap_s > 0, "optimization.round_time_cap_s must be > 0"),
@@ -161,7 +160,8 @@ class SimConfig:
              "learning.partitioning must be 'iid' or 'noniid'"),
             (l.samples_per_class >= 1, "learning.samples_per_class must be >= 1"),
             (1 <= l.noniid_min_samples <= l.noniid_max_samples,
-             "learning non-iid sample bounds must satisfy 1 <= min <= max"),
+             "learning.noniid_min_samples and learning.noniid_max_samples must satisfy "
+             "1 <= noniid_min_samples <= noniid_max_samples"),
             (1 <= l.noniid_max_classes <= l.num_classes,
              "learning.noniid_max_classes must lie in [1, num_classes]"),
             (l.noniid_min_samples >= l.noniid_max_classes,
@@ -235,15 +235,7 @@ def set_key(cfg: SimConfig, dotted_key: str, raw_value: str):
     setattr(sub, name, _coerce(raw_value, _FIELD_TYPES[(section, name)], dotted_key))
 
 
-# dataclass field .type is a string under `from __future__ import annotations`;
-# resolve the concrete types once
-_FIELD_TYPES = {}
-for _sec, _cls in _SECTIONS.items():
-    for _f in fields(_cls):
-        _t = _f.type
-        if isinstance(_t, str):
-            _t = {"float": float, "int": int, "str": str, "tuple": tuple}[_t]
-        _FIELD_TYPES[(_sec, _f.name)] = _t
+_FIELD_TYPES = {(sec, f.name): f.type for sec, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 def parse_config(path=None, overrides=None, text=None):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
-
 
 @dataclass(eq=False)
 class Partition:
@@ -172,8 +170,6 @@ def _noniid_draw(rng, cfg):
     k = int(rng.integers(1, cfg.noniid_max_classes + 1))
     classes = rng.choice(cfg.num_classes, size=k, replace=False)
     count = int(rng.integers(cfg.noniid_min_samples, cfg.noniid_max_samples + 1))
-    if count < k:
-        raise ConfigError("non-iid sample count below number of drawn classes")
     return classes, count
 
 

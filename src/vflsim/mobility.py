@@ -1,9 +1,10 @@
-"""Highway vehicle population: Poisson arrivals per lane, constant speeds, RSU geometry.
+"""Highway vehicle population: Poisson arrivals per lane, constant speeds, RSU distances.
 
 Vehicles enter at position 0 of a straight road segment, keep a constant random
 speed for their whole lifetime and leave once they pass the far end.  Roadside
 units sit on the road centerline, evenly spaced; lanes are laid out
-symmetrically about the centerline.  The vehicles on the road are one
+symmetrically about the centerline.  The road is the config's `geometry`
+section (config.GeometryConfig).  The vehicles on the road are one
 Population: an array per attribute, one row per vehicle.
 """
 
@@ -11,38 +12,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .config import ConfigError
-
-
-@dataclass
-class RoadGeometry:
-    road_length: float = 2000.0  # m
-    lane_count: int = 6
-    lane_width: float = 4.0  # m
-    rsu_spacing: float = 100.0  # m
-
-    @property
-    def rsu_count(self):
-        """RSUs that fit on the road: one per full spacing."""
-        n = int(self.road_length // self.rsu_spacing)
-        if n == 0:
-            raise ConfigError("road too short for any RSU at the configured spacing")
-        return n
-
-    def rsu_x(self, k):
-        """Position of RSU k along the centerline: spacing/2 + k*spacing, per element."""
-        return self.rsu_spacing / 2.0 + self.rsu_spacing * k
-
-    def lane_center_y(self, lane):
-        """Lateral offset of a lane center, per element; lanes split symmetrically about y = 0."""
-        lane = np.asarray(lane)
-        if np.any((lane < 0) | (lane >= self.lane_count)):
-            raise ValueError(f"lane index {lane} out of range 0..{self.lane_count - 1}")
-        return (lane - (self.lane_count - 1) / 2.0) * self.lane_width
 
 
 class Population:
@@ -125,32 +96,38 @@ class Population:
         self.h_est_sq, self.gain = h_est_sq, gain
 
 
-def remaining_sojourn(position, velocity, geometry: RoadGeometry):
+def remaining_sojourn(position, velocity, geometry):
     """Seconds until leaving coverage: remaining distance over speed, per element."""
     position = np.asarray(position, dtype=float)
-    if np.any(position > geometry.road_length) or np.any(position < 0):
-        raise ValueError(f"a position lies outside coverage [0, {geometry.road_length}] m")
-    soj = (geometry.road_length - position) / velocity
+    road = geometry.road_length_m
+    if np.any(position > road) or np.any(position < 0):
+        raise ValueError(f"a position lies outside coverage [0, {road}] m")
+    soj = (road - position) / velocity
     return float(soj) if soj.ndim == 0 else soj
 
 
-def nearest_rsu_distance(position, lane, geometry: RoadGeometry):
+def nearest_rsu_distance(position, lane, geometry):
     """Euclidean distance from each vehicle to its closest RSU, per element.
 
-    Only the RSU nearest along the road and its two neighbours are measured:
-    rounding can put the computed nearest index off by one, and every other
-    RSU is at least a spacing farther along the road.  Each distance is a
-    math.hypot of its own: numpy's hypot rounds differently and would move the
-    seeded results.
+    RSU k sits at s/2 + s*k along the centerline, for spacing s; lane l's
+    center is (l - (lane_count-1)/2) * lane_width_m off it.  Only the RSU
+    nearest along the road and its two neighbours are measured: rounding can
+    put the computed nearest index off by one, and every other RSU is at least
+    a spacing farther along the road.  Each distance is a math.hypot of its
+    own: numpy's hypot rounds differently and would move the seeded results.
     """
+    lane = np.asarray(lane)
+    if np.any((lane < 0) | (lane >= geometry.lane_count)):
+        raise ValueError(f"lane index {lane} out of range 0..{geometry.lane_count - 1}")
+    y = np.repeat((lane - (geometry.lane_count - 1) / 2.0) * geometry.lane_width_m, 3).tolist()
     x = np.asarray(position, dtype=float)
-    y = np.repeat(geometry.lane_center_y(lane), 3).tolist()
-    s, last = geometry.rsu_spacing, geometry.rsu_count - 1
+    s = geometry.rsu_spacing_m
+    last = int(geometry.road_length_m // s) - 1
     # np.rint rounds half to even, as Python's round does
     k = np.clip(np.rint((x - s / 2.0) / s), 0, last).astype(int)
     # at either end of the road a neighbour index is clipped and measured twice
     near = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, last)], axis=1)
-    dx = (x[:, None] - geometry.rsu_x(near)).ravel().tolist()
+    dx = (x[:, None] - (s / 2.0 + s * near)).ravel().tolist()
     return np.array(list(map(math.hypot, dx, y))).reshape(-1, 3).min(axis=1)
 
 
@@ -168,14 +145,7 @@ class ArrivalProcess:
     GAP_BLOCK = 256
 
     def __init__(self, geometry, rate_per_lane, speed_range, rng_arrivals, rng_speeds, start_time=0.0):
-        if rate_per_lane < 0:
-            raise ConfigError(f"arrival rate must be >= 0, got {rate_per_lane}")
-        v_lo, v_hi = speed_range
-        if not (0 < v_lo <= v_hi):
-            raise ConfigError(f"invalid speed range {speed_range}")
-        self.geometry = geometry
-        self.rate = rate_per_lane
-        self.speed_range = (v_lo, v_hi)
+        self.rate, self.speed_range = rate_per_lane, speed_range
         self._rng_arrivals = rng_arrivals
         self._rng_speeds = rng_speeds
         self._gaps = []  # drawn and not yet taken, the next one last

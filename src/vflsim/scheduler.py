@@ -143,15 +143,9 @@ def _drop_for_budget(ids, r_max, u_min, n_blocks):
     kept vehicles in their order and the dropped ids in the order they were
     dropped.
     """
-    n = n_keep = len(ids)
-    if n * u_min > n_blocks:
-        # the largest count k with k * u_min <= n_blocks, then a fix-up on that
-        # same float test so that rounding in the division cannot move k
-        n_keep = min(max(int(n_blocks / u_min), 0), n)
-        while n_keep < n and (n_keep + 1) * u_min <= n_blocks:
-            n_keep += 1
-        while n_keep and n_keep * u_min > n_blocks:
-            n_keep -= 1
+    n = len(ids)
+    # the largest count k <= n with k * u_min <= n_blocks, on that float test
+    n_keep = bisect.bisect_right(range(n + 1), n_blocks, key=lambda k: k * u_min) - 1
     weakest = np.lexsort((ids, r_max))[: n - n_keep]
     keep = np.ones(n, dtype=bool)
     keep[weakest] = False
@@ -159,9 +153,9 @@ def _drop_for_budget(ids, r_max, u_min, n_blocks):
 
 
 def build_context(population, geometry, cfg):
-    """Feasible-set context from a mobility.Population's last channel refresh;
-    handles the u_min budget shrink."""
-    road = np.flatnonzero(population.position < geometry.road_length)
+    """Feasible-set context from a mobility.Population's last channel refresh on
+    the road `geometry` (config.GeometryConfig); handles the u_min budget shrink."""
+    road = np.flatnonzero(population.position < geometry.road_length_m)
     ids = population.ids[road]
     data = population.data_size[road].astype(float)
     eps = population.epsilon[road]
@@ -718,14 +712,17 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     ln_umin = math.log(ctx.u_min)
     ell_lo = float(np.max(ln_umin - f1_hi))
     ell_hi = float(np.max(-f1_lo))
-    if not ell_hi > ell_lo:
+    # a weight alpha*D_v/D that underflows to 0 has no log: the blocks' zero-cost
+    # masks take that case, and the scan offers no candidate
+    weights = alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total
+    if not (ell_hi > ell_lo and np.all(weights > 0.0)):
         return None
     n_grid, size = _SCAN_GRID, ctx.size
     blocks = [slice(s, min(s + _SCAN_BLOCK, size)) for s in range(0, size, _SCAN_BLOCK)]
     xi1, xi3 = ctx.xi1[:, None], ctx.xi3[:, None]
     lo_col, hi_col = f1_lo[:, None], f1_hi[:, None]
     weighted_data = alpha * ctx.data_sizes[:, None]
-    ln_cd = np.log(alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total)[:, None]
+    ln_cd = np.log(weights)[:, None]
 
     def branch_a(rows, ells):
         """phi_a, the u = 1 branch, per vehicle of `rows` and ceiling."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import channel, fl_core, scheduler
 from .config import SimConfig, config_hash, serialize_config
-from .mobility import ArrivalProcess, Population, RoadGeometry, nearest_rsu_distance
+from .mobility import ArrivalProcess, Population, nearest_rsu_distance
 
 _ARRIVALS, _SPEEDS, _SHADOWING, _FADING, _SELECTION, _OUTAGE, _TRAINING, _DATA = range(8)
 
@@ -66,12 +66,7 @@ class Experiment:
         cfg.validate()
         self.cfg = cfg
         self.seed = seed
-        self.geometry = RoadGeometry(
-            road_length=cfg.geometry.road_length_m,
-            lane_count=cfg.geometry.lane_count,
-            lane_width=cfg.geometry.lane_width_m,
-            rsu_spacing=cfg.geometry.rsu_spacing_m,
-        )
+        self.geometry = cfg.geometry
         self.rng_shadowing = _stream(self.seed, _SHADOWING)
         self.rng_fading = _stream(self.seed, _FADING)
         self.rng_selection = _stream(self.seed, _SELECTION)
@@ -100,7 +95,7 @@ class Experiment:
 
     def _advance_population(self, t_new):
         dt = t_new - self.pop_synced_at
-        road = self.geometry.road_length
+        road = self.geometry.road_length_m
         p = self.cfg.physical
         pop = self.vehicles
         pop.position = pop.position + pop.velocity * dt

@@ -2,16 +2,19 @@
 
 `random_context` and the physics constants live in `vflsim.checks`, whose
 self-checks draw from them too; they are re-exported here for the tests and
-for benchmarks/make_corpus.py.
+for benchmarks/make_corpus.py.  The round-time cap, which only tests read, is
+the config default too.
 """
 
 import math
 
 import numpy as np
 
-from vflsim.checks import (MODEL_BITS, NOISE, ROUND_CAP, TX_POWER, W_BLOCK,  # noqa: F401
-                           random_context)
+from vflsim.checks import MODEL_BITS, NOISE, TX_POWER, W_BLOCK, random_context  # noqa: F401
+from vflsim.config import SimConfig
 from vflsim.scheduler import SchedulingContext
+
+ROUND_CAP = SimConfig().optimization.round_time_cap_s
 
 
 def symmetric_context(n_vehicles, alpha=1.0, n_blocks=20.0, u_min=0.05):

@@ -14,7 +14,7 @@ per-vehicle channel refresh and scheduling context at the end are the
 straightforward one-vehicle-at-a-time forms of the program's batched ones.
 The one-at-a-time budget shrink, the running-sum convergence proxy and the
 one-draw-per-event arrival process are the references for the program's
-closed-form shrink, array proxy and buffered arrival gaps.  Near the end, the
+bisected shrink, array proxy and buffered arrival gaps.  Near the end, the
 one-vehicle SGD loop is the reference for the program's lockstep training, and
 the lockstep loop that computed every step's loss, kept as it was, is the
 reference for the planned, loss-free steps that replaced it: for their bits
@@ -677,9 +677,9 @@ def reference_inclusion_block(rates, ctx, start=None):
 
 def nearest_rsu_brute_force(position, lane, geometry):
     """Distance from one vehicle to the closest of all RSUs, each measured with math.hypot."""
-    n = int(geometry.road_length // geometry.rsu_spacing)
-    xs = geometry.rsu_spacing / 2.0 + geometry.rsu_spacing * np.arange(n)
-    y = float(geometry.lane_center_y(lane))
+    s = geometry.rsu_spacing_m
+    xs = s / 2.0 + s * np.arange(int(geometry.road_length_m // s))
+    y = (lane - (geometry.lane_count - 1) / 2.0) * geometry.lane_width_m
     return min(math.hypot(position - float(rx), y - 0.0) for rx in xs)
 
 
@@ -712,7 +712,7 @@ def reference_channels(population, geometry, cfg, rng_fading):
 
 def rate_bounds_scalar(position, velocity, epsilon, h_est_sq, gain, geometry, cfg):
     """(sojourn, R_min, R_max) of one vehicle in Python float arithmetic."""
-    sojourn = (geometry.road_length - position) / velocity
+    sojourn = (geometry.road_length_m - position) / velocity
     w = cfg.block_bandwidth_hz
     snr = cfg.tx_power_w * gain * epsilon**2 * h_est_sq / (w * cfg.noise_density_w_hz)
     r_max = w * math.log1p(snr) / _LN2
@@ -727,7 +727,7 @@ def reference_context(population, geometry, cfg):
     for vid, x, speed, eps, h2, gain, size in zip(
             pop.ids.tolist(), pop.position.tolist(), pop.velocity.tolist(), pop.epsilon.tolist(),
             pop.h_est_sq.tolist(), pop.gain.tolist(), pop.data_size.tolist()):
-        if x >= geometry.road_length:
+        if x >= geometry.road_length_m:
             continue
         soj, r_lo, r_hi = rate_bounds_scalar(x, speed, eps, h2, gain, geometry, cfg)
         if r_lo < r_hi:

@@ -104,6 +104,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape("run.seeds")):
             parse_config(overrides={"run.seeds": value})
 
+    # the rules that only validate checks: the road, the arrival process and the
+    # non-iid draw take their config as valid
+    @pytest.mark.parametrize("overrides, key", [
+        ({"geometry.rsu_spacing_m": "3000"}, "geometry.rsu_spacing_m"),
+        ({"traffic.arrival_rate_per_lane": "-0.1"}, "traffic.arrival_rate_per_lane"),
+        ({"traffic.speed_min_kmh": "0"}, "traffic.speed_min_kmh"),
+        ({"traffic.speed_min_kmh": "120"}, "traffic.speed_min_kmh"),
+        ({"learning.noniid_min_samples": "300"}, "learning.noniid_min_samples"),
+        ({"learning.noniid_min_samples": "2", "learning.noniid_max_classes": "3"},
+         "learning.noniid_min_samples")])
+    def test_rule_names_its_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(overrides=overrides)
+
     def test_non_integral_seed_runs_nothing(self, tmp_path, capsys):
         rc = cli.main(["run", "--rounds", "0", "--seeds", "1.5", "--out-dir", str(tmp_path)])
         assert rc == 2 and "run.seeds" in capsys.readouterr().err

@@ -3,9 +3,8 @@ import pytest
 from scipy import stats
 
 from oracles import ScalarArrivals, nearest_rsu_brute_force
-from vflsim.config import ConfigError, parse_config
-from vflsim.mobility import (ArrivalProcess, Population, RoadGeometry, nearest_rsu_distance,
-                             remaining_sojourn)
+from vflsim.config import GeometryConfig, parse_config
+from vflsim.mobility import ArrivalProcess, Population, nearest_rsu_distance, remaining_sojourn
 from vflsim.sim import Experiment
 
 
@@ -30,51 +29,46 @@ def distance(position, lane, geometry):
 
 
 class TestGeometry:
-    def test_rsu_positions_evenly_spaced(self):
-        g = RoadGeometry()
-        xs = [g.rsu_x(k) for k in range(g.rsu_count)]
-        assert len(xs) == 20
-        assert xs[0] == 50.0 and xs[-1] == 1950.0
-        assert np.allclose(np.diff(xs), 100.0)
+    """RSU positions and lane offsets, seen through nearest_rsu_distance."""
 
-    def test_road_shorter_than_spacing_rejected(self):
-        with pytest.raises(ConfigError):
-            RoadGeometry(road_length=50.0, rsu_spacing=100.0).rsu_count
+    def test_rsu_positions_evenly_spaced(self):
+        g = GeometryConfig(lane_count=1)  # the single lane runs along the centerline
+        at, between = 50.0 + 100.0 * np.arange(20), 100.0 * np.arange(21)
+        lane = np.zeros(21, dtype=int)
+        assert nearest_rsu_distance(at, lane[:20], g).tolist() == [0.0] * 20
+        assert nearest_rsu_distance(between, lane, g).tolist() == [50.0] * 21
+
+    def test_one_rsu_per_full_spacing(self):
+        # 2045 m holds 29 full 70 m spacings: the last RSU sits at 35 + 70 * 28 = 1995 m
+        g = GeometryConfig(road_length_m=2045.0, rsu_spacing_m=70.0, lane_count=1)
+        assert distance(1995.0, 0, g) == 0.0 and distance(2045.0, 0, g) == 50.0
+
+    def test_experiment_road_is_its_config(self):
+        cfg = parse_config(overrides={"traffic.arrival_rate_per_lane": "0"})
+        assert Experiment(cfg, seed=0).geometry is cfg.geometry
 
     def test_lanes_split_about_center(self):
-        g = RoadGeometry(lane_count=6, lane_width=4.0)
-        ys = [g.lane_center_y(i) for i in range(6)]
-        assert ys == [-10.0, -6.0, -2.0, 2.0, 6.0, 10.0]
+        g = GeometryConfig(lane_count=6, lane_width_m=4.0)
+        ys = [distance(50.0, lane, g) for lane in range(6)]
+        assert ys == [10.0, 6.0, 2.0, 2.0, 6.0, 10.0]
 
 
 class TestSpawnArrivals:
-    """What ArrivalProcess spawns: counts over all lanes, speeds, and the inputs it rejects."""
+    """What ArrivalProcess spawns: counts over all lanes and speeds."""
 
     def test_mean_count(self):
-        proc = ArrivalProcess(RoadGeometry(), 0.2, (16.667, 27.778),
+        proc = ArrivalProcess(GeometryConfig(), 0.2, (16.667, 27.778),
                               np.random.default_rng(1), np.random.default_rng(2))
         assert len(proc.pop_until(100_000.0)) / 10_000 == pytest.approx(12.0, rel=0.05)
 
     def test_speed_range(self):
-        proc = ArrivalProcess(RoadGeometry(), 0.5, (16.667, 27.778),
+        proc = ArrivalProcess(GeometryConfig(), 0.5, (16.667, 27.778),
                               np.random.default_rng(2), np.random.default_rng(3))
         arrivals = proc.pop_until(2000.0)
         assert len(arrivals) > 1000
         for _, lane, speed in arrivals:
             assert 16.667 <= speed <= 27.778
             assert 0 <= lane < 6
-
-    def test_bad_speed_range_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConfigError):
-            ArrivalProcess(RoadGeometry(), 0.2, (28.0, 16.0), rng, rng)
-        with pytest.raises(ConfigError):
-            ArrivalProcess(RoadGeometry(), 0.2, (0.0, 0.0), rng, rng)
-
-    def test_negative_rate_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConfigError):
-            ArrivalProcess(RoadGeometry(), -0.1, (16.0, 28.0), rng, rng)
 
 
 class TestAdvance:
@@ -143,24 +137,24 @@ class TestPopulation:
 
 class TestSojourn:
     def test_midway(self):
-        assert remaining_sojourn(1000.0, 25.0, RoadGeometry()) == 40.0
+        assert remaining_sojourn(1000.0, 25.0, GeometryConfig()) == 40.0
 
     def test_boundary(self):
-        assert remaining_sojourn(2000.0, 25.0, RoadGeometry()) == 0.0
+        assert remaining_sojourn(2000.0, 25.0, GeometryConfig()) == 0.0
 
     def test_entry(self):
-        soj = remaining_sojourn(0.0, 16.6667, RoadGeometry())
+        soj = remaining_sojourn(0.0, 16.6667, GeometryConfig())
         assert soj == pytest.approx(120.0, rel=1e-4)
 
     def test_out_of_coverage_rejected(self):
         with pytest.raises(ValueError):
-            remaining_sojourn(2100.0, 25.0, RoadGeometry())
+            remaining_sojourn(2100.0, 25.0, GeometryConfig())
 
     def test_decreases_exactly_with_motion(self):
-        g = RoadGeometry()
+        g = GeometryConfig()
         exp = population(make_population([0], position=0.0, velocity=23.4))
         start = remaining_sojourn(0.0, 23.4, g)
-        assert start == g.road_length / 23.4
+        assert start == g.road_length_m / 23.4
         exp._advance_population(17.0)
         soj = remaining_sojourn(exp.vehicles.position, exp.vehicles.velocity, g)[0]
         assert soj == pytest.approx(start - 17.0, rel=1e-12)
@@ -168,28 +162,28 @@ class TestSojourn:
 
 class TestNearestRsu:
     def test_along_centerline(self):
-        g = RoadGeometry(lane_count=1, lane_width=4.0)  # single lane sits at y=0
+        g = GeometryConfig(lane_count=1, lane_width_m=4.0)  # single lane sits at y=0
         assert distance(120.0, 0, g) == pytest.approx(30.0)
 
     def test_lateral_only(self):
-        g = RoadGeometry(lane_count=2, lane_width=4.0)  # lanes at y = -2, +2
+        g = GeometryConfig(lane_count=2, lane_width_m=4.0)  # lanes at y = -2, +2
         assert distance(50.0, 1, g) == pytest.approx(2.0)
 
     def test_reflection_symmetry(self):
-        g = RoadGeometry()
+        g = GeometryConfig()
         for lane in range(6):
             assert distance(150.0 - 37.0, lane, g) == pytest.approx(distance(150.0 + 37.0, lane, g))
 
     def test_bounded_by_spacing_and_width(self):
-        g = RoadGeometry()
+        g = GeometryConfig()
         rng = np.random.default_rng(5)
-        bound = g.rsu_spacing / 2 + g.lane_count * g.lane_width
+        bound = g.rsu_spacing_m / 2 + g.lane_count * g.lane_width_m
         xs, lanes = rng.uniform(0, 2000, 500), rng.integers(0, 6, 500)
         assert np.all(nearest_rsu_distance(xs, lanes, g) <= bound)
 
     def test_lane_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            nearest_rsu_distance([10.0, 20.0], [0, 6], RoadGeometry())
+            nearest_rsu_distance([10.0, 20.0], [0, 6], GeometryConfig())
 
 
 class TestNearestRsuEdgeCases:
@@ -198,20 +192,20 @@ class TestNearestRsuEdgeCases:
     # the default road, then road lengths that are not a multiple of the spacing,
     # down to a road with a single RSU; at 29.97 m spacing the index rounded from
     # x is off by one at some midpoints, so a neighbour is the nearest RSU
-    GEOMETRIES = (RoadGeometry(), RoadGeometry(road_length=2045.0, rsu_spacing=70.0, lane_count=3),
-                  RoadGeometry(road_length=389.0, rsu_spacing=29.97, lane_count=3),
-                  RoadGeometry(road_length=250.0, rsu_spacing=100.0, lane_count=2),
-                  RoadGeometry(road_length=120.0, rsu_spacing=100.0, lane_count=1))
+    GEOMETRIES = (GeometryConfig(), GeometryConfig(road_length_m=2045.0, rsu_spacing_m=70.0, lane_count=3),
+                  GeometryConfig(road_length_m=389.0, rsu_spacing_m=29.97, lane_count=3),
+                  GeometryConfig(road_length_m=250.0, rsu_spacing_m=100.0, lane_count=2),
+                  GeometryConfig(road_length_m=120.0, rsu_spacing_m=100.0, lane_count=1))
 
     @staticmethod
     def positions(g):
-        s, n = g.rsu_spacing, g.rsu_count
+        s = g.rsu_spacing_m
+        rsu_x = s / 2.0 + s * np.arange(int(g.road_length_m // s))
         # before the first RSU, then past the last
-        xs = [0.0, s / 4.0, g.rsu_x(n - 1) + s / 4.0, g.road_length]
-        for k in range(n):
-            xs += [g.rsu_x(k), g.rsu_x(k) + s / 2.0]  # at an RSU, exactly midway to the next
-            xs += [np.nextafter(g.rsu_x(k) + s / 2.0, -np.inf),
-                   np.nextafter(g.rsu_x(k) + s / 2.0, np.inf)]
+        xs = [0.0, s / 4.0, rsu_x[-1] + s / 4.0, g.road_length_m]
+        for x in rsu_x:
+            xs += [x, x + s / 2.0]  # at an RSU, exactly midway to the next
+            xs += [np.nextafter(x + s / 2.0, -np.inf), np.nextafter(x + s / 2.0, np.inf)]
         return [float(x) for x in xs]
 
     @staticmethod
@@ -229,13 +223,13 @@ class TestNearestRsuEdgeCases:
     def test_matches_brute_force_on_random_positions(self):
         rng = np.random.default_rng(31)
         for g in self.GEOMETRIES:
-            xs = rng.uniform(0.0, g.road_length, 2000).tolist()
+            xs = rng.uniform(0.0, g.road_length_m, 2000).tolist()
             self.assert_brute_force(xs, rng.integers(g.lane_count, size=2000).tolist(), g)
 
 
 class TestArrivalProcess:
     def test_interarrival_distribution(self):
-        g = RoadGeometry(lane_count=1)
+        g = GeometryConfig(lane_count=1)
         proc = ArrivalProcess(g, 0.2, (16.0, 28.0),
                               np.random.default_rng(6), np.random.default_rng(7))
         times = [t for t, _, _ in proc.pop_until(60_000.0)]
@@ -245,7 +239,7 @@ class TestArrivalProcess:
         assert result.pvalue > 0.01
 
     def test_slicing_invariance(self):
-        g = RoadGeometry()
+        g = GeometryConfig()
         args = (g, 0.3, (16.0, 28.0))
         a = ArrivalProcess(*args, np.random.default_rng(8), np.random.default_rng(9))
         b = ArrivalProcess(*args, np.random.default_rng(8), np.random.default_rng(9))
@@ -257,7 +251,7 @@ class TestArrivalProcess:
     def test_buffered_gaps_equal_one_draw_per_event(self, monkeypatch, block):
         """Sliced horizons, block refills (about 800 arrivals) and rate 0, bit for bit."""
         monkeypatch.setattr(ArrivalProcess, "GAP_BLOCK", block)
-        g = RoadGeometry()
+        g = GeometryConfig()
         for rate, horizons in ((0.3, (-50.0, 13.0, 27.5, 27.5, 64.0, 400.0)), (0.0, (1e9,))):
             streams = [np.random.default_rng(8), np.random.default_rng(9)]
             proc = ArrivalProcess(g, rate, (16.0, 28.0), *streams, start_time=-50.0)
@@ -273,7 +267,7 @@ class TestArrivalProcess:
             assert total > 2 * ArrivalProcess.GAP_BLOCK if rate else total == 0
 
     def test_len_counts_arrivals(self):
-        proc = ArrivalProcess(RoadGeometry(), 0.3, (16.0, 28.0),
+        proc = ArrivalProcess(GeometryConfig(), 0.3, (16.0, 28.0),
                               np.random.default_rng(8), np.random.default_rng(9))
         arrivals = proc.pop_until(50.0)
         times = arrivals[:, 0]
@@ -282,7 +276,7 @@ class TestArrivalProcess:
         assert len(proc.pop_until(50.0)) == 0
 
     def test_zero_rate_never_arrives(self):
-        g = RoadGeometry()
+        g = GeometryConfig()
         proc = ArrivalProcess(g, 0.0, (16.0, 28.0),
                               np.random.default_rng(10), np.random.default_rng(11))
         assert proc.pop_until(1e9).shape == (0, 3)

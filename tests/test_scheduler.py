@@ -12,8 +12,8 @@ from oracles import (_golden_min, grid_min_rate_only, grid_min_two_vehicle,
                      grid_min_two_vehicle_naive, rate_block_phi, reference_drop_for_budget)
 from vflsim import checks, scheduler
 from vflsim.checks import curvature_certificate, inclusion_cost_summand
-from vflsim.config import parse_config
-from vflsim.mobility import Population, RoadGeometry, remaining_sojourn
+from vflsim.config import GeometryConfig, parse_config
+from vflsim.mobility import Population, remaining_sojourn
 from vflsim.sim import Experiment
 from vflsim.scheduler import (_LN2, RoundPlan, _drop_for_budget, _waterfill_solver, bcd_solve,
                               build_context, dump_instance, load_instance, objective,
@@ -36,7 +36,7 @@ def road_with(gain, h_est_sq, epsilon, position=0.0, velocity=25.0, data=0):
 
 def bounds_of(pop, cfg):
     """(R_min, R_max) of a one-vehicle population through the batched rate_bounds."""
-    sojourn = remaining_sojourn(pop.position, pop.velocity, RoadGeometry())
+    sojourn = remaining_sojourn(pop.position, pop.velocity, GeometryConfig())
     r_lo, r_hi = rate_bounds(pop.gain, pop.epsilon, pop.h_est_sq, sojourn, cfg)
     return float(r_lo[0]), float(r_hi[0])
 
@@ -64,7 +64,7 @@ class TestRateBounds:
         v = road_with(gain=1e-8, h_est_sq=0.0, epsilon=0.7)
         _, r_hi = bounds_of(v, cfg)
         assert r_hi == 0.0
-        assert build_context(v, RoadGeometry(), cfg).size == 0
+        assert build_context(v, GeometryConfig(), cfg).size == 0
 
 
 class TestFeasibleSet:
@@ -76,20 +76,20 @@ class TestFeasibleSet:
             "physical.tx_power_dbm": "30", "physical.noise_density_dbm_hz": "0",
             "physical.model_bits": "60"})
         v = road_with(gain=1e-3, h_est_sq=1.0, epsilon=1.0)  # R_min == R_max
-        assert build_context(v, RoadGeometry(), cfg).size == 0
+        assert build_context(v, GeometryConfig(), cfg).size == 0
 
     def test_easy_instances_all_feasible(self):
         cfg = parse_config(overrides={"physical.model_bits": "1"})
         vs = road_with(gain=[1e-7] * 4, h_est_sq=1.0, epsilon=0.7)
-        assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0, 1, 2, 3]
+        assert list(build_context(vs, GeometryConfig(), cfg).ids) == [0, 1, 2, 3]
 
     def test_off_road_vehicle_dropped(self):
         cfg = parse_config(overrides={"physical.model_bits": "1"})
         vs = road_with(gain=1e-7, h_est_sq=1.0, epsilon=0.7, position=[0.0, 2000.0])
-        assert list(build_context(vs, RoadGeometry(), cfg).ids) == [0]
+        assert list(build_context(vs, GeometryConfig(), cfg).ids) == [0]
 
     def test_empty_road(self):
-        assert build_context(road_with(gain=[], h_est_sq=[], epsilon=[]), RoadGeometry(),
+        assert build_context(road_with(gain=[], h_est_sq=[], epsilon=[]), GeometryConfig(),
                              parse_config()).size == 0
 
 
@@ -543,7 +543,7 @@ def test_budget_shrink_drops_weakest_links():
     cfg = parse_config(overrides={"physical.n_blocks": "1", "optimization.u_min": "0.9",
                                   "physical.bandwidth_hz": "1e7"})
     vehicles = road_with(gain=1e-8, h_est_sq=[0.4, 2.5, 1.1], epsilon=0.7, data=100)
-    ctx = build_context(vehicles, RoadGeometry(), cfg)
+    ctx = build_context(vehicles, GeometryConfig(), cfg)
     assert ctx.size == 1
     assert list(ctx.ids) == [1]  # highest R_max survives
     assert set(ctx.budget_dropped) == {0, 2}
@@ -581,6 +581,7 @@ def test_budget_drop_matches_naive_loop_with_ties():
 @example(n=1000, u_min=0.05, budget=20.0, seed=0)
 @example(n=10, u_min=0.7, budget=4.199999999999999, seed=1)  # 4.19.../0.7 rounds below 6
 @example(n=50, u_min=0.05, budget=1.7, seed=2)  # 1.7/0.05 is 34, but 34 * 0.05 > 1.7
+@example(n=25, u_min=0.28, budget=7.0, seed=3)  # 25 * 0.28 rounds above 7: 24 are kept
 def test_budget_drop_matches_the_countdown(n, u_min, budget, seed):
     """Budgets off the multiples of u_min included: the kept positions and the
     dropped order equal those of the one-at-a-time countdown."""

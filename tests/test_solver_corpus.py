@@ -7,16 +7,32 @@ tests/data/corpus_objectives.json by more than 1e-9 relative.
 """
 
 import json
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from instances import random_context
 from vflsim.scheduler import _ceiling_scan, bcd_solve, load_instance, objective
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 RECORDED = json.loads((Path(__file__).parent / "data" / "corpus_objectives.json")
                       .read_text(encoding="utf-8"))["objectives"]
+
+
+def test_small_instances_are_random_context_draws():
+    # benchmarks/make_corpus.py draws them in this order from one seed-2026 stream;
+    # any drift in random_context's arithmetic moves a byte here
+    rng = np.random.default_rng(2026)
+    for k, n in enumerate((2, 2, 2, 2, 2, 2, 3, 4, 5, 6)):
+        stored, drawn = load_instance(CORPUS / f"small_n{n}_{k}.txt"), random_context(rng, n)
+        for column in ("ids", "data_sizes", "epsilon", "h_est_sq", "gain", "sojourn",
+                       "r_min", "r_max"):
+            want, got = getattr(stored, column), getattr(drawn, column)
+            assert got.astype(want.dtype).tobytes() == want.tobytes(), (k, column)
+        assert (drawn.alpha, drawn.d_total) == (stored.alpha, stored.d_total), k
 
 
 def test_recorded_objectives_cover_the_corpus():
@@ -46,3 +62,15 @@ def test_scan_candidate_over_the_budget_still_seeds_a_start():
     assert _ceiling_scan(ctx, ctx.alpha).sum() > ctx.n_blocks
     plan, _ = bcd_solve(ctx)
     assert plan.objective_value <= 0.69
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-323])
+def test_underflowing_alpha_solves_without_warnings(alpha):
+    # every weight alpha*D_v/D rounds to 0, which the scan cannot take the log of
+    ctx = replace(load_instance(CORPUS / "desk_vrvfl_s11_r0.txt"), alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        plan, _ = bcd_solve(ctx)
+    assert plan.u.sum() <= ctx.n_blocks * (1.0 + 1e-9)
+    assert np.all(plan.u >= ctx.u_min) and np.all(plan.u <= 1.0)
+    assert np.all(plan.r >= ctx.r_min) and np.all(plan.r <= ctx.r_max)
