@@ -25,7 +25,9 @@ changes of which vehicles sit at their caps, float at the water level or rest
 at a bound, its reduced objective has a closed form, so its search reads the
 derivative and that closed form off each water-fill.  bcd_solve keeps the
 block results of one solve keyed by the exact input bytes, so no block is
-solved twice on the same input.
+solved twice on the same input, and runs its starts in lockstep: one stacked
+block solve serves every start still running, each row with the bits of its
+solve alone.
 
 Block solvers are deterministic functions of their inputs and return their
 result alone.  Iteration order is vehicle-id ascending for reproducibility.
@@ -194,21 +196,32 @@ def build_context(population, geometry, cfg):
 # ---------------------------------------------------------------------------
 
 def objective(u, rates, ctx: SchedulingContext):
-    """Problem objective at (u, R); +inf when any success probability hits zero."""
+    """Problem objective at (u, R); +inf when any success probability hits zero.
+
+    Rows of a 2-D u and R, one per start, give a list of their objectives,
+    each with the bits of its row alone.
+    """
     alpha = ctx.alpha
     u = np.asarray(u, dtype=float)
     rates = np.asarray(rates, dtype=float)
     term1 = 0.0
+    dead = False
     if alpha > 0.0:
         p = ctx.success_prob(rates)
-        if np.any(p <= 0.0):
-            return math.inf
-        term1 = float(np.sum(alpha * ctx.data_sizes / (ctx.d_total * u * p)))
+        # the ufuncs' own reductions, which np.any, np.sum and np.max wrap
+        dead = np.logical_or.reduce(p <= 0.0, axis=-1)
+        if dead.any():
+            if u.ndim == 1:
+                return math.inf
+            p = np.where(dead[:, None], 1.0, p)  # the dead rows are priced inf below
+        term1 = np.add.reduce(alpha * ctx.data_sizes / (ctx.d_total * u * p), axis=-1)
     term2 = 0.0
     if alpha < 1.0:
         f1 = np.expm1(rates * _LN2 / ctx.bandwidth)
-        term2 = (1.0 - alpha) * float(np.exp(np.max(np.log(u) - f1)))
-    return term1 + term2
+        term2 = (1.0 - alpha) * np.exp(np.maximum.reduce(np.log(u) - f1, axis=-1))
+    if u.ndim == 1:
+        return float(term1 + term2)
+    return np.where(dead, math.inf, term1 + term2).tolist()
 
 
 class _RatePhi:
@@ -226,6 +239,12 @@ class _RatePhi:
     so every kink is convex; a vehicle exactly at its kink counts toward the
     left derivatives alone.  Where a success probability is 0, phi is infinite
     and falls toward higher ceilings.
+
+    A 2-D u stacks one row per start.  Such a phi is called with a dict from
+    rows to their ceilings and returns the rows' tuples in a list, in the
+    dict's order, from one evaluation over those rows (a lone row's on its
+    1-D arrays).  Every operation is elementwise or reduces along a row, so
+    each tuple has the bits of its row evaluated alone.
     """
 
     def __init__(self, u, ctx):
@@ -234,11 +253,16 @@ class _RatePhi:
         self.weighted_data = ctx.alpha * ctx.data_sizes
         self.scaled_u = ctx.d_total * u
         self.kinks = self.ln_u - np.expm1(ctx.r_min * _LN2 / ctx.bandwidth)
+        self._rows = {}  # a stacked phi's arrays by the rows they hold, built on first use
 
     def rates(self, ell):
-        """The smallest rates in the box whose pressure meets the ceiling e^ell."""
+        """The smallest rates in the box whose pressure meets the ceiling e^ell;
+        for a stacked phi, ell is a column of ceilings, one per row."""
+        return self._rates(self.ln_u, ell)
+
+    def _rates(self, ln_u, ell):
         # the clamp to r_min > 0 also settles the vehicles that need no raise
-        out = np.subtract(self.ln_u, ell)
+        out = np.subtract(ln_u, ell)
         np.maximum(out, 0.0, out=out)
         np.log1p(out, out=out)
         np.multiply(self.ctx.bandwidth, out, out=out)
@@ -248,46 +272,99 @@ class _RatePhi:
 
     def __call__(self, ell):
         """(phi, phi'-, phi'+, phi''-, phi''+) at ell."""
+        if self.ln_u.ndim == 1:
+            return self._evaluate(self.ln_u, self.scaled_u, self.kinks, ell)
+        rows = tuple(ell)
+        if rows not in self._rows:
+            pick = rows[0] if len(rows) == 1 else list(rows)
+            self._rows[rows] = self.ln_u[pick], self.scaled_u[pick], self.kinks[pick]
+        ells = [ell[i] for i in rows]
+        if len(rows) == 1:
+            return [self._evaluate(*self._rows[rows], ells[0])]
+        return self._evaluate(*self._rows[rows], np.array(ells)[:, None], ells)
+
+    def _evaluate(self, ln_u, scaled_u, kinks, ell, ells=None):
+        """The tuple at ell of one row, or the list of tuples of stacked rows at
+        the column ell of the ceilings `ells`."""
         ctx = self.ctx
-        f1 = np.expm1(self.rates(ell) * _LN2 / ctx.bandwidth)
+        f1 = np.expm1(self._rates(ln_u, ell) * _LN2 / ctx.bandwidth)
         # SchedulingContext.success_prob inline on the f1 it needs anyway: arg is
         # minus the support margin, p = -expm1(arg) > 0 exactly where arg < 0, and
         # the cost is infinite elsewhere
         arg = ctx.xi1 - ctx.xi3 / f1
-        if not arg.max() < 0.0:
+        finite = np.maximum.reduce(arg, axis=-1) < 0.0
+        if ln_u.ndim == 1 and not finite:
             return math.inf, -math.inf, -math.inf, math.nan, math.nan
+        if ln_u.ndim == 2 and not finite.all():
+            infinite = (math.inf, -math.inf, -math.inf, math.nan, math.nan)
+            out = [infinite] * len(ln_u)
+            keep = np.flatnonzero(finite)
+            if len(keep):
+                for i, values in zip(keep.tolist(), self._evaluate(
+                        ln_u[keep], scaled_u[keep], kinks[keep], ell[keep],
+                        [ells[i] for i in keep.tolist()])):
+                    out[i] = values
+            return out
         p = -np.expm1(arg)
-        cost = self.weighted_data / (self.scaled_u * p)
-        s = math.exp(ell)
+        cost = self.weighted_data / (scaled_u * p)
         # per raised vehicle, -d(cost)/d ell and d2(cost)/d ell2
         q = ctx.xi3 / (f1 * f1)
         e = np.exp(arg)
         g = cost / p * e * q
         h = g * ((1.0 + e) * q / p - 2.0 / f1)
-        left, right = self.kinks >= ell, self.kinks > ell
-        return (float(cost.sum()) + self.beta * s,
-                self.beta * s - g.sum(where=left), self.beta * s - g.sum(where=right),
-                self.beta * s + h.sum(where=left), self.beta * s + h.sum(where=right))
+        add = np.add.reduce
+        left = kinks >= ell
+        g_left, h_left = add(g, axis=-1, where=left), add(h, axis=-1, where=left)
+        g_right, h_right = g_left, h_left  # the same sums, unless a vehicle sits at its kink
+        if (kinks == ell).any():
+            right = kinks > ell
+            g_right, h_right = add(g, axis=-1, where=right), add(h, axis=-1, where=right)
+        sums = add(cost, axis=-1), g_left, g_right, h_left, h_right
+        if ln_u.ndim == 2:
+            # each row's scalars as floats, which round as the 1-D row's do
+            return [self._values(math.exp(x), *row)
+                    for x, *row in zip(ells, *(v.tolist() for v in sums))]
+        return self._values(math.exp(ell), *sums)
+
+    def _values(self, s, cost_sum, g_left, g_right, h_left, h_right):
+        bs = self.beta * s
+        return cost_sum + bs, bs - g_left, bs - g_right, bs + h_left, bs + h_right
 
 
-def _newton_min(phi, lo, hi):
-    """Exact minimizer over (lo, hi] of the rate block's phi; returns its ceiling.
+def _lockstep(searches, evaluate):
+    """Run searches side by side; returns their results in a dict keyed as
+    `searches` is.
 
-    Keeps a bracket [a, b] on the sign of phi', starting from b = hi, and takes
-    a Newton step from the newest end with the one-sided derivatives that face
-    the bracket.  A step that would leave the bracket, or, once both ends are
-    evaluated, that is not under half the step before last (Newton circling
-    between the ends), goes instead to the middle one of the kinks inside the
-    bracket, else to its midpoint: the safeguard of Brent (1973) and of rtsafe
-    in Numerical Recipes.  It stops at a point whose one-sided derivatives
-    bracket 0, at a Newton step under 4e-16 relative, or once the bracket is
-    narrower than 1e-14 relative, and returns the best ceiling it evaluated.
+    A search is a generator that yields each point it needs evaluated, is
+    sent the evaluation there and returns its result.  Each step makes one
+    call evaluate(asks), where asks maps every search still running to its
+    point, in key order, and returns their evaluations in that order; a
+    search that returns drops out.
     """
+    asks, results = {}, {}
+    for key, search in searches.items():
+        try:
+            asks[key] = next(search)
+        except StopIteration as stop:
+            results[key] = stop.value
+    while asks:
+        for key, answer in zip(list(asks), evaluate(asks)):
+            try:
+                asks[key] = searches[key].send(answer)
+            except StopIteration as stop:
+                del asks[key]
+                results[key] = stop.value
+    return results
+
+
+def _newton_search(kinks, lo, hi):
+    """The steps of _newton_min as a search (see _lockstep): it yields each
+    ceiling, is sent phi's tuple there and returns the ceiling found."""
     a, b, x = lo, hi, hi
     best_x, best_f = hi, math.inf
     last = before_last = hi - lo
     for _ in range(_EXACT_ITERS):
-        f, d_minus, d_plus, h_minus, h_plus = phi(x)
+        f, d_minus, d_plus, h_minus, h_plus = yield x
         if f < best_f:
             best_x, best_f = x, f
         if d_minus <= 0.0 <= d_plus:
@@ -303,10 +380,26 @@ def _newton_min(phi, lo, hi):
             return x
         nxt = x - step
         if not (a < nxt < b and (a == lo or abs(step) <= 0.5 * abs(before_last))):
-            inside = np.sort(phi.kinks[(a < phi.kinks) & (phi.kinks < b)])
+            inside = np.sort(kinks[(a < kinks) & (kinks < b)])
             nxt = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (a + b)
         before_last, last, x = last, nxt - x, nxt
     return best_x
+
+
+def _newton_min(phi, lo, hi):
+    """Exact minimizer over (lo, hi] of the rate block's phi; returns its ceiling.
+
+    Keeps a bracket [a, b] on the sign of phi', starting from b = hi, and takes
+    a Newton step from the newest end with the one-sided derivatives that face
+    the bracket.  A step that would leave the bracket, or, once both ends are
+    evaluated, that is not under half the step before last (Newton circling
+    between the ends), goes instead to the middle one of the kinks inside the
+    bracket, else to its midpoint: the safeguard of Brent (1973) and of rtsafe
+    in Numerical Recipes.  It stops at a point whose one-sided derivatives
+    bracket 0, at a Newton step under 4e-16 relative, or once the bracket is
+    narrower than 1e-14 relative, and returns the best ceiling it evaluated.
+    """
+    return _lockstep({0: _newton_search(phi.kinks, lo, hi)}, lambda asks: [phi(asks[0])])[0]
 
 
 def solve_rate_block(u, ctx: SchedulingContext):
@@ -316,23 +409,28 @@ def solve_rate_block(u, ctx: SchedulingContext):
     pressure exceeds s raises its rate just enough to meet it, never more,
     because the inclusion cost strictly grows with rate.  The reduced
     objective is convex in log s, with a closed-form derivative, and
-    _newton_min solves it exactly.
+    _newton_min solves it exactly.  A 2-D u stacks one row per start: the
+    rows' searches run in lockstep on one stacked phi, and each row of the
+    stacked rates has the bits of its row solved alone.
     """
     alpha = ctx.alpha
+    u = np.asarray(u, dtype=float)
     if ctx.size == 0:
-        return np.array([])
-    if alpha >= 1.0:
-        return ctx.r_min.copy()
-    if alpha <= 0.0:
-        return ctx.r_max.copy()
-    phi = _RatePhi(np.asarray(u, dtype=float), ctx)
-    ell_lo = float(np.max(phi.ln_u - np.expm1(ctx.r_max * _LN2 / ctx.bandwidth)))
-    ell_hi = float(np.max(phi.kinks))
-    if not ell_hi > ell_lo:
-        return phi.rates(ell_hi)
+        return np.zeros(u.shape)
+    if not 0.0 < alpha < 1.0:
+        rates = np.empty(u.shape)
+        rates[...] = ctx.r_min if alpha >= 1.0 else ctx.r_max
+        return rates
+    phi = _RatePhi(u, ctx)
+    ell_lo = np.max(phi.ln_u - np.expm1(ctx.r_max * _LN2 / ctx.bandwidth), axis=-1).tolist()
+    ell_hi = np.max(phi.kinks, axis=-1).tolist()
     # the success probability's overflow and zero division, as it ignores them
     with np.errstate(divide="ignore", over="ignore"):
-        return phi.rates(_newton_min(phi, ell_lo, ell_hi))
+        if u.ndim == 1:
+            return phi.rates(_newton_min(phi, ell_lo, ell_hi) if ell_hi > ell_lo else ell_hi)
+        found = _lockstep({i: _newton_search(phi.kinks[i], lo, hi)
+                           for i, (lo, hi) in enumerate(zip(ell_lo, ell_hi)) if hi > lo}, phi)
+        return phi.rates(np.array([found.get(i, hi) for i, hi in enumerate(ell_hi)])[:, None])
 
 
 def _waterfill_solver(cost, lo, budget):
@@ -347,53 +445,79 @@ def _waterfill_solver(cost, lo, budget):
     search over the caps pays only for the cap breakpoints and their sort.
     The solve returns the fill and its budget multiplier mu, 0 when the budget
     is slack; it overwrites its caps argument with max(caps, lo) and may
-    return it as the fill.  It carries the finite costs, the active set and
-    `every` as attributes for its callers.  Its caller ignores zero division,
-    overflow and invalid values.
+    return it as the fill.  Its caller ignores zero division, overflow and
+    invalid values.
+
+    A 2-D cost stacks rows whose costs are all positive, one per start; its
+    solve takes their caps stacked the same way and returns the stacked fills
+    and a list of their multipliers, each row with the bits of its fill alone.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
     every = bool(act.all())  # no vehicle pinned at lo: the masks are moot
-    ca = cost[act]
+    ca = cost if every else cost[act]
     n_lo_fixed = int((~act).sum())
-    cost_or_one = np.where(act, cost, 1.0)
+    cost_or_one = cost if every else np.where(act, cost, 1.0)
     sq = np.sqrt(ca)
     mu_lo = ca / lo**2  # above: pinned at floor
-    zeros = np.zeros_like(ca)
-    ev_dsq = np.concatenate([sq, -sq])
-    ev_dnlo = np.concatenate([zeros, np.ones_like(ca)])
+    # each event's changes to the running sums of the caps held, of sqrt(cost)
+    # at the water level and of the vehicles at the floor; the caps' column is
+    # the solve's own
+    m = ca.shape[-1]
+    events = np.zeros(ca.shape[:-1] + (2 * m, 3))
+    events[..., :m, 1], events[..., m:, 1], events[..., m:, 2] = sq, -sq, 1.0
+    # a stacked solve reorders each row's events by its own permutation
+    rows = np.arange(len(cost))[:, None] if cost.ndim == 2 else None
+
+    def multiplier(mu, upper, sum_hi, sum_sq, n_lo):
+        """mu from its piece's left end, right end and sums."""
+        mu = float(mu)  # no vehicle at the water level: the left end
+        if sum_sq > 0.0:
+            rhs = budget - sum_hi - lo * n_lo
+            mu = min(max(float((sum_sq / rhs) ** 2), mu), float(upper))
+        return mu
 
     def solve(caps):
         caps = np.maximum(caps, lo, out=caps)
         u_free = caps if every else np.where(act, caps, lo)
-        total = float(u_free.sum())
-        if total <= budget * (1.0 + 1e-12):
+        total = np.add.reduce(u_free, axis=-1)
+        slack = total <= budget * (1.0 + 1e-12)
+        if rows is None and slack:
             return u_free, 0.0
+        if slack.all():
+            return u_free, [0.0] * len(caps)
         ha = caps if every else caps[act]
         mu_hi = ca / ha**2  # below: pinned at cap
-        ev_mu = np.concatenate([mu_hi, mu_lo])
-        ev_dhi = np.concatenate([-ha, zeros])
-        order = np.argsort(ev_mu, kind="stable")
+        ev_mu = np.concatenate([mu_hi, mu_lo], axis=-1)
+        np.negative(ha, out=events[..., :m, 0])
+        order = np.argsort(ev_mu, axis=-1, kind="stable")
+        if rows is not None:
+            order = (rows, order)
         ev_mu = ev_mu[order]
-        sum_hi = (total if every else float(ha.sum())) + np.cumsum(ev_dhi[order])
-        sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
-        n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
+        sums = np.add.accumulate(events[order], axis=-2)
+        sum_hi = ((total if rows is None else total[:, None]) if every else float(ha.sum())) \
+            + sums[..., 0]
+        sum_sq = np.maximum(sums[..., 1], 0.0)
+        n_lo = sums[..., 2] + n_lo_fixed
         # piece k, mu in [ev_mu[k], upper[k]], spends sum_hi[k] + lo*n_lo[k] +
         # sum_sq[k]/sqrt(mu), which falls as mu rises: the root is on the first piece
         # whose right end fits.  The last piece, every vehicle at its floor, is the
         # point ev_mu[-1]; it fits by the budget drop, whatever the rounding
-        upper = np.append(ev_mu[1:], ev_mu[-1])
+        upper = np.concatenate([ev_mu[..., 1:], ev_mu[..., -1:]], axis=-1)
         fits = sum_hi + lo * n_lo + sum_sq / np.sqrt(upper) <= budget
-        fits[-1] = True
-        k = int(fits.argmax())
-        mu = float(ev_mu[k])  # no vehicle at the water level: the left end
-        if sum_sq[k] > 0.0:
-            rhs = budget - sum_hi[k] - lo * n_lo[k]
-            mu = min(max(float((sum_sq[k] / rhs) ** 2), mu), float(upper[k]))
-        u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
-        return (u if every else np.where(act, u, lo)), mu
+        fits[..., -1] = True
+        k = fits.argmax(axis=-1)
+        if rows is None:
+            mu = multiplier(ev_mu[k], upper[k], sum_hi[k], sum_sq[k], n_lo[k])
+            u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
+            return (u if every else np.where(act, u, lo)), mu
+        # a slack row's multiplier 0 leaves its fill at its caps
+        k = (rows[:, 0], k)
+        mu = [0.0 if free else multiplier(*piece) for free, *piece in zip(
+            slack.tolist(), ev_mu[k], upper[k], sum_hi[k], sum_sq[k], n_lo[k])]
+        u = np.minimum(np.maximum(np.sqrt(cost_or_one / np.array(mu)[:, None]), lo), caps)
+        return u, mu
 
-    solve.finite_cost, solve.act, solve.every = cost, act, every
     return solve
 
 
@@ -428,50 +552,113 @@ class _InclusionPsi:
 
     with A = s*sum_C c/u, A' = sum_C u/s, B = sqrt(mu)*sum_W u and
     M = sum_C u + sum_W u; the free vehicles share the budget left over.
+
+    A 2-D cost and ln_e stack one row per start, and `rows` holds each row as
+    a psi of its own, for its search.  Such a psi is called with a dict from
+    rows to (x, exact) pairs and returns the rows' points in a list, in the
+    dict's order.  The rows whose costs are all positive share one stacked
+    water-fill (a lone one fills on its 1-D arrays); any other row takes its
+    own.  Each point has the bits of its row evaluated alone.
     """
 
     def __init__(self, cost, ln_e, ctx):
         self.cost, self.ln_e = cost, ln_e
         self.beta = 1.0 - ctx.alpha
         self.lo, self.budget = ctx.u_min, ctx.n_blocks
-        self.fill = fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
-        self.finite_cost, self.act, self.every = fill.finite_cost, fill.act, fill.every
+        self.finite_cost = np.where(np.isfinite(cost), cost, 1e300)
+        self.act = self.finite_cost > 0.0
+        self.every = self.act.all(axis=-1)
+        self._fills = {}  # water-fills by the rows they stack, built on first use
+        if cost.ndim == 2:
+            self.rows = [self._row(i) for i in range(len(cost))]
+
+    def _row(self, i):
+        row = _InclusionPsi.__new__(_InclusionPsi)
+        row.__dict__ = {"cost": self.cost[i], "ln_e": self.ln_e[i], "beta": self.beta,
+                        "lo": self.lo, "budget": self.budget, "finite_cost": self.finite_cost[i],
+                        "act": self.act[i], "every": bool(self.every[i]), "_fills": {}}
+        return row
 
     def __call__(self, x, exact=False):
         """The point at x.  An `exact` evaluation also finds the vehicles whose cap
         reaches 1 at x and, at the slack end of the budget, the right derivative
         with the largest multiplier that keeps every vehicle at its cap."""
-        caps = np.subtract(x, self.ln_e)
+        if self.cost.ndim == 1:
+            return self._points(None, [x], [exact])[0]
+        asks = x
+        together = tuple(i for i in asks if self.every[i])
+        points = {}
+        if len(together) > 1:
+            points = dict(zip(together, self._points(together, [asks[i][0] for i in together],
+                                                     [asks[i][1] for i in together])))
+        for i, (x_i, exact_i) in asks.items():
+            if i not in points:
+                points[i] = self.rows[i]._points(None, [x_i], [exact_i])[0]
+        return [points[i] for i in asks]
+
+    def _points(self, group, xs, exacts):
+        """The points at the ceilings xs, with the `exact` flags exacts, of this
+        psi's one row (group None) or of the stacked rows `group`, from one
+        water-fill."""
+        if group not in self._fills:
+            if group is None:
+                arrays = self.cost, self.ln_e, self.finite_cost
+            else:
+                pick = list(group) if len(group) < len(self.cost) else slice(None)
+                arrays = self.cost[pick], self.ln_e[pick], self.finite_cost[pick]
+            self._fills[group] = _waterfill_solver(arrays[0], self.lo, self.budget), *arrays
+        fill, cost, ln_e, finite = self._fills[group]
+        x = xs[0] if group is None else np.array(xs)[:, None]
+        caps = np.subtract(x, ln_e)
         np.minimum(0.0, caps, out=caps)
-        u, mu = self.fill(np.exp(caps, out=caps))  # caps is now max(caps, lo)
-        c_over_u = self.cost / u
-        p = _CeilingPoint()
-        p.x, p.s, p.u, p.mu = x, math.exp(x), u, mu
-        p.cost_sum = float(c_over_u.sum())
-        p.psi = p.cost_sum + self.beta * p.s
+        u, mu = fill(np.exp(caps, out=caps))  # caps is now max(caps, lo)
+        c_over_u = cost / u
         at_cap = u == caps
-        if not self.every:
+        if group is None and not self.every:
             at_cap &= self.act
         held = at_cap & (caps < 1.0)
-        if exact:
-            # a cap of exactly lo (x at the lower end) also pins at the floor
-            held &= self.finite_cost > mu * u * u
+        if group is None:
+            if exact := exacts[0]:
+                # a cap of exactly lo (x at the lower end) also pins at the floor
+                held &= finite > mu * u * u
+            return [self._point(xs[0], exact, u, mu, caps, c_over_u,
+                                float(np.add.reduce(c_over_u)), float(np.add.reduce(u)), at_cap,
+                                held, ln_e, finite)]
+        if any(exacts):
+            held &= (finite > np.array(mu)[:, None] * u * u) | ~np.array(exacts)[:, None]
+        # the vehicles at the water level, in the rows where the budget binds
+        free = (u < caps) & (u > self.lo) if any(mu) else [None] * len(xs)
+        return [self._point(*row) for row in zip(
+            xs, exacts, u, mu, caps, c_over_u, np.add.reduce(c_over_u, axis=1).tolist(),
+            np.add.reduce(u, axis=1).tolist(), at_cap, held, ln_e, finite, free)]
+
+    def _point(self, x, exact, u, mu, caps, c_over_u, cost_sum, total, at_cap, held, ln_e,
+               finite, free=None):
+        """One row's _CeilingPoint from its fill u, mu at x; `free` may come
+        with it, where the budget binds."""
+        p = _CeilingPoint()
+        p.x, p.s, p.u, p.mu = x, math.exp(x), u, mu
+        p.cost_sum = cost_sum
+        p.psi = p.cost_sum + self.beta * p.s
         p.held = held
         p.c_held = float(c_over_u.dot(held))
         p.u_held = float(u.dot(held))
-        p.total = float(u.sum())
-        p.free = (u < caps) & (u > self.lo) if mu > 0.0 else None
-        p.u_free = float(u.dot(p.free)) if mu > 0.0 else 0.0
+        p.total = total
+        if mu > 0.0:
+            p.free = (u < caps) & (u > self.lo) if free is None else free
+            p.u_free = float(u.dot(p.free))
+        else:
+            p.free, p.u_free = None, 0.0
         p.d_plus = p.d_minus = self.beta * p.s - p.c_held + mu * p.u_held
         p.left, p.c_left, p.u_left, p.u_left_free = None, 0.0, 0.0, 0.0
         if exact:
-            kink = at_cap & (self.ln_e == x) & (self.finite_cost > mu)
+            kink = at_cap & (ln_e == x) & (finite > mu)
             if kink.any():
                 p.left, p.u_left = kink, float(kink.sum())
-                p.c_left = float(self.finite_cost.dot(kink))
+                p.c_left = float(finite.dot(kink))
                 p.d_minus = p.d_plus - (p.c_left - mu * p.u_left)
             if mu == 0.0 and p.total >= self.budget * (1.0 - 1e-14) and at_cap.any():
-                mu_edge = float(np.min(self.finite_cost[at_cap] / u[at_cap] ** 2))
+                mu_edge = float(np.min(finite[at_cap] / u[at_cap] ** 2))
                 p.d_plus += mu_edge * p.u_held
         return p
 
@@ -548,21 +735,13 @@ class _InclusionPsi:
         return float(ln_e.max()) if len(ln_e) else -math.inf
 
 
-def _piecewise_min(psi, lo, hi):
-    """Exact minimizer over [lo, hi] of the inclusion block's psi; returns its
-    _CeilingPoint.
-
-    Keeps a bracket [a, b] whose ends have psi' < 0 and psi' > 0, starting from
-    the water-fill at hi moved down to its own ceiling.  Each step evaluates
-    the stationary point of the newest end's piece model, or else of the other
-    end's; failing both, the nearest kink past either end (a cap reaching 1),
-    and failing that the midpoint.  It stops at a point whose one-sided
-    derivatives bracket 0, at a stationary point that lands in the piece whose
-    model proposed it, or once the bracket is narrower than 1e-14 relative.
-    """
+def _piecewise_search(psi, lo, hi):
+    """The steps of _piecewise_min as a search (see _lockstep): it yields each
+    (ceiling, exact) pair, is sent psi's _CeilingPoint there and returns the
+    point found."""
     a, b = lo, hi
     ends = {True: None, False: None}  # evaluated ends, keyed by `psi' < 0 there`
-    p = psi(hi)
+    p = yield hi, False
     best, sets = p, None
     for _ in range(_EXACT_ITERS):
         if not math.isfinite(p.psi):
@@ -606,8 +785,23 @@ def _piecewise_min(psi, lo, hi):
                     break
             else:
                 x, exact = 0.5 * (a + b), False
-        p = psi(x, exact)
+        p = yield x, exact
     return best
+
+
+def _piecewise_min(psi, lo, hi):
+    """Exact minimizer over [lo, hi] of the inclusion block's psi; returns its
+    _CeilingPoint.
+
+    Keeps a bracket [a, b] whose ends have psi' < 0 and psi' > 0, starting from
+    the water-fill at hi moved down to its own ceiling.  Each step evaluates
+    the stationary point of the newest end's piece model, or else of the other
+    end's; failing both, the nearest kink past either end (a cap reaching 1),
+    and failing that the midpoint.  It stops at a point whose one-sided
+    derivatives bracket 0, at a stationary point that lands in the piece whose
+    model proposed it, or once the bracket is narrower than 1e-14 relative.
+    """
+    return _lockstep({0: _piecewise_search(psi, lo, hi)}, lambda asks: [psi(*asks[0])])[0]
 
 
 def solve_inclusion_block(rates, ctx: SchedulingContext):
@@ -616,24 +810,34 @@ def solve_inclusion_block(rates, ctx: SchedulingContext):
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
     The reduced objective psi is convex in log s and piecewise of closed form,
-    and _piecewise_min solves it exactly.
+    and _piecewise_min solves it exactly.  2-D rates stack one row per start:
+    the rows' searches run in lockstep on one stacked psi, and each row of the
+    stacked u has the bits of its row solved alone.
     """
     alpha = ctx.alpha
-    if ctx.size == 0:
-        return np.array([])
-    if alpha <= 0.0:
-        return np.full(ctx.size, ctx.u_min)
     rates = np.asarray(rates, dtype=float)
+    if ctx.size == 0:
+        return np.zeros(rates.shape)
+    if alpha <= 0.0:
+        return np.full(rates.shape, ctx.u_min)
     p = ctx.success_prob(rates)
     # p = 0 costs inf whatever the data, and zero data over it would be 0/0; an
     # infinite cost's floor breakpoint overflows to inf at a small u_min
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
         if alpha >= 1.0:
-            return _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
+            if cost.ndim == 1:
+                return _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
+            return np.array([_waterfill_solver(row, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
+                             for row in cost])
         ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
-        top = float(np.max(ln_e))
-        return _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top).u
+        top = np.max(ln_e, axis=-1).tolist()
+        psi = _InclusionPsi(cost, ln_e, ctx)
+        if cost.ndim == 1:
+            return _piecewise_min(psi, math.log(ctx.u_min) + top, top).u
+        found = _lockstep({i: _piecewise_search(row, math.log(ctx.u_min) + hi, hi)
+                           for i, (row, hi) in enumerate(zip(psi.rows, top))}, psi)
+        return np.array([found[i].u for i in range(len(cost))])
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +846,15 @@ def solve_inclusion_block(rates, ctx: SchedulingContext):
 
 @dataclass
 class SolverReport:
+    """How a solve went: the returned run's alternations, accepted objective
+    values and convergence; which start it ran from ("floor", "parking" or
+    "scan"); and each start's (alternations, converged), in start order."""
+
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     converged: bool = False
+    winner: str = ""
+    runs: list = field(default_factory=list)
 
 
 def _slice_minima(ln_q, rows, left, right):
@@ -703,7 +913,9 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     minimum of [0, r), a lower bound on the window's, prices the riding branch
     above the u = 1 branch, the window's left end is never located.  The scan
     runs over blocks of _SCAN_BLOCK vehicles, which bounds its working set;
-    only the grid searches go one vehicle at a time.  A vehicle whose R_max is
+    only the grid searches go one vehicle at a time.  The last pass, at the
+    chosen ceiling alone, takes every vehicle in one call and each block of
+    riding vehicles' windows in one masked argmin.  A vehicle whose R_max is
     within about 1e-9 of R_min gets a grid of one repeated point.
     """
     w = ctx.bandwidth
@@ -819,16 +1031,20 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     kf = int(np.argmin(totals_fine))
     ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
 
+    phi_a, phi_b = (col[:, 0] for col in branches(slice(0, size), np.array([ell])))
+    if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
+        return None
+    # each riding vehicle's window of its sorted grid, [ln u_min - ell, -ell], and
+    # the first minimum of ln_q inside it, a block of riders at a time
+    ride = np.flatnonzero(phi_b < phi_a)
     u = np.ones(size)
-    for rows in blocks:
-        phi_a, phi_b = (col[:, 0] for col in branches(rows, np.array([ell])))
-        if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
-            return None
-        for v in np.flatnonzero(phi_b < phi_a) + rows.start:
-            g = grid[v]
-            a = np.searchsorted(g, ln_umin - ell, side="left")
-            b = np.searchsorted(g, -ell, side="right")
-            u[v] = min(1.0, math.exp(ell + g[a + int(np.argmin(ln_q[v, a:b]))]))
+    for start in range(0, len(ride), _SCAN_BLOCK):
+        rows = ride[start:start + _SCAN_BLOCK]
+        g = grid[rows]
+        window = (g >= ln_umin - ell) & (g <= -ell)
+        best = np.where(window, ln_q[rows], np.inf).argmin(axis=1)
+        for v, x in zip(rows.tolist(), g[np.arange(len(rows)), best].tolist()):
+            u[v] = min(1.0, math.exp(ell + x))
     return np.clip(u, ctx.u_min, 1.0)
 
 
@@ -868,40 +1084,44 @@ def _plan_from(ctx, u, rates, obj):
                      objective_value=obj)
 
 
-def _start_points(ctx):
-    """Deterministic BCD starting points covering the main partial-optimum basins.
+def _starts(ctx):
+    """bcd_solve's deterministic (name, u) starts, in run order, covering the
+    main partial-optimum basins.
 
-    The floor start puts every vehicle at u_min.  A "parking" start pins the
-    weaker half of the links (by signal-to-error ratio) at u_min with the
-    budget shared among the rest; basins where poor channels are soft-excluded
-    are unreachable from symmetric starts.
+    "floor" puts every vehicle at u_min.  "parking", where there are at least
+    two vehicles, pins the weaker half of the links (by signal-to-error ratio)
+    at u_min with the budget shared among the rest; basins where poor channels
+    are soft-excluded are unreachable from symmetric starts.  "scan" is the
+    ceiling scan's candidate, where it offers one.  At alpha 0 or 1 both block
+    solves are start-independent and the floor start alone runs.
     """
-    floor = np.full(ctx.size, ctx.u_min)
-    starts = [floor]
+    starts = [("floor", np.full(ctx.size, ctx.u_min))]
+    if not 0.0 < ctx.alpha < 1.0:
+        return starts
     k = int(math.ceil(0.5 * ctx.size))
     if 0 < k < ctx.size:
         u = np.full(ctx.size, ctx.u_min)
         share = (ctx.n_blocks - k * ctx.u_min) / (ctx.size - k)
         u[np.argsort(ctx.xi3, kind="stable")[k:]] = np.clip(share, ctx.u_min, 1.0)
-        starts.append(u)
+        starts.append(("parking", u))
+    if (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
+        starts.append(("scan", scanned))
     return starts
 
 
-def bcd_solve(ctx: SchedulingContext):
-    """Alternate exact block solves until the relative decrease stalls.
+def _alternate(ctx, starts):
+    """Alternate exact block solves from each start until its relative
+    decrease stalls; returns (traces, u, rates, converged, alternations), one
+    entry per start.
 
-    Biconvex problems can have several partially optimal points, so an interior
-    alpha runs from the floor start, the parking start and the ceiling scan's
-    candidate shrunk into the budget, in that order, and keeps the best (the
-    earlier start on a tie).  At alpha 0 or 1 both block solves are
-    start-independent and the floor start alone runs.  The reported trace is
-    the winning run's accepted objective values, which are non-increasing by
-    construction: a block candidate is only accepted when it does not worsen
-    the objective.
+    The starts run in lockstep: each alternation solves the rate block of
+    every start still running in one stacked call, then their objectives, then
+    their inclusion block and its objectives, and a start that converges drops
+    out.  A stacked block solve gives each row the bits it has alone, so every
+    start's run is the one it would make by itself.  A block candidate is only
+    accepted when it does not worsen the objective, so each trace of accepted
+    objective values is non-increasing.
     """
-    if ctx.size == 0:
-        return RoundPlan(), SolverReport()
-
     def feasible(u0):
         u0 = np.clip(u0, ctx.u_min, 1.0)
         total = u0.sum()
@@ -911,54 +1131,84 @@ def bcd_solve(ctx: SchedulingContext):
             u0 = ctx.u_min + (u0 - ctx.u_min) * max(0.0, min(1.0, shrink))
         return u0
 
-    # block results of this solve keyed by their input's bytes: a rejected step
-    # leaves the state unchanged, and the next solve of that block would repeat
+    # block results keyed by their input's bytes, shared by the starts: a
+    # rejected step leaves the state unchanged, and the next solve of that block
+    # would repeat, and two starts may meet the same input
     rate_table, inclusion_table = {}, {}
 
-    def solve_block(table, solve, x):
-        key = x.tobytes()
-        if key not in table:
+    def solve_blocks(table, solve, inputs):
+        """The block results for `inputs`, solving each input the table lacks
+        once, in one call: on its 1-D row when it is the only one."""
+        keys = [x.tobytes() for x in inputs]
+        new = {}
+        for key, x in zip(keys, inputs):
+            if key not in table:
+                new.setdefault(key, x)
+        if len(new) == 1:
+            ((key, x),) = new.items()
             table[key] = solve(x, ctx)
-        return table[key]
+        elif new:
+            table.update(zip(new, solve(np.array(list(new.values())), ctx)))
+        return [table[key] for key in keys]
 
-    def alternate(u0):
-        u = feasible(u0)
-        rates = ctx.r_min.copy()
-        trace = [objective(u, rates, ctx)]
-        converged = False
-        outer = 0
-        for outer in range(1, _BCD_MAX_ALTERNATIONS + 1):
-            prev = trace[-1]
-            r_new = solve_block(rate_table, solve_rate_block, u)
-            o_r = objective(u, r_new, ctx)
-            if o_r <= trace[-1]:
-                rates = r_new
-                trace.append(o_r)
-            else:
-                trace.append(trace[-1])
-            u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
-            o_u = objective(u_new, rates, ctx)
-            if o_u <= trace[-1]:
-                u = u_new
-                trace.append(o_u)
-            else:
-                trace.append(trace[-1])
-            if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
-                converged = True
-                break
-        return trace[-1], u, rates, converged, outer, trace
+    def objectives(us, rates):
+        if len(us) == 1:
+            return [objective(us[0], rates[0], ctx)]
+        return objective(np.array(us), np.array(rates), ctx)
 
-    starts = _start_points(ctx)
-    if not 0.0 < ctx.alpha < 1.0:
-        # both block solves are start-independent at the endpoints
-        starts = starts[:1]
-    elif (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
-        starts.append(scanned)
+    u = [feasible(u0) for u0 in starts]
+    rates = [ctx.r_min.copy() for _ in starts]
+    traces = [[o] for o in objectives(u, rates)]
+    converged = [False] * len(starts)
+    outer = [0] * len(starts)
+    live = list(range(len(starts)))
+    for alternation in range(1, _BCD_MAX_ALTERNATIONS + 1):
+        prev = [traces[i][-1] for i in live]
+        live_u = [u[i] for i in live]
+        r_new = solve_blocks(rate_table, solve_rate_block, live_u)
+        for i, r, o_r in zip(live, r_new, objectives(live_u, r_new)):
+            if o_r <= traces[i][-1]:
+                rates[i] = r
+                traces[i].append(o_r)
+            else:
+                traces[i].append(traces[i][-1])
+        live_rates = [rates[i] for i in live]
+        u_new = solve_blocks(inclusion_table, solve_inclusion_block, live_rates)
+        for i, u_i, o_u in zip(live, u_new, objectives(u_new, live_rates)):
+            if o_u <= traces[i][-1]:
+                u[i] = u_i
+                traces[i].append(o_u)
+            else:
+                traces[i].append(traces[i][-1])
+        for i, before in zip(live, prev):
+            outer[i] = alternation
+            converged[i] = before - traces[i][-1] <= _BCD_RTOL * max(1e-300, abs(before))
+        live = [i for i in live if not converged[i]]
+        if not live:
+            break
+    return traces, u, rates, converged, outer
+
+
+def bcd_solve(ctx: SchedulingContext):
+    """Alternate exact block solves until the relative decrease stalls.
+
+    Biconvex problems can have several partially optimal points, so an interior
+    alpha runs from the floor start, the parking start and the ceiling scan's
+    candidate shrunk into the budget, in that order, and keeps the best (the
+    earlier start on a tie); _alternate runs them in lockstep.  At alpha 0 or 1
+    both block solves are start-independent and the floor start alone runs.
+    The reported trace is the winning run's accepted objective values.
+    """
+    if ctx.size == 0:
+        return RoundPlan(), SolverReport()
+    names, starts = zip(*_starts(ctx))
+    traces, u, rates, converged, outer = _alternate(ctx, starts)
     # min keeps the earliest of equal objectives
-    obj, u, rates, converged, outer, trace = min(
-        (alternate(u0) for u0 in starts), key=lambda run: run[0])
-    plan = _plan_from(ctx, u, rates, obj)
-    report = SolverReport(iterations=outer, objective_trace=trace, converged=converged)
+    best = min(range(len(starts)), key=lambda i: traces[i][-1])
+    plan = _plan_from(ctx, u[best], rates[best], traces[best][-1])
+    report = SolverReport(iterations=outer[best], objective_trace=traces[best],
+                          converged=converged[best], winner=names[best],
+                          runs=list(zip(outer, converged)))
     return plan, report
 
 

@@ -9,8 +9,9 @@ program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
 tables, unpruned, and its block-search evaluations on fresh arrays are the
 references for the program's blocked, pruned scan and its searches'
 evaluations, and the golden-section rate and inclusion blocks are the
-references for the program's exact Newton and piecewise ones.  The
-per-vehicle channel refresh and scheduling context at the end are the
+references for the program's exact Newton and piecewise ones.  The loop that
+ran the solver's starts one after another is the reference for its lockstep
+starts.  The per-vehicle channel refresh and scheduling context at the end are the
 straightforward one-vehicle-at-a-time forms of the program's batched ones.
 The one-at-a-time budget shrink, the running-sum convergence proxy and the
 one-draw-per-event arrival process are the references for the program's
@@ -669,6 +670,71 @@ def reference_inclusion_block(rates, ctx, start=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         ell_star, _, _ = _golden_min(psi, ell_lo, ell_hi, start)
         return u_at(ell_star), ell_star
+
+
+def reference_bcd_solve(ctx):
+    """scheduler.bcd_solve with its starts run one after another, each block
+    solved alone: the serial loop that lockstep replaced, kept as it was but
+    for the report's winner and per-start runs."""
+    if ctx.size == 0:
+        return scheduler.RoundPlan(), scheduler.SolverReport()
+
+    def feasible(u0):
+        u0 = np.clip(u0, ctx.u_min, 1.0)
+        total = u0.sum()
+        floor_total = ctx.size * ctx.u_min
+        if total > ctx.n_blocks and total > floor_total:
+            shrink = (ctx.n_blocks - floor_total) / (total - floor_total)
+            u0 = ctx.u_min + (u0 - ctx.u_min) * max(0.0, min(1.0, shrink))
+        return u0
+
+    # block results of this solve keyed by their input's bytes: a rejected step
+    # leaves the state unchanged, and the next solve of that block would repeat
+    rate_table, inclusion_table = {}, {}
+
+    def solve_block(table, solve, x):
+        key = x.tobytes()
+        if key not in table:
+            table[key] = solve(x, ctx)
+        return table[key]
+
+    def alternate(u0):
+        u = feasible(u0)
+        rates = ctx.r_min.copy()
+        trace = [scheduler.objective(u, rates, ctx)]
+        converged = False
+        outer = 0
+        for outer in range(1, scheduler._BCD_MAX_ALTERNATIONS + 1):
+            prev = trace[-1]
+            r_new = solve_block(rate_table, scheduler.solve_rate_block, u)
+            o_r = scheduler.objective(u, r_new, ctx)
+            if o_r <= trace[-1]:
+                rates = r_new
+                trace.append(o_r)
+            else:
+                trace.append(trace[-1])
+            u_new = solve_block(inclusion_table, scheduler.solve_inclusion_block, rates)
+            o_u = scheduler.objective(u_new, rates, ctx)
+            if o_u <= trace[-1]:
+                u = u_new
+                trace.append(o_u)
+            else:
+                trace.append(trace[-1])
+            if prev - trace[-1] <= scheduler._BCD_RTOL * max(1e-300, abs(prev)):
+                converged = True
+                break
+        return trace[-1], u, rates, converged, outer, trace
+
+    names, starts = zip(*scheduler._starts(ctx))
+    runs = [alternate(u0) for u0 in starts]
+    # min keeps the earliest of equal objectives
+    best = min(range(len(runs)), key=lambda k: runs[k][0])
+    obj, u, rates, converged, outer, trace = runs[best]
+    plan = scheduler._plan_from(ctx, u, rates, obj)
+    report = scheduler.SolverReport(iterations=outer, objective_trace=trace, converged=converged,
+                                    winner=names[best],
+                                    runs=[(run[4], run[3]) for run in runs])
+    return plan, report
 
 
 # ---------------------------------------------------------------------------

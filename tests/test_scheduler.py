@@ -410,7 +410,7 @@ class TestBcd:
             solver = getattr(scheduler, f"solve_{block}_block")
 
             def recorded(x, *args, _solver=solver, _seen=seen[block], **kwargs):
-                _seen.append(np.asarray(x).tobytes())
+                _seen.extend(row.tobytes() for row in np.atleast_2d(np.asarray(x)))
                 return _solver(x, *args, **kwargs)
             monkeypatch.setattr(scheduler, f"solve_{block}_block", recorded)
         bcd_solve(load_instance(CORPUS / name))

@@ -352,12 +352,13 @@ def check_inclusion_block(rates, ctx):
 
 
 def block_inputs(ctx, monkeypatch, block):
-    """The input of every solve of scheduler.<block> in one bcd_solve of ctx."""
+    """The input of every solve of scheduler.<block> in one bcd_solve of ctx, a
+    stacked call's rows one by one."""
     inputs = []
     solve = getattr(scheduler, block)
 
     def recorded(x, context):
-        inputs.append(np.array(x))
+        inputs.extend(np.atleast_2d(np.array(x)))
         return solve(x, context)
 
     monkeypatch.setattr(scheduler, block, recorded)
