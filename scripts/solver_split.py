@@ -5,15 +5,10 @@ Usage:
     python3 scripts/solver_split.py [CORPUS_DIR [REPEATS]]
 
 For each instance file of CORPUS_DIR (benchmarks/corpus by default), in name
-order, it prints:
-
-- the wall time of one solve (the fastest of REPEATS, default 5) and its split
-  between the ceiling scan and the alternations;
-- each start's alternations and convergence in that solve, with the rate
-  evaluations and water-fills the start makes when it runs alone (its own
-  block memo, no other start beside it); the winning start is starred;
-- the lockstep run's batched calls: rate evaluations, water-fills and
-  objective calls, with the per-start evaluations the first two served.
+order, it prints the wall time of one solve (the fastest of REPEATS, default
+5) and its split between the ceiling scan without the budget, the scan's
+pricing of the budget and the alternations; then the run's alternations and
+convergence, with its rate evaluations and water-fills.
 
 A last line sums the corpus.  Time with OPENBLAS_NUM_THREADS=1, as the tests
 and the benchmark do; compare a time only with a run made back to back.  The
@@ -43,91 +38,59 @@ def patched(owner, attr, make):
         setattr(owner, attr, original)
 
 
-@contextmanager
-def counting(counts):
-    """Counts the calls of the rate evaluation, the water-fill evaluation and the
-    objective, and the starts each evaluation call serves."""
-    def served(ask):
-        # a stacked evaluation maps each start it serves to its point
-        return len(ask) if isinstance(ask, dict) else 1
-
-    def rate(fn):
-        def counted(self, ell):
-            counts["rate calls"] += 1
-            counts["rate evaluations"] += served(ell)
-            return fn(self, ell)
-        return counted
-
-    def fill(fn):
-        def counted(self, x, exact=False):
-            counts["fill calls"] += 1
-            counts["water-fills"] += served(x)
-            return fn(self, x, exact)
-        return counted
-
-    def objective(fn):
-        def counted(*args):
-            counts["objective calls"] += 1
-            return fn(*args)
-        return counted
-
-    with (patched(scheduler._RatePhi, "__call__", rate),
-          patched(scheduler._InclusionPsi, "__call__", fill),
-          patched(scheduler, "objective", objective)):
-        yield counts
+def counted(counts, key):
+    """A wrapper maker that counts the calls of what it wraps under `key`."""
+    def make(fn):
+        def run(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return run
+    return make
 
 
-def new_counts():
-    return dict.fromkeys(("rate calls", "rate evaluations", "fill calls", "water-fills",
-                          "objective calls"), 0)
+def timed(seconds, key):
+    """A wrapper maker that adds the wall time of what it wraps to seconds[key]."""
+    def make(fn):
+        def run(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                seconds[key] += time.perf_counter() - t0
+        return run
+    return make
 
 
 def timed_solve(ctx, repeats):
-    """(seconds of the fastest solve, seconds of its ceiling scan)."""
+    """(solve, scan, pricing) seconds of the fastest solve; the scan's time
+    includes its pricing."""
     best = None
     for _ in range(repeats):
-        scan = [0.0]
-
-        def timed_scan(fn):
-            def run(*args):
-                t0 = time.perf_counter()
-                try:
-                    return fn(*args)
-                finally:
-                    scan[0] += time.perf_counter() - t0
-            return run
-
-        with patched(scheduler, "_ceiling_scan", timed_scan):
+        seconds = {"scan": 0.0, "pricing": 0.0}
+        with (patched(scheduler, "_ceiling_scan", timed(seconds, "scan")),
+              patched(scheduler, "_budget_priced", timed(seconds, "pricing"))):
             t0 = time.perf_counter()
             scheduler.bcd_solve(ctx)
             total = time.perf_counter() - t0
         if best is None or total < best[0]:
-            best = (total, scan[0])
+            best = (total, seconds["scan"], seconds["pricing"])
     return best
 
 
 def split(path, repeats):
-    """The report lines of one instance, and its (wall, scan) seconds and lockstep counts."""
+    """The report line of one instance, its (solve, scan, pricing) seconds and counts."""
     ctx = scheduler.load_instance(path)
-    total, scan = timed_solve(ctx, repeats)
-    with counting(new_counts()) as lockstep:
+    total, scan, pricing = timed_solve(ctx, repeats)
+    counts = {"rate evaluations": 0, "water-fills": 0}
+    with (patched(scheduler._RatePhi, "__call__", counted(counts, "rate evaluations")),
+          patched(scheduler._InclusionPsi, "__call__", counted(counts, "water-fills"))):
         _, report = scheduler.bcd_solve(ctx)
-    lines = [f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}  solve {total * 1e3:.2f} ms"
-             f" = scan {scan * 1e3:.2f} + alternations {(total - scan) * 1e3:.2f}"]
-    starts = scheduler._starts(ctx) if ctx.size else []
-    for (name, u0), (alternations, converged) in zip(starts, report.runs):
-        with counting(new_counts()) as alone:
-            scheduler._alternate(ctx, [u0])
-        mark = "*" if name == report.winner else " "
-        lines.append(f"  {mark} {name:8s} {alternations:3d} alternations"
-                     f" {'converged' if converged else 'at the cap'};  alone"
-                     f" {alone['rate evaluations']} rate evaluations,"
-                     f" {alone['water-fills']} water-fills")
-    lines.append(f"    lockstep {lockstep['rate calls']} rate calls for"
-                 f" {lockstep['rate evaluations']} start evaluations,"
-                 f" {lockstep['fill calls']} fill calls for {lockstep['water-fills']},"
-                 f" {lockstep['objective calls']} objective calls")
-    return lines, (total, scan), lockstep
+    line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}  solve {total * 1e3:.2f} ms"
+            f" = scan {(scan - pricing) * 1e3:.2f} + pricing {pricing * 1e3:.2f}"
+            f" + alternations {(total - scan) * 1e3:.2f};  {report.iterations} alternations"
+            f" {'converged' if report.converged else 'at the cap'},"
+            f" {counts['rate evaluations']} rate evaluations, {counts['water-fills']} water-fills")
+    return line, (total, scan, pricing), counts
 
 
 def main(argv):
@@ -137,17 +100,17 @@ def main(argv):
     if not paths:
         print(f"no instance files under {corpus}", file=sys.stderr)
         return 2
-    wall = scan = 0.0
-    totals = new_counts()
+    wall = scan = pricing = 0.0
+    totals = {"rate evaluations": 0, "water-fills": 0}
     for path in paths:
-        lines, (t, s), counts = split(path, repeats)
-        print("\n".join(lines))
-        wall, scan = wall + t, scan + s
+        line, (t, s, p), counts = split(path, repeats)
+        print(line)
+        wall, scan, pricing = wall + t, scan + s, pricing + p
         for key, value in counts.items():
             totals[key] += value
-    print(f"corpus: {len(paths)} instances, solve {wall * 1e3:.1f} ms = scan {scan * 1e3:.1f}"
-          f" + alternations {(wall - scan) * 1e3:.1f};"
-          + ",".join(f" {value} {key}" for key, value in totals.items()))
+    print(f"corpus: {len(paths)} instances, solve {wall * 1e3:.1f} ms = scan"
+          f" {(scan - pricing) * 1e3:.1f} + pricing {pricing * 1e3:.1f} + alternations"
+          f" {(wall - scan) * 1e3:.1f}; " + ", ".join(f"{v} {k}" for k, v in totals.items()))
     return 0
 
 

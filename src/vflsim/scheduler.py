@@ -25,9 +25,14 @@ changes of which vehicles sit at their caps, float at the water level or rest
 at a bound, its reduced objective has a closed form, so its search reads the
 derivative and that closed form off each water-fill.  bcd_solve keeps the
 block results of one solve keyed by the exact input bytes, so no block is
-solved twice on the same input, and runs its starts in lockstep: one stacked
-block solve serves every start still running, each row with the bits of its
-solve alone.
+solved twice on the same input.
+
+The problem is only biconvex, so bcd_solve runs one alternation from one
+start that has seen the joint problem: the ceiling scan's candidate.  For a
+fixed ceiling and a multiplier on the budget the problem separates per
+vehicle, so the scan prices each ceiling, and the budget, one vehicle at a
+time, and keeps the ceiling whose budget-fitting choices have the lowest
+objective.
 
 Block solvers are deterministic functions of their inputs and return their
 result alone.  Iteration order is vehicle-id ascending for reproducibility.
@@ -50,9 +55,9 @@ from .mobility import remaining_sojourn
 _LN2 = math.log(2.0)
 _EXACT_ITERS = 100  # cap on the steps of one block search and of its Newton solves
 # an alternation run stops once one alternation lowers the objective by at most
-# this fraction, or after _BCD_MAX_ALTERNATIONS; on desk seeds 11-13 x 60 rounds
-# two of 540 runs reach the cap, neither the returned one, and the longest
-# returned run takes 24 (README solver notes)
+# this fraction, or after _BCD_MAX_ALTERNATIONS; over the 600 VR-VFL contexts of
+# acceptance 7 (desk seeds 11-13 x 200 rounds) a run from the budget-priced scan
+# takes a median of 2 alternations, p90 3 and at most 6 (README solver notes)
 _BCD_RTOL = 1e-6
 _BCD_MAX_ALTERNATIONS = 50
 # _ceiling_scan: points of each vehicle's log-spaced f1 grid and of the
@@ -64,6 +69,11 @@ _SCAN_BLOCK = 16  # vehicles per numpy call of the scan
 # on the scan's minimum for it to be skipped; it covers the rounding of phi_b's
 # exponent, about 2|log s| ulp
 _SCAN_PRUNE_MARGIN = 1e-3
+# _ceiling_scan's pricing of the block budget: passes of (ceilings, budget
+# tolerance), each on every _PRICE_STRIDE-th grid point; the best ceiling is
+# then priced on the whole grid at the last tolerance
+_PRICE_PASSES = ((24, 1e-2), (8, 1e-3), (8, 1e-4))
+_PRICE_STRIDE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +206,21 @@ def build_context(population, geometry, cfg):
 # ---------------------------------------------------------------------------
 
 def objective(u, rates, ctx: SchedulingContext):
-    """Problem objective at (u, R); +inf when any success probability hits zero.
-
-    Rows of a 2-D u and R, one per start, give a list of their objectives,
-    each with the bits of its row alone.
-    """
+    """Problem objective at (u, R); +inf when any success probability hits zero."""
     alpha = ctx.alpha
     u = np.asarray(u, dtype=float)
     rates = np.asarray(rates, dtype=float)
     term1 = 0.0
-    dead = False
     if alpha > 0.0:
         p = ctx.success_prob(rates)
-        # the ufuncs' own reductions, which np.any, np.sum and np.max wrap
-        dead = np.logical_or.reduce(p <= 0.0, axis=-1)
-        if dead.any():
-            if u.ndim == 1:
-                return math.inf
-            p = np.where(dead[:, None], 1.0, p)  # the dead rows are priced inf below
-        term1 = np.add.reduce(alpha * ctx.data_sizes / (ctx.d_total * u * p), axis=-1)
+        if np.any(p <= 0.0):
+            return math.inf
+        term1 = float(np.sum(alpha * ctx.data_sizes / (ctx.d_total * u * p)))
     term2 = 0.0
     if alpha < 1.0:
         f1 = np.expm1(rates * _LN2 / ctx.bandwidth)
-        term2 = (1.0 - alpha) * np.exp(np.maximum.reduce(np.log(u) - f1, axis=-1))
-    if u.ndim == 1:
-        return float(term1 + term2)
-    return np.where(dead, math.inf, term1 + term2).tolist()
+        term2 = (1.0 - alpha) * float(np.exp(np.max(np.log(u) - f1)))
+    return term1 + term2
 
 
 class _RatePhi:
@@ -239,12 +238,6 @@ class _RatePhi:
     so every kink is convex; a vehicle exactly at its kink counts toward the
     left derivatives alone.  Where a success probability is 0, phi is infinite
     and falls toward higher ceilings.
-
-    A 2-D u stacks one row per start.  Such a phi is called with a dict from
-    rows to their ceilings and returns the rows' tuples in a list, in the
-    dict's order, from one evaluation over those rows (a lone row's on its
-    1-D arrays).  Every operation is elementwise or reduces along a row, so
-    each tuple has the bits of its row evaluated alone.
     """
 
     def __init__(self, u, ctx):
@@ -253,16 +246,11 @@ class _RatePhi:
         self.weighted_data = ctx.alpha * ctx.data_sizes
         self.scaled_u = ctx.d_total * u
         self.kinks = self.ln_u - np.expm1(ctx.r_min * _LN2 / ctx.bandwidth)
-        self._rows = {}  # a stacked phi's arrays by the rows they hold, built on first use
 
     def rates(self, ell):
-        """The smallest rates in the box whose pressure meets the ceiling e^ell;
-        for a stacked phi, ell is a column of ceilings, one per row."""
-        return self._rates(self.ln_u, ell)
-
-    def _rates(self, ln_u, ell):
+        """The smallest rates in the box whose pressure meets the ceiling e^ell."""
         # the clamp to r_min > 0 also settles the vehicles that need no raise
-        out = np.subtract(ln_u, ell)
+        out = np.subtract(self.ln_u, ell)
         np.maximum(out, 0.0, out=out)
         np.log1p(out, out=out)
         np.multiply(self.ctx.bandwidth, out, out=out)
@@ -272,118 +260,26 @@ class _RatePhi:
 
     def __call__(self, ell):
         """(phi, phi'-, phi'+, phi''-, phi''+) at ell."""
-        if self.ln_u.ndim == 1:
-            return self._evaluate(self.ln_u, self.scaled_u, self.kinks, ell)
-        rows = tuple(ell)
-        if rows not in self._rows:
-            pick = rows[0] if len(rows) == 1 else list(rows)
-            self._rows[rows] = self.ln_u[pick], self.scaled_u[pick], self.kinks[pick]
-        ells = [ell[i] for i in rows]
-        if len(rows) == 1:
-            return [self._evaluate(*self._rows[rows], ells[0])]
-        return self._evaluate(*self._rows[rows], np.array(ells)[:, None], ells)
-
-    def _evaluate(self, ln_u, scaled_u, kinks, ell, ells=None):
-        """The tuple at ell of one row, or the list of tuples of stacked rows at
-        the column ell of the ceilings `ells`."""
         ctx = self.ctx
-        f1 = np.expm1(self._rates(ln_u, ell) * _LN2 / ctx.bandwidth)
+        f1 = np.expm1(self.rates(ell) * _LN2 / ctx.bandwidth)
         # SchedulingContext.success_prob inline on the f1 it needs anyway: arg is
         # minus the support margin, p = -expm1(arg) > 0 exactly where arg < 0, and
         # the cost is infinite elsewhere
         arg = ctx.xi1 - ctx.xi3 / f1
-        finite = np.maximum.reduce(arg, axis=-1) < 0.0
-        if ln_u.ndim == 1 and not finite:
+        if not arg.max() < 0.0:
             return math.inf, -math.inf, -math.inf, math.nan, math.nan
-        if ln_u.ndim == 2 and not finite.all():
-            infinite = (math.inf, -math.inf, -math.inf, math.nan, math.nan)
-            out = [infinite] * len(ln_u)
-            keep = np.flatnonzero(finite)
-            if len(keep):
-                for i, values in zip(keep.tolist(), self._evaluate(
-                        ln_u[keep], scaled_u[keep], kinks[keep], ell[keep],
-                        [ells[i] for i in keep.tolist()])):
-                    out[i] = values
-            return out
         p = -np.expm1(arg)
-        cost = self.weighted_data / (scaled_u * p)
+        cost = self.weighted_data / (self.scaled_u * p)
+        s = math.exp(ell)
         # per raised vehicle, -d(cost)/d ell and d2(cost)/d ell2
         q = ctx.xi3 / (f1 * f1)
         e = np.exp(arg)
         g = cost / p * e * q
         h = g * ((1.0 + e) * q / p - 2.0 / f1)
-        add = np.add.reduce
-        left = kinks >= ell
-        g_left, h_left = add(g, axis=-1, where=left), add(h, axis=-1, where=left)
-        g_right, h_right = g_left, h_left  # the same sums, unless a vehicle sits at its kink
-        if (kinks == ell).any():
-            right = kinks > ell
-            g_right, h_right = add(g, axis=-1, where=right), add(h, axis=-1, where=right)
-        sums = add(cost, axis=-1), g_left, g_right, h_left, h_right
-        if ln_u.ndim == 2:
-            # each row's scalars as floats, which round as the 1-D row's do
-            return [self._values(math.exp(x), *row)
-                    for x, *row in zip(ells, *(v.tolist() for v in sums))]
-        return self._values(math.exp(ell), *sums)
-
-    def _values(self, s, cost_sum, g_left, g_right, h_left, h_right):
-        bs = self.beta * s
-        return cost_sum + bs, bs - g_left, bs - g_right, bs + h_left, bs + h_right
-
-
-def _lockstep(searches, evaluate):
-    """Run searches side by side; returns their results in a dict keyed as
-    `searches` is.
-
-    A search is a generator that yields each point it needs evaluated, is
-    sent the evaluation there and returns its result.  Each step makes one
-    call evaluate(asks), where asks maps every search still running to its
-    point, in key order, and returns their evaluations in that order; a
-    search that returns drops out.
-    """
-    asks, results = {}, {}
-    for key, search in searches.items():
-        try:
-            asks[key] = next(search)
-        except StopIteration as stop:
-            results[key] = stop.value
-    while asks:
-        for key, answer in zip(list(asks), evaluate(asks)):
-            try:
-                asks[key] = searches[key].send(answer)
-            except StopIteration as stop:
-                del asks[key]
-                results[key] = stop.value
-    return results
-
-
-def _newton_search(kinks, lo, hi):
-    """The steps of _newton_min as a search (see _lockstep): it yields each
-    ceiling, is sent phi's tuple there and returns the ceiling found."""
-    a, b, x = lo, hi, hi
-    best_x, best_f = hi, math.inf
-    last = before_last = hi - lo
-    for _ in range(_EXACT_ITERS):
-        f, d_minus, d_plus, h_minus, h_plus = yield x
-        if f < best_f:
-            best_x, best_f = x, f
-        if d_minus <= 0.0 <= d_plus:
-            return x
-        if d_plus < 0.0:
-            a, d, h = x, d_plus, h_plus
-        else:
-            b, d, h = x, d_minus, h_minus
-        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
-            break
-        step = d / h if 0.0 < h < math.inf else math.nan
-        if abs(step) <= 4e-16 * max(1.0, abs(x)):
-            return x
-        nxt = x - step
-        if not (a < nxt < b and (a == lo or abs(step) <= 0.5 * abs(before_last))):
-            inside = np.sort(kinks[(a < kinks) & (kinks < b)])
-            nxt = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (a + b)
-        before_last, last, x = last, nxt - x, nxt
-    return best_x
+        left, right = self.kinks >= ell, self.kinks > ell
+        return (float(cost.sum()) + self.beta * s,
+                self.beta * s - g.sum(where=left), self.beta * s - g.sum(where=right),
+                self.beta * s + h.sum(where=left), self.beta * s + h.sum(where=right))
 
 
 def _newton_min(phi, lo, hi):
@@ -399,7 +295,30 @@ def _newton_min(phi, lo, hi):
     bracket 0, at a Newton step under 4e-16 relative, or once the bracket is
     narrower than 1e-14 relative, and returns the best ceiling it evaluated.
     """
-    return _lockstep({0: _newton_search(phi.kinks, lo, hi)}, lambda asks: [phi(asks[0])])[0]
+    a, b, x = lo, hi, hi
+    best_x, best_f = hi, math.inf
+    last = before_last = hi - lo
+    for _ in range(_EXACT_ITERS):
+        f, d_minus, d_plus, h_minus, h_plus = phi(x)
+        if f < best_f:
+            best_x, best_f = x, f
+        if d_minus <= 0.0 <= d_plus:
+            return x
+        if d_plus < 0.0:
+            a, d, h = x, d_plus, h_plus
+        else:
+            b, d, h = x, d_minus, h_minus
+        if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
+            break
+        step = d / h if 0.0 < h < math.inf else math.nan
+        if abs(step) <= 4e-16 * max(1.0, abs(x)):
+            return x
+        nxt = x - step
+        if not (a < nxt < b and (a == lo or abs(step) <= 0.5 * abs(before_last))):
+            inside = np.sort(phi.kinks[(a < phi.kinks) & (phi.kinks < b)])
+            nxt = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (a + b)
+        before_last, last, x = last, nxt - x, nxt
+    return best_x
 
 
 def solve_rate_block(u, ctx: SchedulingContext):
@@ -409,28 +328,23 @@ def solve_rate_block(u, ctx: SchedulingContext):
     pressure exceeds s raises its rate just enough to meet it, never more,
     because the inclusion cost strictly grows with rate.  The reduced
     objective is convex in log s, with a closed-form derivative, and
-    _newton_min solves it exactly.  A 2-D u stacks one row per start: the
-    rows' searches run in lockstep on one stacked phi, and each row of the
-    stacked rates has the bits of its row solved alone.
+    _newton_min solves it exactly.
     """
     alpha = ctx.alpha
-    u = np.asarray(u, dtype=float)
     if ctx.size == 0:
-        return np.zeros(u.shape)
-    if not 0.0 < alpha < 1.0:
-        rates = np.empty(u.shape)
-        rates[...] = ctx.r_min if alpha >= 1.0 else ctx.r_max
-        return rates
-    phi = _RatePhi(u, ctx)
-    ell_lo = np.max(phi.ln_u - np.expm1(ctx.r_max * _LN2 / ctx.bandwidth), axis=-1).tolist()
-    ell_hi = np.max(phi.kinks, axis=-1).tolist()
+        return np.array([])
+    if alpha >= 1.0:
+        return ctx.r_min.copy()
+    if alpha <= 0.0:
+        return ctx.r_max.copy()
+    phi = _RatePhi(np.asarray(u, dtype=float), ctx)
+    ell_lo = float(np.max(phi.ln_u - np.expm1(ctx.r_max * _LN2 / ctx.bandwidth)))
+    ell_hi = float(np.max(phi.kinks))
+    if not ell_hi > ell_lo:
+        return phi.rates(ell_hi)
     # the success probability's overflow and zero division, as it ignores them
     with np.errstate(divide="ignore", over="ignore"):
-        if u.ndim == 1:
-            return phi.rates(_newton_min(phi, ell_lo, ell_hi) if ell_hi > ell_lo else ell_hi)
-        found = _lockstep({i: _newton_search(phi.kinks[i], lo, hi)
-                           for i, (lo, hi) in enumerate(zip(ell_lo, ell_hi)) if hi > lo}, phi)
-        return phi.rates(np.array([found.get(i, hi) for i, hi in enumerate(ell_hi)])[:, None])
+        return phi.rates(_newton_min(phi, ell_lo, ell_hi))
 
 
 def _waterfill_solver(cost, lo, budget):
@@ -445,79 +359,53 @@ def _waterfill_solver(cost, lo, budget):
     search over the caps pays only for the cap breakpoints and their sort.
     The solve returns the fill and its budget multiplier mu, 0 when the budget
     is slack; it overwrites its caps argument with max(caps, lo) and may
-    return it as the fill.  Its caller ignores zero division, overflow and
-    invalid values.
-
-    A 2-D cost stacks rows whose costs are all positive, one per start; its
-    solve takes their caps stacked the same way and returns the stacked fills
-    and a list of their multipliers, each row with the bits of its fill alone.
+    return it as the fill.  It carries the finite costs, the active set and
+    `every` as attributes for its callers.  Its caller ignores zero division,
+    overflow and invalid values.
     """
     cost = np.where(np.isfinite(cost), cost, 1e300)
     act = cost > 0.0
     every = bool(act.all())  # no vehicle pinned at lo: the masks are moot
-    ca = cost if every else cost[act]
+    ca = cost[act]
     n_lo_fixed = int((~act).sum())
-    cost_or_one = cost if every else np.where(act, cost, 1.0)
+    cost_or_one = np.where(act, cost, 1.0)
     sq = np.sqrt(ca)
     mu_lo = ca / lo**2  # above: pinned at floor
-    # each event's changes to the running sums of the caps held, of sqrt(cost)
-    # at the water level and of the vehicles at the floor; the caps' column is
-    # the solve's own
-    m = ca.shape[-1]
-    events = np.zeros(ca.shape[:-1] + (2 * m, 3))
-    events[..., :m, 1], events[..., m:, 1], events[..., m:, 2] = sq, -sq, 1.0
-    # a stacked solve reorders each row's events by its own permutation
-    rows = np.arange(len(cost))[:, None] if cost.ndim == 2 else None
-
-    def multiplier(mu, upper, sum_hi, sum_sq, n_lo):
-        """mu from its piece's left end, right end and sums."""
-        mu = float(mu)  # no vehicle at the water level: the left end
-        if sum_sq > 0.0:
-            rhs = budget - sum_hi - lo * n_lo
-            mu = min(max(float((sum_sq / rhs) ** 2), mu), float(upper))
-        return mu
+    zeros = np.zeros_like(ca)
+    ev_dsq = np.concatenate([sq, -sq])
+    ev_dnlo = np.concatenate([zeros, np.ones_like(ca)])
 
     def solve(caps):
         caps = np.maximum(caps, lo, out=caps)
         u_free = caps if every else np.where(act, caps, lo)
-        total = np.add.reduce(u_free, axis=-1)
-        slack = total <= budget * (1.0 + 1e-12)
-        if rows is None and slack:
+        total = float(u_free.sum())
+        if total <= budget or not len(ca):  # slack, or no vehicle to price
             return u_free, 0.0
-        if slack.all():
-            return u_free, [0.0] * len(caps)
         ha = caps if every else caps[act]
         mu_hi = ca / ha**2  # below: pinned at cap
-        ev_mu = np.concatenate([mu_hi, mu_lo], axis=-1)
-        np.negative(ha, out=events[..., :m, 0])
-        order = np.argsort(ev_mu, axis=-1, kind="stable")
-        if rows is not None:
-            order = (rows, order)
+        ev_mu = np.concatenate([mu_hi, mu_lo])
+        ev_dhi = np.concatenate([-ha, zeros])
+        order = np.argsort(ev_mu, kind="stable")
         ev_mu = ev_mu[order]
-        sums = np.add.accumulate(events[order], axis=-2)
-        sum_hi = ((total if rows is None else total[:, None]) if every else float(ha.sum())) \
-            + sums[..., 0]
-        sum_sq = np.maximum(sums[..., 1], 0.0)
-        n_lo = sums[..., 2] + n_lo_fixed
+        sum_hi = (total if every else float(ha.sum())) + np.cumsum(ev_dhi[order])
+        sum_sq = np.maximum(np.cumsum(ev_dsq[order]), 0.0)
+        n_lo = np.cumsum(ev_dnlo[order]) + n_lo_fixed
         # piece k, mu in [ev_mu[k], upper[k]], spends sum_hi[k] + lo*n_lo[k] +
         # sum_sq[k]/sqrt(mu), which falls as mu rises: the root is on the first piece
         # whose right end fits.  The last piece, every vehicle at its floor, is the
         # point ev_mu[-1]; it fits by the budget drop, whatever the rounding
-        upper = np.concatenate([ev_mu[..., 1:], ev_mu[..., -1:]], axis=-1)
+        upper = np.append(ev_mu[1:], ev_mu[-1])
         fits = sum_hi + lo * n_lo + sum_sq / np.sqrt(upper) <= budget
-        fits[..., -1] = True
-        k = fits.argmax(axis=-1)
-        if rows is None:
-            mu = multiplier(ev_mu[k], upper[k], sum_hi[k], sum_sq[k], n_lo[k])
-            u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
-            return (u if every else np.where(act, u, lo)), mu
-        # a slack row's multiplier 0 leaves its fill at its caps
-        k = (rows[:, 0], k)
-        mu = [0.0 if free else multiplier(*piece) for free, *piece in zip(
-            slack.tolist(), ev_mu[k], upper[k], sum_hi[k], sum_sq[k], n_lo[k])]
-        u = np.minimum(np.maximum(np.sqrt(cost_or_one / np.array(mu)[:, None]), lo), caps)
-        return u, mu
+        fits[-1] = True
+        k = int(fits.argmax())
+        mu = float(ev_mu[k])  # no vehicle at the water level: the left end
+        if sum_sq[k] > 0.0:
+            rhs = budget - sum_hi[k] - lo * n_lo[k]
+            mu = min(max(float((sum_sq[k] / rhs) ** 2), mu), float(upper[k]))
+        u = np.minimum(np.maximum(np.sqrt(cost_or_one / mu), lo), caps)
+        return (u if every else np.where(act, u, lo)), mu
 
+    solve.finite_cost, solve.act, solve.every = cost, act, every
     return solve
 
 
@@ -552,113 +440,50 @@ class _InclusionPsi:
 
     with A = s*sum_C c/u, A' = sum_C u/s, B = sqrt(mu)*sum_W u and
     M = sum_C u + sum_W u; the free vehicles share the budget left over.
-
-    A 2-D cost and ln_e stack one row per start, and `rows` holds each row as
-    a psi of its own, for its search.  Such a psi is called with a dict from
-    rows to (x, exact) pairs and returns the rows' points in a list, in the
-    dict's order.  The rows whose costs are all positive share one stacked
-    water-fill (a lone one fills on its 1-D arrays); any other row takes its
-    own.  Each point has the bits of its row evaluated alone.
     """
 
     def __init__(self, cost, ln_e, ctx):
         self.cost, self.ln_e = cost, ln_e
         self.beta = 1.0 - ctx.alpha
         self.lo, self.budget = ctx.u_min, ctx.n_blocks
-        self.finite_cost = np.where(np.isfinite(cost), cost, 1e300)
-        self.act = self.finite_cost > 0.0
-        self.every = self.act.all(axis=-1)
-        self._fills = {}  # water-fills by the rows they stack, built on first use
-        if cost.ndim == 2:
-            self.rows = [self._row(i) for i in range(len(cost))]
-
-    def _row(self, i):
-        row = _InclusionPsi.__new__(_InclusionPsi)
-        row.__dict__ = {"cost": self.cost[i], "ln_e": self.ln_e[i], "beta": self.beta,
-                        "lo": self.lo, "budget": self.budget, "finite_cost": self.finite_cost[i],
-                        "act": self.act[i], "every": bool(self.every[i]), "_fills": {}}
-        return row
+        self.fill = fill = _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)
+        self.finite_cost, self.act, self.every = fill.finite_cost, fill.act, fill.every
 
     def __call__(self, x, exact=False):
         """The point at x.  An `exact` evaluation also finds the vehicles whose cap
         reaches 1 at x and, at the slack end of the budget, the right derivative
         with the largest multiplier that keeps every vehicle at its cap."""
-        if self.cost.ndim == 1:
-            return self._points(None, [x], [exact])[0]
-        asks = x
-        together = tuple(i for i in asks if self.every[i])
-        points = {}
-        if len(together) > 1:
-            points = dict(zip(together, self._points(together, [asks[i][0] for i in together],
-                                                     [asks[i][1] for i in together])))
-        for i, (x_i, exact_i) in asks.items():
-            if i not in points:
-                points[i] = self.rows[i]._points(None, [x_i], [exact_i])[0]
-        return [points[i] for i in asks]
-
-    def _points(self, group, xs, exacts):
-        """The points at the ceilings xs, with the `exact` flags exacts, of this
-        psi's one row (group None) or of the stacked rows `group`, from one
-        water-fill."""
-        if group not in self._fills:
-            if group is None:
-                arrays = self.cost, self.ln_e, self.finite_cost
-            else:
-                pick = list(group) if len(group) < len(self.cost) else slice(None)
-                arrays = self.cost[pick], self.ln_e[pick], self.finite_cost[pick]
-            self._fills[group] = _waterfill_solver(arrays[0], self.lo, self.budget), *arrays
-        fill, cost, ln_e, finite = self._fills[group]
-        x = xs[0] if group is None else np.array(xs)[:, None]
-        caps = np.subtract(x, ln_e)
+        caps = np.subtract(x, self.ln_e)
         np.minimum(0.0, caps, out=caps)
-        u, mu = fill(np.exp(caps, out=caps))  # caps is now max(caps, lo)
-        c_over_u = cost / u
-        at_cap = u == caps
-        if group is None and not self.every:
-            at_cap &= self.act
-        held = at_cap & (caps < 1.0)
-        if group is None:
-            if exact := exacts[0]:
-                # a cap of exactly lo (x at the lower end) also pins at the floor
-                held &= finite > mu * u * u
-            return [self._point(xs[0], exact, u, mu, caps, c_over_u,
-                                float(np.add.reduce(c_over_u)), float(np.add.reduce(u)), at_cap,
-                                held, ln_e, finite)]
-        if any(exacts):
-            held &= (finite > np.array(mu)[:, None] * u * u) | ~np.array(exacts)[:, None]
-        # the vehicles at the water level, in the rows where the budget binds
-        free = (u < caps) & (u > self.lo) if any(mu) else [None] * len(xs)
-        return [self._point(*row) for row in zip(
-            xs, exacts, u, mu, caps, c_over_u, np.add.reduce(c_over_u, axis=1).tolist(),
-            np.add.reduce(u, axis=1).tolist(), at_cap, held, ln_e, finite, free)]
-
-    def _point(self, x, exact, u, mu, caps, c_over_u, cost_sum, total, at_cap, held, ln_e,
-               finite, free=None):
-        """One row's _CeilingPoint from its fill u, mu at x; `free` may come
-        with it, where the budget binds."""
+        u, mu = self.fill(np.exp(caps, out=caps))  # caps is now max(caps, lo)
+        c_over_u = self.cost / u
         p = _CeilingPoint()
         p.x, p.s, p.u, p.mu = x, math.exp(x), u, mu
-        p.cost_sum = cost_sum
+        p.cost_sum = float(c_over_u.sum())
         p.psi = p.cost_sum + self.beta * p.s
+        at_cap = u == caps
+        if not self.every:
+            at_cap &= self.act
+        held = at_cap & (caps < 1.0)
+        if exact:
+            # a cap of exactly lo (x at the lower end) also pins at the floor
+            held &= self.finite_cost > mu * u * u
         p.held = held
         p.c_held = float(c_over_u.dot(held))
         p.u_held = float(u.dot(held))
-        p.total = total
-        if mu > 0.0:
-            p.free = (u < caps) & (u > self.lo) if free is None else free
-            p.u_free = float(u.dot(p.free))
-        else:
-            p.free, p.u_free = None, 0.0
+        p.total = float(u.sum())
+        p.free = (u < caps) & (u > self.lo) if mu > 0.0 else None
+        p.u_free = float(u.dot(p.free)) if mu > 0.0 else 0.0
         p.d_plus = p.d_minus = self.beta * p.s - p.c_held + mu * p.u_held
         p.left, p.c_left, p.u_left, p.u_left_free = None, 0.0, 0.0, 0.0
         if exact:
-            kink = at_cap & (ln_e == x) & (finite > mu)
+            kink = at_cap & (self.ln_e == x) & (self.finite_cost > mu)
             if kink.any():
                 p.left, p.u_left = kink, float(kink.sum())
-                p.c_left = float(finite.dot(kink))
+                p.c_left = float(self.finite_cost.dot(kink))
                 p.d_minus = p.d_plus - (p.c_left - mu * p.u_left)
             if mu == 0.0 and p.total >= self.budget * (1.0 - 1e-14) and at_cap.any():
-                mu_edge = float(np.min(finite[at_cap] / u[at_cap] ** 2))
+                mu_edge = float(np.min(self.finite_cost[at_cap] / u[at_cap] ** 2))
                 p.d_plus += mu_edge * p.u_held
         return p
 
@@ -735,13 +560,21 @@ class _InclusionPsi:
         return float(ln_e.max()) if len(ln_e) else -math.inf
 
 
-def _piecewise_search(psi, lo, hi):
-    """The steps of _piecewise_min as a search (see _lockstep): it yields each
-    (ceiling, exact) pair, is sent psi's _CeilingPoint there and returns the
-    point found."""
+def _piecewise_min(psi, lo, hi):
+    """Exact minimizer over [lo, hi] of the inclusion block's psi; returns its
+    _CeilingPoint.
+
+    Keeps a bracket [a, b] whose ends have psi' < 0 and psi' > 0, starting from
+    the water-fill at hi moved down to its own ceiling.  Each step evaluates
+    the stationary point of the newest end's piece model, or else of the other
+    end's; failing both, the nearest kink past either end (a cap reaching 1),
+    and failing that the midpoint.  It stops at a point whose one-sided
+    derivatives bracket 0, at a stationary point that lands in the piece whose
+    model proposed it, or once the bracket is narrower than 1e-14 relative.
+    """
     a, b = lo, hi
     ends = {True: None, False: None}  # evaluated ends, keyed by `psi' < 0 there`
-    p = yield hi, False
+    p = psi(hi)
     best, sets = p, None
     for _ in range(_EXACT_ITERS):
         if not math.isfinite(p.psi):
@@ -785,23 +618,8 @@ def _piecewise_search(psi, lo, hi):
                     break
             else:
                 x, exact = 0.5 * (a + b), False
-        p = yield x, exact
+        p = psi(x, exact)
     return best
-
-
-def _piecewise_min(psi, lo, hi):
-    """Exact minimizer over [lo, hi] of the inclusion block's psi; returns its
-    _CeilingPoint.
-
-    Keeps a bracket [a, b] whose ends have psi' < 0 and psi' > 0, starting from
-    the water-fill at hi moved down to its own ceiling.  Each step evaluates
-    the stationary point of the newest end's piece model, or else of the other
-    end's; failing both, the nearest kink past either end (a cap reaching 1),
-    and failing that the midpoint.  It stops at a point whose one-sided
-    derivatives bracket 0, at a stationary point that lands in the piece whose
-    model proposed it, or once the bracket is narrower than 1e-14 relative.
-    """
-    return _lockstep({0: _piecewise_search(psi, lo, hi)}, lambda asks: [psi(*asks[0])])[0]
 
 
 def solve_inclusion_block(rates, ctx: SchedulingContext):
@@ -810,34 +628,24 @@ def solve_inclusion_block(rates, ctx: SchedulingContext):
     For a given ceiling s of the max term each u_v is capped at min(1, s/e_v);
     under the block budget the inverse costs water-fill against those caps.
     The reduced objective psi is convex in log s and piecewise of closed form,
-    and _piecewise_min solves it exactly.  2-D rates stack one row per start:
-    the rows' searches run in lockstep on one stacked psi, and each row of the
-    stacked u has the bits of its row solved alone.
+    and _piecewise_min solves it exactly.
     """
     alpha = ctx.alpha
-    rates = np.asarray(rates, dtype=float)
     if ctx.size == 0:
-        return np.zeros(rates.shape)
+        return np.array([])
     if alpha <= 0.0:
-        return np.full(rates.shape, ctx.u_min)
+        return np.full(ctx.size, ctx.u_min)
+    rates = np.asarray(rates, dtype=float)
     p = ctx.success_prob(rates)
     # p = 0 costs inf whatever the data, and zero data over it would be 0/0; an
     # infinite cost's floor breakpoint overflows to inf at a small u_min
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cost = np.where(p > 0.0, alpha * ctx.data_sizes / (ctx.d_total * p), np.inf)
         if alpha >= 1.0:
-            if cost.ndim == 1:
-                return _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
-            return np.array([_waterfill_solver(row, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
-                             for row in cost])
+            return _waterfill_solver(cost, ctx.u_min, ctx.n_blocks)(np.ones(ctx.size))[0]
         ln_e = -np.expm1(rates * _LN2 / ctx.bandwidth)  # log of exp(-(2^(R/W)-1))
-        top = np.max(ln_e, axis=-1).tolist()
-        psi = _InclusionPsi(cost, ln_e, ctx)
-        if cost.ndim == 1:
-            return _piecewise_min(psi, math.log(ctx.u_min) + top, top).u
-        found = _lockstep({i: _piecewise_search(row, math.log(ctx.u_min) + hi, hi)
-                           for i, (row, hi) in enumerate(zip(psi.rows, top))}, psi)
-        return np.array([found[i].u for i in range(len(cost))])
+        top = float(np.max(ln_e))
+        return _piecewise_min(_InclusionPsi(cost, ln_e, ctx), math.log(ctx.u_min) + top, top).u
 
 
 # ---------------------------------------------------------------------------
@@ -846,15 +654,12 @@ def solve_inclusion_block(rates, ctx: SchedulingContext):
 
 @dataclass
 class SolverReport:
-    """How a solve went: the returned run's alternations, accepted objective
-    values and convergence; which start it ran from ("floor", "parking" or
-    "scan"); and each start's (alternations, converged), in start order."""
+    """How a solve went: its alternations, accepted objective values and
+    convergence."""
 
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     converged: bool = False
-    winner: str = ""
-    runs: list = field(default_factory=list)
 
 
 def _slice_minima(ln_q, rows, left, right):
@@ -886,7 +691,7 @@ def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
 
 
 def _ceiling_scan(ctx: SchedulingContext, alpha):
-    """Globally-informed candidate for the joint problem, ignoring the budget.
+    """Globally-informed candidate for the joint problem, within the budget.
 
     Conditioned on the max-term ceiling s, the problem separates per vehicle:
     either u = 1 with the smallest rate whose pressure meets the ceiling, or u
@@ -894,7 +699,15 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     (alpha*d/(D*s)) * q(R) with q = exp(-(f-1))/p independent of s.  Scanning
     log s (geometric pass plus a local refinement) with sliding-window minima
     of log q locates the global optimum up to grid resolution, ignoring the
-    sum(u) <= N budget, which the candidate may overspend.
+    sum(u) <= N budget.  That candidate is returned where it fits N, and the
+    floor where |V| u_min >= N, the only point that can.
+
+    Otherwise the budget is priced (_budget_priced): a multiplier mu on it
+    adds mu u to each vehicle's term, each ceiling takes the smallest mu whose
+    choices fit N, and passes of _PRICE_PASSES geometric ceilings, each over
+    the span around the last pass's best, search the ceilings coarse to fine
+    on every _PRICE_STRIDE-th grid point.  The best ceiling is priced again on
+    the whole grid, and its u is the candidate.
 
     Only the geometric ceilings that can hold its minimum are priced.  With
     c = alpha*d/D, a vehicle's term is at most its u = 1 branch, so the total
@@ -1045,7 +858,139 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         best = np.where(window, ln_q[rows], np.inf).argmin(axis=1)
         for v, x in zip(rows.tolist(), g[np.arange(len(rows)), best].tolist()):
             u[v] = min(1.0, math.exp(ell + x))
-    return np.clip(u, ctx.u_min, 1.0)
+    u = np.clip(u, ctx.u_min, 1.0)
+    if u.sum() <= ctx.n_blocks:
+        return u
+    floor = np.full(size, ctx.u_min)
+    if size * ctx.u_min >= ctx.n_blocks:
+        return floor  # the only point that fits
+    # coarse to fine over the scan's range, each pass around the last one's best
+    grids = f1_lo, f1_hi, ln_a[:, 0], delta[:, 0]
+    found, span, mu = (math.inf, None, floor), (t_min, t_max), None
+    for count, tol in _PRICE_PASSES:
+        ells = -np.geomspace(*span, count)
+        values, fills, mus = _budget_priced(ctx, alpha, *grids, ells, _PRICE_STRIDE, mu, tol)
+        # the lowest of equal minima: above every vehicle's top ceiling the
+        # objective is flat, and the flat's low end is next to what lies below
+        k = count - 1 - int(np.argmin(values[::-1]))
+        if not math.isfinite(values[k]):
+            break
+        if values[k] < found[0]:
+            found = values[k], ells[k], fills[k]
+        mu = mus[k]
+        span = -ells[max(k - 1, 0)], -ells[min(k + 1, count - 1)]
+    if found[1] is None:
+        return floor
+    values, fills, _ = _budget_priced(ctx, alpha, *grids, np.array([found[1]]), 1, mu,
+                                      _PRICE_PASSES[-1][1])
+    return np.clip(fills[0] if math.isfinite(values[0]) else found[2], ctx.u_min, 1.0)
+
+
+def _budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol):
+    """The budget-priced choice of every vehicle at each log ceiling of `ells`;
+    returns per ceiling the objective, u and the multiplier mu on the budget.
+
+    With c = alpha*D_v/D, a vehicle takes, at a point f of its riding window
+    [ln u_min - ell, -ell] (every `stride`-th point of its scan grid), u =
+    clip(sqrt(c/(mu p)), u_min, e^(ell+f)), and at its u = 1 point, f =
+    max(f1_min, -ell), the same u capped at 1.  It keeps the option with the
+    least c/(u p) + mu u: the window's first minimum, unless the u = 1 point is
+    no worse.  At mu = 0 these are the scan's two branches.
+
+    Each ceiling's mu is the smallest, to `tol`, whose choices fit N: a ceiling
+    is done once they spend at least N(1 - tol) or its bracket on mu is that
+    narrow.  Inside a bracket the step is regula falsi on log(spend/N) against
+    log mu, an end kept twice having its residual halved (Illinois); with one
+    end, the closed form of the spend with only the vehicles at the water level
+    moving; else the geometric midpoint, or a factor 4 past the one end.  mu
+    starts from `mu` (0 if None).  The objective is that of the choices at the
+    ceiling's mu: inf where no mu fits or a vehicle has no option.
+    """
+    size, n, lo, budget = ctx.size, len(ells), ctx.u_min, ctx.n_blocks
+    c = alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total  # the scan's weights
+    x_lo, x_hi = math.log(lo) - ells, -ells
+    # each window's grid points, one more past either end, then the exact test
+    span = np.where(delta > 0.0, delta * stride, np.inf)
+    last = np.where(delta > 0.0, (_SCAN_GRID - 1) // stride, 0)
+    first = np.clip(np.ceil((np.log(np.maximum(x_lo, 1e-300))[:, None] - ln_a) / span) - 1.0,
+                    0, last).astype(np.intp)
+    end = np.clip(np.floor((np.log(x_hi)[:, None] - ln_a) / span) + 1.0, -1, last).astype(np.intp)
+    count = np.maximum(end - first + 1, 0).ravel()
+    pair = np.repeat(np.arange(n * size), count)
+    j = first.ravel()[pair] + np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    k, v = np.divmod(pair, size)
+    g = np.exp(j * stride * delta[v] + ln_a[v])
+    with np.errstate(divide="ignore"):
+        p = -np.expm1(np.minimum(ctx.xi1[v] - ctx.xi3[v] / g, 0.0))
+    keep = (p > 0.0) & (g >= x_lo[k]) & (g <= x_hi[k])
+    pair, k, g, p, cost = pair[keep], k[keep], g[keep], p[keep], c[v[keep]]
+    cap = np.exp(np.minimum(ells[k] + g, 0.0))
+    root = np.sqrt(cost / p)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    owner, index = pair[starts], np.arange(len(pair))
+    f_a = np.maximum(f1_lo, x_hi[:, None])
+    with np.errstate(divide="ignore"):
+        p_a = -np.expm1(np.minimum(ctx.xi1 - ctx.xi3 / f_a, 0.0))
+    live = (f_a <= f1_hi * (1.0 - 1e-12)) & (p_a > 0.0)
+    p_a = np.where(live, p_a, 1.0)  # a dead point is priced inf
+    root_a = np.sqrt(c / p_a)
+    has = live.copy()  # a vehicle with no option prices its ceiling inf
+    has.ravel()[owner] = True
+
+    def choose(mu):
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / np.sqrt(mu)
+        u_a = np.minimum(np.maximum(root_a * inv[:, None], lo), 1.0)
+        val_a = np.where(live, c / (u_a * p_a) + mu[:, None] * u_a, np.inf)
+        if not len(pair):
+            return u_a, f_a, p_a, root_a, u_a < 1.0
+        u = np.minimum(np.maximum(root * inv[k], lo), cap)
+        val = cost / (u * p) + mu[k] * u
+        best, at = np.full(n * size, np.inf), np.zeros(n * size, dtype=np.intp)
+        best[owner] = np.minimum.reduceat(val, starts)
+        at[owner] = np.minimum.reduceat(np.where(val == best[pair], index, len(index)), starts)
+        ride, at = (best < val_a.ravel()).reshape(n, size), at.reshape(n, size)
+        u_c, cap_c = np.where(ride, u[at], u_a), np.where(ride, cap[at], 1.0)
+        return (u_c, np.where(ride, g[at], f_a), np.where(ride, p[at], p_a),
+                np.where(ride, root[at], root_a), cap_c > u_c)
+
+    mu = np.full(n, 0.0 if mu is None else mu)
+    lo_mu, hi_mu = np.zeros(n), np.full(n, np.inf)
+    y_lo, y_hi, kept, done, fit = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool), None
+    for _ in range(_EXACT_ITERS):
+        u, f, pv, rv, below_cap = choose(mu)
+        total = np.add.reduce(u, axis=1)
+        y = np.log(total / budget)
+        up, down = ~done & (total <= budget), ~done & (total > budget)
+        y_lo = np.where(up & (kept == 1.0), 0.5 * y_lo, y_lo)
+        y_hi = np.where(down & (kept == -1.0), 0.5 * y_hi, y_hi)
+        kept = np.where(up, 1.0, np.where(down, -1.0, kept))
+        hi_mu, y_hi = np.where(up, mu, hi_mu), np.where(up, y, y_hi)
+        lo_mu, y_lo = np.where(down, mu, lo_mu), np.where(down, y, y_lo)
+        fit = (u, f, pv) if fit is None else fit
+        for a, b in zip(fit, (u, f, pv)):
+            a[up] = b[up]
+        done |= up & ((total >= budget * (1.0 - tol)) | (mu == 0.0))
+        done |= hi_mu <= lo_mu * (1.0 + tol)
+        if done.all():
+            break
+        water = below_cap & (u > lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            held = np.add.reduce(np.where(water, 0.0, u), axis=1)
+            closed = (np.add.reduce(np.where(water, rv, 0.0), axis=1) / (budget - held)) ** 2
+            a, b = np.log(lo_mu), np.log(hi_mu)
+            both = (lo_mu > 0.0) & np.isfinite(hi_mu)
+            step = np.where(both, np.exp(a - y_lo * (b - a) / (y_hi - y_lo)), closed)
+            away = np.where(both, np.sqrt(lo_mu * hi_mu),
+                            np.where(np.isfinite(hi_mu), 0.25 * hi_mu, 4.0 * lo_mu))
+        # mu = 0 overspends and no mu fits yet: every vehicle at the water level
+        away = np.where((lo_mu == 0.0) & (hi_mu == np.inf),
+                        (np.add.reduce(rv, axis=1) / budget) ** 2, away)
+        mu = np.where(done, mu, np.where((step > lo_mu) & (step < hi_mu), step, away))
+    u, f, pv = fit
+    values = np.add.reduce(c / (u * pv), axis=1) + (1.0 - alpha) * np.exp(
+        np.max(np.log(u) - f, axis=1))
+    return np.where(has.all(axis=1) & np.isfinite(hi_mu), values, np.inf), u, hi_mu
 
 
 @dataclass(eq=False)
@@ -1084,132 +1029,66 @@ def _plan_from(ctx, u, rates, obj):
                      objective_value=obj)
 
 
-def _starts(ctx):
-    """bcd_solve's deterministic (name, u) starts, in run order, covering the
-    main partial-optimum basins.
+def _alternate(ctx, u):
+    """Alternate exact block solves from u until the relative decrease stalls;
+    returns (trace, u, rates, converged, alternations).
 
-    "floor" puts every vehicle at u_min.  "parking", where there are at least
-    two vehicles, pins the weaker half of the links (by signal-to-error ratio)
-    at u_min with the budget shared among the rest; basins where poor channels
-    are soft-excluded are unreachable from symmetric starts.  "scan" is the
-    ceiling scan's candidate, where it offers one.  At alpha 0 or 1 both block
-    solves are start-independent and the floor start alone runs.
+    A block candidate is only accepted when it does not worsen the objective,
+    so the trace of accepted objective values is non-increasing.
     """
-    starts = [("floor", np.full(ctx.size, ctx.u_min))]
-    if not 0.0 < ctx.alpha < 1.0:
-        return starts
-    k = int(math.ceil(0.5 * ctx.size))
-    if 0 < k < ctx.size:
-        u = np.full(ctx.size, ctx.u_min)
-        share = (ctx.n_blocks - k * ctx.u_min) / (ctx.size - k)
-        u[np.argsort(ctx.xi3, kind="stable")[k:]] = np.clip(share, ctx.u_min, 1.0)
-        starts.append(("parking", u))
-    if (scanned := _ceiling_scan(ctx, ctx.alpha)) is not None:
-        starts.append(("scan", scanned))
-    return starts
-
-
-def _alternate(ctx, starts):
-    """Alternate exact block solves from each start until its relative
-    decrease stalls; returns (traces, u, rates, converged, alternations), one
-    entry per start.
-
-    The starts run in lockstep: each alternation solves the rate block of
-    every start still running in one stacked call, then their objectives, then
-    their inclusion block and its objectives, and a start that converges drops
-    out.  A stacked block solve gives each row the bits it has alone, so every
-    start's run is the one it would make by itself.  A block candidate is only
-    accepted when it does not worsen the objective, so each trace of accepted
-    objective values is non-increasing.
-    """
-    def feasible(u0):
-        u0 = np.clip(u0, ctx.u_min, 1.0)
-        total = u0.sum()
-        floor_total = ctx.size * ctx.u_min
-        if total > ctx.n_blocks and total > floor_total:
-            shrink = (ctx.n_blocks - floor_total) / (total - floor_total)
-            u0 = ctx.u_min + (u0 - ctx.u_min) * max(0.0, min(1.0, shrink))
-        return u0
-
-    # block results keyed by their input's bytes, shared by the starts: a
-    # rejected step leaves the state unchanged, and the next solve of that block
-    # would repeat, and two starts may meet the same input
+    # block results keyed by their input's bytes: a rejected step leaves the
+    # state unchanged, and the next solve of that block would repeat
     rate_table, inclusion_table = {}, {}
 
-    def solve_blocks(table, solve, inputs):
-        """The block results for `inputs`, solving each input the table lacks
-        once, in one call: on its 1-D row when it is the only one."""
-        keys = [x.tobytes() for x in inputs]
-        new = {}
-        for key, x in zip(keys, inputs):
-            if key not in table:
-                new.setdefault(key, x)
-        if len(new) == 1:
-            ((key, x),) = new.items()
+    def solve_block(table, solve, x):
+        key = x.tobytes()
+        if key not in table:
             table[key] = solve(x, ctx)
-        elif new:
-            table.update(zip(new, solve(np.array(list(new.values())), ctx)))
-        return [table[key] for key in keys]
+        return table[key]
 
-    def objectives(us, rates):
-        if len(us) == 1:
-            return [objective(us[0], rates[0], ctx)]
-        return objective(np.array(us), np.array(rates), ctx)
-
-    u = [feasible(u0) for u0 in starts]
-    rates = [ctx.r_min.copy() for _ in starts]
-    traces = [[o] for o in objectives(u, rates)]
-    converged = [False] * len(starts)
-    outer = [0] * len(starts)
-    live = list(range(len(starts)))
-    for alternation in range(1, _BCD_MAX_ALTERNATIONS + 1):
-        prev = [traces[i][-1] for i in live]
-        live_u = [u[i] for i in live]
-        r_new = solve_blocks(rate_table, solve_rate_block, live_u)
-        for i, r, o_r in zip(live, r_new, objectives(live_u, r_new)):
-            if o_r <= traces[i][-1]:
-                rates[i] = r
-                traces[i].append(o_r)
-            else:
-                traces[i].append(traces[i][-1])
-        live_rates = [rates[i] for i in live]
-        u_new = solve_blocks(inclusion_table, solve_inclusion_block, live_rates)
-        for i, u_i, o_u in zip(live, u_new, objectives(u_new, live_rates)):
-            if o_u <= traces[i][-1]:
-                u[i] = u_i
-                traces[i].append(o_u)
-            else:
-                traces[i].append(traces[i][-1])
-        for i, before in zip(live, prev):
-            outer[i] = alternation
-            converged[i] = before - traces[i][-1] <= _BCD_RTOL * max(1e-300, abs(before))
-        live = [i for i in live if not converged[i]]
-        if not live:
+    rates = ctx.r_min.copy()
+    trace = [objective(u, rates, ctx)]
+    converged = False
+    alternations = 0
+    for alternations in range(1, _BCD_MAX_ALTERNATIONS + 1):
+        prev = trace[-1]
+        r_new = solve_block(rate_table, solve_rate_block, u)
+        o_r = objective(u, r_new, ctx)
+        if o_r <= trace[-1]:
+            rates = r_new
+            trace.append(o_r)
+        else:
+            trace.append(trace[-1])
+        u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
+        o_u = objective(u_new, rates, ctx)
+        if o_u <= trace[-1]:
+            u = u_new
+            trace.append(o_u)
+        else:
+            trace.append(trace[-1])
+        if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
+            converged = True
             break
-    return traces, u, rates, converged, outer
+    return trace, u, rates, converged, alternations
 
 
 def bcd_solve(ctx: SchedulingContext):
-    """Alternate exact block solves until the relative decrease stalls.
+    """Alternate exact block solves from one start until the relative decrease
+    stalls.
 
-    Biconvex problems can have several partially optimal points, so an interior
-    alpha runs from the floor start, the parking start and the ceiling scan's
-    candidate shrunk into the budget, in that order, and keeps the best (the
-    earlier start on a tie); _alternate runs them in lockstep.  At alpha 0 or 1
-    both block solves are start-independent and the floor start alone runs.
-    The reported trace is the winning run's accepted objective values.
+    An interior alpha starts from the ceiling scan's candidate, which fits the
+    budget.  At alpha 0 or 1 both block solves are start-independent, and the
+    floor start (every vehicle at u_min) runs, as it does where the scan offers
+    no candidate.  The reported trace is the run's accepted objective values.
     """
     if ctx.size == 0:
         return RoundPlan(), SolverReport()
-    names, starts = zip(*_starts(ctx))
-    traces, u, rates, converged, outer = _alternate(ctx, starts)
-    # min keeps the earliest of equal objectives
-    best = min(range(len(starts)), key=lambda i: traces[i][-1])
-    plan = _plan_from(ctx, u[best], rates[best], traces[best][-1])
-    report = SolverReport(iterations=outer[best], objective_trace=traces[best],
-                          converged=converged[best], winner=names[best],
-                          runs=list(zip(outer, converged)))
-    return plan, report
+    u = _ceiling_scan(ctx, ctx.alpha) if 0.0 < ctx.alpha < 1.0 else None
+    if u is None:
+        u = np.full(ctx.size, ctx.u_min)
+    trace, u, rates, converged, alternations = _alternate(ctx, u)
+    return (_plan_from(ctx, u, rates, trace[-1]),
+            SolverReport(iterations=alternations, objective_trace=trace, converged=converged))
 
 
 def scheme1_baseline(ctx: SchedulingContext):

@@ -673,9 +673,18 @@ def reference_inclusion_block(rates, ctx, start=None):
 
 
 def reference_bcd_solve(ctx):
-    """scheduler.bcd_solve with its starts run one after another, each block
-    solved alone: the serial loop that lockstep replaced, kept as it was but
-    for the report's winner and per-start runs."""
+    """The three-start solve that scheduler.bcd_solve's one start replaced, as a
+    quality oracle: the floor start, the parking start and the program's own
+    ceiling-scan candidate, each run alone by the serial loop, the best plan
+    kept (the earlier start on a tie).
+
+    "floor" puts every vehicle at u_min.  "parking", at an interior alpha with
+    at least two vehicles, pins the weaker half of the links (by
+    signal-to-error ratio) at u_min and shares the rest of the budget among the
+    others.  A start that overspends N is shrunk toward u_min into it.  The
+    candidate's run is the program's, so the oracle is never worse than the
+    program and measures what the two deleted starts would have found.
+    """
     if ctx.size == 0:
         return scheduler.RoundPlan(), scheduler.SolverReport()
 
@@ -725,15 +734,22 @@ def reference_bcd_solve(ctx):
                 break
         return trace[-1], u, rates, converged, outer, trace
 
-    names, starts = zip(*scheduler._starts(ctx))
+    starts = [np.full(ctx.size, ctx.u_min)]
+    if 0.0 < ctx.alpha < 1.0:
+        k = int(math.ceil(0.5 * ctx.size))
+        if 0 < k < ctx.size:
+            u = np.full(ctx.size, ctx.u_min)
+            share = (ctx.n_blocks - k * ctx.u_min) / (ctx.size - k)
+            u[np.argsort(ctx.xi3, kind="stable")[k:]] = np.clip(share, ctx.u_min, 1.0)
+            starts.append(u)
+        if (scanned := scheduler._ceiling_scan(ctx, ctx.alpha)) is not None:
+            starts.append(scanned)
     runs = [alternate(u0) for u0 in starts]
     # min keeps the earliest of equal objectives
     best = min(range(len(runs)), key=lambda k: runs[k][0])
     obj, u, rates, converged, outer, trace = runs[best]
     plan = scheduler._plan_from(ctx, u, rates, obj)
-    report = scheduler.SolverReport(iterations=outer, objective_trace=trace, converged=converged,
-                                    winner=names[best],
-                                    runs=[(run[4], run[3]) for run in runs])
+    report = scheduler.SolverReport(iterations=outer, objective_trace=trace, converged=converged)
     return plan, report
 
 

@@ -1,7 +1,7 @@
 """Search evaluations over the stored benchmark corpus.
 
 bcd_solve never solves a block twice on the same input, and runs once from
-each of its starts, with no restart.  Both blocks are solved exactly, without
+its one start, with no restart.  Both blocks are solved exactly, without
 a line search: the rate block by a bracketed Newton iteration on the
 derivative of its reduced objective, the inclusion block by a piecewise search
 that reads the derivative and the closed form of each piece off its
@@ -24,12 +24,9 @@ Each interior solve first runs the ceiling scan, which prices only the coarse
 ceilings that can hold its minimum; a third guard counts them, against 1,400
 per scan (29,400 per pass) before the pruning.
 
-Since bcd_solve runs its starts in lockstep, one call of each evaluation
-serves every start whose search is still running, so the first two guards
-count batched calls: a pass makes 573 of the rate search and 452 water-fill
-calls.  A fourth guard counts the evaluations each call makes for each start,
-which must equal the serial loop's 1,153 and 891 exactly: each distinct block
-input is still solved once, by the same steps.
+With one start, the ceiling scan's candidate priced into the block budget,
+a pass makes 126 rate evaluations and 108 water-fills, where the three
+lockstep starts made 1,153 and 891.
 """
 
 from pathlib import Path
@@ -37,10 +34,9 @@ from pathlib import Path
 from vflsim import scheduler
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
-MEASURED = 1_293  # evaluations of the exact rate searches, when introduced
-MEASURED_FILLS = 892  # water-fills of the exact inclusion searches, when introduced
+MEASURED = 126  # evaluations of the exact rate searches, with one start
+MEASURED_FILLS = 108  # water-fills of the exact inclusion searches, with one start
 MEASURED_CEILINGS = 9_154  # coarse ceilings the ceiling scans price, when introduced
-SERIAL = {"rate": 1_153, "fill": 891}  # per-start evaluations of the serial loop
 
 
 def solve_corpus():
@@ -91,26 +87,3 @@ def test_corpus_scan_ceilings_stay_near_measured(monkeypatch):
     solve_corpus()
     print(f"corpus coarse ceilings priced by the scan: {priced[0]} (measured {MEASURED_CEILINGS})")
     assert 0 < priced[0] <= MEASURED_CEILINGS * 1.05
-
-
-def test_corpus_evaluations_per_start_equal_the_serial_loop(monkeypatch):
-    counts = {"rate": 0, "fill": 0}
-    rate, fill = scheduler._RatePhi.__call__, scheduler._InclusionPsi.__call__
-
-    def served(ask):
-        # a stacked evaluation maps each start it serves to its point
-        return len(ask) if isinstance(ask, dict) else 1
-
-    def rate_counted(self, ell):
-        counts["rate"] += served(ell)
-        return rate(self, ell)
-
-    def fill_counted(self, x, exact=False):
-        counts["fill"] += served(x)
-        return fill(self, x, exact)
-
-    monkeypatch.setattr(scheduler._RatePhi, "__call__", rate_counted)
-    monkeypatch.setattr(scheduler._InclusionPsi, "__call__", fill_counted)
-    solve_corpus()
-    print(f"corpus evaluations per start: {counts} (serial {SERIAL})")
-    assert counts == SERIAL

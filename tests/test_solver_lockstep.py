@@ -1,11 +1,12 @@
-"""bcd_solve's lockstep starts, byte for byte against the serial loop they replaced.
+"""bcd_solve's one start against the three starts it replaced.
 
-bcd_solve runs its starts side by side, one stacked block solve and one
-stacked objective per step for every start still running.
-tests/oracles.py::reference_bcd_solve runs them one after another, each
-block on its own.  The plan (ids, u, r, p and the objective) and the report
-(trace, alternations, convergence, the winning start and every start's run)
-must carry the same bytes on the stored corpus and on drawn contexts.
+bcd_solve runs one alternation, from the ceiling scan's candidate priced into
+the block budget (the floor start at alpha 0 or 1, or where the scan offers no
+candidate).  tests/oracles.py::reference_bcd_solve runs the floor and parking
+starts it replaced beside that candidate, one after another, and keeps the
+best plan.  On the stored corpus and on drawn contexts the plan must keep the
+box and the budget (up to the water-fill's rounding), and its objective may
+exceed that best plan's by at most 1e-3 relative.
 """
 
 from dataclasses import replace
@@ -27,42 +28,32 @@ NAMES = sorted(p.name for p in CORPUS.glob("*.txt"))
 
 
 def same_solve(ctx):
-    """Asserts the lockstep and serial solves of ctx equal by bytes; returns the report."""
+    """Asserts the plan of ctx feasible and within 1e-3 relative of the
+    three-start oracle's; returns the report."""
     plan, report = bcd_solve(ctx)
-    want_plan, want = oracles.reference_bcd_solve(ctx)
-    assert plan.ids == want_plan.ids
-    for name in ("u", "r", "p"):
-        assert getattr(plan, name).tobytes() == getattr(want_plan, name).tobytes(), name
-    assert (np.float64(plan.objective_value).tobytes()
-            == np.float64(want_plan.objective_value).tobytes())
-    assert (np.array(report.objective_trace, dtype=float).tobytes()
-            == np.array(want.objective_trace, dtype=float).tobytes())
-    assert (report.iterations, report.converged) == (want.iterations, want.converged)
-    assert (report.winner, report.runs) == (want.winner, want.runs)
+    want, _ = oracles.reference_bcd_solve(ctx)
+    assert plan.ids == want.ids
+    assert plan.u.sum() <= ctx.n_blocks * (1.0 + 1e-12)
+    assert np.all(plan.u >= ctx.u_min) and np.all(plan.u <= 1.0)
+    assert np.all(plan.r >= ctx.r_min) and np.all(plan.r <= ctx.r_max)
+    assert want.objective_value <= plan.objective_value
+    assert plan.objective_value <= want.objective_value + 1e-3 * abs(want.objective_value)
     return report
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_corpus_solve_equals_the_serial_loop(name):
     report = same_solve(load_instance(CORPUS / name))
-    assert report.runs and report.winner in ("floor", "parking", "scan")
-    # no start of a corpus solve stops at the cap
-    assert all(alternations < scheduler._BCD_MAX_ALTERNATIONS
-               for alternations, _ in report.runs)
+    assert report.converged and report.iterations < scheduler._BCD_MAX_ALTERNATIONS
 
 
-def test_shrunk_scan_candidate_is_the_winning_start():
-    # tests/test_solver_corpus.py::test_scan_candidate_over_the_budget_still_seeds_a_start
-    _, report = bcd_solve(load_instance(CORPUS / "desk_vrvfl_s12_r0.txt"))
-    assert report.winner == "scan"
-    assert len(report.runs) == 3
-
-
-def test_scan_without_a_candidate_leaves_two_starts():
+def test_scan_without_a_candidate_leaves_the_floor_start():
     ctx = replace(load_instance(CORPUS / "desk_vrvfl_s11_r0.txt"), alpha=5e-324)
     assert scheduler._ceiling_scan(ctx, ctx.alpha) is None
-    report = same_solve(ctx)
-    assert len(report.runs) == 2 and report.winner in ("floor", "parking")
+    plan, report = bcd_solve(ctx)
+    trace, u, _, _, _ = scheduler._alternate(ctx, np.full(ctx.size, ctx.u_min))
+    assert report.objective_trace == trace and plan.u.tobytes() == u.tobytes()
+    same_solve(ctx)
 
 
 @st.composite

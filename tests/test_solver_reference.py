@@ -59,13 +59,21 @@ def degenerate(ctx, rng):
 
 
 def scan_both(ctx):
-    """The scan's candidate, asserted equal by its bytes to the reference's (or both None)."""
+    """The reference's candidate, which ignores the budget, and the scan's: both
+    None, or equal by their bytes where the reference's fits N; where it
+    overspends, the scan's must fit N and the box, or be the floor where
+    |V| u_min >= N."""
     got = scheduler._ceiling_scan(ctx, ctx.alpha)
     want = oracles.reference_ceiling_scan(ctx, ctx.alpha)
     if want is None:
         assert got is None
-    else:
+    elif want.sum() <= ctx.n_blocks:
         assert got is not None and got.tobytes() == want.tobytes()
+    elif ctx.size * ctx.u_min >= ctx.n_blocks:
+        assert got is not None and np.all(got == ctx.u_min)  # the floor alone can fit
+    else:
+        assert got is not None and got.sum() <= ctx.n_blocks
+        assert np.all(got >= ctx.u_min) and np.all(got <= 1.0)
     return want
 
 
@@ -88,7 +96,8 @@ class TestCeilingScan:
                 candidates["tight fits" if u.sum() <= n_blocks else "tight overspends"] += 1
             else:
                 candidates["slack"] += 1
-        # the scan ignores the budget, so a tight one may fit it or be overspent
+        # the reference ignores the budget, so a tight one may fit it or be
+        # overspent; the scan prices the overspent ones into it
         assert min(candidates.values()) > 0, candidates
 
     def test_window_no_prefix_or_suffix_minimum_settles(self, monkeypatch):
@@ -341,7 +350,8 @@ class TestLineSearchEvaluations:
 def check_inclusion_block(rates, ctx):
     """The exact block on (rates, ctx) against the golden-section reference: a
     value no higher up to 1e-12 relative, u in the box and the budget kept (up
-    to the water-fill's own 1e-12 slack).  Returns (value, reference value)."""
+    to 1e-12 relative, the rounding of the fill's sums).  Returns (value,
+    reference value)."""
     u = scheduler.solve_inclusion_block(rates, ctx)
     u_ref, _ = oracles.reference_inclusion_block(rates, ctx)
     value, want = objective(u, rates, ctx), objective(u_ref, rates, ctx)
@@ -457,7 +467,7 @@ class TestExactInclusionBlock:
 def check_waterfill_kkt(cost, lo, caps, budget):
     """The water-fill of cost against caps (raised to lo) under the budget, held
     to its KKT conditions: every u finite and in [lo, cap]; mu = 0 exactly when
-    the caps fit within the 1e-12 slack, and otherwise a spend at the budget and
+    the caps fit the budget or no cost is positive, and otherwise a spend at the budget and
     each positive-cost u at clip(sqrt(c/mu), lo, cap), an infinite cost standing
     as 1e300.  The spend is held to 1e-12 of the budget or of the caps' total,
     whichever is larger: the fill's running sums start from that total and lose
@@ -470,7 +480,8 @@ def check_waterfill_kkt(cost, lo, caps, budget):
     act = cost > 0.0
     assert np.all(u[~act] == lo)
     total = np.where(act, caps, lo).sum()
-    assert (mu == 0.0) == (total <= budget * (1.0 + 1e-12))
+    # with no positive cost every u rests at lo, unpriced, whatever the rounding
+    assert (mu == 0.0) == (total <= budget or not act.any())
     if mu == math.inf:
         # 1e300 at a water level below about 7e-5 puts mu past the float range:
         # every vehicle rests at its floor, under the budget
@@ -511,6 +522,14 @@ class TestWaterfillKKT:
     @example((np.array([0.5]), 0.05, np.array([1.0]), 0.05))
     def test_random_inputs(self, inputs):
         check_waterfill_kkt(*inputs)
+
+    def test_caps_just_over_the_budget_bind(self):
+        # caps summing to N(1 + 5e-13) overspend the budget: the fill binds and
+        # spends at most N, where a slack test with a 1e-12 margin returned the caps
+        cost, caps = np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.5)
+        budget = float(caps.sum()) / (1.0 + 5e-13)
+        u, mu = check_waterfill_kkt(cost, 0.05, caps, budget)
+        assert mu > 0.0 and u.sum() <= budget
 
 
 def check_rate_block(u, ctx):
