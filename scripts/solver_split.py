@@ -8,12 +8,15 @@ For each instance file of CORPUS_DIR (benchmarks/corpus by default), in name
 order, it prints the wall time of one solve (the fastest of REPEATS, default
 5) and its split between the ceiling scan without the budget, the scan's
 pricing of the budget and the alternations; then the run's alternations and
-convergence, with its rate evaluations and water-fills.
+convergence, with its rate evaluations and water-fills.  An instance whose
+budget pins every u at u_min (|V| u_min >= N) is marked "pinned": its scan
+returns that floor before it builds a grid.
 
-A last line sums the corpus.  Time with OPENBLAS_NUM_THREADS=1, as the tests
-and the benchmark do; compare a time only with a run made back to back.  The
-package is imported from the src directory of the checkout that holds this
-script.
+Then one line per regime (the file name's prefix up to its first "_":
+default, dense, desk, small) sums that regime's instances, and a last line
+sums the corpus.  Time with OPENBLAS_NUM_THREADS=1, as the tests and the
+benchmark do; compare a time only with a run made back to back.  The package
+is imported from the src directory of the checkout that holds this script.
 """
 
 import sys
@@ -85,12 +88,22 @@ def split(path, repeats):
     with (patched(scheduler._RatePhi, "__call__", counted(counts, "rate evaluations")),
           patched(scheduler._InclusionPsi, "__call__", counted(counts, "water-fills"))):
         _, report = scheduler.bcd_solve(ctx)
-    line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}  solve {total * 1e3:.2f} ms"
+    pinned = " pinned" if ctx.size * ctx.u_min >= ctx.n_blocks else ""
+    line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}{pinned}  solve {total * 1e3:.2f} ms"
             f" = scan {(scan - pricing) * 1e3:.2f} + pricing {pricing * 1e3:.2f}"
             f" + alternations {(total - scan) * 1e3:.2f};  {report.iterations} alternations"
             f" {'converged' if report.converged else 'at the cap'},"
             f" {counts['rate evaluations']} rate evaluations, {counts['water-fills']} water-fills")
     return line, (total, scan, pricing), counts
+
+
+def subtotal(label, rows):
+    """The line that sums the (seconds, counts) rows of split's instances."""
+    wall, scan, pricing = (sum(seconds[i] for seconds, _ in rows) for i in range(3))
+    counts = {key: sum(c[key] for _, c in rows) for key in rows[0][1]}
+    return (f"{label}: {len(rows)} instances, solve {wall * 1e3:.1f} ms = scan"
+            f" {(scan - pricing) * 1e3:.1f} + pricing {pricing * 1e3:.1f} + alternations"
+            f" {(wall - scan) * 1e3:.1f}; " + ", ".join(f"{v} {k}" for k, v in counts.items()))
 
 
 def main(argv):
@@ -100,17 +113,14 @@ def main(argv):
     if not paths:
         print(f"no instance files under {corpus}", file=sys.stderr)
         return 2
-    wall = scan = pricing = 0.0
-    totals = {"rate evaluations": 0, "water-fills": 0}
+    regimes = {}
     for path in paths:
-        line, (t, s, p), counts = split(path, repeats)
+        line, seconds, counts = split(path, repeats)
         print(line)
-        wall, scan, pricing = wall + t, scan + s, pricing + p
-        for key, value in counts.items():
-            totals[key] += value
-    print(f"corpus: {len(paths)} instances, solve {wall * 1e3:.1f} ms = scan"
-          f" {(scan - pricing) * 1e3:.1f} + pricing {pricing * 1e3:.1f} + alternations"
-          f" {(wall - scan) * 1e3:.1f}; " + ", ".join(f"{v} {k}" for k, v in totals.items()))
+        regimes.setdefault(path.name.split("_")[0], []).append((seconds, counts))
+    for regime, rows in sorted(regimes.items()):
+        print(subtotal(regime, rows))
+    print(subtotal("corpus", [row for rows in regimes.values() for row in rows]))
     return 0
 
 

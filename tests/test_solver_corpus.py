@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from instances import random_context
+from vflsim import scheduler
 from vflsim.scheduler import _ceiling_scan, bcd_solve, load_instance, objective
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
@@ -77,3 +78,46 @@ def test_underflowing_alpha_solves_without_warnings(alpha):
     assert plan.u.sum() <= ctx.n_blocks * (1.0 + 1e-9)
     assert np.all(plan.u >= ctx.u_min) and np.all(plan.u <= 1.0)
     assert np.all(plan.r >= ctx.r_min) and np.all(plan.r <= ctx.r_max)
+
+
+def refuse_pricing(monkeypatch):
+    """Make every pricing of a ceiling or of the budget fail the test."""
+    def refuse(*args):
+        raise AssertionError("a pinned budget prices nothing")
+
+    monkeypatch.setattr(scheduler, "_priced_ceilings", refuse)
+    monkeypatch.setattr(scheduler, "_budget_priced", refuse)
+
+
+def assert_pinned_to_the_floor(ctx):
+    """|V| u_min >= N: the scan returns the floor, which the unpriced reference
+    scan's candidate either is or overspends, and bcd_solve's plan and trace are
+    those of the alternation from the floor."""
+    assert ctx.size * ctx.u_min >= ctx.n_blocks
+    floor = np.full(ctx.size, ctx.u_min)
+    want = oracles.reference_ceiling_scan(ctx, ctx.alpha)
+    assert want is None or want.sum() > ctx.n_blocks or want.tobytes() == floor.tobytes()
+    assert _ceiling_scan(ctx, ctx.alpha).tobytes() == floor.tobytes()
+    trace, u, rates, converged, alternations = scheduler._alternate(ctx, floor)
+    plan, report = bcd_solve(ctx)
+    assert plan.u.tobytes() == u.tobytes() and plan.r.tobytes() == rates.tobytes()
+    assert plan.objective_value == trace[-1]
+    assert report.objective_trace == trace
+    assert (report.iterations, report.converged) == (alternations, converged)
+
+
+@pytest.mark.parametrize("name", ["dense_vrvfl_s1_r0.txt", "dense_vrvfl_s2_r0.txt"])
+def test_pinned_budget_solves_from_the_floor_unpriced(name, monkeypatch):
+    # the budget drop keeps |V| = N/u_min vehicles: u >= u_min and sum(u) <= N
+    # leave the floor the only feasible point, so the scan returns it unpriced
+    refuse_pricing(monkeypatch)
+    assert_pinned_to_the_floor(load_instance(CORPUS / name))
+
+
+def test_drawn_pinned_budgets_solve_from_the_floor_unpriced(monkeypatch):
+    # N = n * u_min exactly: a power-of-two u_min keeps the product exact
+    rng = np.random.default_rng(27)
+    refuse_pricing(monkeypatch)
+    for i in range(12):
+        n, u_min = int(rng.integers(2, 13)), (0.0625, 0.125, 0.5)[i % 3]
+        assert_pinned_to_the_floor(random_context(rng, n, n_blocks=n * u_min, u_min=u_min))

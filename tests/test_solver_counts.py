@@ -22,7 +22,10 @@ before).
 
 Each interior solve first runs the ceiling scan, which prices only the coarse
 ceilings that can hold its minimum; a third guard counts them, against 1,400
-per scan (29,400 per pass) before the pruning.
+per scan (29,400 per pass) before the pruning.  A pinned solve (|V| u_min >= N,
+as on the two dense VR-VFL instances) prices none: the floor is the only point
+that fits, and the scan returns it first.  That took the count from 9,154 to
+8,550, the 301 and 303 ceilings the dense scans priced.
 
 With one start, the ceiling scan's candidate priced into the block budget,
 a pass makes 126 rate evaluations and 108 water-fills, where the three
@@ -36,7 +39,7 @@ from vflsim import scheduler
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 MEASURED = 126  # evaluations of the exact rate searches, with one start
 MEASURED_FILLS = 108  # water-fills of the exact inclusion searches, with one start
-MEASURED_CEILINGS = 9_154  # coarse ceilings the ceiling scans price, when introduced
+MEASURED_CEILINGS = 8_550  # coarse ceilings the ceiling scans price; pinned scans price none
 
 
 def solve_corpus():

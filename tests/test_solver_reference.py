@@ -59,18 +59,23 @@ def degenerate(ctx, rng):
 
 
 def scan_both(ctx):
-    """The reference's candidate, which ignores the budget, and the scan's: both
-    None, or equal by their bytes where the reference's fits N; where it
-    overspends, the scan's must fit N and the box, or be the floor where
-    |V| u_min >= N."""
+    """The reference's candidate, which ignores the budget, and the scan's.
+
+    Where |V| u_min >= N the floor is the only point that fits: the scan's
+    candidate is the floor's bytes, and the reference's overspends, is the
+    floor's bytes or is None.  Otherwise both are None, or equal by their
+    bytes where the reference's fits N; where it overspends, the scan's must
+    fit N and the box."""
     got = scheduler._ceiling_scan(ctx, ctx.alpha)
     want = oracles.reference_ceiling_scan(ctx, ctx.alpha)
-    if want is None:
+    floor = np.full(ctx.size, ctx.u_min)
+    if ctx.size * ctx.u_min >= ctx.n_blocks:
+        assert got.tobytes() == floor.tobytes()
+        assert want is None or want.sum() > ctx.n_blocks or want.tobytes() == floor.tobytes()
+    elif want is None:
         assert got is None
     elif want.sum() <= ctx.n_blocks:
         assert got is not None and got.tobytes() == want.tobytes()
-    elif ctx.size * ctx.u_min >= ctx.n_blocks:
-        assert got is not None and np.all(got == ctx.u_min)  # the floor alone can fit
     else:
         assert got is not None and got.sum() <= ctx.n_blocks
         assert np.all(got >= ctx.u_min) and np.all(got <= 1.0)

@@ -14,15 +14,18 @@ _spec.loader.exec_module(solver_split)
 NUMBER = r"(\d+(?:\.\d+)?)"
 SPLIT = (rf"solve {NUMBER} ms = scan {NUMBER} \+ pricing {NUMBER} \+ alternations {NUMBER};"
          r"  (\d+) alternations converged, (\d+) rate evaluations, (\d+) water-fills$")
+SUBTOTAL = (rf"solve {NUMBER} ms = scan {NUMBER} \+ pricing {NUMBER} \+ alternations {NUMBER};"
+            r" (\d+) rate evaluations, (\d+) water-fills$")
 
 
 def test_reports_each_instance_and_the_corpus(tmp_path, capsys):
-    # an interior solve whose scan prices the budget, and an alpha = 1 solve
-    for name in ("desk_vrvfl_s12_r0.txt", "desk_scheme2_s12_r0.txt"):
+    # an interior solve whose scan prices the budget, an alpha = 1 solve and a
+    # solve whose budget pins every u at u_min
+    for name in ("desk_vrvfl_s12_r0.txt", "desk_scheme2_s12_r0.txt", "dense_vrvfl_s1_r0.txt"):
         shutil.copy(CORPUS / name, tmp_path / name)
     assert solver_split.main(["solver_split.py", str(tmp_path), "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 6
 
     interior = next(line for line in lines if line.startswith("desk_vrvfl_s12_r0"))
     solve, scan, pricing, alternations, runs, rates, fills = map(
@@ -35,7 +38,22 @@ def test_reports_each_instance_and_the_corpus(tmp_path, capsys):
     assert re.search(SPLIT, endpoint) and " scan 0.00 + pricing 0.00 " in endpoint
     assert ", 0 rate evaluations, " in endpoint
 
-    assert lines[-1].startswith("corpus: 2 instances, solve ")
+    # pinned: the scan returns the floor in a few microseconds (it took about
+    # 24 ms while it scanned), which print as 0.00 or 0.01 ms, and prices nothing
+    pinned = next(line for line in lines if line.startswith("dense_vrvfl_s1_r0"))
+    assert " alpha=0.4 pinned  solve " in pinned
+    _, scan, pricing, _, _, _, _ = map(float, re.search(SPLIT, pinned).groups())
+    assert scan < 0.05 and pricing == 0.0
+    assert " pinned " not in interior + endpoint
+
+    # one subtotal per regime, in name order, then the corpus, whose counts
+    # are the regimes' sums
+    assert lines[3].startswith("dense: 1 instances, solve ")
+    assert lines[4].startswith("desk: 2 instances, solve ")
+    assert lines[5].startswith("corpus: 3 instances, solve ")
+    dense, desk, corpus = (list(map(float, re.search(SUBTOTAL, line).groups()))
+                           for line in lines[3:])
+    assert corpus[4:] == [a + b for a, b in zip(dense[4:], desk[4:])]
 
 
 def test_empty_corpus_exits_2(tmp_path, capsys):
