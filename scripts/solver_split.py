@@ -8,9 +8,12 @@ For each instance file of CORPUS_DIR (benchmarks/corpus by default), in name
 order, it prints the wall time of one solve (the fastest of REPEATS, default
 5) and its split between the ceiling scan without the budget, the scan's
 pricing of the budget and the alternations; then the run's alternations and
-convergence, with its rate evaluations and water-fills.  An instance whose
-budget pins every u at u_min (|V| u_min >= N) is marked "pinned": its scan
-returns that floor before it builds a grid.
+convergence, with its rate evaluations, water-fills and the coarse ceilings
+whose unpriced totals its scan computed exactly.  An instance whose budget
+pins every u at u_min (|V| u_min >= N) is marked "pinned": its scan returns
+that floor before it builds a grid.  One whose scan's block bounds prove the
+unpriced candidate over N is marked "certified": that scan goes straight to
+pricing the budget, with no exact ceiling.
 
 Then one line per regime (the file name's prefix up to its first "_":
 default, dense, desk, small) sums that regime's instances, and a last line
@@ -51,6 +54,16 @@ def counted(counts, key):
     return make
 
 
+def recorded(results):
+    """A wrapper maker that appends each result of what it wraps to results."""
+    def make(fn):
+        def run(*args):
+            results.append(fn(*args))
+            return results[-1]
+        return run
+    return make
+
+
 def timed(seconds, key):
     """A wrapper maker that adds the wall time of what it wraps to seconds[key]."""
     def make(fn):
@@ -85,15 +98,21 @@ def split(path, repeats):
     ctx = scheduler.load_instance(path)
     total, scan, pricing = timed_solve(ctx, repeats)
     counts = {"rate evaluations": 0, "water-fills": 0}
+    kept = []  # what each scan's _exact_ceilings returned: None where certified
     with (patched(scheduler._RatePhi, "__call__", counted(counts, "rate evaluations")),
-          patched(scheduler._InclusionPsi, "__call__", counted(counts, "water-fills"))):
+          patched(scheduler._InclusionPsi, "__call__", counted(counts, "water-fills")),
+          patched(scheduler, "_exact_ceilings", recorded(kept))):
         _, report = scheduler.bcd_solve(ctx)
+    counts["exact ceilings"] = sum(len(k) for k in kept if k is not None)
     pinned = " pinned" if ctx.size * ctx.u_min >= ctx.n_blocks else ""
-    line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}{pinned}  solve {total * 1e3:.2f} ms"
-            f" = scan {(scan - pricing) * 1e3:.2f} + pricing {pricing * 1e3:.2f}"
-            f" + alternations {(total - scan) * 1e3:.2f};  {report.iterations} alternations"
+    certified = " certified" if any(k is None for k in kept) else ""
+    line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}{pinned}{certified}  solve"
+            f" {total * 1e3:.2f} ms = scan {(scan - pricing) * 1e3:.2f} + pricing"
+            f" {pricing * 1e3:.2f} + alternations {(total - scan) * 1e3:.2f};"
+            f"  {report.iterations} alternations"
             f" {'converged' if report.converged else 'at the cap'},"
-            f" {counts['rate evaluations']} rate evaluations, {counts['water-fills']} water-fills")
+            f" {counts['rate evaluations']} rate evaluations, {counts['water-fills']} water-fills,"
+            f" {counts['exact ceilings']} exact ceilings")
     return line, (total, scan, pricing), counts
 
 

@@ -32,7 +32,11 @@ start that has seen the joint problem: the ceiling scan's candidate.  For a
 fixed ceiling and a multiplier on the budget the problem separates per
 vehicle, so the scan prices each ceiling, and the budget, one vehicle at a
 time, and keeps the ceiling whose budget-fitting choices have the lowest
-objective; where |V| u_min >= N it returns the floor, the one point that fits.
+objective.  Bounds over blocks of ceilings (branch and bound, Land and Doig
+1960) skip the blocks that cannot hold the minimum without the budget, and
+where every other block provably overspends N the scan prices the budget at
+once.  Where |V| u_min >= N the scan returns the floor, the one point that
+fits, and the alternation never searches the inclusion block.
 
 Block solvers are deterministic functions of their inputs and return their
 result alone.  Iteration order is vehicle-id ascending for reproducibility.
@@ -74,6 +78,7 @@ _SCAN_PRUNE_MARGIN = 1e-3
 # then priced on the whole grid at the last tolerance
 _PRICE_PASSES = ((24, 1e-2), (8, 1e-3), (8, 1e-4))
 _PRICE_STRIDE = 16
+_BOUND_BLOCK = 16  # coarse ceilings per block of the scan's bounds (_exact_ceilings)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +695,42 @@ def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
     return bisect.bisect_left(range(len(coarse)), True, key=pruned)
 
 
+def _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor):
+    """The indices of the first k_end log ceilings `coarse` whose unpriced totals
+    _ceiling_scan computes exactly; None where the bounds prove its unpriced
+    candidate over the budget.
+
+    The ceilings fall into blocks [lo, hi] = [coarse[min(s + B, last)], coarse[s]]
+    for s = 0, B, 2B, ... < k_end, with B = _BOUND_BLOCK and last =
+    min(k_end, _SCAN_CEILINGS - 1); they cover every ceiling the scan can
+    return, the refinement's included.  Over a block the u = 1 branch phi_a,
+    which falls as the ceiling rises, lies between branch_a at hi and at lo, and
+    the riding branch is at least phi_b_floor(lo, hi).  A block is out when
+    (1 - alpha) e^lo plus the sum of min(phi_a(hi), phi_b_floor) exceeds
+    `upper` by the margin 1e-6: it holds neither the coarse minimum nor the
+    refined ceiling, since the probe that attains `upper` lies in a block that
+    is not out.  A block is over when n_a + (|V| - n_a) u_min > N (1 + 1e-9),
+    with n_a the vehicles whose phi_a(lo) is finite and below phi_b_floor by
+    1e-6 either side: they keep u = 1 at every ceiling of the block, and every
+    other u is at least u_min.  The margins cover the rounding of exp and expm1.
+    When `upper` is finite and every block is out or over, the candidate
+    overspends wherever it lies; otherwise the ceilings of the blocks that are
+    not out are returned.
+    """
+    last = min(k_end, _SCAN_CEILINGS - 1)
+    starts = np.arange(0, k_end, _BOUND_BLOCK)
+    lo, hi = coarse[np.minimum(starts + _BOUND_BLOCK, last)], coarse[starts]
+    phi_a_lo, phi_a_hi = branch_a(slice(None), lo), branch_a(slice(None), hi)
+    phi_b = phi_b_floor(lo, hi)
+    lower = (1.0 - alpha) * np.exp(lo) + np.minimum(phi_a_hi, phi_b).sum(axis=0)
+    out = lower * (1.0 - 1e-6) > upper
+    n_a = (np.isfinite(phi_a_lo) & (phi_b * (1.0 - 1e-6) > phi_a_lo * (1.0 + 1e-6))).sum(axis=0)
+    over = n_a + (ctx.size - n_a) * ctx.u_min > ctx.n_blocks * (1.0 + 1e-9)
+    if math.isfinite(upper) and np.all(out | over):
+        return None
+    return np.flatnonzero(np.repeat(~out, _BOUND_BLOCK)[:k_end])
+
+
 def _ceiling_scan(ctx: SchedulingContext, alpha):
     """Globally-informed candidate for the joint problem, within the budget.
 
@@ -718,6 +759,12 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     the margin _SCAN_PRUNE_MARGIN is priced +inf.  Each grid is computed only
     up to the ceiling after the last one kept, which the refinement may read;
     its columns past that stay +inf.
+
+    Of the kept ceilings, only those in blocks that can hold the minimum have
+    their totals computed; where bounds over the blocks prove the candidate
+    over N at every ceiling it could take, the coarse, fine and last passes
+    give way to the pricing at once, which reads only the grids' ends and the
+    scan's range (_exact_ceilings).  Either way the result is the same bytes.
 
     The window minima come from per-vehicle prefix and suffix minima of log q
     over its grid of G points: a window [l, r) has the minimum of [0, r) when
@@ -800,6 +847,18 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         np.minimum.accumulate(ln_q[rows], axis=1, out=pre[rows, 1:])
         suf[rows, :width] = np.minimum.accumulate(ln_q[rows, ::-1], axis=1)[:, ::-1]
 
+    def window_minima(v, left, right):
+        """min of ln_q[v[i], left[i]:right[i]] per i, inf where the window is empty.
+
+        [l, r) holds the minimum of [0, r) if that is below the minimum of [0, l),
+        and the minimum of [l, G) if that is below the minimum of [r, G)."""
+        in_pre = pre[v, right] < pre[v, left]
+        in_suf = suf[v, left] < suf[v, right]
+        m = np.where(in_pre, pre[v, right], np.where(in_suf, suf[v, left], np.inf))
+        rest = np.flatnonzero(~in_pre & ~in_suf & (left < right))
+        m[rest] = _slice_minima(ln_q, v[rest], left[rest], right[rest])
+        return m
+
     def branches(rows, ells):
         """phi_a and phi_b per vehicle of `rows` and ceiling; phi_b reads inf where
         its lower bound already exceeds phi_a, and where its window holds no grid
@@ -818,17 +877,21 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         for i in np.flatnonzero(runs[1:] > runs[:-1]):
             a, b = runs[i], runs[i + 1]
             left[a:b] = np.searchsorted(g[i], x_left[k[a:b]], side="left")
-        v, r = j + rows.start, right[j, k]
-        # [l, r) holds the minimum of [0, r) if that is below the minimum of [0, l),
-        # and the minimum of [l, G) if that is below the minimum of [r, G)
-        in_pre = pre[v, r] < pre[v, left]
-        in_suf = suf[v, left] < suf[v, r]
-        m = np.where(in_pre, pre[v, r], np.where(in_suf, suf[v, left], np.inf))
-        rest = np.flatnonzero(~in_pre & ~in_suf & (left < r))
-        m[rest] = _slice_minima(ln_q, v[rest], left[rest], r[rest])
+        m = window_minima(j + rows.start, left, right[j, k])
         phi_b = np.full(phi_a.shape, np.inf)
         phi_b[j, k] = np.where(m < np.inf, np.exp(np.minimum(shift[j, k] + m, 700.0)), np.inf)
         return phi_a, phi_b
+
+    def phi_b_floor(lo, hi):
+        """A lower bound on phi_b per vehicle over each span [lo[i], hi[i]] of
+        ceilings: the window minimum over the union [ln u_min - hi, -lo] of the
+        span's windows, at the span's top ceiling; inf where it holds no grid
+        point."""
+        left = np.array([np.searchsorted(row, ln_umin - hi, side="left") for row in grid])
+        right = np.array([np.searchsorted(row, -lo, side="right") for row in grid])
+        v = np.repeat(np.arange(size), len(lo))
+        m = window_minima(v, left.ravel(), right.ravel()).reshape(size, len(lo))
+        return np.where(m < np.inf, np.exp(np.minimum(ln_cd - hi + m, 700.0)), np.inf)
 
     def scan_totals(ells):
         totals = (1.0 - alpha) * np.exp(ells)
@@ -837,33 +900,35 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
                 totals += term  # vehicle by vehicle, in id order
         return totals
 
-    totals = np.full(_SCAN_CEILINGS, np.inf)
-    totals[:k_end] = scan_totals(coarse[:k_end])
-    k = int(np.argmin(totals))
-    if not math.isfinite(totals[k]):
-        return None
-    fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, _SCAN_CEILINGS - 1)], 400)
-    totals_fine = scan_totals(fine)
-    kf = int(np.argmin(totals_fine))
-    ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
+    exact = _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor)
+    if exact is not None:
+        totals = np.full(_SCAN_CEILINGS, np.inf)
+        totals[exact] = scan_totals(coarse[exact])
+        k = int(np.argmin(totals))
+        if not math.isfinite(totals[k]):
+            return None
+        fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, _SCAN_CEILINGS - 1)], 400)
+        totals_fine = scan_totals(fine)
+        kf = int(np.argmin(totals_fine))
+        ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
 
-    phi_a, phi_b = (col[:, 0] for col in branches(slice(0, size), np.array([ell])))
-    if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
-        return None
-    # each riding vehicle's window of its sorted grid, [ln u_min - ell, -ell], and
-    # the first minimum of ln_q inside it, a block of riders at a time
-    ride = np.flatnonzero(phi_b < phi_a)
-    u = np.ones(size)
-    for start in range(0, len(ride), _SCAN_BLOCK):
-        rows = ride[start:start + _SCAN_BLOCK]
-        g = grid[rows]
-        window = (g >= ln_umin - ell) & (g <= -ell)
-        best = np.where(window, ln_q[rows], np.inf).argmin(axis=1)
-        for v, x in zip(rows.tolist(), g[np.arange(len(rows)), best].tolist()):
-            u[v] = min(1.0, math.exp(ell + x))
-    u = np.clip(u, ctx.u_min, 1.0)
-    if u.sum() <= ctx.n_blocks:
-        return u
+        phi_a, phi_b = (col[:, 0] for col in branches(slice(0, size), np.array([ell])))
+        if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
+            return None
+        # each riding vehicle's window of its sorted grid, [ln u_min - ell, -ell], and
+        # the first minimum of ln_q inside it, a block of riders at a time
+        ride = np.flatnonzero(phi_b < phi_a)
+        u = np.ones(size)
+        for start in range(0, len(ride), _SCAN_BLOCK):
+            rows = ride[start:start + _SCAN_BLOCK]
+            g = grid[rows]
+            window = (g >= ln_umin - ell) & (g <= -ell)
+            best = np.where(window, ln_q[rows], np.inf).argmin(axis=1)
+            for v, x in zip(rows.tolist(), g[np.arange(len(rows)), best].tolist()):
+                u[v] = min(1.0, math.exp(ell + x))
+        u = np.clip(u, ctx.u_min, 1.0)
+        if u.sum() <= ctx.n_blocks:
+            return u
     # coarse to fine over the scan's range, each pass around the last one's best
     grids = f1_lo, f1_hi, ln_a[:, 0], delta[:, 0]
     found, span, mu = (math.inf, None, floor), (t_min, t_max), None
@@ -1034,7 +1099,10 @@ def _alternate(ctx, u):
     returns (trace, u, rates, converged, alternations).
 
     A block candidate is only accepted when it does not worsen the objective,
-    so the trace of accepted objective values is non-increasing.
+    so the trace of accepted objective values is non-increasing.  Where |V| u_min
+    >= N the inclusion block has one feasible point, the floor u starts from,
+    and is not solved: its step repeats the last objective, which is the
+    floor's at the current rates.
     """
     # block results keyed by their input's bytes: a rejected step leaves the
     # state unchanged, and the next solve of that block would repeat
@@ -1046,6 +1114,7 @@ def _alternate(ctx, u):
             table[key] = solve(x, ctx)
         return table[key]
 
+    pinned = ctx.size * ctx.u_min >= ctx.n_blocks
     rates = ctx.r_min.copy()
     trace = [objective(u, rates, ctx)]
     converged = False
@@ -1059,13 +1128,16 @@ def _alternate(ctx, u):
             trace.append(o_r)
         else:
             trace.append(trace[-1])
-        u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
-        o_u = objective(u_new, rates, ctx)
-        if o_u <= trace[-1]:
-            u = u_new
-            trace.append(o_u)
-        else:
+        if pinned:
             trace.append(trace[-1])
+        else:
+            u_new = solve_block(inclusion_table, solve_inclusion_block, rates)
+            o_u = objective(u_new, rates, ctx)
+            if o_u <= trace[-1]:
+                u = u_new
+                trace.append(o_u)
+            else:
+                trace.append(trace[-1])
         if prev - trace[-1] <= _BCD_RTOL * max(1e-300, abs(prev)):
             converged = True
             break

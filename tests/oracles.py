@@ -8,8 +8,9 @@ them as references.  The one-point J0 series is the reference for the
 program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
 tables, unpruned, and its block-search evaluations on fresh arrays are the
 references for the program's blocked, pruned scan and its searches'
-evaluations, and the golden-section rate and inclusion blocks are the
-references for the program's exact Newton and piecewise ones.  The loop that
+evaluations; the scan with every coarse ceiling's total computed is the
+reference for its block bounds; and the golden-section rate and inclusion
+blocks are the references for the program's exact Newton and piecewise ones.  The loop that
 ran the solver's starts one after another is the reference for its lockstep
 starts.  The per-vehicle channel refresh and scheduling context at the end are the
 straightforward one-vehicle-at-a-time forms of the program's batched ones.
@@ -254,6 +255,27 @@ def grid_min_two_vehicle_naive(ctx, alpha, n_u=30, n_r=30):
 # the solver's ceiling scan and line-search evaluations, one vehicle or one
 # fresh array at a time
 # ---------------------------------------------------------------------------
+
+def every_ceiling(ctx, alpha, coarse, k_end, *bounds):
+    """scheduler._exact_ceilings with no block bound: the scan computes the total
+    of every one of the first k_end coarse ceilings and never skips to pricing."""
+    return np.arange(k_end)
+
+
+class FinePassSpy:
+    """numpy as scheduler sees it, counting the ceiling scan's fine passes: the
+    refinement around the coarse minimum is the module's one np.linspace call."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def linspace(self, *args, **kwargs):
+        self.passes += 1
+        return np.linspace(*args, **kwargs)
+
 
 def reference_ceiling_scan(ctx, alpha):
     """scheduler._ceiling_scan one vehicle at a time, window minima from sparse tables,

@@ -29,7 +29,14 @@ that fits, and the scan returns it first.  That took the count from 9,154 to
 
 With one start, the ceiling scan's candidate priced into the block budget,
 a pass makes 126 rate evaluations and 108 water-fills, where the three
-lockstep starts made 1,153 and 891.
+lockstep starts made 1,153 and 891.  A pinned run does not search the
+inclusion block, whose one feasible point is the floor it starts from: that
+took the water-fills to 106.
+
+Of the coarse ceilings a scan prices, it computes the totals exactly only in
+the blocks its bounds do not price out, and none where the bounds prove its
+unpriced candidate over N (three of the four default VR-VFL instances): a
+fourth guard counts them, 2,244 of the 8,550.
 """
 
 from pathlib import Path
@@ -38,8 +45,9 @@ from vflsim import scheduler
 
 CORPUS = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus"
 MEASURED = 126  # evaluations of the exact rate searches, with one start
-MEASURED_FILLS = 108  # water-fills of the exact inclusion searches, with one start
+MEASURED_FILLS = 106  # water-fills of the exact inclusion searches; pinned runs make none
 MEASURED_CEILINGS = 8_550  # coarse ceilings the ceiling scans price; pinned scans price none
+MEASURED_EXACT_CEILINGS = 2_244  # of those, the ones whose totals the scans compute exactly
 
 
 def solve_corpus():
@@ -90,3 +98,19 @@ def test_corpus_scan_ceilings_stay_near_measured(monkeypatch):
     solve_corpus()
     print(f"corpus coarse ceilings priced by the scan: {priced[0]} (measured {MEASURED_CEILINGS})")
     assert 0 < priced[0] <= MEASURED_CEILINGS * 1.05
+
+
+def test_corpus_exact_scan_ceilings_stay_near_measured(monkeypatch):
+    exact = [0]
+    choose = scheduler._exact_ceilings
+
+    def counted(*args):
+        kept = choose(*args)
+        exact[0] += 0 if kept is None else len(kept)
+        return kept
+
+    monkeypatch.setattr(scheduler, "_exact_ceilings", counted)
+    solve_corpus()
+    print(f"corpus coarse ceilings with exact totals: {exact[0]} "
+          f"(measured {MEASURED_EXACT_CEILINGS})")
+    assert 0 < exact[0] <= MEASURED_EXACT_CEILINGS * 1.05

@@ -65,8 +65,14 @@ def scan_both(ctx):
     candidate is the floor's bytes, and the reference's overspends, is the
     floor's bytes or is None.  Otherwise both are None, or equal by their
     bytes where the reference's fits N; where it overspends, the scan's must
-    fit N and the box."""
+    fit N and the box.  The block bounds change no byte: the scan that computes
+    every coarse ceiling's total returns the same."""
     got = scheduler._ceiling_scan(ctx, ctx.alpha)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "_exact_ceilings", oracles.every_ceiling)
+        unbounded = scheduler._ceiling_scan(ctx, ctx.alpha)
+    assert (got is None) == (unbounded is None)
+    assert got is None or got.tobytes() == unbounded.tobytes()
     want = oracles.reference_ceiling_scan(ctx, ctx.alpha)
     floor = np.full(ctx.size, ctx.u_min)
     if ctx.size * ctx.u_min >= ctx.n_blocks:
@@ -109,7 +115,10 @@ class TestCeilingScan:
         # a weak estimate (small h_est_sq * eps^2 / (1 - eps^2)) on a strong link
         # makes log q rise from the grid's start and fall again before the
         # capacity wall: a window past the start holds neither the minimum of
-        # the grid up to its right end nor that from its left end on
+        # the grid up to its right end nor that from its left end on.  The block
+        # bounds leave out the ceilings of those windows, so here the scan
+        # computes every coarse total, as it did before them
+        monkeypatch.setattr(scheduler, "_exact_ceilings", oracles.every_ceiling)
         sliced = []
         real = scheduler._slice_minima
 
@@ -120,6 +129,28 @@ class TestCeilingScan:
         monkeypatch.setattr(scheduler, "_slice_minima", counted)
         scan_both(built_context([0.4, 0.8], [0.1, 1.0], [1e-7, 3e-9], [150.0, 150.0]))
         assert sum(sliced) > 0
+
+    def test_bounds_skip_only_where_the_unpriced_candidate_overspends(self, monkeypatch):
+        # N < |V| <= 6N, the default regime's ratio (about 100 vehicles against
+        # N = 20): wherever the block bounds send the scan straight to pricing,
+        # so that its fine pass never runs, the unpriced reference candidate
+        # overspends N.  Seven of these draws skip
+        rng = np.random.default_rng(28)
+        spy = oracles.FinePassSpy()
+        monkeypatch.setattr(scheduler, "np", spy)
+        skipped = 0
+        for i in range(24):
+            n_blocks = float(rng.integers(1, 9))
+            n = int(rng.integers(n_blocks + 1, 6 * n_blocks + 1))
+            ctx = random_context(rng, n, n_blocks=n_blocks, u_min=(0.05, 1e-9, 0.1)[i % 3])
+            assert ctx.size * ctx.u_min < ctx.n_blocks
+            spy.passes = 0
+            skips = scheduler._ceiling_scan(ctx, ctx.alpha) is not None and spy.passes == 0
+            want = scan_both(ctx)
+            if skips:
+                skipped += 1
+                assert want is not None and want.sum() > ctx.n_blocks
+        assert skipped > 0
 
     def test_no_finite_total(self):
         # a NaN data size leaves no ceiling with a finite total
@@ -205,7 +236,8 @@ class TestCeilingScan:
 
         monkeypatch.setattr(scheduler, "_priced_ceilings", spy)
         u = scan_both(ctx)
-        assert kept == [scheduler._SCAN_CEILINGS - 1]
+        # scan_both scans with the block bounds and without them
+        assert kept == [scheduler._SCAN_CEILINGS - 1] * 2
         assert u[-1] < 1.0
 
 
@@ -387,6 +419,10 @@ class TestExactInclusionBlock:
     def test_corpus_inputs(self, name, monkeypatch):
         ctx = load_instance(CORPUS / name)
         inputs = block_inputs(ctx, monkeypatch, "solve_inclusion_block")
+        if ctx.size * ctx.u_min >= ctx.n_blocks:
+            # a pinned run never solves the block: check it at the rates it reached
+            assert not inputs
+            inputs = [scheduler.bcd_solve(ctx)[0].r]
         assert inputs
         for rates in inputs:
             check_inclusion_block(rates, ctx)
