@@ -34,9 +34,10 @@ vehicle, so the scan prices each ceiling, and the budget, one vehicle at a
 time, and keeps the ceiling whose budget-fitting choices have the lowest
 objective.  Bounds over blocks of ceilings (branch and bound, Land and Doig
 1960) skip the blocks that cannot hold the minimum without the budget, and
-where every other block provably overspends N the scan prices the budget at
-once.  Where |V| u_min >= N the scan returns the floor, the one point that
-fits, and the alternation never searches the inclusion block.
+where every other block, or every coarse interval of the rest with each
+rider's u floored, provably overspends N the scan prices the budget at once.
+Where |V| u_min >= N the scan returns the floor, the one point that fits,
+and the alternation never searches the inclusion block.
 
 Block solvers are deterministic functions of their inputs and return their
 result alone.  Iteration order is vehicle-id ascending for reproducibility.
@@ -695,7 +696,7 @@ def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
     return bisect.bisect_left(range(len(coarse)), True, key=pruned)
 
 
-def _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor):
+def _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor, u_floor):
     """The indices of the first k_end log ceilings `coarse` whose unpriced totals
     _ceiling_scan computes exactly; None where the bounds prove its unpriced
     candidate over the budget.
@@ -703,30 +704,42 @@ def _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor):
     The ceilings fall into blocks [lo, hi] = [coarse[min(s + B, last)], coarse[s]]
     for s = 0, B, 2B, ... < k_end, with B = _BOUND_BLOCK and last =
     min(k_end, _SCAN_CEILINGS - 1); they cover every ceiling the scan can
-    return, the refinement's included.  Over a block the u = 1 branch phi_a,
-    which falls as the ceiling rises, lies between branch_a at hi and at lo, and
-    the riding branch is at least phi_b_floor(lo, hi).  A block is out when
-    (1 - alpha) e^lo plus the sum of min(phi_a(hi), phi_b_floor) exceeds
+    return, the refinement's included.  Over a span [lo, hi] the u = 1 branch
+    phi_a, which falls as the ceiling rises, lies between branch_a at hi and at
+    lo, and the riding branch is at least phi_b_floor(lo, hi).  A span is out
+    when (1 - alpha) e^lo plus the sum of min(phi_a(hi), phi_b_floor) exceeds
     `upper` by the margin 1e-6: it holds neither the coarse minimum nor the
-    refined ceiling, since the probe that attains `upper` lies in a block that
-    is not out.  A block is over when n_a + (|V| - n_a) u_min > N (1 + 1e-9),
-    with n_a the vehicles whose phi_a(lo) is finite and below phi_b_floor by
-    1e-6 either side: they keep u = 1 at every ceiling of the block, and every
-    other u is at least u_min.  The margins cover the rounding of exp and expm1.
-    When `upper` is finite and every block is out or over, the candidate
-    overspends wherever it lies; otherwise the ceilings of the blocks that are
-    not out are returned.
+    refined ceiling, since the probe that attains `upper` lies in a span that
+    is not out.  A span is over when its u floors sum over N (1 + 1e-9): 1 for
+    a vehicle whose phi_a(lo) is finite and below phi_b_floor by 1e-6 either
+    side, which keeps u = 1 throughout, else u_min for a block and u_floor for
+    a coarse interval [coarse[i + 1], coarse[i]] of the blocks neither out nor
+    over (where |V| > N).  The margins cover the rounding of exp and expm1.
+    When `upper` is finite and every such block or interval is out or over,
+    the candidate overspends wherever it lies; otherwise the ceilings of the
+    blocks that are not out are returned.
     """
+    budget = ctx.n_blocks * (1.0 + 1e-9)
+
+    def tests(lo, hi, u_ride):  # (out, over) per span, u_ride the floor of a u below 1
+        phi_a_lo, phi_b = branch_a(slice(None), lo), phi_b_floor(lo, hi)
+        lower = np.minimum(branch_a(slice(None), hi), phi_b).sum(axis=0) + (1 - alpha) * np.exp(lo)
+        sure_a = np.isfinite(phi_a_lo) & (phi_b * (1.0 - 1e-6) > phi_a_lo * (1.0 + 1e-6))
+        return lower * (1.0 - 1e-6) > upper, np.where(sure_a, 1.0, u_ride).sum(axis=0) > budget
+
     last = min(k_end, _SCAN_CEILINGS - 1)
     starts = np.arange(0, k_end, _BOUND_BLOCK)
-    lo, hi = coarse[np.minimum(starts + _BOUND_BLOCK, last)], coarse[starts]
-    phi_a_lo, phi_a_hi = branch_a(slice(None), lo), branch_a(slice(None), hi)
-    phi_b = phi_b_floor(lo, hi)
-    lower = (1.0 - alpha) * np.exp(lo) + np.minimum(phi_a_hi, phi_b).sum(axis=0)
-    out = lower * (1.0 - 1e-6) > upper
-    n_a = (np.isfinite(phi_a_lo) & (phi_b * (1.0 - 1e-6) > phi_a_lo * (1.0 + 1e-6))).sum(axis=0)
-    over = n_a + (ctx.size - n_a) * ctx.u_min > ctx.n_blocks * (1.0 + 1e-9)
-    if math.isfinite(upper) and np.all(out | over):
+    out, over = tests(coarse[np.minimum(starts + _BOUND_BLOCK, last)], coarse[starts], ctx.u_min)
+    inside = (starts[~(out | over), None] + np.arange(_BOUND_BLOCK)).ravel()
+    inside = inside[inside < last]
+    if math.isfinite(upper) and len(inside) and ctx.size > budget:
+        u = u_floor(coarse[inside + 1], coarse[inside])
+        rest = u.sum(axis=0) <= budget
+        inside = inside[rest]
+        if len(inside) and np.logical_or(
+                *tests(coarse[inside + 1], coarse[inside], u[:, rest])).all():
+            inside = inside[:0]
+    if math.isfinite(upper) and len(inside) == 0:
         return None
     return np.flatnonzero(np.repeat(~out, _BOUND_BLOCK)[:k_end])
 
@@ -761,10 +774,11 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     its columns past that stay +inf.
 
     Of the kept ceilings, only those in blocks that can hold the minimum have
-    their totals computed; where bounds over the blocks prove the candidate
-    over N at every ceiling it could take, the coarse, fine and last passes
-    give way to the pricing at once, which reads only the grids' ends and the
-    scan's range (_exact_ceilings).  Either way the result is the same bytes.
+    their totals computed; where bounds over blocks and coarse intervals, with
+    each rider's u floored (u_floor), prove the candidate over N at every
+    ceiling it could take, the coarse, fine and last passes give way to the
+    pricing at once, which reads only the grids' ends and the scan's range
+    (_exact_ceilings).  Either way the result is the same bytes.
 
     The window minima come from per-vehicle prefix and suffix minima of log q
     over its grid of G points: a window [l, r) has the minimum of [0, r) when
@@ -893,6 +907,18 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         m = window_minima(v, left.ravel(), right.ravel()).reshape(size, len(lo))
         return np.where(m < np.inf, np.exp(np.minimum(ln_cd - hi + m, 700.0)), np.inf)
 
+    def u_floor(lo, hi):
+        """A lower bound on u per vehicle over each span [lo[i], hi[i]] of ceilings:
+        min(1, e^(lo + grid[A])) less 1e-12, A the first minimum of the window at
+        hi where it is that of the grid up to the window's end, else u_min."""
+        first = np.maximum.accumulate(np.where(ln_q < pre[:, :-1], np.arange(width), 0), axis=1)
+        left = np.array([row.searchsorted(ln_umin - hi, side="left") for row in grid]).ravel()
+        right = np.array([row.searchsorted(-hi, side="right") for row in grid]).ravel()
+        v = np.repeat(np.arange(size), len(lo))
+        x = np.where(pre[v, right] < pre[v, left], grid[v, first[v, np.maximum(right - 1, 0)]],
+                     -np.inf).reshape(size, len(lo))
+        return np.maximum(np.exp(np.minimum(lo + x, 0.0)) * (1.0 - 1e-12), ctx.u_min)
+
     def scan_totals(ells):
         totals = (1.0 - alpha) * np.exp(ells)
         for rows in blocks:
@@ -900,7 +926,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
                 totals += term  # vehicle by vehicle, in id order
         return totals
 
-    exact = _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor)
+    exact = _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor, u_floor)
     if exact is not None:
         totals = np.full(_SCAN_CEILINGS, np.inf)
         totals[exact] = scan_totals(coarse[exact])
@@ -934,7 +960,7 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     found, span, mu = (math.inf, None, floor), (t_min, t_max), None
     for count, tol in _PRICE_PASSES:
         ells = -np.geomspace(*span, count)
-        values, fills, mus = _budget_priced(ctx, alpha, *grids, ells, _PRICE_STRIDE, mu, tol)
+        values, fills, mus, _ = _budget_priced(ctx, alpha, *grids, ells, _PRICE_STRIDE, mu, tol)
         # the lowest of equal minima: above every vehicle's top ceiling the
         # objective is flat, and the flat's low end is next to what lies below
         k = count - 1 - int(np.argmin(values[::-1]))
@@ -946,14 +972,15 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         span = -ells[max(k - 1, 0)], -ells[min(k + 1, count - 1)]
     if found[1] is None:
         return floor
-    values, fills, _ = _budget_priced(ctx, alpha, *grids, np.array([found[1]]), 1, mu,
-                                      _PRICE_PASSES[-1][1])
+    values, fills, _, _ = _budget_priced(ctx, alpha, *grids, np.array([found[1]]), 1, mu,
+                                         _PRICE_PASSES[-1][1])
     return np.clip(fills[0] if math.isfinite(values[0]) else found[2], ctx.u_min, 1.0)
 
 
 def _budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol):
     """The budget-priced choice of every vehicle at each log ceiling of `ells`;
-    returns per ceiling the objective, u and the multiplier mu on the budget.
+    returns per ceiling the objective, u and the multiplier mu on the budget,
+    then the steps of the search.
 
     With c = alpha*D_v/D, a vehicle takes, at a point f of its riding window
     [ln u_min - ell, -ell] (every `stride`-th point of its scan grid), u =
@@ -968,8 +995,9 @@ def _budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol)
     log mu, an end kept twice having its residual halved (Illinois); with one
     end, the closed form of the spend with only the vehicles at the water level
     moving; else the geometric midpoint, or a factor 4 past the one end.  mu
-    starts from `mu` (0 if None).  The objective is that of the choices at the
-    ceiling's mu: inf where no mu fits or a vehicle has no option.
+    starts from `mu` (0 if None).  A step chooses at every ceiling and moves
+    the brackets still searching as Python floats.  The objective is that of
+    the choices at the final mu: inf where no mu fits or a vehicle has no option.
     """
     size, n, lo, budget = ctx.size, len(ells), ctx.u_min, ctx.n_blocks
     c = alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total  # the scan's weights
@@ -1008,7 +1036,7 @@ def _budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol)
         u_a = np.minimum(np.maximum(root_a * inv[:, None], lo), 1.0)
         val_a = np.where(live, c / (u_a * p_a) + mu[:, None] * u_a, np.inf)
         if not len(pair):
-            return u_a, f_a, p_a, root_a, u_a < 1.0
+            return u_a, f_a, p_a, root_a, (u_a < 1.0) & (u_a > lo)
         u = np.minimum(np.maximum(root * inv[k], lo), cap)
         val = cost / (u * p) + mu[k] * u
         best, at = np.full(n * size, np.inf), np.zeros(n * size, dtype=np.intp)
@@ -1017,45 +1045,51 @@ def _budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol)
         ride, at = (best < val_a.ravel()).reshape(n, size), at.reshape(n, size)
         u_c, cap_c = np.where(ride, u[at], u_a), np.where(ride, cap[at], 1.0)
         return (u_c, np.where(ride, g[at], f_a), np.where(ride, p[at], p_a),
-                np.where(ride, root[at], root_a), cap_c > u_c)
+                np.where(ride, root[at], root_a), (cap_c > u_c) & (u_c > lo))
 
-    mu = np.full(n, 0.0 if mu is None else mu)
-    lo_mu, hi_mu = np.zeros(n), np.full(n, np.inf)
-    y_lo, y_hi, kept, done, fit = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool), None
-    for _ in range(_EXACT_ITERS):
-        u, f, pv, rv, below_cap = choose(mu)
-        total = np.add.reduce(u, axis=1)
-        y = np.log(total / budget)
-        up, down = ~done & (total <= budget), ~done & (total > budget)
-        y_lo = np.where(up & (kept == 1.0), 0.5 * y_lo, y_lo)
-        y_hi = np.where(down & (kept == -1.0), 0.5 * y_hi, y_hi)
-        kept = np.where(up, 1.0, np.where(down, -1.0, kept))
-        hi_mu, y_hi = np.where(up, mu, hi_mu), np.where(up, y, y_hi)
-        lo_mu, y_lo = np.where(down, mu, lo_mu), np.where(down, y, y_lo)
-        fit = (u, f, pv) if fit is None else fit
-        for a, b in zip(fit, (u, f, pv)):
-            a[up] = b[up]
-        done |= up & ((total >= budget * (1.0 - tol)) | (mu == 0.0))
-        done |= hi_mu <= lo_mu * (1.0 + tol)
-        if done.all():
+    mu, start = np.full(n, 0.0 if mu is None else mu), mu or 0.0
+    lo_mu, hi_mu, y_lo, y_hi, kept = [0.0] * n, [math.inf] * n, [0.0] * n, [0.0] * n, [0] * n
+    searching = list(range(n))
+    for steps in range(1, _EXACT_ITERS + 1):
+        u, _, _, rv, water = choose(mu)  # water: u strictly inside its box
+        total, going = np.add.reduce(u, axis=1)[searching], []
+        for i, t, m, y in zip(searching, total.tolist(), mu[searching].tolist(),
+                              np.log(total / budget).tolist()):
+            if t <= budget:  # mu fits: the bracket's upper end
+                y_lo[i] *= 0.5 if kept[i] == 1 else 1.0
+                kept[i], hi_mu[i], y_hi[i] = 1, m, y
+                if t >= budget * (1.0 - tol) or m == 0.0:
+                    continue
+            elif t > budget:  # it does not: the lower end; a NaN spend moves neither
+                y_hi[i] *= 0.5 if kept[i] == -1 else 1.0
+                kept[i], lo_mu[i], y_lo[i] = -1, m, y
+            if not hi_mu[i] <= lo_mu[i] * (1.0 + tol):
+                going.append(i)
+        searching = going
+        if not searching:
             break
-        water = below_cap & (u > lo)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            held = np.add.reduce(np.where(water, 0.0, u), axis=1)
-            closed = (np.add.reduce(np.where(water, rv, 0.0), axis=1) / (budget - held)) ** 2
-            a, b = np.log(lo_mu), np.log(hi_mu)
-            both = (lo_mu > 0.0) & np.isfinite(hi_mu)
-            step = np.where(both, np.exp(a - y_lo * (b - a) / (y_hi - y_lo)), closed)
-            away = np.where(both, np.sqrt(lo_mu * hi_mu),
-                            np.where(np.isfinite(hi_mu), 0.25 * hi_mu, 4.0 * lo_mu))
-        # mu = 0 overspends and no mu fits yet: every vehicle at the water level
-        away = np.where((lo_mu == 0.0) & (hi_mu == np.inf),
-                        (np.add.reduce(rv, axis=1) / budget) ** 2, away)
-        mu = np.where(done, mu, np.where((step > lo_mu) & (step < hi_mu), step, away))
-    u, f, pv = fit
+        held, level, spread = (np.add.reduce(x, axis=1).tolist() for x in (
+            np.where(water, 0.0, u), np.where(water, rv, 0.0), rv))
+        # inside a bracket y_hi < 0 < y_lo: a ceiling that fits N exactly is done
+        both = [i for i in searching if lo_mu[i] > 0.0 and hi_mu[i] < math.inf]
+        ends = np.log([lo_mu[i] for i in both] + [hi_mu[i] for i in both]).tolist()
+        secant = dict(zip(both, np.exp([a - y_lo[i] * (b - a) / (y_hi[i] - y_lo[i]) for i, a, b
+                                        in zip(both, ends, ends[len(both):])]).tolist()))
+        for i in searching:
+            a, b = lo_mu[i], hi_mu[i]
+            if i in secant:
+                step, away = secant[i], math.sqrt(a * b)
+            else:
+                r = level[i] / (budget - held[i]) if held[i] != budget else math.inf
+                step, away = r * r, (0.25 * b if b < math.inf else 4.0 * a)  # no room: away
+                if a == 0.0 and b == math.inf:  # mu = 0 overspends: all at the water level
+                    away = (spread[i] / budget) * (spread[i] / budget)
+            mu[i] = step if a < step < b else away
+    u, f, pv, _, _ = choose(np.where(np.isfinite(hi_mu), hi_mu, start))
     values = np.add.reduce(c / (u * pv), axis=1) + (1.0 - alpha) * np.exp(
         np.max(np.log(u) - f, axis=1))
-    return np.where(has.all(axis=1) & np.isfinite(hi_mu), values, np.inf), u, hi_mu
+    hi_mu = np.array(hi_mu)
+    return np.where(has.all(axis=1) & np.isfinite(hi_mu), values, np.inf), u, hi_mu, steps
 
 
 @dataclass(eq=False)

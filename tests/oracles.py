@@ -9,8 +9,11 @@ program's elementwise one.  The solver's ceiling scan with per-vehicle sparse
 tables, unpruned, and its block-search evaluations on fresh arrays are the
 references for the program's blocked, pruned scan and its searches'
 evaluations; the scan with every coarse ceiling's total computed is the
-reference for its block bounds; and the golden-section rate and inclusion
-blocks are the references for the program's exact Newton and piecewise ones.  The loop that
+reference for its block bounds, and its choices at given ceilings for its
+riders' u floors; the pricing of the budget with every bracket kept in numpy
+arrays is the reference for the pricing that keeps them in Python floats; and
+the golden-section rate and inclusion blocks are the references for the
+program's exact Newton and piecewise ones.  The loop that
 ran the solver's starts one after another is the reference for its lockstep
 starts.  The per-vehicle channel refresh and scheduling context at the end are the
 straightforward one-vehicle-at-a-time forms of the program's batched ones.
@@ -257,8 +260,9 @@ def grid_min_two_vehicle_naive(ctx, alpha, n_u=30, n_r=30):
 # ---------------------------------------------------------------------------
 
 def every_ceiling(ctx, alpha, coarse, k_end, *bounds):
-    """scheduler._exact_ceilings with no block bound: the scan computes the total
-    of every one of the first k_end coarse ceilings and never skips to pricing."""
+    """scheduler._exact_ceilings with no bound over blocks or intervals: the scan
+    computes the total of every one of the first k_end coarse ceilings and never
+    skips to pricing."""
     return np.arange(k_end)
 
 
@@ -277,9 +281,10 @@ class FinePassSpy:
         return np.linspace(*args, **kwargs)
 
 
-def reference_ceiling_scan(ctx, alpha):
+def reference_ceiling_scan(ctx, alpha, ells=None):
     """scheduler._ceiling_scan one vehicle at a time, window minima from sparse tables,
-    pricing every ceiling on whole grids."""
+    pricing every ceiling on whole grids.  Given log ceilings `ells`, the list of
+    the choices at each of them in place of the candidate."""
     w = ctx.bandwidth
     xi1 = ctx.xi1
     xi3 = ctx.xi3
@@ -350,6 +355,24 @@ def reference_ceiling_scan(ctx, alpha):
             totals += np.minimum(phi_a, phi_b)
         return totals
 
+    def choice(ell):
+        u = np.empty(ctx.size)
+        ell_arr = np.array([ell])
+        for v in range(ctx.size):
+            phi_a, phi_b = phi_branches(v, ell_arr)
+            if not (math.isfinite(phi_a[0]) or math.isfinite(phi_b[0])):
+                return None
+            if phi_b[0] < phi_a[0]:
+                g = grids[v]
+                mask = (g >= ln_umin - ell) & (g <= -ell)
+                j = int(np.flatnonzero(mask)[np.argmin(ln_q[v][mask])])
+                u[v] = min(1.0, math.exp(ell + g[j]))
+            else:
+                u[v] = 1.0
+        return np.clip(u, ctx.u_min, 1.0)
+
+    if ells is not None:
+        return [choice(float(ell)) for ell in ells]
     ell_lo = float(np.max(ln_umin - f1_hi))
     ell_hi = float(np.max(-f1_lo))
     if not ell_hi > ell_lo:
@@ -365,21 +388,115 @@ def reference_ceiling_scan(ctx, alpha):
     totals_fine = scan_totals(fine)
     kf = int(np.argmin(totals_fine))
     ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
+    return choice(ell)
 
-    u = np.empty(ctx.size)
-    ell_arr = np.array([ell])
-    for v in range(ctx.size):
-        phi_a, phi_b = phi_branches(v, ell_arr)
-        if not (math.isfinite(phi_a[0]) or math.isfinite(phi_b[0])):
-            return None
-        if phi_b[0] < phi_a[0]:
-            g = grids[v]
-            mask = (g >= ln_umin - ell) & (g <= -ell)
-            j = int(np.flatnonzero(mask)[np.argmin(ln_q[v][mask])])
-            u[v] = min(1.0, math.exp(ell + g[j]))
-        else:
-            u[v] = 1.0
-    return np.clip(u, ctx.u_min, 1.0)
+
+def reference_budget_priced(ctx, alpha, f1_lo, f1_hi, ln_a, delta, ells, stride, mu, tol):
+    """scheduler._budget_priced as numpy arrays over the ceilings throughout: the
+    budget-priced choice of every vehicle at each log ceiling of `ells`;
+    returns per ceiling the objective, u and the multiplier mu on the budget.
+
+    With c = alpha*D_v/D, a vehicle takes, at a point f of its riding window
+    [ln u_min - ell, -ell] (every `stride`-th point of its scan grid), u =
+    clip(sqrt(c/(mu p)), u_min, e^(ell+f)), and at its u = 1 point, f =
+    max(f1_min, -ell), the same u capped at 1.  It keeps the option with the
+    least c/(u p) + mu u: the window's first minimum, unless the u = 1 point is
+    no worse.  At mu = 0 these are the scan's two branches.
+
+    Each ceiling's mu is the smallest, to `tol`, whose choices fit N: a ceiling
+    is done once they spend at least N(1 - tol) or its bracket on mu is that
+    narrow.  Inside a bracket the step is regula falsi on log(spend/N) against
+    log mu, an end kept twice having its residual halved (Illinois); with one
+    end, the closed form of the spend with only the vehicles at the water level
+    moving; else the geometric midpoint, or a factor 4 past the one end.  mu
+    starts from `mu` (0 if None).  The objective is that of the choices at the
+    ceiling's mu: inf where no mu fits or a vehicle has no option.
+    """
+    size, n, lo, budget = ctx.size, len(ells), ctx.u_min, ctx.n_blocks
+    c = alpha * np.maximum(ctx.data_sizes, 1e-300) / ctx.d_total  # the scan's weights
+    x_lo, x_hi = math.log(lo) - ells, -ells
+    # each window's grid points, one more past either end, then the exact test
+    span = np.where(delta > 0.0, delta * stride, np.inf)
+    last = np.where(delta > 0.0, (scheduler._SCAN_GRID - 1) // stride, 0)
+    first = np.clip(np.ceil((np.log(np.maximum(x_lo, 1e-300))[:, None] - ln_a) / span) - 1.0,
+                    0, last).astype(np.intp)
+    end = np.clip(np.floor((np.log(x_hi)[:, None] - ln_a) / span) + 1.0, -1, last).astype(np.intp)
+    count = np.maximum(end - first + 1, 0).ravel()
+    pair = np.repeat(np.arange(n * size), count)
+    j = first.ravel()[pair] + np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    k, v = np.divmod(pair, size)
+    g = np.exp(j * stride * delta[v] + ln_a[v])
+    with np.errstate(divide="ignore"):
+        p = -np.expm1(np.minimum(ctx.xi1[v] - ctx.xi3[v] / g, 0.0))
+    keep = (p > 0.0) & (g >= x_lo[k]) & (g <= x_hi[k])
+    pair, k, g, p, cost = pair[keep], k[keep], g[keep], p[keep], c[v[keep]]
+    cap = np.exp(np.minimum(ells[k] + g, 0.0))
+    root = np.sqrt(cost / p)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    owner, index = pair[starts], np.arange(len(pair))
+    f_a = np.maximum(f1_lo, x_hi[:, None])
+    with np.errstate(divide="ignore"):
+        p_a = -np.expm1(np.minimum(ctx.xi1 - ctx.xi3 / f_a, 0.0))
+    live = (f_a <= f1_hi * (1.0 - 1e-12)) & (p_a > 0.0)
+    p_a = np.where(live, p_a, 1.0)  # a dead point is priced inf
+    root_a = np.sqrt(c / p_a)
+    has = live.copy()  # a vehicle with no option prices its ceiling inf
+    has.ravel()[owner] = True
+
+    def choose(mu):
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / np.sqrt(mu)
+        u_a = np.minimum(np.maximum(root_a * inv[:, None], lo), 1.0)
+        val_a = np.where(live, c / (u_a * p_a) + mu[:, None] * u_a, np.inf)
+        if not len(pair):
+            return u_a, f_a, p_a, root_a, u_a < 1.0
+        u = np.minimum(np.maximum(root * inv[k], lo), cap)
+        val = cost / (u * p) + mu[k] * u
+        best, at = np.full(n * size, np.inf), np.zeros(n * size, dtype=np.intp)
+        best[owner] = np.minimum.reduceat(val, starts)
+        at[owner] = np.minimum.reduceat(np.where(val == best[pair], index, len(index)), starts)
+        ride, at = (best < val_a.ravel()).reshape(n, size), at.reshape(n, size)
+        u_c, cap_c = np.where(ride, u[at], u_a), np.where(ride, cap[at], 1.0)
+        return (u_c, np.where(ride, g[at], f_a), np.where(ride, p[at], p_a),
+                np.where(ride, root[at], root_a), cap_c > u_c)
+
+    mu = np.full(n, 0.0 if mu is None else mu)
+    lo_mu, hi_mu = np.zeros(n), np.full(n, np.inf)
+    y_lo, y_hi, kept, done, fit = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, bool), None
+    for _ in range(scheduler._EXACT_ITERS):
+        u, f, pv, rv, below_cap = choose(mu)
+        total = np.add.reduce(u, axis=1)
+        y = np.log(total / budget)
+        up, down = ~done & (total <= budget), ~done & (total > budget)
+        y_lo = np.where(up & (kept == 1.0), 0.5 * y_lo, y_lo)
+        y_hi = np.where(down & (kept == -1.0), 0.5 * y_hi, y_hi)
+        kept = np.where(up, 1.0, np.where(down, -1.0, kept))
+        hi_mu, y_hi = np.where(up, mu, hi_mu), np.where(up, y, y_hi)
+        lo_mu, y_lo = np.where(down, mu, lo_mu), np.where(down, y, y_lo)
+        fit = (u, f, pv) if fit is None else fit
+        for a, b in zip(fit, (u, f, pv)):
+            a[up] = b[up]
+        done |= up & ((total >= budget * (1.0 - tol)) | (mu == 0.0))
+        done |= hi_mu <= lo_mu * (1.0 + tol)
+        if done.all():
+            break
+        water = below_cap & (u > lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            held = np.add.reduce(np.where(water, 0.0, u), axis=1)
+            closed = (np.add.reduce(np.where(water, rv, 0.0), axis=1) / (budget - held)) ** 2
+            a, b = np.log(lo_mu), np.log(hi_mu)
+            both = (lo_mu > 0.0) & np.isfinite(hi_mu)
+            step = np.where(both, np.exp(a - y_lo * (b - a) / (y_hi - y_lo)), closed)
+            away = np.where(both, np.sqrt(lo_mu * hi_mu),
+                            np.where(np.isfinite(hi_mu), 0.25 * hi_mu, 4.0 * lo_mu))
+        # mu = 0 overspends and no mu fits yet: every vehicle at the water level
+        away = np.where((lo_mu == 0.0) & (hi_mu == np.inf),
+                        (np.add.reduce(rv, axis=1) / budget) ** 2, away)
+        mu = np.where(done, mu, np.where((step > lo_mu) & (step < hi_mu), step, away))
+    u, f, pv = fit
+    values = np.add.reduce(c / (u * pv), axis=1) + (1.0 - alpha) * np.exp(
+        np.max(np.log(u) - f, axis=1))
+    return np.where(has.all(axis=1) & np.isfinite(hi_mu), values, np.inf), u, hi_mu
 
 
 def reference_waterfill_solver(cost, lo, budget):

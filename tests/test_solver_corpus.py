@@ -150,14 +150,14 @@ def test_block_bounds_change_no_byte(monkeypatch):
 
 @pytest.mark.parametrize("name", SCANNED)
 def test_bounds_skip_the_unpriced_search_in_the_default_regime(name, monkeypatch):
-    # about 100 vehicles against N = 20: the bounds prove the unpriced candidate
-    # over N on three of the four default VR-VFL instances (one block of
-    # default_vrvfl_s2_r0 fails), so the scan prices the budget without its
-    # fine pass; with 23-40 vehicles (desk) or 2-6 (small) it never skips
+    # about 100 vehicles (default) or 23-40 (desk) against N = 20: the bounds
+    # prove the unpriced candidate over N on every VR-VFL instance, the desk
+    # ones only once each rider's u is floored interval by interval, so the
+    # scan prices the budget without its fine pass; with 2-6 vehicles (small)
+    # the budget cannot be overspent and it never skips
     ctx = load_instance(CORPUS / name)
     spy = oracles.FinePassSpy()
     monkeypatch.setattr(scheduler, "np", spy)
     assert _ceiling_scan(ctx, ctx.alpha) is not None
-    skips = name in ("default_vrvfl_s1_r0.txt", "default_vrvfl_s1_r3.txt",
-                     "default_vrvfl_s2_r3.txt")
+    skips = name.startswith(("default_vrvfl_", "desk_vrvfl_"))
     assert spy.passes == (0 if skips else 1)

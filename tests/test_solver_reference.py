@@ -88,6 +88,83 @@ def scan_both(ctx):
     return want
 
 
+def priced_against_reference(monkeypatch):
+    """Make every scheduler._budget_priced call require the bytes of the
+    (values, u, mu) that tests/oracles.py::reference_budget_priced returns for
+    its arguments; returns the list of the calls' (arguments, result)."""
+    calls = []
+    price = scheduler._budget_priced
+
+    def checked(*args):
+        got = price(*args)
+        want = oracles.reference_budget_priced(*args[:10])
+        assert [a.tobytes() for a in got[:3]] == [b.tobytes() for b in want]
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(scheduler, "_budget_priced", checked)
+    return calls
+
+
+class TestBudgetPriced:
+    """The pricing's brackets kept in Python floats and its choices made once
+    more at the final multipliers, against the pricing that kept everything in
+    numpy arrays.  Inside a bracket the spend at the low end exceeds N and at
+    the high end does not, and a ceiling whose spend equals N is done, so
+    y_hi < 0 < y_lo and the secant is never flat."""
+
+    def test_corpus(self, monkeypatch):
+        calls = priced_against_reference(monkeypatch)
+        for path in sorted(CORPUS.glob("*.txt")):
+            scheduler.bcd_solve(load_instance(path))
+        assert len(calls) == 4 * 9  # four passes of each default and desk VR-VFL solve
+
+    def test_random_slack_and_tight_budgets(self, monkeypatch):
+        # the coarse passes on the stride grid, the last pass at one ceiling on
+        # every grid point; some ceilings leave a vehicle no option
+        calls = priced_against_reference(monkeypatch)
+        rng = np.random.default_rng(30)
+        for i in range(60):
+            ctx = random_context(rng, int(rng.integers(2, 40)), n_blocks=float(rng.integers(1, 20)),
+                                 u_min=(0.05, 1e-9, 0.2)[i % 3])
+            scheduler._ceiling_scan(ctx, ctx.alpha)
+        assert len(calls) > 60
+        assert any(np.isinf(got[0]).any() and np.isfinite(got[0]).any() for _, got in calls)
+
+    def test_no_room_at_the_water_level(self, monkeypatch):
+        # N vehicles with 1e2-1e6 times the data keep u = 1 while the rest sit
+        # at the water level, so the spend off the water level is N exactly and
+        # the closed-form step divides by zero room: the numpy pricing's x/0
+        # steps away, and so must the one in Python floats.  Six of these draws
+        # take such a step
+        calls = priced_against_reference(monkeypatch)
+        rng = np.random.default_rng(1)
+        for _ in range(24):
+            n_blocks = int(rng.integers(1, 4))
+            ctx = random_context(rng, n_blocks + int(rng.integers(1, 3)),
+                                 n_blocks=float(n_blocks), u_min=1e-9)
+            data = ctx.data_sizes.copy()
+            data[:n_blocks] *= 10.0 ** rng.uniform(2, 6)
+            ctx = replace(ctx, data_sizes=data, d_total=float(data.sum()))
+            scheduler._ceiling_scan(ctx, ctx.alpha)
+        assert len(calls) > 24
+
+    def test_no_multiplier_fits(self, monkeypatch):
+        # with |V| u_min > N every u at u_min still overspends: no mu fits, the
+        # search runs to its cap and every ceiling prices inf.  The scan returns
+        # the floor first, so the pricing of a desk scan is called on a budget
+        # of 1 for its 24 vehicles
+        calls = priced_against_reference(monkeypatch)
+        ctx = load_instance(CORPUS / "desk_vrvfl_s12_r0.txt")
+        scheduler._ceiling_scan(ctx, ctx.alpha)
+        pinched = replace(ctx, n_blocks=1.0)
+        assert pinched.size * pinched.u_min > pinched.n_blocks
+        for args, _ in calls[:]:
+            values, _, mu, steps = scheduler._budget_priced(pinched, *args[1:])
+            assert np.all(np.isinf(values)) and np.all(np.isinf(mu))
+            assert steps == scheduler._EXACT_ITERS
+
+
 class TestCeilingScan:
     @pytest.mark.parametrize("name", INTERIOR)
     def test_corpus(self, name):
@@ -131,26 +208,54 @@ class TestCeilingScan:
         assert sum(sliced) > 0
 
     def test_bounds_skip_only_where_the_unpriced_candidate_overspends(self, monkeypatch):
-        # N < |V| <= 6N, the default regime's ratio (about 100 vehicles against
-        # N = 20): wherever the block bounds send the scan straight to pricing,
-        # so that its fine pass never runs, the unpriced reference candidate
-        # overspends N.  Seven of these draws skip
-        rng = np.random.default_rng(28)
+        # wherever the block bounds, or the interval bounds with the riders' u
+        # floors, send the scan straight to pricing, so that its fine pass never
+        # runs, the unpriced reference candidate overspends N
+        rng = np.random.default_rng(29)
         spy = oracles.FinePassSpy()
         monkeypatch.setattr(scheduler, "np", spy)
         skipped = 0
-        for i in range(24):
-            n_blocks = float(rng.integers(1, 9))
-            n = int(rng.integers(n_blocks + 1, 6 * n_blocks + 1))
-            ctx = random_context(rng, n, n_blocks=n_blocks, u_min=(0.05, 1e-9, 0.1)[i % 3])
-            assert ctx.size * ctx.u_min < ctx.n_blocks
+        for i in range(100):
+            n_blocks = float(rng.integers(1, 21))
+            ctx = random_context(rng, int(rng.integers(2, 60)), n_blocks=n_blocks,
+                                 u_min=(0.05, 1e-9, 0.2)[i % 3])
             spy.passes = 0
             skips = scheduler._ceiling_scan(ctx, ctx.alpha) is not None and spy.passes == 0
             want = scan_both(ctx)
-            if skips:
+            if skips and ctx.size * ctx.u_min < ctx.n_blocks:  # a pinned scan skips no bound
                 skipped += 1
-                assert want is not None and want.sum() > ctx.n_blocks
-        assert skipped > 0
+                assert want is not None and want.sum() > ctx.n_blocks, i
+        assert skipped >= 40  # 52 of the 100 skip
+
+    def test_rider_floors_hold_at_every_ceiling_of_their_span(self, monkeypatch):
+        # each vehicle's u floor over a coarse interval, against the reference's
+        # choice at both ends of the interval and inside it
+        rng = np.random.default_rng(31)
+        floors = []
+        bound = scheduler._exact_ceilings
+
+        def kept(ctx, alpha, coarse, k_end, *args):
+            floors.append((coarse, k_end, args[-1]))
+            return bound(ctx, alpha, coarse, k_end, *args)
+
+        monkeypatch.setattr(scheduler, "_exact_ceilings", kept)
+        riders = 0
+        for i in range(24):
+            ctx = random_context(rng, int(rng.integers(10, 41)), n_blocks=float(rng.integers(1, 21)),
+                                 u_min=(0.05, 1e-9, 0.2)[i % 3])
+            floors.clear()
+            scheduler._ceiling_scan(ctx, ctx.alpha)
+            if not floors:
+                continue
+            coarse, k_end, u_floor = floors[0]
+            at = rng.choice(min(k_end, scheduler._SCAN_CEILINGS - 1), 6)
+            lo, hi = coarse[at + 1], coarse[at]
+            floor = u_floor(lo, hi)
+            riders += int(np.sum(floor > ctx.u_min))
+            ells = np.concatenate((lo, hi, 0.5 * (lo + hi)))
+            for k, u in enumerate(oracles.reference_ceiling_scan(ctx, ctx.alpha, ells)):
+                assert u is None or np.all(u >= floor[:, k % len(at)]), (i, k)
+        assert riders > 100
 
     def test_no_finite_total(self):
         # a NaN data size leaves no ceiling with a finite total
