@@ -9,8 +9,9 @@ order, it prints the wall time of one solve (the fastest of REPEATS, default
 5) and its split between the ceiling scan without the budget, the scan's
 pricing of the budget and the alternations; then the run's alternations and
 convergence, with its rate evaluations, water-fills, the coarse ceilings
-whose unpriced totals its scan computed exactly and the search steps of its
-pricing of the budget, summed over the pricing's passes.  An instance whose budget
+whose unpriced totals its scan computed exactly, the search steps of its
+pricing of the budget, summed over the pricing's passes, and the windows its
+scan sliced because no prefix minimum of log q settled them.  An instance whose budget
 pins every u at u_min (|V| u_min >= N) is marked "pinned": its scan returns
 that floor before it builds a grid.  One whose scan's block bounds prove the
 unpriced candidate over N is marked "certified": that scan goes straight to
@@ -101,13 +102,16 @@ def split(path, repeats):
     counts = {"rate evaluations": 0, "water-fills": 0}
     kept = []  # what each scan's _exact_ceilings returned: None where certified
     priced = []  # what each _budget_priced call returned, its search steps last
+    sliced = []  # what each _slice_minima call returned: (minima, first indices)
     with (patched(scheduler._RatePhi, "__call__", counted(counts, "rate evaluations")),
           patched(scheduler._InclusionPsi, "__call__", counted(counts, "water-fills")),
           patched(scheduler, "_exact_ceilings", recorded(kept)),
-          patched(scheduler, "_budget_priced", recorded(priced))):
+          patched(scheduler, "_budget_priced", recorded(priced)),
+          patched(scheduler, "_slice_minima", recorded(sliced))):
         _, report = scheduler.bcd_solve(ctx)
     counts["exact ceilings"] = sum(len(k) for k in kept if k is not None)
     counts["pricing iterations"] = sum(p[-1] for p in priced)
+    counts["sliced windows"] = sum(len(m) for m, _ in sliced)
     pinned = " pinned" if ctx.size * ctx.u_min >= ctx.n_blocks else ""
     certified = " certified" if any(k is None for k in kept) else ""
     line = (f"{path.name}  n={ctx.size} alpha={ctx.alpha:g}{pinned}{certified}  solve"
@@ -117,7 +121,8 @@ def split(path, repeats):
             f" {'converged' if report.converged else 'at the cap'},"
             f" {counts['rate evaluations']} rate evaluations, {counts['water-fills']} water-fills,"
             f" {counts['exact ceilings']} exact ceilings,"
-            f" {counts['pricing iterations']} pricing iterations")
+            f" {counts['pricing iterations']} pricing iterations,"
+            f" {counts['sliced windows']} sliced windows")
     return line, (total, scan, pricing), counts
 
 

@@ -30,14 +30,16 @@ solved twice on the same input.
 The problem is only biconvex, so bcd_solve runs one alternation from one
 start that has seen the joint problem: the ceiling scan's candidate.  For a
 fixed ceiling and a multiplier on the budget the problem separates per
-vehicle, so the scan prices each ceiling, and the budget, one vehicle at a
-time, and keeps the ceiling whose budget-fitting choices have the lowest
-objective.  Bounds over blocks of ceilings (branch and bound, Land and Doig
-1960) skip the blocks that cannot hold the minimum without the budget, and
-where every other block, or every coarse interval of the rest with each
-rider's u floored, provably overspends N the scan prices the budget at once.
-Where |V| u_min >= N the scan returns the floor, the one point that fits,
-and the alternation never searches the inclusion block.
+vehicle, into u = 1 or riding the ceiling at the least log q over a window
+of its rate grid, which one routine finds; the scan prices each ceiling, and
+the budget, for every vehicle at once and keeps the ceiling whose
+budget-fitting choices have the lowest objective.  Bounds over blocks of
+ceilings (branch and bound, Land and Doig 1960) skip the blocks that cannot
+hold the minimum without the budget, and where every other block, or every
+coarse interval of the rest with each rider's u floored, provably overspends
+N the scan prices the budget at once.  Where |V| u_min >= N the scan returns
+the floor, the one point that fits, and the alternation never searches the
+inclusion block.
 
 Block solvers are deterministic functions of their inputs and return their
 result alone.  Iteration order is vehicle-id ascending for reproducibility.
@@ -69,7 +71,6 @@ _BCD_MAX_ALTERNATIONS = 50
 # geometric pass over the ceiling
 _SCAN_GRID = 1500
 _SCAN_CEILINGS = 1400
-_SCAN_BLOCK = 16  # vehicles per numpy call of the scan
 # relative margin by which a ceiling's lower bound must exceed the upper bound
 # on the scan's minimum for it to be skipped; it covers the rounding of phi_b's
 # exponent, about 2|log s| ulp
@@ -669,9 +670,10 @@ class SolverReport:
 
 
 def _slice_minima(ln_q, rows, left, right):
-    """min of ln_q[rows[i], left[i]:right[i]] per i, for windows that neither the
-    prefix nor the suffix minima of _ceiling_scan settle."""
-    return np.array([ln_q[v, a:b].min() for v, a, b in zip(rows, left, right)])
+    """min of ln_q[rows[i], left[i]:right[i]] per i and its first index, for the
+    windows that the prefix minima of _ceiling_scan do not settle."""
+    at = np.array([a + ln_q[v, a:b].argmin() for v, a, b in zip(rows, left, right)], dtype=np.intp)
+    return ln_q[rows, at], at
 
 
 def _priced_ceilings(ctx, alpha, f1_lo, coarse, upper):
@@ -722,8 +724,8 @@ def _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor, u_f
     budget = ctx.n_blocks * (1.0 + 1e-9)
 
     def tests(lo, hi, u_ride):  # (out, over) per span, u_ride the floor of a u below 1
-        phi_a_lo, phi_b = branch_a(slice(None), lo), phi_b_floor(lo, hi)
-        lower = np.minimum(branch_a(slice(None), hi), phi_b).sum(axis=0) + (1 - alpha) * np.exp(lo)
+        phi_a_lo, phi_b = branch_a(lo), phi_b_floor(lo, hi)[0]
+        lower = np.minimum(branch_a(hi), phi_b).sum(axis=0) + (1 - alpha) * np.exp(lo)
         sure_a = np.isfinite(phi_a_lo) & (phi_b * (1.0 - 1e-6) > phi_a_lo * (1.0 + 1e-6))
         return lower * (1.0 - 1e-6) > upper, np.where(sure_a, 1.0, u_ride).sum(axis=0) > budget
 
@@ -769,9 +771,9 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     since f1 >= ln u_min - log s and u <= 1, the term is at least
     c / p(max(f1_min, ln u_min - log s)), which rises as s falls.  Every
     ceiling from the first whose summed lower bounds exceed the upper bound by
-    the margin _SCAN_PRUNE_MARGIN is priced +inf.  Each grid is computed only
-    up to the ceiling after the last one kept, which the refinement may read;
-    its columns past that stay +inf.
+    the margin _SCAN_PRUNE_MARGIN is priced +inf.  The grids are computed only
+    up to the ceiling after the last one kept, which the refinement may read,
+    and no window reaches past it.
 
     Of the kept ceilings, only those in blocks that can hold the minimum have
     their totals computed; where bounds over blocks and coarse intervals, with
@@ -780,17 +782,15 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     pricing at once, which reads only the grids' ends and the scan's range
     (_exact_ceilings).  Either way the result is the same bytes.
 
-    The window minima come from per-vehicle prefix and suffix minima of log q
-    over its grid of G points: a window [l, r) has the minimum of [0, r) when
-    that is below the minimum of [0, l), else the minimum of [l, G) when that
-    is below the minimum of [r, G); only the rest are sliced.  Where even the
-    minimum of [0, r), a lower bound on the window's, prices the riding branch
-    above the u = 1 branch, the window's left end is never located.  The scan
-    runs over blocks of _SCAN_BLOCK vehicles, which bounds its working set;
-    only the grid searches go one vehicle at a time.  The last pass, at the
-    chosen ceiling alone, takes every vehicle in one call and each block of
-    riding vehicles' windows in one masked argmin.  A vehicle whose R_max is
-    within about 1e-9 of R_min gets a grid of one repeated point.
+    One routine, window_minima, gives every window minimum the scan reads, for
+    one ceiling or the union of a span's windows, with its first index: a
+    window [l, r) of a vehicle's grid has the minimum of [0, r), and its first
+    index from the prefix first-index array, when that is below the minimum of
+    [0, l); the rest are sliced (_slice_minima).  The riding branch
+    (phi_b_floor at lo = hi), the rider floors and the last pass, which reads
+    each rider's u at its first minimum, stand on it.  Every vehicle's grid is
+    built at once and in place; a vehicle whose R_max is within about 1e-9 of
+    R_min gets a grid of one repeated point.
     """
     floor = np.full(ctx.size, ctx.u_min)
     if ctx.size * ctx.u_min >= ctx.n_blocks:
@@ -807,26 +807,24 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     if not (ell_hi > ell_lo and np.all(weights > 0.0)):
         return None
     n_grid, size = _SCAN_GRID, ctx.size
-    blocks = [slice(s, min(s + _SCAN_BLOCK, size)) for s in range(0, size, _SCAN_BLOCK)]
     xi1, xi3 = ctx.xi1[:, None], ctx.xi3[:, None]
     lo_col, hi_col = f1_lo[:, None], f1_hi[:, None]
     weighted_data = alpha * ctx.data_sizes[:, None]
     ln_cd = np.log(weights)[:, None]
 
-    def branch_a(rows, ells):
-        """phi_a, the u = 1 branch, per vehicle of `rows` and ceiling."""
-        f1_a = np.maximum(lo_col[rows], -ells)
+    def branch_a(ells):
+        """phi_a, the u = 1 branch, per vehicle and ceiling."""
+        f1_a = np.maximum(lo_col, -ells)
         with np.errstate(divide="ignore"):
-            p_a = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / f1_a, 0.0))
-        live = (f1_a <= hi_col[rows] * (1.0 - 1e-12)) & (p_a > 0)
-        return np.where(live, weighted_data[rows] / (ctx.d_total * np.maximum(p_a, 1e-300)),
-                        np.inf)
+            p_a = -np.expm1(np.minimum(xi1 - xi3 / f1_a, 0.0))
+        live = (f1_a <= hi_col * (1.0 - 1e-12)) & (p_a > 0)
+        return np.where(live, weighted_data / (ctx.d_total * np.maximum(p_a, 1e-300)), np.inf)
 
     t_min = max(-ell_hi, 1e-9)
     t_max = max(-ell_lo, t_min * (1.0 + 1e-9))
     coarse = -np.geomspace(t_min, t_max, _SCAN_CEILINGS)
     probes = coarse[::16]
-    upper = np.min((1.0 - alpha) * np.exp(probes) + branch_a(slice(None), probes).sum(axis=0))
+    upper = np.min((1.0 - alpha) * np.exp(probes) + branch_a(probes).sum(axis=0))
     k_end = _priced_ceilings(ctx, alpha, f1_lo, coarse, upper)
     # the refinement around the last kept ceiling reads the one below it; 1e-9
     # covers the rounding of the grid's log and exp
@@ -838,92 +836,62 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
     ln_b = np.array([math.log(x * (1 - 1e-9)) for x in f1_hi.tolist()])[:, None]
     ln_b = np.maximum(ln_b, ln_a)
     delta = (ln_b - ln_a) / (n_grid - 1)
-    # each block computes its columns up to the last with log f1 <= ln_need and
-    # two more, or all of them where a row's grid is one point
-    cols = []
-    for rows in blocks:
-        d = delta[rows]
-        reach = float(np.max((ln_need - ln_a[rows]) / d)) if np.all(d > 0) else math.inf
-        cols.append(int(min(n_grid, max(reach, 0.0) + 2.0)))
-    width = max(cols)
-    steps = np.arange(width, dtype=float)
-    grid, ln_q = np.full((size, width), np.inf), np.full((size, width), np.inf)
-    # pre[v, r] = min of ln_q[v, :r] and suf[v, l] = min of ln_q[v, l:]; G = width
-    pre, suf = np.empty((size, width + 1)), np.empty((size, width + 1))
-    pre[:, 0] = suf[:, width] = np.inf
-    for rows, n in zip(blocks, cols):
-        x = steps[:n] * delta[rows] + ln_a[rows]
-        if n == n_grid:
-            x[:, -1] = ln_b[rows, 0]
-        g = grid[rows, :n] = np.exp(x)
-        p = -np.expm1(np.minimum(xi1[rows] - xi3[rows] / g, 0.0))
-        ln_q[rows, :n] = -g - np.log(np.maximum(p, 1e-300))
-        np.minimum.accumulate(ln_q[rows], axis=1, out=pre[rows, 1:])
-        suf[rows, :width] = np.minimum.accumulate(ln_q[rows, ::-1], axis=1)[:, ::-1]
+    # the grids are computed up to the last column with log f1 <= ln_need and two
+    # more, or whole where a row's grid is one point, and built in place:
+    # ln_q = -grid - log(max(p, 1e-300)), p = -expm1(min(xi1 - xi3/grid, 0)), its
+    # prefix minima pre[v, r] = min of ln_q[v, :r] and first[v, j] the first index
+    # of the minimum of ln_q[v, :j + 1]
+    reach = float(np.max((ln_need - ln_a) / delta)) if np.all(delta > 0) else math.inf
+    width = int(min(n_grid, max(reach, 0.0) + 2.0))
+    grid = np.arange(width, dtype=float) * delta
+    grid += ln_a
+    if width == n_grid:
+        grid[:, -1] = ln_b[:, 0]
+    np.exp(grid, out=grid)
+    ln_q = xi3 / grid
+    np.minimum(np.subtract(xi1, ln_q, out=ln_q), 0.0, out=ln_q)
+    np.maximum(np.negative(np.expm1(ln_q, out=ln_q), out=ln_q), 1e-300, out=ln_q)
+    np.negative(np.add(np.log(ln_q, out=ln_q), grid, out=ln_q), out=ln_q)
+    pre = np.full((size, width + 1), np.inf)
+    np.minimum.accumulate(ln_q, axis=1, out=pre[:, 1:])
+    first = np.where(ln_q < pre[:, :-1], np.arange(width), 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    rows = np.arange(size)[:, None]
 
-    def window_minima(v, left, right):
-        """min of ln_q[v[i], left[i]:right[i]] per i, inf where the window is empty.
-
-        [l, r) holds the minimum of [0, r) if that is below the minimum of [0, l),
-        and the minimum of [l, G) if that is below the minimum of [r, G)."""
-        in_pre = pre[v, right] < pre[v, left]
-        in_suf = suf[v, left] < suf[v, right]
-        m = np.where(in_pre, pre[v, right], np.where(in_suf, suf[v, left], np.inf))
-        rest = np.flatnonzero(~in_pre & ~in_suf & (left < right))
-        m[rest] = _slice_minima(ln_q, v[rest], left[rest], right[rest])
-        return m
-
-    def branches(rows, ells):
-        """phi_a and phi_b per vehicle of `rows` and ceiling; phi_b reads inf where
-        its lower bound already exceeds phi_a, and where its window holds no grid
-        point."""
-        hi_f = -ells
-        phi_a = branch_a(rows, ells)
-        g = grid[rows]
-        right = np.array([np.searchsorted(row, hi_f, side="right") for row in g])
-        shift = ln_cd[rows] - ells
-        bound = np.exp(np.minimum(shift + np.take_along_axis(pre[rows], right, axis=1), 700.0))
-        j, k = np.nonzero(~(bound > phi_a * (1.0 + 1e-12)))
-        # np.nonzero goes row by row, so each vehicle's ceilings form one run
-        runs = np.searchsorted(j, np.arange(len(g) + 1))
-        x_left = ln_umin - ells
-        left = np.empty(len(j), dtype=np.intp)
-        for i in np.flatnonzero(runs[1:] > runs[:-1]):
-            a, b = runs[i], runs[i + 1]
-            left[a:b] = np.searchsorted(g[i], x_left[k[a:b]], side="left")
-        m = window_minima(j + rows.start, left, right[j, k])
-        phi_b = np.full(phi_a.shape, np.inf)
-        phi_b[j, k] = np.where(m < np.inf, np.exp(np.minimum(shift[j, k] + m, 700.0)), np.inf)
-        return phi_a, phi_b
+    def window_minima(lo, hi):
+        """Per vehicle and span [lo[i], hi[i]] of ceilings, the minimum of log q
+        over the union [ln u_min - hi, -lo] of the span's windows and its first
+        index, inf where it holds no grid point: that of [0, r) for a window
+        [l, r) where it is below the minimum of [0, l), else sliced."""
+        left = np.array([row.searchsorted(ln_umin - hi, side="left") for row in grid])
+        right = np.array([row.searchsorted(-lo, side="right") for row in grid])
+        m, at = pre[rows, right], first[rows, np.maximum(right - 1, 0)]
+        settled = m < pre[rows, left]
+        m[~settled] = np.inf
+        rest = np.nonzero(~settled & (left < right))
+        m[rest], at[rest] = _slice_minima(ln_q, rest[0], left[rest], right[rest])
+        return m, at
 
     def phi_b_floor(lo, hi):
         """A lower bound on phi_b per vehicle over each span [lo[i], hi[i]] of
-        ceilings: the window minimum over the union [ln u_min - hi, -lo] of the
-        span's windows, at the span's top ceiling; inf where it holds no grid
-        point."""
-        left = np.array([np.searchsorted(row, ln_umin - hi, side="left") for row in grid])
-        right = np.array([np.searchsorted(row, -lo, side="right") for row in grid])
-        v = np.repeat(np.arange(size), len(lo))
-        m = window_minima(v, left.ravel(), right.ravel()).reshape(size, len(lo))
-        return np.where(m < np.inf, np.exp(np.minimum(ln_cd - hi + m, 700.0)), np.inf)
+        ceilings, from the minimum over the union of its windows at its top
+        ceiling, and that minimum's first index; inf where the union holds no
+        grid point.  At lo = hi it is the riding branch itself."""
+        m, at = window_minima(lo, hi)
+        return np.where(m < np.inf, np.exp(np.minimum(ln_cd - hi + m, 700.0)), np.inf), at
 
     def u_floor(lo, hi):
         """A lower bound on u per vehicle over each span [lo[i], hi[i]] of ceilings:
         min(1, e^(lo + grid[A])) less 1e-12, A the first minimum of the window at
-        hi where it is that of the grid up to the window's end, else u_min."""
-        first = np.maximum.accumulate(np.where(ln_q < pre[:, :-1], np.arange(width), 0), axis=1)
-        left = np.array([row.searchsorted(ln_umin - hi, side="left") for row in grid]).ravel()
-        right = np.array([row.searchsorted(-hi, side="right") for row in grid]).ravel()
-        v = np.repeat(np.arange(size), len(lo))
-        x = np.where(pre[v, right] < pre[v, left], grid[v, first[v, np.maximum(right - 1, 0)]],
-                     -np.inf).reshape(size, len(lo))
+        hi, or u_min where that window holds no grid point."""
+        m, at = window_minima(hi, hi)
+        x = np.where(m < np.inf, grid[rows, at], -np.inf)
         return np.maximum(np.exp(np.minimum(lo + x, 0.0)) * (1.0 - 1e-12), ctx.u_min)
 
     def scan_totals(ells):
         totals = (1.0 - alpha) * np.exp(ells)
-        for rows in blocks:
-            for term in np.minimum(*branches(rows, ells)):
-                totals += term  # vehicle by vehicle, in id order
+        for term in np.minimum(branch_a(ells), phi_b_floor(ells, ells)[0]):
+            totals += term  # vehicle by vehicle, in id order
         return totals
 
     exact = _exact_ceilings(ctx, alpha, coarse, k_end, upper, branch_a, phi_b_floor, u_floor)
@@ -938,20 +906,16 @@ def _ceiling_scan(ctx: SchedulingContext, alpha):
         kf = int(np.argmin(totals_fine))
         ell = float(fine[kf]) if totals_fine[kf] <= totals[k] else float(coarse[k])
 
-        phi_a, phi_b = (col[:, 0] for col in branches(slice(0, size), np.array([ell])))
+        ells = np.array([ell])
+        phi_a = branch_a(ells)[:, 0]
+        phi_b, at = (col[:, 0] for col in phi_b_floor(ells, ells))
         if not np.all(np.isfinite(phi_a) | np.isfinite(phi_b)):
             return None
-        # each riding vehicle's window of its sorted grid, [ln u_min - ell, -ell], and
-        # the first minimum of ln_q inside it, a block of riders at a time
+        # each riding vehicle at the first minimum of log q in its window
         ride = np.flatnonzero(phi_b < phi_a)
         u = np.ones(size)
-        for start in range(0, len(ride), _SCAN_BLOCK):
-            rows = ride[start:start + _SCAN_BLOCK]
-            g = grid[rows]
-            window = (g >= ln_umin - ell) & (g <= -ell)
-            best = np.where(window, ln_q[rows], np.inf).argmin(axis=1)
-            for v, x in zip(rows.tolist(), g[np.arange(len(rows)), best].tolist()):
-                u[v] = min(1.0, math.exp(ell + x))
+        for v, x in zip(ride.tolist(), grid[ride, at[ride]].tolist()):
+            u[v] = min(1.0, math.exp(ell + x))
         u = np.clip(u, ctx.u_min, 1.0)
         if u.sum() <= ctx.n_blocks:
             return u

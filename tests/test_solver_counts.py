@@ -44,8 +44,19 @@ Those nine solves then pay mostly for the pricing of the budget, whose cost
 is its search steps, each one evaluation of every vehicle's choices at every
 ceiling of a pass: a fifth guard counts them over the four passes of each
 pricing, 214 per corpus pass.
+
+Every window minimum the scan reads comes from the prefix minima of log q
+where they settle the window, and from a Python slice loop (_slice_minima)
+where they do not: a sixth guard counts the sliced windows, 14 per corpus
+pass (all on three default VR-VFL instances), the same as while suffix minima
+settled some windows first.  The last guard bounds the working set of the
+largest scanned corpus solve, default_vrvfl_s1_r3 (118 vehicles), whose grids
+are built for every vehicle at once: its tracemalloc peak read 3.91 MiB while
+the scan ran over blocks of 16 vehicles, 3.86 MiB with the grids built in
+place and 4.73 MiB when they were not.
 """
 
+import tracemalloc
 from pathlib import Path
 
 from vflsim import scheduler
@@ -56,6 +67,8 @@ MEASURED_FILLS = 106  # water-fills of the exact inclusion searches; pinned runs
 MEASURED_CEILINGS = 8_550  # coarse ceilings the ceiling scans price; pinned scans price none
 MEASURED_EXACT_CEILINGS = 1_136  # of those, the ones whose totals the scans compute exactly
 MEASURED_PRICE_ITERATIONS = 214  # search steps of the scans' pricing of the budget
+MEASURED_SLICED_WINDOWS = 14  # windows of the scans that no prefix minimum settles
+MEASURED_PEAK_MIB = 3.91  # tracemalloc peak of one default_vrvfl_s1_r3 solve, in 2**20 bytes
 
 
 def solve_corpus():
@@ -137,3 +150,33 @@ def test_corpus_pricing_iterations_stay_near_measured(monkeypatch):
     solve_corpus()
     print(f"corpus pricing iterations: {steps[0]} (measured {MEASURED_PRICE_ITERATIONS})")
     assert 0 < steps[0] <= MEASURED_PRICE_ITERATIONS * 1.05
+
+
+def test_corpus_sliced_windows_stay_near_measured(monkeypatch):
+    sliced = [0]
+    slice_minima = scheduler._slice_minima
+
+    def counted(ln_q, rows, left, right):
+        sliced[0] += len(rows)
+        return slice_minima(ln_q, rows, left, right)
+
+    monkeypatch.setattr(scheduler, "_slice_minima", counted)
+    solve_corpus()
+    print(f"corpus sliced windows: {sliced[0]} (measured {MEASURED_SLICED_WINDOWS})")
+    assert 0 < sliced[0] <= MEASURED_SLICED_WINDOWS * 1.05
+
+
+def test_largest_scan_working_set_stays_near_measured():
+    ctx = scheduler.load_instance(CORPUS / "default_vrvfl_s1_r3.txt")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        scheduler.bcd_solve(ctx)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    print(f"default_vrvfl_s1_r3 solve peak: {peak:.2f} MiB (measured {MEASURED_PEAK_MIB})")
+    assert 0 < peak <= MEASURED_PEAK_MIB * 1.05

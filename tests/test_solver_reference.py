@@ -188,13 +188,13 @@ class TestCeilingScan:
         # overspent; the scan prices the overspent ones into it
         assert min(candidates.values()) > 0, candidates
 
-    def test_window_no_prefix_or_suffix_minimum_settles(self, monkeypatch):
+    def test_window_no_prefix_minimum_settles(self, monkeypatch):
         # a weak estimate (small h_est_sq * eps^2 / (1 - eps^2)) on a strong link
         # makes log q rise from the grid's start and fall again before the
-        # capacity wall: a window past the start holds neither the minimum of
-        # the grid up to its right end nor that from its left end on.  The block
-        # bounds leave out the ceilings of those windows, so here the scan
-        # computes every coarse total, as it did before them
+        # capacity wall: a window past the start does not hold the minimum of
+        # the grid up to its right end, so it is sliced.  The block bounds leave
+        # out the ceilings of those windows, so here the scan computes every
+        # coarse total, as it did before them
         monkeypatch.setattr(scheduler, "_exact_ceilings", oracles.every_ceiling)
         sliced = []
         real = scheduler._slice_minima
@@ -229,33 +229,49 @@ class TestCeilingScan:
 
     def test_rider_floors_hold_at_every_ceiling_of_their_span(self, monkeypatch):
         # each vehicle's u floor over a coarse interval, against the reference's
-        # choice at both ends of the interval and inside it
+        # choice at both ends of the interval and inside it: 6 intervals of each
+        # drawn context, and every interval of the two-vehicle context whose
+        # windows no prefix minimum settles, at N = 1, where the floors read the
+        # first minimum of 2 sliced windows
         rng = np.random.default_rng(31)
-        floors = []
-        bound = scheduler._exact_ceilings
+        floors, sliced = [], []
+        bound, slice_minima = scheduler._exact_ceilings, scheduler._slice_minima
 
         def kept(ctx, alpha, coarse, k_end, *args):
             floors.append((coarse, k_end, args[-1]))
             return bound(ctx, alpha, coarse, k_end, *args)
 
+        def counted(ln_q, rows, left, right):
+            sliced.append(len(rows))
+            return slice_minima(ln_q, rows, left, right)
+
         monkeypatch.setattr(scheduler, "_exact_ceilings", kept)
+        monkeypatch.setattr(scheduler, "_slice_minima", counted)
         riders = 0
-        for i in range(24):
-            ctx = random_context(rng, int(rng.integers(10, 41)), n_blocks=float(rng.integers(1, 21)),
-                                 u_min=(0.05, 1e-9, 0.2)[i % 3])
+        for i in range(25):
+            if i < 24:
+                ctx = random_context(rng, int(rng.integers(10, 41)),
+                                     n_blocks=float(rng.integers(1, 21)),
+                                     u_min=(0.05, 1e-9, 0.2)[i % 3])
+            else:
+                ctx = built_context([0.4, 0.8], [0.1, 1.0], [1e-7, 3e-9], [150.0, 150.0],
+                                    n_blocks=1.0)
             floors.clear()
             scheduler._ceiling_scan(ctx, ctx.alpha)
             if not floors:
                 continue
             coarse, k_end, u_floor = floors[0]
-            at = rng.choice(min(k_end, scheduler._SCAN_CEILINGS - 1), 6)
+            spans = min(k_end, scheduler._SCAN_CEILINGS - 1)
+            at = rng.choice(spans, 6) if i < 24 else np.arange(spans)
             lo, hi = coarse[at + 1], coarse[at]
+            sliced.clear()
             floor = u_floor(lo, hi)
             riders += int(np.sum(floor > ctx.u_min))
             ells = np.concatenate((lo, hi, 0.5 * (lo + hi)))
             for k, u in enumerate(oracles.reference_ceiling_scan(ctx, ctx.alpha, ells)):
                 assert u is None or np.all(u >= floor[:, k % len(at)]), (i, k)
         assert riders > 100
+        assert len(at) == 334 and sum(sliced) == 2
 
     def test_no_finite_total(self):
         # a NaN data size leaves no ceiling with a finite total
@@ -319,14 +335,14 @@ class TestCeilingScan:
 
     def test_minimum_at_the_last_kept_ceiling(self, monkeypatch):
         # The refinement around the last kept ceiling reads the ceiling below it,
-        # so the grids must reach that one.  _SCAN_BLOCK weak links (zero success
-        # from f1 = 5 on) end the ceilings at that edge, where the lower bound
-        # reaches its cap; at alpha = 1e-12 the max term puts the minimum on the
-        # last kept ceiling.  In a block of its own, a vehicle with a high R_min,
-        # as a short sojourn gives, has a grid fine enough that two columns do
-        # not span a ceiling step; its minimum of log q lies between the last
-        # two ceilings, and it rides the ceiling there.
-        n = scheduler._SCAN_BLOCK + 1
+        # so the grids must reach that one.  16 weak links (zero success from
+        # f1 = 5 on) end the ceilings at that edge, where the lower bound reaches
+        # its cap; at alpha = 1e-12 the max term puts the minimum on the last kept
+        # ceiling.  A vehicle with a high R_min, as a short sojourn gives, has a
+        # grid fine enough that two columns do not span a ceiling step; its
+        # minimum of log q lies between the last two ceilings, and it rides the
+        # ceiling there.  The weak links' whole grids set the one grid width.
+        n = 17
         eps, h2 = np.array([0.8] * (n - 1) + [0.3]), np.array([1.0] * (n - 1) + [0.1])
         snr = np.array([5.0] * (n - 1) + [9.12])
         ctx = built_context(eps, h2, snr * W_BLOCK * NOISE / (TX_POWER * eps**2 * h2),
